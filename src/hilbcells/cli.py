@@ -89,15 +89,23 @@ def _parse_hilbert(args) -> HilbertFunction:
     if not isinstance(data, dict):
         raise MalformedInput("--hilbert must be a JSON object")
     if "values" in data:
-        hf = HilbertFunction.from_json(data)
+        try:
+            hf = HilbertFunction.from_json(data)
+        except DomainError:
+            raise
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+            raise MalformedInput(
+                '--hilbert needs integer "a" and "b" and "values" mapping decimal '
+                "degrees to integer counts"
+            ) from exc
         w = _maybe_weight(args)
         if w is not None and w != hf.weight:
             raise MalformedInput("--a/--b disagree with the weight in --hilbert")
         return hf
     try:
         counts = {int(k): int(v) for k, v in data.items()}
-    except ValueError as exc:
-        raise MalformedInput("--hilbert keys must be decimal degrees") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MalformedInput("--hilbert must map decimal degrees to integer counts") from exc
     return HilbertFunction.from_counts(_weight(args), counts)
 
 
@@ -108,6 +116,8 @@ def _parse_point(text: str | None) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"--point is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise MalformedInput("--point must be a JSON object")
     point = {}
     for name, value in data.items():
         key = _parse_variable_name(name)
@@ -273,7 +283,7 @@ def _cmd_minimal(args):
 
 
 def _cmd_components(args):
-    reports = strata.component_report(args.length, _weight(args), bound=args.length)
+    reports = strata.component_report(args.length, _weight(args))
     return {"components": [r.to_json() for r in reports]}
 
 
@@ -448,7 +458,7 @@ def _suite_verify_all(args):
 
 def _suite_components(args):
     w = _weight(args)
-    reports = strata.component_report(args.length, w, bound=args.length)
+    reports = strata.component_report(args.length, w)
     items = [
         {
             "name": f"H={json.dumps({str(d): c for d, c in r.hilbert.values}, sort_keys=True)}",

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -222,6 +223,34 @@ class TestExitCodes:
         code, out, err = run(capsys, "minimal", "--a", "1", "--b", "-1",
                              "--hilbert", '{"0":2}')
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("specialize", "--columns", "2,1", "--mode", "general", "--point", "[1,2]"),
+        ("specialize", "--columns", "2,1", "--mode", "general", "--point", "5"),
+        ("minimal", "--hilbert", '{"a":1,"b":-1,"values":{"0":"x"}}'),
+        ("minimal", "--hilbert", '{"a":1,"b":-1,"values":5}'),
+        ("minimal", "--hilbert", '{"values":{"0":1}}'),
+        ("minimal", "--a", "1", "--b", "-1", "--hilbert", '{"0":[1]}'),
+    ])
+    def test_ill_typed_payload_is_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_non_primitive_weight_payload_is_one(self, capsys):
+        code, out, err = run(capsys, "minimal",
+                             "--hilbert", '{"a":2,"b":-2,"values":{"0":1}}')
+        assert code == 1 and not out and "not primitive" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("components", "--length", "13", "--a", "1", "--b", "-1"),
+        ("run-suite", "components", "--length", "13", "--a", "1", "--b", "-1"),
+    ])
+    def test_components_size_bound_is_one(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out and "bound" in err
+        assert time.perf_counter() - start < 1.0
 
 
 class TestDeterminism:

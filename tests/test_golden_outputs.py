@@ -1,0 +1,118 @@
+"""Byte-identity gate: SHA-256 digests of canonical outputs.
+
+Reduced Groebner bases are unique and every serializer is canonical, so
+each output below is fixed by the mathematics: a refactor of the
+polynomial kernel, the charts or the CLI must leave every digest as it is.
+A digest covers, for each call in order, the argv, the exit code and the
+exact stdout bytes.  Only a deliberate change of output may re-record one;
+the failure message prints the new value.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from hilbcells import (
+    GRLEX_XY,
+    buchberger,
+    build_chart_family,
+    construct_staircase,
+    enumerate_staircases,
+    parse_ideal,
+)
+from hilbcells.cli import main
+
+ANCHOR_IDEAL = "x*y^2+y^3; x^2*y+x*y^2; x^3+x^2*y-x*y-y^2; y^4-y^3"
+
+README_EXAMPLES = [
+    ["tangent", "--columns", "1,1", "--a", "1", "--b", "-1"],
+    ["minimal", "--a", "1", "--b", "-1", "--hilbert", '{"0":1,"1":2,"2":2,"3":1}'],
+    ["groebner", "--order", "grlex_xy", "--ideal", ANCHOR_IDEAL],
+    ["degenerate", "--columns", "1,1", "--a", "1", "--b", "-1"],
+    ["verify-flat", "--columns", "3,1,1,1", "--mode", "general", "--seed", "7"],
+    ["poincare", "--length", "6", "--vector", "(-2,-9)"],
+    ["run-suite", "verify-all", "--max-length", "4", "--seed", "7"],
+    ["run-suite", "components", "--length", "6", "--a", "1", "--b", "-1"],
+    ["run-suite", "poincare", "--max-length", "3", "--weights", "(-1,-3);(-2,-5)"],
+]
+
+SWEEP_COLUMNS = [
+    ",".join(map(str, E.columns)) for l in range(1, 7) for E in enumerate_staircases(l)
+]
+W = ["--a", "1", "--b", "-1"]
+
+SWEEPS = {
+    "chart-invariant": [["chart", "--columns", c, "--mode", "invariant"] + W
+                        for c in SWEEP_COLUMNS],
+    "chart-general": [["chart", "--columns", c, "--mode", "general"] for c in SWEEP_COLUMNS],
+    "verify-flat-invariant": [["verify-flat", "--columns", c, "--mode", "invariant",
+                               "--seed", "7"] + W for c in SWEEP_COLUMNS],
+    "verify-flat-general": [["verify-flat", "--columns", c, "--mode", "general",
+                             "--seed", "7"] for c in SWEEP_COLUMNS],
+    "descend-random": [["descend", "--columns", c, "--policy", "random", "--seed", "11",
+                        "--a", a, "--b", "-1"] for a in ("1", "2") for c in SWEEP_COLUMNS],
+    "groebner-orders": [["groebner", "--order", order, "--ideal", ANCHOR_IDEAL] + W
+                        for order in ("lex_xy", "lex_yx", "grlex_xy", "cell")]
+    + [["weight-initial", "--ideal", ANCHOR_IDEAL, "--vector", v, "--extremum", e]
+       for v, e in (("1,0", "max"), ("0,1", "max"), ("1,1", "max"), ("(-1,-1)", "min"))]
+    + [["weight-initial", "--ideal", ANCHOR_IDEAL, "--vector", "0,1", "--extremum", "min",
+        "--max-steps", "200"]],
+}
+
+# Recorded before the polynomial kernel was given one coefficient protocol.
+DIGESTS = {
+    "readme":
+        "7924aaaa654249e78e5c91e8ada7e5c67413c8bf2b443675d46f1f198c7946ab",
+    "chart-invariant":
+        "ce2220f7847798bb3c092f1d9bdf1b0d3b5cc18d60e5222a90bada4ec1117187",
+    "chart-general":
+        "c1e7eccd885562ca5de2bcf0e33f6e9ed2af5661c677cb6560310d0c357387f9",
+    "verify-flat-invariant":
+        "29a499371f3c597a8c2efdbf9b1049154421359786a7224f865bb8de81ee8a72",
+    "verify-flat-general":
+        "a6a4852f79a900d5a7de54025c1ae600c653900f7ab3f71d340d2e23332718a9",
+    "descend-random":
+        "e9f2838533ff31df4f1ed562f2977ad2801120d4eeb8de19ea61f983639338a7",
+    "groebner-orders":
+        "d926464a2dd55798e06f9c4285a3c4cf8acfaa254b3eb320208686391bc1b430",
+    "poly-json":
+        "f563464fa87d7a27a4586dda21f9411e7468acf8b57ed88990f67a2dff66f1f2",
+}
+
+
+def _digest(records) -> str:
+    h = hashlib.sha256()
+    for record in records:
+        h.update(json.dumps(record, ensure_ascii=False).encode() + b"\n")
+    return h.hexdigest()
+
+
+def _transcript(capsys, argvs) -> str:
+    records = []
+    for argv in argvs:
+        code = main(list(argv))
+        records.append([argv, code, capsys.readouterr().out])
+    return _digest(records)
+
+
+def _check(name, digest):
+    assert digest == DIGESTS[name], f"{name}: output changed, digest now {digest}"
+
+
+def test_readme_examples(capsys):
+    _check("readme", _transcript(capsys, README_EXAMPLES))
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweep_up_to_length_six(capsys, name):
+    _check(name, _transcript(capsys, SWEEPS[name]))
+
+
+def test_polynomial_json_and_text():
+    # Chart-domain generators pin the "domain" and "chart" fields, the
+    # reduced anchor basis pins the rational form.
+    fam = build_chart_family(construct_staircase([3, 1, 1, 1]), "general")
+    gb = buchberger(parse_ideal(ANCHOR_IDEAL), GRLEX_XY)
+    polys = list(fam.generators) + list(gb.generators)
+    _check("poly-json", _digest([[p.to_json(), p.to_text()] for p in polys]))

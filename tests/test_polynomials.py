@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -32,7 +33,7 @@ from hilbcells import (
     weight_order,
 )
 from hilbcells.charts import build_chart_family, specialize_family
-from hilbcells.polynomials import DOMAIN_CHART
+from hilbcells.polynomials import DOMAIN_CHART, DOMAIN_RATIONAL
 
 W11 = Weight(1, -1)
 
@@ -63,6 +64,39 @@ class TestOrders:
     def test_globality(self):
         assert weight_order((1, 0), "max").is_global
         assert not weight_order((2, 1), "min").is_global
+
+
+ORDER_GRID = [Monomial(a, b) for a in range(6) for b in range(6)]
+ORDER_SHIFTS = (Monomial(1, 0), Monomial(0, 1), Monomial(2, 3))
+NAMED_ORDERS = (LEX_XY, LEX_YX, GRLEX_XY)
+
+cell_orders = st.tuples(st.integers(1, 7), st.integers(-7, -1)).filter(
+    lambda ab: math.gcd(*ab) == 1
+).map(lambda ab: cell_order(Weight(*ab)))
+weight_orders = st.builds(
+    weight_order,
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    st.sampled_from(("max", "min")),
+    st.sampled_from(NAMED_ORDERS),
+)
+monomial_orders = st.one_of(st.sampled_from(NAMED_ORDERS), cell_orders, weight_orders)
+
+
+class TestOrderAxioms:
+    """Every constructible order is a total multiplicative order, with 1 < m when global."""
+
+    @given(order=monomial_orders)
+    @settings(max_examples=120, deadline=None)
+    def test_total_multiplicative_and_global(self, order):
+        one = Monomial(0, 0)
+        for m1 in ORDER_GRID:
+            for m2 in ORDER_GRID:
+                c = order.compare(m1, m2)
+                assert (c == 0) == (m1 == m2), (order, m1, m2)
+                for t in ORDER_SHIFTS:
+                    assert order.compare(m1.mul(t), m2.mul(t)) == c, (order, m1, m2, t)
+            if order.is_global and m1 != one:
+                assert order.compare(one, m1) == -1, (order, m1)
 
 
 class TestParsing:
@@ -318,6 +352,21 @@ class TestSerialization:
             assert poly_from_text(p.to_text(), domain=DOMAIN_CHART) == p
             assert poly_from_text(p.to_text()).to_text() == p.to_text()
             assert BivariatePolynomial.from_json(p.to_json()) == p
+
+    def test_text_rejects_malformed_terms(self):
+        for text, domain in (
+            ("+1/1·x^1", None),
+            ("+1/1·X[0,1;1,0]^1·x^1*y^0", DOMAIN_RATIONAL),
+            ("+1/1·foo·x^1*y^0", None),
+            ("+1/1·foo·x^1*y^0", DOMAIN_CHART),
+        ):
+            with pytest.raises(DomainError):
+                poly_from_text(text, domain=domain)
+
+    def test_chart_coefficient_times_rational(self):
+        a = ChartCoefficient.variable(((0, 1), (1, 0)))
+        assert a * Fraction(3, 2) == a * ChartCoefficient.from_fraction(Fraction(3, 2))
+        assert not a * 0
 
     def test_chart_coefficient_algebra(self):
         a = ChartCoefficient.variable(((0, 1), (1, 0)))
