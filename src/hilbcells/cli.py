@@ -9,6 +9,7 @@ certificate), 2 malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -648,9 +649,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call shares, built on the first call.
+
+    Parsing only reads it, so calls share no state.  It is not built at
+    import, which would charge every importer for a tree few of them use.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; may be called any number of times in one process."""
+    args = _parser().parse_args(argv)
     try:
         payload = args.handler(args)
     except MalformedInput as exc:

@@ -289,6 +289,11 @@ class ComponentReport:
         }
 
 
+def _require_length(length: int) -> None:
+    if length < 1:
+        raise DomainError(f"length must be at least 1, got {length}")
+
+
 def component_report(length: int, w: Weight, bound: int = 12) -> list[ComponentReport]:
     """Group the staircases of one length by Hilbert function and certify each class.
 
@@ -297,6 +302,7 @@ def component_report(length: int, w: Weight, bound: int = 12) -> list[ComponentR
     recursion and by the enumeration oracle, and a descent chain from every
     stratum.  Otherwise classes collapse to single strata.
     """
+    _require_length(length)
     if length > bound:
         raise BoundExceededError(f"component bound {bound} exceeded by length {length}")
     groups: dict[HilbertFunction, list[Staircase]] = {}
@@ -352,12 +358,21 @@ def component_report(length: int, w: Weight, bound: int = 12) -> list[ComponentR
     return reports
 
 
+# Largest length ``poincare_polynomial`` takes: the 1575 staircases of
+# length 24 take about 3 s, and their count grows 1.2 times per cell.
+POINCARE_BOUND = 24
+
+
 def poincare_polynomial(length: int, weight_vector: tuple[int, int]) -> dict[int, int]:
     """Cell-dimension census over all staircases of one length.
 
     Needs a covering torus action: both weight-vector entries negative and
-    no orthogonal significant character anywhere at this length.
+    no orthogonal significant character anywhere at this length.  The
+    length runs from 1 to ``POINCARE_BOUND``.
     """
+    _require_length(length)
+    if length > POINCARE_BOUND:
+        raise BoundExceededError(f"poincare bound {POINCARE_BOUND} exceeded by length {length}")
     w1, w2 = weight_vector
     if w1 >= 0 or w2 >= 0:
         raise RegimeError(

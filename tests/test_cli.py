@@ -1,3 +1,4 @@
+import argparse
 import json
 import time
 
@@ -245,12 +246,73 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ("components", "--length", "13", "--a", "1", "--b", "-1"),
         ("run-suite", "components", "--length", "13", "--a", "1", "--b", "-1"),
+        ("poincare", "--length", "25", "--vector", "(-1,-26)"),
+        ("compatible", "--a", "1", "--b", "-1", "--hilbert", '{"0":41}'),
     ])
     def test_components_size_bound_is_one(self, capsys, argv):
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
         assert code == 1 and not out and "bound" in err
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("argv", [
+        ("components", "--length", "0", "--a", "1", "--b", "-1"),
+        ("components", "--length", "-1", "--a", "1", "--b", "-1"),
+        ("poincare", "--length", "0", "--vector", "(-1,-3)"),
+        ("poincare", "--length", "-1", "--vector", "(-1,-3)"),
+    ])
+    def test_length_below_one_is_one(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out
+        assert err.startswith("error: length must be at least 1") and err.count("\n") == 1
+
+    def test_poincare_suite_without_lengths_is_empty(self, capsys):
+        data = run_json(capsys, "run-suite", "poincare", "--max-length", "0",
+                        "--weights", "(-1,-3)")
+        assert data["items"] == [] and data["all_ok"]
+
+
+def outcome(capsys, argv):
+    """Exit code and stdout of one call, counting argparse's own exit."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+class TestRepeatedCalls:
+    DESCEND = ("descend", "--columns", "2,2,2", "--a", "1", "--b", "-1", "--policy", "random")
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        outcome(capsys, ("staircase", "--columns", "2,1"))
+        built = 0
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            nonlocal built
+            built += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for argv in [("staircase", "--columns", "2,1"), ("staircase", "--columns", "a,b"),
+                     ("staircase",), ("poincare", "--length", "3", "--vector", "(-1,-4)")]:
+            outcome(capsys, argv)
+        assert built == 0
+
+    def test_calls_share_no_state(self, capsys):
+        sequence = [
+            ("staircase",),                       # argparse exits 2 itself
+            ("staircase", "--columns", "a,b"),    # "error:" line, exit 2
+            self.DESCEND + ("--seed", "3"),
+            self.DESCEND,                         # default seed 7
+            ("staircase", "--columns", "2,1"),
+        ]
+        forward = [outcome(capsys, argv) for argv in sequence]
+        backward = [outcome(capsys, argv) for argv in reversed(sequence)][::-1]
+        assert forward == backward
+        assert [code for code, _ in forward] == [2, 2, 0, 0, 0]
+        assert forward[2] != forward[3]  # the two seeds give different chains
 
 
 class TestDeterminism:
