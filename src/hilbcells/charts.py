@@ -3,9 +3,10 @@
 The generators deform each cleft by a universal polynomial in chart
 variables, one variable per significant positive couple (all of them in
 general mode, only those of a fixed direction in invariant mode).  At the
-origin the family degenerates to the monomial ideal; flatness is certified
-symbolically through S-pair reduction plus sampled specializations of
-constant colength.
+origin the family degenerates to the monomial ideal.  ``verify_flatness``,
+not construction, certifies the leading terms and the origin fiber, and
+flatness symbolically through S-pair reduction plus sampled
+specializations of constant colength.
 """
 
 from __future__ import annotations
@@ -144,18 +145,8 @@ def build_chart_family(
             total = total + q.scale(ChartCoefficient.variable(key))
         P[i] = total
 
-    generators = tuple(P)
-    for c, p in zip(cs, generators):
-        lm = p.leading_monomial(LEX_YX)
-        lc = p.terms[lm]
-        if lm != c or not (lc.is_constant and lc.constant_value() == 1):
-            raise ConsistencyError(f"generator for cleft {c} has leading term {lm}")
-        origin = p.substitute_chart({})
-        if origin != BivariatePolynomial.of_monomial(c, 1):
-            raise ConsistencyError(f"origin fiber of P({c}) is {origin.to_text()}")
-
     variables = tuple(sorted(couple_key(cp) for cp in indexed))
-    return ChartFamily(E, mode, weight, variables, cs, generators, tuple(q_polys))
+    return ChartFamily(E, mode, weight, variables, cs, tuple(P), tuple(q_polys))
 
 
 def specialize_family(

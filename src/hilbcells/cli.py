@@ -339,6 +339,14 @@ def _cmd_weight_initial(args):
 # Batch suites
 # ---------------------------------------------------------------------------
 
+def _census_agreement(l, vectors):
+    """The census of length l, equal under every vector and counting every staircase."""
+    results = [strata.poincare_polynomial(l, v) for v in vectors]
+    assert all(r == results[0] for r in results), f"census differs at length {l}"
+    assert sum(results[0].values()) == len(enumerate_staircases(l))
+    return results[0]
+
+
 def _suite_item(name, check):
     try:
         detail = check()
@@ -432,10 +440,7 @@ def _suite_verify_all(args):
         v1 = (-1, -(max_length + 1))
         v2 = (-2, -(2 * max_length + 1))
         for l in lengths:
-            c1 = strata.poincare_polynomial(l, v1)
-            c2 = strata.poincare_polynomial(l, v2)
-            assert c1 == c2, f"census differs at length {l}"
-            assert sum(c1.values()) == len(enumerate_staircases(l))
+            _census_agreement(l, (v1, v2))
         return f"census invariant across {v1} and {v2}"
 
     items = [
@@ -485,11 +490,7 @@ def _suite_poincare(args):
     items = []
     for l in range(1, args.max_length + 1):
         def census(l=l):
-            results = [strata.poincare_polynomial(l, v) for v in vectors]
-            first = results[0]
-            assert all(r == first for r in results), f"census differs at length {l}"
-            assert sum(first.values()) == len(enumerate_staircases(l))
-            return {str(d): c for d, c in first.items()}
+            return {str(d): c for d, c in _census_agreement(l, vectors).items()}
         items.append(_suite_item(f"length-{l}", census))
     return {
         "suite": "poincare",
@@ -515,7 +516,7 @@ def _cmd_run_suite(args):
 # ---------------------------------------------------------------------------
 
 def _add_common(sub, *, columns=False, weight=False, hilbert=False, order=False,
-                ideal=False, mode=False, vector=False, seed=False):
+                ideal=False, mode=False, vector=False, seed=False, max_steps=False):
     if columns:
         sub.add_argument("--columns", required=True, help="staircase column heights, e.g. 4,2")
     if weight:
@@ -534,8 +535,9 @@ def _add_common(sub, *, columns=False, weight=False, hilbert=False, order=False,
         sub.add_argument("--vector", required=True, help="integer pair, e.g. '-1,-3'")
     if seed:
         sub.add_argument("--seed", type=int, default=7)
-    sub.add_argument("--max-steps", dest="max_steps", type=int, default=None,
-                     help="resource guard for polynomial reductions")
+    if max_steps:
+        sub.add_argument("--max-steps", dest="max_steps", type=int, default=None,
+                         help="resource guard for polynomial reductions")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -594,17 +596,17 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(handler=_cmd_specialize)
 
     s = subs.add_parser("verify-flat", help="flatness certificate of a chart family")
-    _add_common(s, columns=True, weight=True, mode=True, seed=True)
+    _add_common(s, columns=True, weight=True, mode=True, seed=True, max_steps=True)
     s.add_argument("--samples", type=int, default=3, help="extra pseudo-random sample points")
     s.set_defaults(handler=_cmd_verify_flat)
 
     s = subs.add_parser("degenerate", help="one flat degeneration to a smaller stratum")
-    _add_common(s, columns=True, weight=True)
+    _add_common(s, columns=True, weight=True, max_steps=True)
     s.add_argument("--couple", help="couple to specialize, e.g. '0,1;1,0'")
     s.set_defaults(handler=_cmd_degenerate)
 
     s = subs.add_parser("descend", help="degenerate until the positive tangent space vanishes")
-    _add_common(s, columns=True, weight=True, seed=True)
+    _add_common(s, columns=True, weight=True, seed=True, max_steps=True)
     s.add_argument("--policy", default="first", help="first | last | random")
     s.set_defaults(handler=_cmd_descend)
 
@@ -623,15 +625,15 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(handler=_cmd_poincare)
 
     s = subs.add_parser("groebner", help="Groebner check, reduced basis and colength")
-    _add_common(s, weight=True, order=True, ideal=True)
+    _add_common(s, weight=True, order=True, ideal=True, max_steps=True)
     s.set_defaults(handler=_cmd_groebner)
 
     s = subs.add_parser("initial", help="staircase of the initial ideal")
-    _add_common(s, weight=True, order=True, ideal=True)
+    _add_common(s, weight=True, order=True, ideal=True, max_steps=True)
     s.set_defaults(handler=_cmd_initial)
 
     s = subs.add_parser("weight-initial", help="extremal-weight initial ideal (flat limit)")
-    _add_common(s, ideal=True, vector=True)
+    _add_common(s, ideal=True, vector=True, max_steps=True)
     s.add_argument("--extremum", default="max", choices=("max", "min"))
     s.set_defaults(handler=_cmd_weight_initial)
 
@@ -643,7 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--b", type=int, default=None)
     s.add_argument("--weights", help="semicolon-separated pairs, e.g. '(-1,-3);(-2,-5)'")
     s.add_argument("--seed", type=int, default=7)
-    s.add_argument("--max-steps", dest="max_steps", type=int, default=None)
     s.set_defaults(handler=_cmd_run_suite)
 
     return parser

@@ -193,9 +193,6 @@ class ChartCoefficient:
             raise DomainError(f"chart coefficient {self.render()} is not constant")
         return self.terms.get((), Fraction(0))
 
-    def variables(self) -> set[VarKey]:
-        return {key for mono in self.terms for key, _ in mono}
-
     def substitute(self, point: Mapping[VarKey, Fraction]) -> Fraction:
         total = Fraction(0)
         for mono, coeff in self.terms.items():
@@ -354,14 +351,6 @@ class BivariatePolynomial:
             if value:
                 out[m] = value
         return BivariatePolynomial(out, DOMAIN_RATIONAL)
-
-    def chart_variables(self) -> set[VarKey]:
-        if self.domain != DOMAIN_CHART:
-            return set()
-        out: set[VarKey] = set()
-        for c in self.terms.values():
-            out |= c.variables()
-        return out
 
     # -- serialization -----------------------------------------------------------
 
@@ -583,15 +572,6 @@ def divide(
     No term of the remainder is divisible by any divisor's leading monomial.
     """
     return _divide(f, divisors, order, _StepGuard(step_limit))
-
-
-def reduce_modulo(
-    f: BivariatePolynomial,
-    divisors: Sequence[BivariatePolynomial],
-    order: MonomialOrder,
-    step_limit: Optional[int] = None,
-) -> BivariatePolynomial:
-    return divide(f, divisors, order, step_limit)[1]
 
 
 def _autoreduce(

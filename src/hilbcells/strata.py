@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .charts import build_chart_family, couple_key, specialize_family
+from .charts import ChartFamily, build_chart_family, couple_key, specialize_family
 from .errors import (
     BoundExceededError,
     ConsistencyError,
@@ -26,18 +26,19 @@ from .errors import (
 from .polynomials import (
     LEX_YX,
     BivariatePolynomial,
+    GroebnerBasis,
     VarKey,
-    initial_staircase,
+    standard_monomials,
     variable_name,
     weight_initial_ideal,
 )
 from .staircases import (
     Comparison,
     HilbertFunction,
+    Monomial,
     SProfile,
     Staircase,
     Weight,
-    clefts,
     compare_staircases,
     compatible_staircases,
     enumerate_staircases,
@@ -52,12 +53,10 @@ def _require_descent_regime(w: Weight) -> None:
         raise RegimeError(f"degenerations need a > 0, b < 0; got ({w.a}, {w.b})")
 
 
-def _canonical_positive_couples(E: Staircase, w: Weight) -> list[CleftCouple]:
-    """Positive couples ordered by cleft under the y-lex order, then cell."""
-    minus_rank = {c: i for i, c in enumerate(reversed(clefts(E)))}
-    couples = list(tangent_basis(E, w).positive)
-    couples.sort(key=lambda cp: (minus_rank[cp.c], (cp.m.alpha, cp.m.beta)))
-    return couples
+def _positive_couples(fam: ChartFamily) -> list[CleftCouple]:
+    """The family's couples ordered by cleft under the y-lex order, then cell."""
+    keys = sorted(fam.variables, key=lambda k: (-k[0][0], k[1]))
+    return [CleftCouple(Monomial(*c), Monomial(*m)) for c, m in keys]
 
 
 @dataclass(frozen=True)
@@ -96,12 +95,14 @@ def degenerate_once(
 ) -> DegenerationStep:
     """Flat limit of the unit-point member of the invariant family of E.
 
-    The limit ideal is the x-weight-maximal initial ideal of the specialized
-    generators; its staircase is certified distinct from E, strictly below it
-    in the S-profile order, and of equal Hilbert function.
+    The limit is the x-weight-maximal initial ideal of the specialized
+    generators, a monomial ideal; the target is read off it and certified
+    distinct from E, strictly below it in the S-profile order, and of equal
+    Hilbert function.
     """
     _require_descent_regime(w)
-    candidates = _canonical_positive_couples(E, w)
+    fam = build_chart_family(E, "invariant", w)
+    candidates = _positive_couples(fam)
     if not candidates:
         raise DomainError(f"positive tangent space of {E.columns} in direction "
                           f"({w.a}, {w.b}) is empty; nothing to degenerate")
@@ -110,18 +111,27 @@ def degenerate_once(
     elif couple not in candidates:
         raise DomainError(f"({couple.c}, {couple.m}) is not a significant positive "
                           f"couple of direction ({w.a}, {w.b})")
+    return _degenerate(fam, couple, step_limit)
 
-    fam = build_chart_family(E, "invariant", w)
-    point = {couple_key(couple): Fraction(1)}
-    gens = specialize_family(fam, point)
+
+def _degenerate(fam: ChartFamily, couple: CleftCouple,
+                step_limit: Optional[int]) -> DegenerationStep:
+    """Degenerate the source of an invariant family at one of its couples."""
+    E, w = fam.staircase, fam.weight
+    key = couple_key(couple)
+    gens = specialize_family(fam, {key: Fraction(1)})
     limit = weight_initial_ideal(gens, (1, 0), "max", step_limit)
-    F = initial_staircase(limit, LEX_YX, step_limit)
-
     dump = (
         f"source {E.columns}, couple ({couple.c}, {couple.m}), "
         f"specialized [{'; '.join(p.to_text() for p in gens)}], "
-        f"limit [{'; '.join(p.to_text() for p in limit)}], target {F.columns}"
+        f"limit [{'; '.join(p.to_text() for p in limit)}]"
     )
+    # Chart variables have (a, b)-degree 0, so each limit generator is
+    # homogeneous in x-degree and in (a, b)-degree: with b != 0, a monomial.
+    if not all(p.is_monomial() for p in limit):
+        raise ConsistencyError(f"flat limit is not a monomial ideal: {dump}")
+    F = standard_monomials(GroebnerBasis(tuple(limit), LEX_YX))  # monomials form a Groebner basis
+    dump += f", target {F.columns}"
     if F == E:
         raise ConsistencyError(f"degeneration did not move: {dump}")
     if hilbert_function(F, w) != hilbert_function(E, w):
@@ -129,9 +139,8 @@ def degenerate_once(
     if compare_staircases(F, E, w) != Comparison.LESS:
         raise ConsistencyError(f"limit staircase is not below the source: {dump}")
 
-    frozen_point = tuple(sorted((k, str(v)) for k, v in point.items()))
     return DegenerationStep(
-        E, couple, frozen_point, tuple(gens), tuple(limit), F,
+        E, couple, ((key, "1"),), tuple(gens), tuple(limit), F,
         s_profile(E, w), s_profile(F, w),
     )
 
@@ -156,7 +165,8 @@ def descend_to_minimal(
     current = E
     cap = len(enumerate_staircases(len(E)))
     while True:
-        candidates = _canonical_positive_couples(current, w)
+        fam = build_chart_family(current, "invariant", w)
+        candidates = _positive_couples(fam)
         if not candidates:
             return tuple(chain)
         if policy == "first":
@@ -165,7 +175,7 @@ def descend_to_minimal(
             chosen = candidates[-1]
         else:
             chosen = rng.choice(candidates)
-        step = degenerate_once(current, w, chosen, step_limit)
+        step = _degenerate(fam, chosen, step_limit)
         chain.append(step)
         current = step.target
         if len(chain) > cap:
@@ -327,9 +337,6 @@ def component_report(length: int, w: Weight, bound: int = 12) -> list[ComponentR
                 raise ConsistencyError(
                     f"recursion gives {minimal.columns} but enumeration gives {oracle.columns}"
                 )
-            empty = [s for s in data if s.dim_pos == 0]
-            if len(empty) != 1 or empty[0].staircase != minimal:
-                raise ConsistencyError(f"minimal stratum mismatch for {H.as_dict()}")
             chains = []
             for E in members:
                 steps = descend_to_minimal(E, w)

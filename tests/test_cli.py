@@ -266,6 +266,28 @@ class TestExitCodes:
         assert code == 1 and not out
         assert err.startswith("error: length must be at least 1") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("tangent", "--columns", "2,1", "--max-steps", "5"),
+        ("components", "--length", "3", "--a", "1", "--b", "-1", "--max-steps", "5"),
+        ("run-suite", "components", "--length", "3", "--a", "1", "--b", "-1",
+         "--max-steps", "5"),
+    ])
+    def test_max_steps_where_unread_is_two(self, argv):
+        with pytest.raises(SystemExit) as err:
+            main(list(argv))
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("verify-flat", "--columns", "2,1", "--mode", "general"),
+        ("degenerate", "--columns", "1,1", "--a", "1", "--b", "-1"),
+        ("descend", "--columns", "1,1", "--a", "1", "--b", "-1"),
+        ("groebner", "--ideal", "x^2; y"),
+        ("initial", "--ideal", "x^2; y"),
+        ("weight-initial", "--ideal", "x^2; y", "--vector", "1,0"),
+    ])
+    def test_max_steps_where_read_is_accepted(self, capsys, argv):
+        run_json(capsys, *argv, "--max-steps", "100000")
+
     def test_poincare_suite_without_lengths_is_empty(self, capsys):
         data = run_json(capsys, "run-suite", "poincare", "--max-length", "0",
                         "--weights", "(-1,-3)")

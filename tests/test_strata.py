@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from hilbcells import (
@@ -93,6 +95,55 @@ class TestDescend:
     def test_unknown_policy(self):
         with pytest.raises(DomainError):
             descend_to_minimal(construct_staircase([1, 1]), W11, policy="middle")
+
+
+def counting(monkeypatch, *targets):
+    """Wrap each dotted function in a call counter; the counts are keyed by target."""
+    counts = dict.fromkeys(targets, 0)
+    for target in targets:
+        module, name = target.rsplit(".", 1)
+        original = getattr(importlib.import_module(module), name)
+
+        def wrapper(*args, _target=target, _original=original, **kwargs):
+            counts[_target] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(target, wrapper)
+    return counts
+
+
+class TestOneFamilyPerStep:
+    FAMILY = "hilbcells.strata.build_chart_family"
+    TANGENT = ("hilbcells.charts.tangent_basis", "hilbcells.strata.tangent_basis")
+    BUCHBERGER = "hilbcells.polynomials.buchberger"
+
+    @pytest.mark.parametrize("columns, k", [
+        ([2], 0), ([1, 1, 1, 1], 1), ([2, 2, 2], 2), ([2, 2, 1, 1, 1], 2),
+    ])
+    def test_descent_work_per_step(self, monkeypatch, columns, k):
+        counts = counting(monkeypatch, self.FAMILY, *self.TANGENT, self.BUCHBERGER)
+        steps = descend_to_minimal(construct_staircase(columns), W11)
+        assert len(steps) == k
+        tangent_bases = sum(counts[t] for t in self.TANGENT)
+        assert (counts[self.FAMILY], tangent_bases, counts[self.BUCHBERGER]) == (k + 1, k + 1, k)
+
+    def test_single_step_work(self, monkeypatch):
+        counts = counting(monkeypatch, self.FAMILY, *self.TANGENT, self.BUCHBERGER)
+        degenerate_once(construct_staircase([1, 1]), W11)
+        tangent_bases = sum(counts[t] for t in self.TANGENT)
+        assert (counts[self.FAMILY], tangent_bases, counts[self.BUCHBERGER]) == (1, 1, 1)
+
+    def test_limit_that_is_not_monomial_is_inconsistent(self, monkeypatch):
+        strata = importlib.import_module("hilbcells.strata")
+        original = strata.weight_initial_ideal
+
+        def binomial_limit(*args):
+            limit = original(*args)
+            return [limit[0] + limit[1]] + limit[1:]
+
+        monkeypatch.setattr(strata, "weight_initial_ideal", binomial_limit)
+        with pytest.raises(ConsistencyError, match="not a monomial ideal"):
+            degenerate_once(construct_staircase([1, 1]), W11)
 
 
 class TestMinimalStaircase:

@@ -69,7 +69,7 @@ class TestCleftCouples:
                 assert len(cleft_couples(E)) == len(clefts(E)) * len(E)
 
     def test_positive_couples_have_negative_y_increment(self):
-        for l in range(1, 9):
+        for l in range(1, 13):
             for E in enumerate_staircases(l):
                 for c in cleft_couples(E):
                     if c.halfdir.positive:
