@@ -501,16 +501,6 @@ def _suite_poincare(args):
     }
 
 
-def _cmd_run_suite(args):
-    if args.suite == "verify-all":
-        return _suite_verify_all(args)
-    if args.suite == "components":
-        return _suite_components(args)
-    if args.suite == "poincare":
-        return _suite_poincare(args)
-    raise MalformedInput(f"unknown suite {args.suite!r}")
-
-
 # ---------------------------------------------------------------------------
 # Parser assembly and entry point
 # ---------------------------------------------------------------------------
@@ -638,14 +628,19 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(handler=_cmd_weight_initial)
 
     s = subs.add_parser("run-suite", help="batch property suites with JSON summaries")
-    s.add_argument("suite", choices=("verify-all", "components", "poincare"))
-    s.add_argument("--max-length", dest="max_length", type=int, default=6)
-    s.add_argument("--length", type=int, default=6)
-    s.add_argument("--a", type=int, default=None)
-    s.add_argument("--b", type=int, default=None)
-    s.add_argument("--weights", help="semicolon-separated pairs, e.g. '(-1,-3);(-2,-5)'")
-    s.add_argument("--seed", type=int, default=7)
-    s.set_defaults(handler=_cmd_run_suite)
+    suites = s.add_subparsers(dest="suite", required=True)
+    t = suites.add_parser("verify-all", help="every acceptance check up to a length")
+    _add_common(t, seed=True)
+    t.add_argument("--max-length", dest="max_length", type=int, default=6)
+    t.set_defaults(handler=_suite_verify_all)
+    t = suites.add_parser("components", help="component report of one length")
+    _add_common(t, weight=True)
+    t.add_argument("--length", type=int, default=6)
+    t.set_defaults(handler=_suite_components)
+    t = suites.add_parser("poincare", help="census agreement across weight vectors")
+    t.add_argument("--max-length", dest="max_length", type=int, default=6)
+    t.add_argument("--weights", help="semicolon-separated pairs, e.g. '(-1,-3);(-2,-5)'")
+    t.set_defaults(handler=_suite_poincare)
 
     return parser
 

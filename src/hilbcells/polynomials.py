@@ -12,18 +12,26 @@ orders, multivariate division, the Buchberger algorithm with a hard resource
 guard, standard monomials of zero-dimensional ideals, and extremal-weight
 initial ideals (flat limits of one-parameter orbits).
 
-Weight-refined orders with ``min`` extremum are local (the unit monomial is
-maximal among weight-zero monomials); Buchberger and division still
-terminate on the graded inputs this library feeds them, and the step guard
-turns any divergence into a hard error rather than a silent truncation.
+A weight-refined order under which a variable sorts below 1 is local
+(``MonomialOrder.is_global`` is false): it is not a well-order, and
+Buchberger and division need not terminate under it.  ``buchberger``
+therefore accepts a local order only when every such variable v has v^n in
+the ideal, n the colength read from a ``GRLEX_XY`` basis, and otherwise
+raises ``DomainError`` naming v at once: the flat limit leaves the plane.
+The graded ideals supported at the origin that this library degenerates
+pass that check.  Past it no truncation is made, so termination is still
+not proven; the step guard turns a runaway computation into a hard error
+rather than a silent truncation, but it counts steps, not time.
 """
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from functools import cached_property
+from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import (
     DomainError,
@@ -32,7 +40,7 @@ from .errors import (
     RegimeError,
     StepLimitExceeded,
 )
-from .staircases import Monomial, Staircase, Weight
+from .staircases import ONE, X, Y, Monomial, Staircase, Weight
 
 DEFAULT_STEP_LIMIT = 500_000
 
@@ -54,19 +62,23 @@ class MonomialOrder:
     extremum: Optional[str] = None
     tiebreak: Optional["MonomialOrder"] = None
 
-    def key(self, m: Monomial):
+    @cached_property
+    def key(self) -> Callable[[Monomial], tuple]:
+        """The sort key of this order, built once per order."""
         if self.kind == "lex_xy":
-            return (m.alpha, m.beta)
+            return lambda m: (m.alpha, m.beta)
         if self.kind == "lex_yx":
-            return (m.beta, m.alpha)
+            return lambda m: (m.beta, m.alpha)
         if self.kind == "grlex_xy":
-            return (m.alpha + m.beta, m.alpha)
+            return lambda m: (m.alpha + m.beta, m.alpha)
         if self.kind == "cell":
-            return (self.weight.degree(m), m.beta)
+            p, q = -self.weight.b, self.weight.a
+            return lambda m: (p * m.alpha + q * m.beta, m.beta)
         if self.kind == "weighted":
-            s = self.vector[0] * m.alpha + self.vector[1] * m.beta
-            lead = s if self.extremum == "max" else -s
-            return (lead,) + self.tiebreak.key(m)
+            sign = 1 if self.extremum == "max" else -1
+            p, q = sign * self.vector[0], sign * self.vector[1]
+            tie = self.tiebreak.key
+            return lambda m: (p * m.alpha + q * m.beta,) + tie(m)
         raise DomainError(f"unknown monomial order kind {self.kind!r}")
 
     def compare(self, m1: Monomial, m2: Monomial) -> int:
@@ -133,7 +145,11 @@ class ChartCoefficient:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[ChartMonomial, Fraction]):
-        self.terms = {k: Fraction(v) for k, v in terms.items() if v != 0}
+        self.terms = {
+            k: v if isinstance(v, Fraction) else Fraction(v)
+            for k, v in terms.items()
+            if v != 0
+        }
 
     @classmethod
     def from_fraction(cls, q) -> "ChartCoefficient":
@@ -194,12 +210,17 @@ class ChartCoefficient:
         return self.terms.get((), Fraction(0))
 
     def substitute(self, point: Mapping[VarKey, Fraction]) -> Fraction:
+        """Value at the point; a variable the point does not assign is zero."""
         total = Fraction(0)
         for mono, coeff in self.terms.items():
             value = coeff
             for key, e in mono:
-                value *= Fraction(point.get(key, 0)) ** e
-            total += value
+                x = point.get(key)
+                if not x:
+                    break
+                value *= (x if isinstance(x, Fraction) else Fraction(x)) ** e
+            else:
+                total += value
         return total
 
     def render(self) -> str:
@@ -235,7 +256,9 @@ class BivariatePolynomial:
 
     def __init__(self, terms: Mapping[Monomial, object], domain: str = DOMAIN_RATIONAL):
         self.domain = domain
-        self.terms = {Monomial(*m): c for m, c in terms.items() if c}
+        self.terms = {
+            m if isinstance(m, Monomial) else Monomial(*m): c for m, c in terms.items() if c
+        }
 
     # -- constructors -------------------------------------------------------
 
@@ -514,51 +537,76 @@ class _StepGuard:
             )
 
 
-def _invertible_lc(poly: BivariatePolynomial, order: MonomialOrder) -> Fraction:
-    """Leading coefficient as an invertible rational scalar, or a domain error."""
-    terms = _coefficient_terms(poly.leading_coefficient(order))
-    if len(terms) != 1 or terms[0][0]:
-        raise DomainError(
-            f"leading coefficient of {poly.to_text()} is not an invertible constant"
-        )
-    return terms[0][1]
+class _Divisor:
+    """A polynomial with its leading monomial and inverse leading coefficient.
+
+    Built once per basis element, so no division recomputes them.  ``tail``
+    holds the terms below the leading one; ``inv_lc`` is None when the
+    leading coefficient is not an invertible constant, which ``check``
+    reports when the polynomial is used.
+    """
+
+    __slots__ = ("poly", "lm", "inv_lc", "monic", "tail")
+
+    def __init__(self, poly: BivariatePolynomial, order: MonomialOrder):
+        self.poly = poly
+        self.lm = poly.leading_monomial(order)
+        lc = _coefficient_terms(poly.terms[self.lm])
+        self.inv_lc = 1 / lc[0][1] if len(lc) == 1 and not lc[0][0] else None
+        self.monic = self.inv_lc == 1
+        self.tail = [(t, c) for t, c in poly.terms.items() if t != self.lm]
+
+    def check(self) -> None:
+        if self.inv_lc is None:
+            raise DomainError(
+                f"leading coefficient of {self.poly.to_text()} is not an invertible constant"
+            )
+
+    def add_multiple(self, work: dict, shift: Monomial, coeff) -> None:
+        """Add coeff * shift * tail to the term dict, dropping cancelled terms."""
+        sa, sb = shift
+        for t, tc in self.tail:
+            m = Monomial(t.alpha + sa, t.beta + sb)
+            if m in work:
+                value = work[m] + tc * coeff
+                if value:
+                    work[m] = value
+                else:
+                    del work[m]
+            else:
+                work[m] = tc * coeff
 
 
 def _divide(
     f: BivariatePolynomial,
-    divisors: Sequence[BivariatePolynomial],
+    divisors: Sequence[_Divisor],
     order: MonomialOrder,
     guard: _StepGuard,
 ) -> tuple[list[BivariatePolynomial], BivariatePolynomial]:
-    info = []
     for d in divisors:
-        lm = d.leading_monomial(order)
-        info.append((lm, _invertible_lc(d, order), d))
-    quotients = [BivariatePolynomial.zero(f.domain) for _ in divisors]
+        d.check()
+    key = order.key
+    quotients: list[dict[Monomial, object]] = [{} for _ in divisors]
     remainder: dict[Monomial, object] = {}
     work = dict(f.terms)
     while work:
         guard.tick()
-        m = max(work, key=order.key)
+        m = max(work, key=key)
         c = work.pop(m)
-        for idx, (lm, lc, d) in enumerate(info):
-            if lm.divides(m):
-                shift = m.div(lm)
-                qc = c * (1 / lc)
-                quotients[idx] += BivariatePolynomial({shift: qc}, f.domain)
-                for t, tc in d.terms.items():
-                    if t == lm:
-                        continue
-                    key = t.mul(shift)
-                    nv = work[key] - qc * tc if key in work else -(qc * tc)
-                    if nv:
-                        work[key] = nv
-                    else:
-                        work.pop(key, None)
+        for quotient, d in zip(quotients, divisors):
+            lm = d.lm
+            if lm.alpha <= m.alpha and lm.beta <= m.beta:
+                shift = Monomial(m.alpha - lm.alpha, m.beta - lm.beta)
+                qc = c if d.monic else c * d.inv_lc
+                quotient[shift] = qc  # leading terms strictly decrease: no shift repeats
+                d.add_multiple(work, shift, -qc)
                 break
         else:
             remainder[m] = c
-    return quotients, BivariatePolynomial(remainder, f.domain)
+    return (
+        [BivariatePolynomial(q, f.domain) for q in quotients],
+        BivariatePolynomial(remainder, f.domain),
+    )
 
 
 def divide(
@@ -571,7 +619,7 @@ def divide(
 
     No term of the remainder is divisible by any divisor's leading monomial.
     """
-    return _divide(f, divisors, order, _StepGuard(step_limit))
+    return _divide(f, [_Divisor(d, order) for d in divisors], order, _StepGuard(step_limit))
 
 
 def _autoreduce(
@@ -580,38 +628,42 @@ def _autoreduce(
     """Interreduce to a fixpoint: every element irreducible modulo the others.
 
     Sound on arbitrary generating sets: each element is replaced by its full
-    remainder, never dropped unless that remainder is zero.
+    remainder, never dropped unless that remainder is zero.  The result is
+    monic and sorted by leading monomial.
     """
-    polys = [p for p in polys if p]
+    divisors = [_Divisor(p, order) for p in polys if p]
     changed = True
     while changed:
         changed = False
-        out: list[BivariatePolynomial] = []
-        for i, p in enumerate(polys):
-            others = out + polys[i + 1:]
-            r = _divide(p, others, order, guard)[1] if others else p
+        out: list[_Divisor] = []
+        for i, d in enumerate(divisors):
+            others = out + divisors[i + 1:]
+            r = _divide(d.poly, others, order, guard)[1] if others else d.poly
+            if r == d.poly:
+                out.append(d)
+                continue
+            changed = True
             if r:
-                out.append(r)
-            if r != p:
-                changed = True
-        polys = out
-    normalized = []
-    for p in polys:
-        lc = _invertible_lc(p, order)
-        normalized.append(p.scale(Fraction(1) / lc))
-    normalized.sort(key=lambda p: order.key(p.leading_monomial(order)))
-    return normalized
+                out.append(_Divisor(r, order))
+        divisors = out
+    for d in divisors:
+        d.check()
+    divisors.sort(key=lambda d: order.key(d.lm))
+    return [d.poly if d.monic else d.poly.scale(d.inv_lc) for d in divisors]
 
 
 def s_polynomial(
     f: BivariatePolynomial, g: BivariatePolynomial, order: MonomialOrder
 ) -> BivariatePolynomial:
-    lf, lg = f.leading_monomial(order), g.leading_monomial(order)
-    lcm = lf.lcm(lg)
-    cf, cg = _invertible_lc(f, order), _invertible_lc(g, order)
-    left = f.mul_monomial(lcm.div(lf)).scale(Fraction(1) / cf)
-    right = g.mul_monomial(lcm.div(lg)).scale(Fraction(1) / cg)
-    return left - right
+    """Monic multiples of f and g whose leading terms cancel, subtracted."""
+    df, dg = _Divisor(f, order), _Divisor(g, order)
+    df.check()
+    dg.check()
+    lcm = df.lm.lcm(dg.lm)
+    work: dict[Monomial, object] = {}
+    df.add_multiple(work, lcm.div(df.lm), df.inv_lc)
+    dg.add_multiple(work, lcm.div(dg.lm), -dg.inv_lc)
+    return BivariatePolynomial(work, f.domain)
 
 
 @dataclass(frozen=True)
@@ -637,41 +689,97 @@ def buchberger(
 ) -> GroebnerBasis:
     """Reduced Groebner basis by the Buchberger algorithm.
 
-    Deterministic: the pair queue is ordered by lcm degree then insertion
-    index, and the final basis is interreduced, monic, and sorted by leading
-    monomial.  Idempotent on already reduced bases.
+    Deterministic: pairs leave a heap ordered by lcm degree then index pair.
+    A pair is skipped when its leading monomials are coprime, or by the
+    chain criterion (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms,
+    section 2.10): some third element's leading monomial divides their lcm
+    and neither of its pairs with the two is still pending.  The basis is
+    interreduced, monic and sorted by leading monomial; when no S-pair adds
+    an element, the first interreduction already gives it and is not
+    repeated.  Idempotent on already reduced bases.
+
+    A local order (see ``MonomialOrder.is_global``) is accepted only when
+    every variable below 1 is nilpotent modulo the ideal; otherwise the
+    flat limit leaves the plane and a ``DomainError`` names the variable.
     """
     if not gens or any(not g for g in gens):
         raise DomainError("generators must be nonzero")
     domain = gens[0].domain
     if any(g.domain != domain for g in gens):
         raise DomainError("mixed coefficient domains")
-    guard = _StepGuard(step_limit)
-    basis = _autoreduce(list(gens), order, guard)
+    return GroebnerBasis(tuple(_buchberger(gens, order, _StepGuard(step_limit))), order)
 
-    def pair_key(ij: tuple[int, int]):
-        lcm = basis[ij[0]].leading_monomial(order).lcm(basis[ij[1]].leading_monomial(order))
-        return (lcm.alpha + lcm.beta, ij)
 
-    pairs = sorted(
-        ((i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))),
-        key=pair_key,
-    )
+def _buchberger(
+    gens: Sequence[BivariatePolynomial], order: MonomialOrder, guard: _StepGuard
+) -> list[BivariatePolynomial]:
+    if not order.is_global:
+        _require_local_variables_nilpotent(gens, order, guard)
+    basis = [_Divisor(p, order) for p in _autoreduce(list(gens), order, guard)]
+
+    def pair_entry(i: int, j: int):
+        lcm = basis[i].lm.lcm(basis[j].lm)
+        return (lcm.alpha + lcm.beta, (i, j))
+
+    pairs = [pair_entry(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    heapq.heapify(pairs)
+    pending = {ij for _, ij in pairs}
+    interreduced = len(basis)
     while pairs:
-        i, j = pairs.pop(0)
+        _, (i, j) = heapq.heappop(pairs)
+        pending.remove((i, j))
         guard.tick()
-        li = basis[i].leading_monomial(order)
-        lj = basis[j].leading_monomial(order)
-        if li.lcm(lj) == li.mul(lj):  # coprime leading monomials
+        li, lj = basis[i].lm, basis[j].lm
+        lcm = li.lcm(lj)
+        if lcm == li.mul(lj) or _chain_criterion(basis, i, j, lcm, pending):
             continue
-        rem = _divide(s_polynomial(basis[i], basis[j], order), basis, order, guard)[1]
+        rem = _divide(s_polynomial(basis[i].poly, basis[j].poly, order), basis, order, guard)[1]
         if rem:
-            lc = _invertible_lc(rem, order)
-            basis.append(rem.scale(Fraction(1) / lc))
+            d = _Divisor(rem, order)
+            d.check()
+            basis.append(d if d.monic else _Divisor(rem.scale(d.inv_lc), order))
             new = len(basis) - 1
-            pairs.extend((k, new) for k in range(new))
-            pairs.sort(key=pair_key)
-    return GroebnerBasis(tuple(_autoreduce(basis, order, guard)), order)
+            for k in range(new):
+                heapq.heappush(pairs, pair_entry(k, new))
+                pending.add((k, new))
+    polys = [d.poly for d in basis]
+    return _autoreduce(polys, order, guard) if len(basis) > interreduced else polys
+
+
+def _chain_criterion(
+    basis: Sequence[_Divisor], i: int, j: int, lcm: Monomial, pending: set
+) -> bool:
+    """Some k has lm_k dividing lcm, and neither (i, k) nor (j, k) is pending."""
+    for k, d in enumerate(basis):
+        if k == i or k == j or not d.lm.divides(lcm):
+            continue
+        if (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending:
+            return True
+    return False
+
+
+def _require_local_variables_nilpotent(
+    gens: Sequence[BivariatePolynomial], order: MonomialOrder, guard: _StepGuard
+) -> None:
+    """Refuse a local order under which a variable below 1 is not nilpotent.
+
+    With colength n, read from a GRLEX_XY basis, a variable v below 1 must
+    have v^n in the ideal; otherwise division under the order does not
+    terminate, and the flat limit leaves the plane.
+    """
+    gb = _buchberger(gens, GRLEX_XY, guard)
+    n = colength(GroebnerBasis(tuple(gb), GRLEX_XY))
+    basis = [_Divisor(g, GRLEX_XY) for g in gb]
+    for name, v in (("x", X), ("y", Y)):
+        if order.compare(v, ONE) >= 0:
+            continue
+        power = Monomial(n * v.alpha, n * v.beta)
+        f = BivariatePolynomial.of_monomial(power, 1, gens[0].domain)
+        if _divide(f, basis, GRLEX_XY, guard)[1]:
+            raise DomainError(
+                f"{name} sorts below 1 in the order but {name}^{n} is not in the ideal "
+                f"of colength {n}: the flat limit leaves the plane"
+            )
 
 
 @dataclass(frozen=True)
@@ -758,7 +866,9 @@ def weight_initial_ideal(
 
     Computes a Groebner basis under the weight-refined order and keeps the
     extremal-weight homogeneous part of each basis element; the result has
-    the same colength as the input ideal.
+    the same colength as the input ideal.  Under a local order, a variable
+    below 1 that is not nilpotent modulo the ideal raises ``DomainError``
+    (see ``buchberger``).
     """
     order = weight_order(vector, extremum)
     gb = buchberger(gens, order, step_limit)

@@ -8,6 +8,9 @@ from hilbcells import poly_from_text
 from hilbcells.cli import main
 
 
+ANCHOR_IDEAL = "x*y^2+y^3; x^2*y+x*y^2; x^3+x^2*y-x*y-y^2; y^4-y^3"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -287,6 +290,38 @@ class TestExitCodes:
     ])
     def test_max_steps_where_read_is_accepted(self, capsys, argv):
         run_json(capsys, *argv, "--max-steps", "100000")
+
+    @pytest.mark.parametrize("argv", [
+        ("run-suite", "verify-all", "--max-length", "2", "--length", "99", "--weights", "junk",
+         "--a", "5", "--b", "7"),
+        ("run-suite", "verify-all", "--max-length", "2", "--a", "5"),
+        ("run-suite", "components", "--length", "3", "--a", "1", "--b", "-1", "--seed", "3"),
+        ("run-suite", "components", "--length", "3", "--a", "1", "--b", "-1",
+         "--max-length", "3"),
+        ("run-suite", "poincare", "--max-length", "2", "--weights", "(-1,-3)", "--seed", "3"),
+        ("run-suite", "poincare", "--max-length", "2", "--weights", "(-1,-3)", "--length", "2"),
+    ])
+    def test_suite_flag_the_suite_does_not_read_is_two(self, argv):
+        with pytest.raises(SystemExit) as err:
+            main(list(argv))
+        assert err.value.code == 2
+
+    # Local orders under which x or y sorts below 1 but is not nilpotent
+    # modulo the anchor ideal (it contains y^4 - y^3): the flat limit leaves
+    # the plane, and the refusal comes before any division under the order.
+    @pytest.mark.parametrize("vector, extremum, variable", [
+        ("0,1", "min", "y"),
+        ("1,1", "min", "x"),
+        ("2,-1", "max", "y"),
+        ("(-1,-1)", "max", "x"),
+    ])
+    def test_flat_limit_leaving_the_plane_is_one(self, capsys, vector, extremum, variable):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "weight-initial", "--ideal", ANCHOR_IDEAL,
+                             "--vector", vector, "--extremum", extremum)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and not out and err.count("\n") == 1
+        assert err.startswith(f"error: {variable} sorts below 1")
 
     def test_poincare_suite_without_lengths_is_empty(self, capsys):
         data = run_json(capsys, "run-suite", "poincare", "--max-length", "0",

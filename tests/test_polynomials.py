@@ -32,7 +32,8 @@ from hilbcells import (
     weight_initial_ideal,
     weight_order,
 )
-from hilbcells.charts import build_chart_family, specialize_family
+import hilbcells.polynomials as polynomials_module
+from hilbcells.charts import build_chart_family, default_sample_points, specialize_family
 from hilbcells.polynomials import DOMAIN_CHART, DOMAIN_RATIONAL
 
 W11 = Weight(1, -1)
@@ -257,6 +258,92 @@ class TestBuchberger:
             for order in (LEX_XY, LEX_YX, GRLEX_XY):
                 gb = buchberger(gens, order)
                 assert is_groebner(list(gb.generators), order).is_groebner
+
+
+def random_zero_dimensional_ideal(rng):
+    """Random bivariate polynomials, plus a monic binomial in x alone and one in y alone."""
+    gens = []
+    for _ in range(rng.randint(2, 3)):
+        p = BivariatePolynomial({
+            Monomial(rng.randint(0, 3), rng.randint(0, 3)): Fraction(rng.randint(-2, 2))
+            for _t in range(rng.randint(2, 4))
+        })
+        if p:
+            gens.append(p)
+    a, b = rng.randint(2, 5), rng.randint(2, 5)
+    gens.append(BivariatePolynomial(
+        {Monomial(a, 0): 1, Monomial(rng.randint(0, a - 1), 0): Fraction(rng.randint(-2, 2))}
+    ))
+    gens.append(BivariatePolynomial(
+        {Monomial(0, b): 1, Monomial(0, rng.randint(0, b - 1)): Fraction(rng.randint(-2, 2))}
+    ))
+    return gens
+
+
+class TestSympyOracle:
+    """Reduced bases equal those of sympy.groebner, an implementation outside this library."""
+
+    ORDERS = ((LEX_XY, "lex", "xy"), (LEX_YX, "lex", "yx"), (GRLEX_XY, "grlex", "xy"))
+
+    def test_reduced_bases_agree_term_for_term(self):
+        sympy = pytest.importorskip("sympy")
+        x, y = sympy.symbols("x y")
+        symbol = {"x": x, "y": y}
+
+        def to_expr(p):
+            return sum(
+                sympy.Rational(c.numerator, c.denominator) * x**m.alpha * y**m.beta
+                for m, c in p.terms.items()
+            )
+
+        def from_expr(e):
+            return tuple(sorted(
+                (Monomial(*m), Fraction(int(c.p), int(c.q)))
+                for m, c in sympy.Poly(e, x, y, domain="QQ").terms()
+            ))
+
+        rng = random.Random(5)
+        ideals = [random_zero_dimensional_ideal(rng) for _ in range(100)]
+        for l in (3, 4, 5, 6):
+            E = rng.choice(enumerate_staircases(l))
+            fam = build_chart_family(E, "general")
+            point = {v: Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for v in fam.variables}
+            ideals.append(specialize_family(fam, point))
+        for gens in ideals:
+            exprs = [to_expr(g) for g in gens]
+            for order, name, variables in self.ORDERS:
+                gb = buchberger(gens, order)
+                mine = sorted(tuple(sorted(g.terms.items())) for g in gb.generators)
+                theirs = sympy.groebner(
+                    exprs, *(symbol[v] for v in variables), order=name, domain="QQ"
+                )
+                assert mine == sorted(from_expr(e) for e in theirs.exprs), (gens, order)
+
+
+class TestBuchbergerWork:
+    """On a basis that already is one, only neighbouring clefts give S-pairs."""
+
+    @pytest.mark.parametrize("columns", [[3, 2, 1], [4, 3, 3, 1], [5, 4, 2, 2, 1]])
+    def test_specialized_family(self, monkeypatch, columns):
+        # The chain criterion skips every pair of distant clefts, since the
+        # clefts between them divide their lcm; no S-pair adds an element, so
+        # the first interreduction is the only one.
+        E = construct_staircase(columns)
+        fam = build_chart_family(E, "general")
+        gens = specialize_family(fam, default_sample_points(fam, extra=1, seed=5)[-1])
+        counts = dict.fromkeys(("s_polynomial", "_autoreduce"), 0)
+        for name in counts:
+            original = getattr(polynomials_module, name)
+
+            def wrapper(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(polynomials_module, name, wrapper)
+        gb = buchberger(gens, LEX_YX)
+        assert standard_monomials(gb) == E
+        r = len(clefts(E))
+        assert (counts["s_polynomial"], counts["_autoreduce"]) == (r - 1, 1)
 
 
 class TestStandardMonomials:
