@@ -72,8 +72,8 @@ class MonomialOrder:
         if self.kind == "grlex_xy":
             return lambda m: (m.alpha + m.beta, m.alpha)
         if self.kind == "cell":
-            p, q = -self.weight.b, self.weight.a
-            return lambda m: (p * m.alpha + q * m.beta, m.beta)
+            deg = self.weight.degree
+            return lambda m: (deg(m), m.beta)
         if self.kind == "weighted":
             sign = 1 if self.extremum == "max" else -1
             p, q = sign * self.vector[0], sign * self.vector[1]
@@ -656,14 +656,17 @@ def s_polynomial(
     f: BivariatePolynomial, g: BivariatePolynomial, order: MonomialOrder
 ) -> BivariatePolynomial:
     """Monic multiples of f and g whose leading terms cancel, subtracted."""
-    df, dg = _Divisor(f, order), _Divisor(g, order)
+    return _s_poly(_Divisor(f, order), _Divisor(g, order))
+
+
+def _s_poly(df: _Divisor, dg: _Divisor) -> BivariatePolynomial:
     df.check()
     dg.check()
     lcm = df.lm.lcm(dg.lm)
     work: dict[Monomial, object] = {}
     df.add_multiple(work, lcm.div(df.lm), df.inv_lc)
     dg.add_multiple(work, lcm.div(dg.lm), -dg.inv_lc)
-    return BivariatePolynomial(work, f.domain)
+    return BivariatePolynomial(work, df.poly.domain)
 
 
 @dataclass(frozen=True)
@@ -701,6 +704,9 @@ def buchberger(
     A local order (see ``MonomialOrder.is_global``) is accepted only when
     every variable below 1 is nilpotent modulo the ideal; otherwise the
     flat limit leaves the plane and a ``DomainError`` names the variable.
+    That check runs first, under its own step guard with the same limit, so
+    it does not use up the budget of the computation under the order; an
+    ideal of infinite colength fails it with ``NotZeroDimensionalError``.
     """
     if not gens or any(not g for g in gens):
         raise DomainError("generators must be nonzero")
@@ -714,7 +720,7 @@ def _buchberger(
     gens: Sequence[BivariatePolynomial], order: MonomialOrder, guard: _StepGuard
 ) -> list[BivariatePolynomial]:
     if not order.is_global:
-        _require_local_variables_nilpotent(gens, order, guard)
+        _require_local_variables_nilpotent(gens, order, _StepGuard(guard.limit))
     basis = [_Divisor(p, order) for p in _autoreduce(list(gens), order, guard)]
 
     def pair_entry(i: int, j: int):
@@ -733,7 +739,7 @@ def _buchberger(
         lcm = li.lcm(lj)
         if lcm == li.mul(lj) or _chain_criterion(basis, i, j, lcm, pending):
             continue
-        rem = _divide(s_polynomial(basis[i].poly, basis[j].poly, order), basis, order, guard)[1]
+        rem = _divide(_s_poly(basis[i], basis[j]), basis, order, guard)[1]
         if rem:
             d = _Divisor(rem, order)
             d.check()
@@ -765,14 +771,20 @@ def _require_local_variables_nilpotent(
 
     With colength n, read from a GRLEX_XY basis, a variable v below 1 must
     have v^n in the ideal; otherwise division under the order does not
-    terminate, and the flat limit leaves the plane.
+    terminate, and the flat limit leaves the plane.  An ideal of infinite
+    colength gives no such bound and raises ``NotZeroDimensionalError``.
     """
+    below = [(name, v) for name, v in (("x", X), ("y", Y)) if order.compare(v, ONE) < 0]
     gb = _buchberger(gens, GRLEX_XY, guard)
-    n = colength(GroebnerBasis(tuple(gb), GRLEX_XY))
+    try:
+        n = colength(GroebnerBasis(tuple(gb), GRLEX_XY))
+    except NotZeroDimensionalError:
+        raise NotZeroDimensionalError(
+            f"{below[0][0]} sorts below 1 in the order but the ideal has infinite "
+            "colength: a local order needs a zero-dimensional ideal"
+        ) from None
     basis = [_Divisor(g, GRLEX_XY) for g in gb]
-    for name, v in (("x", X), ("y", Y)):
-        if order.compare(v, ONE) >= 0:
-            continue
+    for name, v in below:
         power = Monomial(n * v.alpha, n * v.beta)
         f = BivariatePolynomial.of_monomial(power, 1, gens[0].domain)
         if _divide(f, basis, GRLEX_XY, guard)[1]:

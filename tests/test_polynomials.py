@@ -331,7 +331,7 @@ class TestBuchbergerWork:
         E = construct_staircase(columns)
         fam = build_chart_family(E, "general")
         gens = specialize_family(fam, default_sample_points(fam, extra=1, seed=5)[-1])
-        counts = dict.fromkeys(("s_polynomial", "_autoreduce"), 0)
+        counts = dict.fromkeys(("_s_poly", "_autoreduce"), 0)
         for name in counts:
             original = getattr(polynomials_module, name)
 
@@ -343,7 +343,7 @@ class TestBuchbergerWork:
         gb = buchberger(gens, LEX_YX)
         assert standard_monomials(gb) == E
         r = len(clefts(E))
-        assert (counts["s_polynomial"], counts["_autoreduce"]) == (r - 1, 1)
+        assert (counts["_s_poly"], counts["_autoreduce"]) == (r - 1, 1)
 
 
 class TestStandardMonomials:
@@ -419,6 +419,34 @@ class TestWeightInitial:
             gens = specialize_family(fam, point)
             limit = weight_initial_ideal(gens, (2, 1), "min")
             assert len(initial_staircase(limit, LEX_YX)) == l
+
+
+class TestLocalOrders:
+    """Under an order where a variable sorts below 1, nilpotence is checked first."""
+
+    def test_positive_dimensional_ideal_is_refused(self):
+        with pytest.raises(NotZeroDimensionalError, match="^x sorts below 1"):
+            weight_initial_ideal(parse_ideal("y"), (1, 0), "min")
+
+    def test_check_has_its_own_step_budget(self, monkeypatch):
+        guards = []
+
+        class RecordingGuard(polynomials_module._StepGuard):
+            def __init__(self, limit):
+                super().__init__(limit)
+                guards.append(self)
+
+        monkeypatch.setattr(polynomials_module, "_StepGuard", RecordingGuard)
+        gens = parse_ideal("y+x^2; x^3")
+        order = weight_order((2, 1), "min")
+        expected = buchberger(gens, order)
+        main, check = guards[0], guards[1]
+        assert main.steps > 0 and check.steps > 0
+        # One limit covers each computation on its own, not their sum.
+        limit = max(main.steps, check.steps)
+        assert buchberger(gens, order, step_limit=limit) == expected
+        with pytest.raises(StepLimitExceeded):
+            buchberger(gens, order, step_limit=limit - 1)
 
 
 class TestSerialization:
