@@ -30,7 +30,7 @@ from .polynomials import (
     variable_name,
 )
 from .staircases import Monomial, Staircase, Weight, clefts
-from .tangent import CleftCouple, tangent_basis
+from .tangent import CleftCouple, TangentBasis, tangent_basis
 
 MODE_INVARIANT = "invariant"
 MODE_GENERAL = "general"
@@ -79,6 +79,7 @@ class ChartFamily:
     clefts: tuple[Monomial, ...]
     generators: tuple[BivariatePolynomial, ...]          # P, aligned with clefts
     q_polynomials: tuple[tuple[VarKey, BivariatePolynomial], ...]
+    basis: TangentBasis                   # its positive couples index the variables
 
     def to_json(self) -> dict:
         return {
@@ -106,11 +107,11 @@ def build_chart_family(
             raise RegimeError("invariant mode needs a weight (a > 0, b < 0)")
         if weight.a <= 0:
             raise RegimeError(f"invariant mode needs a > 0, got ({weight.a}, {weight.b})")
-        indexed = tangent_basis(E, weight).positive
+        basis = tangent_basis(E, weight)
     elif mode == MODE_GENERAL:
         if weight is not None:
             raise RegimeError("general mode takes no weight")
-        indexed = tangent_basis(E).positive
+        basis = tangent_basis(E)
     else:
         raise DomainError(f"unknown chart mode {mode!r}")
 
@@ -118,7 +119,7 @@ def build_chart_family(
     n = len(cs)
     sectors = SectorDecomposition(E, cs)
     by_cleft: dict[int, list[CleftCouple]] = {}
-    for couple in indexed:
+    for couple in basis.positive:
         by_cleft.setdefault(cs.index(couple.c), []).append(couple)
 
     P: list[Optional[BivariatePolynomial]] = [None] * n
@@ -145,8 +146,8 @@ def build_chart_family(
             total = total + q.scale(ChartCoefficient.variable(key))
         P[i] = total
 
-    variables = tuple(sorted(couple_key(cp) for cp in indexed))
-    return ChartFamily(E, mode, weight, variables, cs, tuple(P), tuple(q_polys))
+    variables = tuple(sorted(couple_key(cp) for cp in basis.positive))
+    return ChartFamily(E, mode, weight, variables, cs, tuple(P), tuple(q_polys), basis)
 
 
 def specialize_family(

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import charts, polynomials, strata, tangent
-from .errors import ConsistencyError, DomainError
+from .errors import BoundExceededError, ConsistencyError, DomainError
 from .polynomials import (
     GRLEX_XY,
     LEX_XY,
@@ -355,8 +355,17 @@ def _suite_item(name, check):
         return {"name": name, "ok": False, "witness": str(exc)}
 
 
+# Largest ``run-suite verify-all --max-length``: length 12 takes about 7 s,
+# and each further length about 1.6 times as long.
+VERIFY_ALL_BOUND = 12
+
+
 def _suite_verify_all(args):
     max_length = args.max_length
+    if max_length > VERIFY_ALL_BOUND:
+        raise BoundExceededError(
+            f"verify-all bound {VERIFY_ALL_BOUND} exceeded by max length {max_length}"
+        )
     seed = args.seed
     lengths = range(1, max_length + 1)
 
@@ -487,6 +496,10 @@ def _suite_poincare(args):
     if not args.weights:
         raise MalformedInput("run-suite poincare needs --weights '(w1,w2);(w1,w2)'")
     vectors = _parse_weights(args.weights)
+    if args.max_length > strata.POINCARE_BOUND:
+        raise BoundExceededError(
+            f"poincare bound {strata.POINCARE_BOUND} exceeded by max length {args.max_length}"
+        )
     items = []
     for l in range(1, args.max_length + 1):
         def census(l=l):

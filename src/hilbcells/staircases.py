@@ -358,7 +358,11 @@ def compare_staircases(E: Staircase, F: Staircase, w: Weight) -> Comparison:
         raise DomainError(f"cardinality mismatch: {len(E)} vs {len(F)}")
     if E == F:
         return Comparison.EQUAL
-    pe, pf = s_profile(E, w), s_profile(F, w)
+    return _compare_profiles(s_profile(E, w), s_profile(F, w))
+
+
+def _compare_profiles(pe: SProfile, pf: SProfile) -> Comparison:
+    """``compare_staircases`` of two distinct staircases of equal size, by their profiles."""
     horizon = max(pe.stabilization_index, pf.stabilization_index)
     ge = all(pe.value(k) >= pf.value(k) for k in range(horizon + 1))
     le = all(pe.value(k) <= pf.value(k) for k in range(horizon + 1))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Mapping, Optional
 
 from .charts import ChartFamily, build_chart_family, couple_key, specialize_family
 from .errors import (
@@ -33,19 +33,21 @@ from .polynomials import (
     weight_initial_ideal,
 )
 from .staircases import (
+    COMPATIBLE_BOUND,
     Comparison,
     HilbertFunction,
     Monomial,
     SProfile,
     Staircase,
     Weight,
-    compare_staircases,
+    _compare_profiles,
+    _partitions,
     compatible_staircases,
     enumerate_staircases,
     hilbert_function,
     s_profile,
 )
-from .tangent import CleftCouple, cell_dimension, tangent_basis
+from .tangent import CleftCouple, TangentBasis, cell_dimension, tangent_basis
 
 
 def _require_descent_regime(w: Weight) -> None:
@@ -98,7 +100,8 @@ def degenerate_once(
     The limit is the x-weight-maximal initial ideal of the specialized
     generators, a monomial ideal; the target is read off it and certified
     distinct from E, strictly below it in the S-profile order, and of equal
-    Hilbert function.
+    Hilbert function.  One call builds one chart family (one tangent basis),
+    runs one Buchberger and computes two S-profiles.
     """
     _require_descent_regime(w)
     fam = build_chart_family(E, "invariant", w)
@@ -111,12 +114,18 @@ def degenerate_once(
     elif couple not in candidates:
         raise DomainError(f"({couple.c}, {couple.m}) is not a significant positive "
                           f"couple of direction ({w.a}, {w.b})")
-    return _degenerate(fam, couple, step_limit)
+    return _degenerate(fam, couple, {}, step_limit)
 
 
 def _degenerate(fam: ChartFamily, couple: CleftCouple,
+                profiles: dict[Staircase, SProfile],
                 step_limit: Optional[int]) -> DegenerationStep:
-    """Degenerate the source of an invariant family at one of its couples."""
+    """Degenerate the source of an invariant family at one of its couples.
+
+    The source's and target's S-profiles are read from ``profiles``, or
+    computed and added to it.  The step runs one Buchberger and computes at
+    most two S-profiles.
+    """
     E, w = fam.staircase, fam.weight
     key = couple_key(couple)
     gens = specialize_family(fam, {key: Fraction(1)})
@@ -136,12 +145,14 @@ def _degenerate(fam: ChartFamily, couple: CleftCouple,
         raise ConsistencyError(f"degeneration did not move: {dump}")
     if hilbert_function(F, w) != hilbert_function(E, w):
         raise ConsistencyError(f"degeneration changed the Hilbert function: {dump}")
-    if compare_staircases(F, E, w) != Comparison.LESS:
+    for S in (E, F):
+        if S not in profiles:
+            profiles[S] = s_profile(S, w)
+    if _compare_profiles(profiles[F], profiles[E]) != Comparison.LESS:
         raise ConsistencyError(f"limit staircase is not below the source: {dump}")
 
     return DegenerationStep(
-        E, couple, ((key, "1"),), tuple(gens), tuple(limit), F,
-        s_profile(E, w), s_profile(F, w),
+        E, couple, ((key, "1"),), tuple(gens), tuple(limit), F, profiles[E], profiles[F],
     )
 
 
@@ -155,15 +166,19 @@ def descend_to_minimal(
     """Degenerate until the positive tangent space vanishes.
 
     The couple picked at each step follows the policy (first, last, or
-    seeded random); the endpoint does not depend on it.
+    seeded random); the endpoint does not depend on it.  A descent of k
+    steps builds k+1 chart families (one tangent basis each), runs k
+    Buchbergers and computes k+1 S-profiles (none if k = 0): each target's
+    profile is carried into the next step.
     """
     _require_descent_regime(w)
     if policy not in ("first", "last", "random"):
         raise DomainError(f"unknown policy {policy!r}")
     rng = random.Random(seed)
     chain: list[DegenerationStep] = []
+    profiles: dict[Staircase, SProfile] = {}
     current = E
-    cap = len(enumerate_staircases(len(E)))
+    cap = len(_partitions(len(E)))
     while True:
         fam = build_chart_family(current, "invariant", w)
         candidates = _positive_couples(fam)
@@ -175,7 +190,7 @@ def descend_to_minimal(
             chosen = candidates[-1]
         else:
             chosen = rng.choice(candidates)
-        step = _degenerate(fam, chosen, step_limit)
+        step = _degenerate(fam, chosen, profiles, step_limit)
         chain.append(step)
         current = step.target
         if len(chain) > cap:
@@ -246,15 +261,25 @@ def minimal_staircase_oracle(H: HilbertFunction, bound: int = 14) -> Staircase:
     compatible = compatible_staircases(H)
     if not compatible:
         raise UnrealizableError("no compatible staircase")
-    empty_positive = [E for E in compatible if not tangent_basis(E, w).positive]
+    bases = {E: tangent_basis(E, w) for E in compatible}
+    profiles = {E: s_profile(E, w) for E in compatible}
+    return _least_compatible(H, bases, profiles)
+
+
+def _least_compatible(H: HilbertFunction, bases: Mapping[Staircase, TangentBasis],
+                      profiles: Mapping[Staircase, SProfile]) -> Staircase:
+    """The oracle's check on a class given as its members' tangent bases and S-profiles."""
+    empty_positive = [E for E, tb in bases.items() if not tb.positive]
     if len(empty_positive) != 1:
         raise ConsistencyError(
             f"{len(empty_positive)} compatible staircases with empty positive part "
             f"for {H.as_dict()}; expected exactly one"
         )
     least = empty_positive[0]
-    for other in compatible:
-        if other != least and compare_staircases(least, other, w) != Comparison.LESS:
+    for other in bases:
+        if other == least:
+            continue
+        if _compare_profiles(profiles[least], profiles[other]) != Comparison.LESS:
             raise ConsistencyError(
                 f"{least.columns} is not below {other.columns} in the staircase order"
             )
@@ -311,10 +336,18 @@ def component_report(length: int, w: Weight, bound: int = 12) -> list[ComponentR
     a dimension-constancy check, the minimal staircase computed both by
     recursion and by the enumeration oracle, and a descent chain from every
     stratum.  Otherwise classes collapse to single strata.
+
+    Each staircase gets one invariant chart family, whose tangent basis gives
+    its stratum data and feeds the oracle, one S-profile and at most one
+    degeneration step (policy "first"); the chains follow those steps, as
+    every target is a member of the same class.  p staircases in c classes
+    cost p tangent bases, p families, p S-profiles and p - c Buchbergers.
     """
     _require_length(length)
     if length > bound:
         raise BoundExceededError(f"component bound {bound} exceeded by length {length}")
+    if w.a > 0 and length > COMPATIBLE_BOUND:
+        raise BoundExceededError(f"compatible bound {COMPATIBLE_BOUND} exceeded by mass {length}")
     groups: dict[HilbertFunction, list[Staircase]] = {}
     for E in enumerate_staircases(length):
         groups.setdefault(hilbert_function(E, w), []).append(E)
@@ -322,31 +355,45 @@ def component_report(length: int, w: Weight, bound: int = 12) -> list[ComponentR
     reports = []
     for H in sorted(groups, key=lambda h: h.values):
         members = groups[H]
-        data = []
-        for E in members:
-            tb = tangent_basis(E, w)
-            data.append(StratumData(E, tb.dimension, len(tb.positive), len(tb.negative)))
+        if w.a > 0:
+            families = {E: build_chart_family(E, "invariant", w) for E in members}
+            bases = {E: fam.basis for E, fam in families.items()}
+        else:
+            bases = {E: tangent_basis(E, w) for E in members}
+        data = [StratumData(E, tb.dimension, len(tb.positive), len(tb.negative))
+                for E, tb in bases.items()]
 
         if w.a > 0:
             dims = {s.dim_ab for s in data}
             if len(dims) != 1:
                 raise ConsistencyError(f"tangent dimension varies over {H.as_dict()}: {dims}")
             minimal = minimal_staircase(H)
-            oracle = minimal_staircase_oracle(H, bound=max(bound, H.total()))
+            profiles = {E: s_profile(E, w) for E in members}
+            oracle = _least_compatible(H, bases, profiles)
             if minimal != oracle:
                 raise ConsistencyError(
                     f"recursion gives {minimal.columns} but enumeration gives {oracle.columns}"
                 )
+            targets = {}
+            for E, fam in families.items():
+                candidates = _positive_couples(fam)
+                if candidates:
+                    targets[E] = _degenerate(fam, candidates[0], profiles, None).target
             chains = []
             for E in members:
-                steps = descend_to_minimal(E, w)
-                end = steps[-1].target if steps else E
-                if end != minimal:
+                chain = [E]
+                while chain[-1] in targets:
+                    chain.append(targets[chain[-1]])
+                    if len(chain) > len(members):
+                        raise ConsistencyError(
+                            f"descent from {E.columns} exceeded {len(members)} steps"
+                        )
+                if chain[-1] != minimal:
                     raise ConsistencyError(
-                        f"descent from {E.columns} ends at {end.columns}, "
+                        f"descent from {E.columns} ends at {chain[-1].columns}, "
                         f"not {minimal.columns}"
                     )
-                chains.append((E,) + tuple(s.target for s in steps))
+                chains.append(tuple(chain))
             dimension = dims.pop()
         else:
             if len(members) != 1:

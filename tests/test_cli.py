@@ -251,6 +251,8 @@ class TestExitCodes:
         ("run-suite", "components", "--length", "13", "--a", "1", "--b", "-1"),
         ("poincare", "--length", "25", "--vector", "(-1,-26)"),
         ("compatible", "--a", "1", "--b", "-1", "--hilbert", '{"0":41}'),
+        ("run-suite", "poincare", "--max-length", "25", "--weights", "(-1,-26)"),
+        ("run-suite", "verify-all", "--max-length", "13"),
     ])
     def test_components_size_bound_is_one(self, capsys, argv):
         start = time.perf_counter()

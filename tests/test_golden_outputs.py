@@ -60,6 +60,20 @@ SWEEPS = {
         "--max-steps", "200"]],
 }
 
+REPORT_WEIGHTS = [("1", "-1"), ("2", "-1"), ("1", "-2"), ("-1", "-2")]
+DESCENT_COLUMNS = [
+    ",".join(map(str, E.columns)) for l in range(1, 8) for E in enumerate_staircases(l)
+]
+
+REPORT_SWEEPS = {
+    "components": [["components", "--length", str(l), "--a", a, "--b", b]
+                   for a, b in REPORT_WEIGHTS for l in range(1, 9)],
+    "descend-first-last": [["descend", "--columns", c, "--policy", policy,
+                            "--a", a, "--b", "-1"]
+                           for policy in ("first", "last") for a in ("1", "2")
+                           for c in DESCENT_COLUMNS],
+}
+
 # Recorded before the polynomial kernel was given one coefficient protocol.
 DIGESTS = {
     "readme":
@@ -78,6 +92,12 @@ DIGESTS = {
         "d926464a2dd55798e06f9c4285a3c4cf8acfaa254b3eb320208686391bc1b430",
     "poly-json":
         "f563464fa87d7a27a4586dda21f9411e7468acf8b57ed88990f67a2dff66f1f2",
+    # Recorded at 9e55793, before component reports shared one tangent basis,
+    # chart family, S-profile and degeneration step per staircase.
+    "components":
+        "660645239dfde4075025d777652bd1309f55c5b52f6694a87b797bab13db934d",
+    "descend-first-last":
+        "532bd6f49246016a664841e49309b5ecb5a4fe08041de80dc734aa8fd881a6d4",
 }
 
 
@@ -107,6 +127,11 @@ def test_readme_examples(capsys):
 @pytest.mark.parametrize("name", sorted(SWEEPS))
 def test_sweep_up_to_length_six(capsys, name):
     _check(name, _transcript(capsys, SWEEPS[name]))
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_SWEEPS))
+def test_component_reports_and_descents(capsys, name):
+    _check(name, _transcript(capsys, REPORT_SWEEPS[name]))
 
 
 def test_polynomial_json_and_text():

@@ -1,8 +1,10 @@
 import importlib
+from types import SimpleNamespace
 
 import pytest
 
 from hilbcells import (
+    BoundExceededError,
     Comparison,
     ConsistencyError,
     DomainError,
@@ -112,20 +114,31 @@ def counting(monkeypatch, *targets):
     return counts
 
 
+PROFILE = ("hilbcells.strata.s_profile", "hilbcells.staircases.s_profile")
+
+
 class TestOneFamilyPerStep:
     FAMILY = "hilbcells.strata.build_chart_family"
     TANGENT = ("hilbcells.charts.tangent_basis", "hilbcells.strata.tangent_basis")
     BUCHBERGER = "hilbcells.polynomials.buchberger"
+    DESCENTS = [([2], 0), ([1, 1, 1, 1], 1), ([2, 2, 2], 2), ([2, 2, 1, 1, 1], 2)]
 
-    @pytest.mark.parametrize("columns, k", [
-        ([2], 0), ([1, 1, 1, 1], 1), ([2, 2, 2], 2), ([2, 2, 1, 1, 1], 2),
-    ])
+    @pytest.mark.parametrize("columns, k", DESCENTS)
     def test_descent_work_per_step(self, monkeypatch, columns, k):
         counts = counting(monkeypatch, self.FAMILY, *self.TANGENT, self.BUCHBERGER)
         steps = descend_to_minimal(construct_staircase(columns), W11)
         assert len(steps) == k
         tangent_bases = sum(counts[t] for t in self.TANGENT)
         assert (counts[self.FAMILY], tangent_bases, counts[self.BUCHBERGER]) == (k + 1, k + 1, k)
+
+    @pytest.mark.parametrize("columns, k", DESCENTS)
+    def test_descent_profiles_per_step(self, monkeypatch, columns, k):
+        # Each target's profile is carried into the next step; a descent
+        # that takes no step compares nothing.
+        counts = counting(monkeypatch, *PROFILE)
+        steps = descend_to_minimal(construct_staircase(columns), W11)
+        assert len(steps) == k
+        assert sum(counts.values()) == (k + 1 if k else 0)
 
     def test_single_step_work(self, monkeypatch):
         counts = counting(monkeypatch, self.FAMILY, *self.TANGENT, self.BUCHBERGER)
@@ -144,6 +157,33 @@ class TestOneFamilyPerStep:
         monkeypatch.setattr(strata, "weight_initial_ideal", binomial_limit)
         with pytest.raises(ConsistencyError, match="not a monomial ideal"):
             degenerate_once(construct_staircase([1, 1]), W11)
+
+
+class TestOneReportWork:
+    """A component report works on each staircase of a class once."""
+
+    @pytest.mark.parametrize("n", [6, 8])
+    @pytest.mark.parametrize("w", [W11, Weight(2, -1), Weight(1, -2)], ids=str)
+    def test_report_work(self, monkeypatch, n, w):
+        counts = counting(monkeypatch, TestOneFamilyPerStep.FAMILY, *TestOneFamilyPerStep.TANGENT,
+                          TestOneFamilyPerStep.BUCHBERGER, *PROFILE)
+        reports = component_report(n, w)
+        p = len(enumerate_staircases(n))
+        tangent_bases = sum(counts[t] for t in TestOneFamilyPerStep.TANGENT)
+        profiles = sum(counts[t] for t in PROFILE)
+        assert (tangent_bases, counts[TestOneFamilyPerStep.FAMILY], profiles) == (p, p, p)
+        assert counts[TestOneFamilyPerStep.BUCHBERGER] == p - len(reports)
+
+    def test_step_cycle_is_inconsistent(self, monkeypatch):
+        strata = importlib.import_module("hilbcells.strata")
+        monkeypatch.setattr(strata, "_degenerate",
+                            lambda fam, *args: SimpleNamespace(target=fam.staircase))
+        with pytest.raises(ConsistencyError, match=r"descent from \(1, 1\) exceeded 2 steps"):
+            component_report(2, W11)
+
+    def test_compatible_bound_applies_before_any_work(self):
+        with pytest.raises(BoundExceededError, match="compatible bound 40 exceeded by mass 41"):
+            component_report(41, W11, bound=41)
 
 
 class TestMinimalStaircase:
