@@ -43,6 +43,7 @@ from .tangent import (
     HomOracleResult,
     SignificanceGraph,
     TangentBasis,
+    arm_leg_characters,
     cell_dimension,
     cleft_couples,
     hom_tangent_oracle,

@@ -34,6 +34,7 @@ from .staircases import (
     construct_staircase,
     enumerate_staircases,
     hilbert_function,
+    s_profile,
 )
 from .tangent import CleftCouple
 
@@ -390,26 +391,37 @@ def _suite_verify_all(args):
                         assert t == 0, f"nonzero invariant tangent at {E.columns}"
         return "graph dimension matches the tangent basis for five weights"
 
+    classes = {}
+
+    def grouped(w, l):
+        """Hilbert-function classes of length l under w, each member with its tangent basis.
+
+        Built once per (w, l) and shared by the items that read classes.
+        """
+        if (w, l) not in classes:
+            groups = {}
+            for E in enumerate_staircases(l):
+                groups.setdefault(hilbert_function(E, w), {})[E] = tangent.tangent_basis(E, w)
+            classes[w, l] = groups
+        return classes[w, l]
+
+    descent_weights = (Weight(1, -1), Weight(2, -1), Weight(3, -2), Weight(1, -3))
+
     def constancy():
-        for w in (Weight(1, -1), Weight(2, -1), Weight(3, -2), Weight(1, -3)):
+        for w in descent_weights:
             for l in lengths:
-                groups = {}
-                for E in enumerate_staircases(l):
-                    groups.setdefault(hilbert_function(E, w), []).append(E)
-                for H, members in groups.items():
-                    dims = {tangent.tangent_basis(E, w).dimension for E in members}
+                for H, bases in grouped(w, l).items():
+                    dims = {tb.dimension for tb in bases.values()}
                     assert len(dims) == 1, f"dimensions {dims} in class {H.as_dict()}"
         return "dimension constant on every Hilbert-function class"
 
     def minimal_agreement():
-        for w in (Weight(1, -1), Weight(2, -1), Weight(3, -2), Weight(1, -3)):
+        for w in descent_weights:
             for l in lengths:
-                groups = {}
-                for E in enumerate_staircases(l):
-                    groups.setdefault(hilbert_function(E, w), []).append(E)
-                for H in groups:
+                for H, bases in grouped(w, l).items():
                     rec = strata.minimal_staircase(H)
-                    oracle = strata.minimal_staircase_oracle(H, bound=max_length)
+                    profiles = {E: s_profile(E, w) for E in bases}
+                    oracle = strata._least_compatible(H, bases, profiles)
                     assert rec == oracle, f"{rec.columns} vs {oracle.columns}"
         return "recursion agrees with the enumeration oracle"
 
@@ -437,12 +449,9 @@ def _suite_verify_all(args):
     def collapse():
         for w in (Weight(-1, -2), Weight(-2, -3)):
             for l in lengths:
-                groups = {}
-                for E in enumerate_staircases(l):
-                    groups.setdefault(hilbert_function(E, w), []).append(E)
-                for H, members in groups.items():
-                    assert len(members) == 1, f"{len(members)} staircases for {H.as_dict()}"
-                    assert tangent.tangent_basis(members[0], w).dimension == 0
+                for H, bases in grouped(w, l).items():
+                    assert len(bases) == 1, f"{len(bases)} staircases for {H.as_dict()}"
+                    assert next(iter(bases.values())).dimension == 0
         return "every class is a single point with zero invariant tangent space"
 
     def poincare_census():

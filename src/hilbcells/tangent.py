@@ -189,6 +189,28 @@ def cell_dimension(E: Staircase, weight_vector: tuple[int, int]) -> int:
     return count
 
 
+def arm_leg_characters(E: Staircase) -> tuple[tuple[int, int], ...]:
+    """Characters of the significant couples of E, read off arms and legs.
+
+    A cell (i, j) with arm a (cells right of it in its row) and leg l
+    (cells above it in its column) contributes (-(a+1), l) and
+    (a, -(l+1)) (Ellingsrud-Stromme, Invent. Math. 91, 1988; Haiman,
+    Discrete Math. 193, 1998).  The multiset equals that of
+    ``tangent_basis(E).significant``; this reads it in O(|E|) from the
+    column heights and their conjugate, in cell order, two per cell.
+    """
+    rows = [0] * E.height              # rows[j]: number of columns taller than j
+    for h in E.columns:
+        for j in range(h):
+            rows[j] += 1
+    chars = []
+    for i, h in enumerate(E.columns):
+        for j in range(h):
+            arm, leg = rows[j] - i - 1, h - j - 1
+            chars += ((-arm - 1, leg), (arm, -leg - 1))
+    return tuple(chars)
+
+
 @dataclass(frozen=True)
 class SignificanceGraph:
     """Chain graph on the direction-(a, b) couples of a staircase.

@@ -1,10 +1,11 @@
 import argparse
 import json
 import time
+from collections import Counter
 
 import pytest
 
-from hilbcells import poly_from_text
+from hilbcells import Weight, enumerate_staircases, poly_from_text, strata, tangent
 from hilbcells.cli import main
 
 
@@ -198,6 +199,28 @@ class TestSubcommands:
         assert data["all_ok"] is False
         failed = [item for item in data["items"] if not item["ok"]]
         assert failed and "orthogonal" in failed[0]["witness"]
+
+    def test_verify_all_groups_each_class_once(self, capsys, monkeypatch):
+        # (3,-2) is read only by the class items and (-2,-3) only by the
+        # collapse item: each staircase gets one basis per weight, and the
+        # agreement item never re-enumerates through the public oracle.
+        calls = Counter()
+        original = tangent.tangent_basis
+
+        def counted(E, direction=None):
+            calls[E, direction] += 1
+            return original(E, direction)
+
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("minimal_staircase_oracle called")
+
+        monkeypatch.setattr(tangent, "tangent_basis", counted)
+        monkeypatch.setattr(strata, "minimal_staircase_oracle", no_oracle)
+        data = run_json(capsys, "run-suite", "verify-all", "--max-length", "6")
+        assert data["all_ok"] is True
+        for w in (Weight(3, -2), Weight(-2, -3)):
+            for l in range(1, 7):
+                assert all(calls[E, w] == 1 for E in enumerate_staircases(l))
 
 
 class TestExitCodes:

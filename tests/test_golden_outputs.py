@@ -74,6 +74,20 @@ REPORT_SWEEPS = {
                            for c in DESCENT_COLUMNS],
 }
 
+# Census outputs, each call's stderr included: the GenericityError and
+# RegimeError lines are part of the contract.  (-2,-9) and (-1,-3) stop
+# being generic inside these ranges, so exit 1 is pinned too.
+CENSUS_SWEEPS = {
+    "poincare-lengths": [["poincare", "--length", str(l), "--vector", v]
+                         for l in range(1, 13)
+                         for v in (f"(-1,-{l + 1})", "(-2,-9)", "(-3,-10)")],
+    "poincare-suite-witnesses": [["run-suite", "poincare", "--max-length", "12",
+                                  "--weights", "(-1,-3);(-2,-5)"]],
+    "poincare-suite-24": [["run-suite", "poincare", "--max-length", "24",
+                           "--weights", "(-1,-25);(-2,-49)"]],
+    "poincare-genericity-error": [["poincare", "--length", "5", "--vector", "(-1,-3)"]],
+}
+
 # Recorded before the polynomial kernel was given one coefficient protocol.
 DIGESTS = {
     "readme":
@@ -98,6 +112,16 @@ DIGESTS = {
         "660645239dfde4075025d777652bd1309f55c5b52f6694a87b797bab13db934d",
     "descend-first-last":
         "532bd6f49246016a664841e49309b5ecb5a4fe08041de80dc734aa8fd881a6d4",
+    # Recorded at b68f25f, while the census still built a tangent basis per
+    # staircase.
+    "poincare-lengths":
+        "17da7895fd9f938e5b3c15ef7bcd4aa13b741cd6e2c8c556732b1fbce7453ca9",
+    "poincare-suite-witnesses":
+        "1e66b7b06241468086fb59a25d45cae9b9acfcb754a326c34af862250af1ed82",
+    "poincare-suite-24":
+        "086e60f317010c869851d841d7e9a808b6d132a12944cfe1cdc5460753561a8e",
+    "poincare-genericity-error":
+        "2d26bc7c494c7e9f772fd3726ddfae02098ea69e0948e176316137a50c3a128c",
 }
 
 
@@ -108,11 +132,12 @@ def _digest(records) -> str:
     return h.hexdigest()
 
 
-def _transcript(capsys, argvs) -> str:
+def _transcript(capsys, argvs, stderr=False) -> str:
     records = []
     for argv in argvs:
         code = main(list(argv))
-        records.append([argv, code, capsys.readouterr().out])
+        out, err = capsys.readouterr()
+        records.append([argv, code, out, err] if stderr else [argv, code, out])
     return _digest(records)
 
 
@@ -132,6 +157,11 @@ def test_sweep_up_to_length_six(capsys, name):
 @pytest.mark.parametrize("name", sorted(REPORT_SWEEPS))
 def test_component_reports_and_descents(capsys, name):
     _check(name, _transcript(capsys, REPORT_SWEEPS[name]))
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS_SWEEPS))
+def test_census_outputs_and_errors(capsys, name):
+    _check(name, _transcript(capsys, CENSUS_SWEEPS[name], stderr=True))
 
 
 def test_polynomial_json_and_text():

@@ -1,4 +1,5 @@
 import importlib
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -14,6 +15,7 @@ from hilbcells import (
     RegimeError,
     UnrealizableError,
     Weight,
+    cell_dimension,
     compare_staircases,
     component_report,
     construct_staircase,
@@ -26,6 +28,7 @@ from hilbcells import (
     poincare_polynomial,
     tangent_basis,
 )
+from hilbcells.strata import POINCARE_BOUND
 
 W11 = Weight(1, -1)
 
@@ -326,6 +329,58 @@ class TestPoincare:
             poincare_polynomial(7, (-2, -5))
         for l in range(1, 4):
             assert poincare_polynomial(l, (-1, -3)) == poincare_polynomial(l, (-2, -5))
+
+
+class TestArmLegCensus:
+    """The census read from arm-leg characters, against closed forms and cell_dimension."""
+
+    def test_closed_form_up_to_the_bound(self):
+        # At (-1,-(n+1)) every (a, -(l+1)) pairs positively and (-(a+1), l)
+        # does iff l = 0, at the top of a column: the cell of E has dimension
+        # n + #columns.  At the transpose it is n + #rows.
+        for n in range(1, POINCARE_BOUND + 1):
+            staircases = enumerate_staircases(n)
+            by_columns = Counter(n + len(E.columns) for E in staircases)
+            by_rows = Counter(n + E.columns[0] for E in staircases)
+            assert poincare_polynomial(n, (-1, -(n + 1))) == dict(sorted(by_columns.items()))
+            assert poincare_polynomial(n, (-(n + 1), -1)) == dict(sorted(by_rows.items()))
+
+    @pytest.mark.parametrize("vector", [(-1, -13), (-13, -1), (-2, -25), (-25, -3)])
+    def test_equals_cell_dimension_census(self, vector):
+        for n in range(1, 13):
+            expected = Counter(cell_dimension(E, vector) for E in enumerate_staircases(n))
+            assert poincare_polynomial(n, vector) == dict(sorted(expected.items()))
+
+    @pytest.mark.parametrize("vector", [(-1, -3), (-2, -5), (-1, -1)])
+    def test_errors_equal_first_failing_cell_dimension(self, vector):
+        for n in range(1, 13):
+            expected = None
+            for E in enumerate_staircases(n):
+                try:
+                    cell_dimension(E, vector)
+                except GenericityError as exc:
+                    expected = exc
+                    break
+            if expected is None:
+                poincare_polynomial(n, vector)
+                continue
+            with pytest.raises(GenericityError) as err:
+                poincare_polynomial(n, vector)
+            assert type(err.value) is type(expected)
+            assert str(err.value) == str(expected)
+            assert err.value.couple == expected.couple
+
+    def test_census_builds_no_tangent_basis(self, monkeypatch):
+        counts = counting(monkeypatch, "hilbcells.tangent.tangent_basis")
+        poincare_polynomial(12, (-1, -13))
+        assert counts["hilbcells.tangent.tangent_basis"] == 0
+
+    def test_disagreeing_cell_dimension_is_inconsistent(self, monkeypatch):
+        strata = importlib.import_module("hilbcells.strata")
+        monkeypatch.setattr(strata, "cell_dimension", lambda E, v: 0)
+        with pytest.raises(ConsistencyError,
+                           match=r"character \(1, -1\) of \(1, 1\) is orthogonal to \(-1, -1\)"):
+            poincare_polynomial(2, (-1, -1))
 
 
 class TestStepSerialization:

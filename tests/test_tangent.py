@@ -8,6 +8,7 @@ from hilbcells import (
     HalfDirection,
     Monomial,
     Weight,
+    arm_leg_characters,
     cell_dimension,
     cleft_couples,
     construct_staircase,
@@ -146,6 +147,21 @@ class TestCellDimension:
             census1 = sorted(cell_dimension(E, (-2, -9)) for E in enumerate_staircases(l))
             census2 = sorted(cell_dimension(E, (-3, -10)) for E in enumerate_staircases(l))
             assert census1 == census2
+
+
+class TestArmLegCharacters:
+    def test_single_box_and_domino(self):
+        assert arm_leg_characters(construct_staircase([1])) == ((-1, 0), (0, -1))
+        assert arm_leg_characters(construct_staircase([1, 1])) == (
+            (-2, 0), (1, -1), (-1, 0), (0, -1))
+
+    def test_equals_significant_characters_up_to_length_16(self):
+        # The tangent basis is the oracle: its significant couples carry
+        # exactly the arm-leg characters, with multiplicity.
+        for l in range(1, 17):
+            for E in enumerate_staircases(l):
+                expected = sorted(c.char for c in tangent_basis(E).significant)
+                assert sorted(arm_leg_characters(E)) == expected, E.columns
 
 
 class TestSignificanceGraph:
