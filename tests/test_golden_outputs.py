@@ -85,7 +85,9 @@ CENSUS_SWEEPS = {
                                   "--weights", "(-1,-3);(-2,-5)"]],
     "poincare-suite-24": [["run-suite", "poincare", "--max-length", "24",
                            "--weights", "(-1,-25);(-2,-49)"]],
-    "poincare-genericity-error": [["poincare", "--length", "5", "--vector", "(-1,-3)"]],
+    "poincare-errors": [["poincare", "--length", "5", "--vector", "(-1,-3)"],
+                        ["poincare", "--length", "5", "--vector", "(1,-3)"],
+                        ["run-suite", "poincare", "--max-length", "3", "--weights", "(-1,2)"]],
 }
 
 # Recorded before the polynomial kernel was given one coefficient protocol.
@@ -120,8 +122,8 @@ DIGESTS = {
         "1e66b7b06241468086fb59a25d45cae9b9acfcb754a326c34af862250af1ed82",
     "poincare-suite-24":
         "086e60f317010c869851d841d7e9a808b6d132a12944cfe1cdc5460753561a8e",
-    "poincare-genericity-error":
-        "2d26bc7c494c7e9f772fd3726ddfae02098ea69e0948e176316137a50c3a128c",
+    "poincare-errors":
+        "179a02d1335b02a13e14410ec092d3942ce5f4c22866d946ad813d976f2bfd5b",
 }
 
 
