@@ -23,9 +23,9 @@ from .polynomials import (
     BivariatePolynomial,
     ChartCoefficient,
     VarKey,
+    _Divisor,
+    _s_pair_remainder,
     buchberger,
-    divide,
-    s_polynomial,
     standard_monomials,
     variable_name,
 )
@@ -92,6 +92,75 @@ class ChartFamily:
         }
 
 
+@dataclass(frozen=True)
+class CleftPlan:
+    """The cleft recursion of ``build_chart_family``, read from a tangent basis.
+
+    Row i, from the second-to-last cleft down, holds the shift from cleft
+    i+1 to cleft i and, per indexed couple (c_i, m), its variable, its
+    landing cleft c_{i+k} and the shift from c_{i+k} to m.
+    """
+
+    clefts: tuple[Monomial, ...]
+    rows: tuple[tuple[int, tuple[int, int], tuple[tuple[VarKey, int, tuple[int, int]], ...]], ...]
+
+    def evaluate(
+        self, values: Mapping[VarKey, object], domain: str
+    ) -> tuple[list[BivariatePolynomial], list[tuple[VarKey, BivariatePolynomial]]]:
+        """Generators P, and each couple's Q, with the variables set to ``values``.
+
+        Values lie in the ring the domain names; an absent variable is zero
+        and its term is skipped.  Every step is ring arithmetic, so
+        evaluating at a rational point equals substituting it into the
+        chart-ring generators.
+        """
+        cs = self.clefts
+        P: list[Optional[BivariatePolynomial]] = [None] * len(cs)
+        P[-1] = BivariatePolynomial.of_monomial(cs[-1], 1, domain)
+        q_polys: list[tuple[VarKey, BivariatePolynomial]] = []
+        for i, shift, couples in self.rows:
+            total = P[i + 1].mul_laurent(*shift)
+            for key, target, (da, db) in couples:
+                if key not in values:
+                    continue
+                q = P[target].mul_laurent(da, db)
+                q_polys.append((key, q))
+                total = total + q.scale(values[key])
+            P[i] = total
+        return P, q_polys
+
+
+def cleft_plan(basis: TangentBasis) -> CleftPlan:
+    """The recursion indexed by the positive couples of the basis.
+
+    A couple whose moved monomial does not land past its own cleft raises
+    ``ConsistencyError``.
+    """
+    E = basis.staircase
+    cs = clefts(E)
+    sectors = SectorDecomposition(E, cs)
+    by_cleft: dict[int, list[CleftCouple]] = {}
+    for couple in basis.positive:
+        by_cleft.setdefault(cs.index(couple.c), []).append(couple)
+    rows = []
+    for i in range(len(cs) - 2, -1, -1):
+        g = cs[i].lcm(cs[i + 1])
+        couples = []
+        for couple in sorted(by_cleft.get(i, ()), key=CleftCouple.sort_key):
+            landing = couple.m.mul(g.div(cs[i]))
+            target = sectors.sector(landing) - 1
+            if target <= i:
+                raise ConsistencyError(
+                    f"couple ({couple.c}, {couple.m}): landing {landing} sits in "
+                    f"sector {target + 1}, not past cleft {i + 1}"
+                )
+            shift = (couple.m.alpha - cs[target].alpha, couple.m.beta - cs[target].beta)
+            couples.append((couple_key(couple), target, shift))
+        shift = (cs[i].alpha - cs[i + 1].alpha, cs[i].beta - cs[i + 1].beta)
+        rows.append((i, shift, tuple(couples)))
+    return CleftPlan(cs, tuple(rows))
+
+
 def build_chart_family(
     E: Staircase, mode: str, weight: Optional[Weight] = None
 ) -> ChartFamily:
@@ -100,7 +169,8 @@ def build_chart_family(
     For each indexed couple (c_i, m) the monomial m*(lcm(c_i, c_{i+1})/c_i)
     escapes the staircase and lands in the sector of a later cleft c_{i+k};
     the couple contributes X[c_i;m] * P(c_{i+k}) * (m/c_{i+k}).  Products are
-    formed in Laurent form and must come out polynomial.
+    formed in Laurent form and must come out polynomial.  The recursion is
+    ``cleft_plan`` evaluated over the chart ring.
     """
     if mode == MODE_INVARIANT:
         if weight is None:
@@ -115,39 +185,12 @@ def build_chart_family(
     else:
         raise DomainError(f"unknown chart mode {mode!r}")
 
-    cs = clefts(E)
-    n = len(cs)
-    sectors = SectorDecomposition(E, cs)
-    by_cleft: dict[int, list[CleftCouple]] = {}
-    for couple in basis.positive:
-        by_cleft.setdefault(cs.index(couple.c), []).append(couple)
-
-    P: list[Optional[BivariatePolynomial]] = [None] * n
-    P[n - 1] = BivariatePolynomial.of_monomial(cs[n - 1], 1, DOMAIN_CHART)
-    q_polys: list[tuple[VarKey, BivariatePolynomial]] = []
-    for i in range(n - 2, -1, -1):
-        total = P[i + 1].mul_laurent(
-            cs[i].alpha - cs[i + 1].alpha, cs[i].beta - cs[i + 1].beta
-        )
-        g = cs[i].lcm(cs[i + 1])
-        for couple in sorted(by_cleft.get(i, ()), key=CleftCouple.sort_key):
-            landing = couple.m.mul(g.div(cs[i]))
-            target = sectors.sector(landing) - 1
-            if target <= i:
-                raise ConsistencyError(
-                    f"couple ({couple.c}, {couple.m}): landing {landing} sits in "
-                    f"sector {target + 1}, not past cleft {i + 1}"
-                )
-            q = P[target].mul_laurent(
-                couple.m.alpha - cs[target].alpha, couple.m.beta - cs[target].beta
-            )
-            key = couple_key(couple)
-            q_polys.append((key, q))
-            total = total + q.scale(ChartCoefficient.variable(key))
-        P[i] = total
-
+    plan = cleft_plan(basis)
     variables = tuple(sorted(couple_key(cp) for cp in basis.positive))
-    return ChartFamily(E, mode, weight, variables, cs, tuple(P), tuple(q_polys), basis)
+    P, q_polys = plan.evaluate(
+        {key: ChartCoefficient.variable(key) for key in variables}, DOMAIN_CHART
+    )
+    return ChartFamily(E, mode, weight, variables, plan.clefts, tuple(P), tuple(q_polys), basis)
 
 
 def specialize_family(
@@ -241,15 +284,27 @@ def verify_flatness(
             leading_ok = False
             witness = f"generator for cleft {c} leads with {lm}"
 
-    spairs = []
-    for i in range(len(fam.generators) - 1):
+    records: list = []
+    for p in fam.generators:
         try:
-            h = s_polynomial(fam.generators[i], fam.generators[i + 1], LEX_YX)
-            rem = divide(h, list(fam.generators), LEX_YX, step_limit)[1]
+            records.append(_Divisor(p, LEX_YX))
         except DomainError as exc:
-            spairs.append((i, i + 1, False, f"reduction failed: {exc}"))
+            records.append(exc)
+    first_failure = next((r for r in records if isinstance(r, DomainError)), None)
+    spairs = []
+    for i in range(len(records) - 1):
+        # A pair fails on its own generators first, then on any divisor.
+        failure = next((r for r in records[i:i + 2] if isinstance(r, DomainError)),
+                       first_failure)
+        if failure is None:
+            try:
+                rem = _s_pair_remainder(records, i, i + 1, LEX_YX, step_limit)
+            except DomainError as exc:
+                failure = exc
+        if failure is not None:
+            spairs.append((i, i + 1, False, f"reduction failed: {failure}"))
             if witness is None:
-                witness = f"S-pair ({i}, {i + 1}) cannot be reduced: {exc}"
+                witness = f"S-pair ({i}, {i + 1}) cannot be reduced: {failure}"
             continue
         spairs.append((i, i + 1, not rem, rem.to_text()))
         if rem and witness is None:

@@ -232,8 +232,17 @@ def _cmd_graph(args):
     return tangent.significance_graph(E, _weight(args)).to_json()
 
 
+# Largest ``hom-oracle --bound``: ``run-suite verify-all`` checks the oracle
+# against the tangent basis only up to its own bound, also 12.
+HOM_ORACLE_BOUND = 12
+
+
 def _cmd_hom_oracle(args):
     E = _parse_columns(args.columns)
+    if args.bound > HOM_ORACLE_BOUND:
+        raise BoundExceededError(
+            f"hom-oracle bound {HOM_ORACLE_BOUND} exceeded by --bound {args.bound}"
+        )
     result = tangent.hom_tangent_oracle(E, bound=args.bound)
     return {
         "dimension": result.dimension,
@@ -343,16 +352,23 @@ def _cmd_weight_initial(args):
 def _census_agreement(l, vectors):
     """The census of length l, equal under every vector and counting every staircase."""
     results = [strata.poincare_polynomial(l, v) for v in vectors]
-    assert all(r == results[0] for r in results), f"census differs at length {l}"
-    assert sum(results[0].values()) == len(enumerate_staircases(l))
+    _require(all(r == results[0] for r in results), f"census differs at length {l}")
+    _require(sum(results[0].values()) == len(enumerate_staircases(l)),
+             f"census of length {l} does not count every staircase")
     return results[0]
+
+
+def _require(ok: bool, witness: str) -> None:
+    """A suite check; unlike ``assert`` it also runs under ``python -O``."""
+    if not ok:
+        raise ConsistencyError(witness)
 
 
 def _suite_item(name, check):
     try:
         detail = check()
         return {"name": name, "ok": True, "detail": detail}
-    except (DomainError, ConsistencyError, AssertionError) as exc:
+    except (DomainError, ConsistencyError) as exc:
         return {"name": name, "ok": False, "witness": str(exc)}
 
 
@@ -376,19 +392,21 @@ def _suite_verify_all(args):
                 basis = tangent.tangent_basis(E)
                 mine = tuple(sorted(c.char for c in basis.significant))
                 oracle = tangent.hom_tangent_oracle(E, bound=max_length)
-                assert mine == oracle.characters, f"character mismatch at {E.columns}"
-                assert oracle.dimension == 2 * l, f"dimension {oracle.dimension} at {E.columns}"
+                _require(mine == oracle.characters, f"character mismatch at {E.columns}")
+                _require(oracle.dimension == 2 * l, f"dimension {oracle.dimension} at {E.columns}")
         return f"all staircases up to length {max_length}"
 
     def graph_dimension():
         for w in (Weight(1, -1), Weight(2, -1), Weight(1, -3), Weight(0, -1), Weight(-1, -2)):
             for l in lengths:
-                for E in enumerate_staircases(l):
-                    g = tangent.significance_graph(E, w)
-                    t = tangent.tangent_basis(E, w).dimension
-                    assert g.dimension == t, f"graph {g.dimension} vs tangent {t} at {E.columns}"
-                    if w.product > 0:
-                        assert t == 0, f"nonzero invariant tangent at {E.columns}"
+                for bases in grouped(w, l).values():
+                    for E, tb in bases.items():
+                        g = tangent.significance_graph(E, w)
+                        t = tb.dimension
+                        _require(g.dimension == t,
+                                 f"graph {g.dimension} vs tangent {t} at {E.columns}")
+                        if w.product > 0:
+                            _require(t == 0, f"nonzero invariant tangent at {E.columns}")
         return "graph dimension matches the tangent basis for five weights"
 
     classes = {}
@@ -396,7 +414,8 @@ def _suite_verify_all(args):
     def grouped(w, l):
         """Hilbert-function classes of length l under w, each member with its tangent basis.
 
-        Built once per (w, l) and shared by the items that read classes.
+        Built once per (w, l) and shared by the items that read classes or
+        bases, so each staircase gets one tangent basis per weight.
         """
         if (w, l) not in classes:
             groups = {}
@@ -412,7 +431,7 @@ def _suite_verify_all(args):
             for l in lengths:
                 for H, bases in grouped(w, l).items():
                     dims = {tb.dimension for tb in bases.values()}
-                    assert len(dims) == 1, f"dimensions {dims} in class {H.as_dict()}"
+                    _require(len(dims) == 1, f"dimensions {dims} in class {H.as_dict()}")
         return "dimension constant on every Hilbert-function class"
 
     def minimal_agreement():
@@ -422,7 +441,7 @@ def _suite_verify_all(args):
                     rec = strata.minimal_staircase(H)
                     profiles = {E: s_profile(E, w) for E in bases}
                     oracle = strata._least_compatible(H, bases, profiles)
-                    assert rec == oracle, f"{rec.columns} vs {oracle.columns}"
+                    _require(rec == oracle, f"{rec.columns} vs {oracle.columns}")
         return "recursion agrees with the enumeration oracle"
 
     def descent():
@@ -434,7 +453,7 @@ def _suite_verify_all(args):
                 for policy in ("first", "last", "random"):
                     steps = strata.descend_to_minimal(E, w, policy=policy, seed=seed)
                     end = steps[-1].target if steps else E
-                    assert end == minimal, f"{policy} descent from {E.columns}"
+                    _require(end == minimal, f"{policy} descent from {E.columns}")
         return "all descent policies end at the minimal staircase"
 
     def flatness():
@@ -443,15 +462,16 @@ def _suite_verify_all(args):
                 for mode, w in (("invariant", Weight(1, -1)), ("general", None)):
                     fam = charts.build_chart_family(E, mode, w)
                     cert = charts.verify_flatness(fam, extra_samples=3, seed=seed)
-                    assert cert.valid, f"{mode} family of {E.columns}: {cert.witness}"
+                    _require(cert.valid, f"{mode} family of {E.columns}: {cert.witness}")
         return "flatness certificates valid in both modes"
 
     def collapse():
         for w in (Weight(-1, -2), Weight(-2, -3)):
             for l in lengths:
                 for H, bases in grouped(w, l).items():
-                    assert len(bases) == 1, f"{len(bases)} staircases for {H.as_dict()}"
-                    assert next(iter(bases.values())).dimension == 0
+                    _require(len(bases) == 1, f"{len(bases)} staircases for {H.as_dict()}")
+                    (E, tb), = bases.items()
+                    _require(tb.dimension == 0, f"nonzero invariant tangent at {E.columns}")
         return "every class is a single point with zero invariant tangent space"
 
     def poincare_census():

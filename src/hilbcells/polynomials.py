@@ -537,13 +537,16 @@ class _StepGuard:
             )
 
 
+_ONE = Fraction(1)
+
+
 class _Divisor:
     """A polynomial with its leading monomial and inverse leading coefficient.
 
-    Built once per basis element, so no division recomputes them.  ``tail``
-    holds the terms below the leading one; ``inv_lc`` is None when the
-    leading coefficient is not an invertible constant, which ``check``
-    reports when the polynomial is used.
+    Built once per basis element and checked when built, so no division
+    recomputes or re-checks them: a leading coefficient that is not an
+    invertible constant raises ``DomainError`` here.  ``tail`` holds the
+    terms below the leading one.
     """
 
     __slots__ = ("poly", "lm", "inv_lc", "monic", "tail")
@@ -551,16 +554,16 @@ class _Divisor:
     def __init__(self, poly: BivariatePolynomial, order: MonomialOrder):
         self.poly = poly
         self.lm = poly.leading_monomial(order)
-        lc = _coefficient_terms(poly.terms[self.lm])
-        self.inv_lc = 1 / lc[0][1] if len(lc) == 1 and not lc[0][0] else None
+        lc = poly.terms[self.lm]
+        if isinstance(lc, ChartCoefficient):
+            lc = lc.terms.get(()) if len(lc.terms) == 1 else None
+        if lc is None:
+            raise DomainError(
+                f"leading coefficient of {poly.to_text()} is not an invertible constant"
+            )
+        self.inv_lc = _ONE / lc
         self.monic = self.inv_lc == 1
         self.tail = [(t, c) for t, c in poly.terms.items() if t != self.lm]
-
-    def check(self) -> None:
-        if self.inv_lc is None:
-            raise DomainError(
-                f"leading coefficient of {self.poly.to_text()} is not an invertible constant"
-            )
 
     def add_multiple(self, work: dict, shift: Monomial, coeff) -> None:
         """Add coeff * shift * tail to the term dict, dropping cancelled terms."""
@@ -576,37 +579,43 @@ class _Divisor:
             else:
                 work[m] = tc * coeff
 
+    def made_monic(self, order: MonomialOrder) -> "_Divisor":
+        return self if self.monic else _Divisor(self.poly.scale(self.inv_lc), order)
 
-def _divide(
+
+def _reduce(
     f: BivariatePolynomial,
     divisors: Sequence[_Divisor],
     order: MonomialOrder,
     guard: _StepGuard,
-) -> tuple[list[BivariatePolynomial], BivariatePolynomial]:
-    for d in divisors:
-        d.check()
+    quotients: Optional[list[dict]] = None,
+) -> BivariatePolynomial:
+    """Remainder of f modulo the divisor records; the first matching divisor wins.
+
+    Returns f itself when no term reduced.  Quotient terms are recorded only
+    when ``quotients`` holds one dict per divisor, as ``divide`` passes.
+    """
     key = order.key
-    quotients: list[dict[Monomial, object]] = [{} for _ in divisors]
     remainder: dict[Monomial, object] = {}
     work = dict(f.terms)
+    reduced = False
     while work:
         guard.tick()
         m = max(work, key=key)
         c = work.pop(m)
-        for quotient, d in zip(quotients, divisors):
+        for k, d in enumerate(divisors):
             lm = d.lm
             if lm.alpha <= m.alpha and lm.beta <= m.beta:
                 shift = Monomial(m.alpha - lm.alpha, m.beta - lm.beta)
                 qc = c if d.monic else c * d.inv_lc
-                quotient[shift] = qc  # leading terms strictly decrease: no shift repeats
+                if quotients is not None:
+                    quotients[k][shift] = qc  # leading terms strictly decrease: no shift repeats
                 d.add_multiple(work, shift, -qc)
+                reduced = True
                 break
         else:
             remainder[m] = c
-    return (
-        [BivariatePolynomial(q, f.domain) for q in quotients],
-        BivariatePolynomial(remainder, f.domain),
-    )
+    return BivariatePolynomial(remainder, f.domain) if reduced else f
 
 
 def divide(
@@ -618,38 +627,41 @@ def divide(
     """Multivariate division: f = sum(q_i * d_i) + r, first matching divisor wins.
 
     No term of the remainder is divisible by any divisor's leading monomial.
+    Every divisor is checked before the division starts.
     """
-    return _divide(f, [_Divisor(d, order) for d in divisors], order, _StepGuard(step_limit))
+    records = [_Divisor(d, order) for d in divisors]
+    quotients: list[dict] = [{} for _ in records]
+    r = _reduce(f, records, order, _StepGuard(step_limit), quotients)
+    if r is f:
+        r = BivariatePolynomial(f.terms, f.domain)
+    return [BivariatePolynomial(q, f.domain) for q in quotients], r
 
 
-def _autoreduce(
-    polys: list[BivariatePolynomial], order: MonomialOrder, guard: _StepGuard
-) -> list[BivariatePolynomial]:
+def _interreduce(
+    divisors: list[_Divisor], order: MonomialOrder, guard: _StepGuard
+) -> list[_Divisor]:
     """Interreduce to a fixpoint: every element irreducible modulo the others.
 
     Sound on arbitrary generating sets: each element is replaced by its full
     remainder, never dropped unless that remainder is zero.  The result is
     monic and sorted by leading monomial.
     """
-    divisors = [_Divisor(p, order) for p in polys if p]
     changed = True
     while changed:
         changed = False
         out: list[_Divisor] = []
         for i, d in enumerate(divisors):
             others = out + divisors[i + 1:]
-            r = _divide(d.poly, others, order, guard)[1] if others else d.poly
-            if r == d.poly:
+            r = _reduce(d.poly, others, order, guard) if others else d.poly
+            if r is d.poly:
                 out.append(d)
                 continue
             changed = True
             if r:
                 out.append(_Divisor(r, order))
         divisors = out
-    for d in divisors:
-        d.check()
     divisors.sort(key=lambda d: order.key(d.lm))
-    return [d.poly if d.monic else d.poly.scale(d.inv_lc) for d in divisors]
+    return [d.made_monic(order) for d in divisors]
 
 
 def s_polynomial(
@@ -660,13 +672,19 @@ def s_polynomial(
 
 
 def _s_poly(df: _Divisor, dg: _Divisor) -> BivariatePolynomial:
-    df.check()
-    dg.check()
     lcm = df.lm.lcm(dg.lm)
     work: dict[Monomial, object] = {}
     df.add_multiple(work, lcm.div(df.lm), df.inv_lc)
     dg.add_multiple(work, lcm.div(dg.lm), -dg.inv_lc)
     return BivariatePolynomial(work, df.poly.domain)
+
+
+def _s_pair_remainder(
+    records: Sequence[_Divisor], i: int, j: int, order: MonomialOrder,
+    step_limit: Optional[int],
+) -> BivariatePolynomial:
+    """Remainder of the S-polynomial of records i and j modulo all records."""
+    return _reduce(_s_poly(records[i], records[j]), records, order, _StepGuard(step_limit))
 
 
 @dataclass(frozen=True)
@@ -713,15 +731,17 @@ def buchberger(
     domain = gens[0].domain
     if any(g.domain != domain for g in gens):
         raise DomainError("mixed coefficient domains")
-    return GroebnerBasis(tuple(_buchberger(gens, order, _StepGuard(step_limit))), order)
+    basis = _buchberger(gens, order, _StepGuard(step_limit))
+    return GroebnerBasis(tuple(d.poly for d in basis), order)
 
 
 def _buchberger(
     gens: Sequence[BivariatePolynomial], order: MonomialOrder, guard: _StepGuard
-) -> list[BivariatePolynomial]:
+) -> list[_Divisor]:
+    """The reduced basis as monic divisor records sorted by leading monomial."""
     if not order.is_global:
         _require_local_variables_nilpotent(gens, order, _StepGuard(guard.limit))
-    basis = [_Divisor(p, order) for p in _autoreduce(list(gens), order, guard)]
+    basis = _interreduce([_Divisor(p, order) for p in gens if p], order, guard)
 
     def pair_entry(i: int, j: int):
         lcm = basis[i].lm.lcm(basis[j].lm)
@@ -739,17 +759,14 @@ def _buchberger(
         lcm = li.lcm(lj)
         if lcm == li.mul(lj) or _chain_criterion(basis, i, j, lcm, pending):
             continue
-        rem = _divide(_s_poly(basis[i], basis[j]), basis, order, guard)[1]
+        rem = _reduce(_s_poly(basis[i], basis[j]), basis, order, guard)
         if rem:
-            d = _Divisor(rem, order)
-            d.check()
-            basis.append(d if d.monic else _Divisor(rem.scale(d.inv_lc), order))
+            basis.append(_Divisor(rem, order).made_monic(order))
             new = len(basis) - 1
             for k in range(new):
                 heapq.heappush(pairs, pair_entry(k, new))
                 pending.add((k, new))
-    polys = [d.poly for d in basis]
-    return _autoreduce(polys, order, guard) if len(basis) > interreduced else polys
+    return _interreduce(basis, order, guard) if len(basis) > interreduced else basis
 
 
 def _chain_criterion(
@@ -775,19 +792,18 @@ def _require_local_variables_nilpotent(
     colength gives no such bound and raises ``NotZeroDimensionalError``.
     """
     below = [(name, v) for name, v in (("x", X), ("y", Y)) if order.compare(v, ONE) < 0]
-    gb = _buchberger(gens, GRLEX_XY, guard)
+    basis = _buchberger(gens, GRLEX_XY, guard)
     try:
-        n = colength(GroebnerBasis(tuple(gb), GRLEX_XY))
+        n = colength(GroebnerBasis(tuple(d.poly for d in basis), GRLEX_XY))
     except NotZeroDimensionalError:
         raise NotZeroDimensionalError(
             f"{below[0][0]} sorts below 1 in the order but the ideal has infinite "
             "colength: a local order needs a zero-dimensional ideal"
         ) from None
-    basis = [_Divisor(g, GRLEX_XY) for g in gb]
     for name, v in below:
         power = Monomial(n * v.alpha, n * v.beta)
         f = BivariatePolynomial.of_monomial(power, 1, gens[0].domain)
-        if _divide(f, basis, GRLEX_XY, guard)[1]:
+        if _reduce(f, basis, GRLEX_XY, guard):
             raise DomainError(
                 f"{name} sorts below 1 in the order but {name}^{n} is not in the ideal "
                 f"of colength {n}: the flat limit leaves the plane"
@@ -826,11 +842,13 @@ def is_groebner(
     """Check all S-polynomial remainders; works symbolically over chart rings."""
     if not gens or any(not g for g in gens):
         raise DomainError("generators must be nonzero")
+    # A single generator forms no pair and is not used as a divisor.
+    records = [_Divisor(g, order) for g in gens] if len(gens) > 1 else []
     statuses = []
     ok = True
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            rem = divide(s_polynomial(gens[i], gens[j], order), gens, order, step_limit)[1]
+    for i in range(len(records)):
+        for j in range(i + 1, len(records)):
+            rem = _s_pair_remainder(records, i, j, order, step_limit)
             statuses.append(PairStatus(i, j, not rem, rem.to_text()))
             ok = ok and not rem
     return GroebnerCertificate(ok, tuple(statuses))

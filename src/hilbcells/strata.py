@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .charts import ChartFamily, build_chart_family, couple_key, specialize_family
+from .charts import cleft_plan, couple_key
 from .errors import (
     BoundExceededError,
     ConsistencyError,
@@ -24,6 +24,7 @@ from .errors import (
     UnrealizableError,
 )
 from .polynomials import (
+    DOMAIN_RATIONAL,
     LEX_YX,
     BivariatePolynomial,
     GroebnerBasis,
@@ -36,7 +37,6 @@ from .staircases import (
     COMPATIBLE_BOUND,
     Comparison,
     HilbertFunction,
-    Monomial,
     SProfile,
     Staircase,
     Weight,
@@ -55,10 +55,9 @@ def _require_descent_regime(w: Weight) -> None:
         raise RegimeError(f"degenerations need a > 0, b < 0; got ({w.a}, {w.b})")
 
 
-def _positive_couples(fam: ChartFamily) -> list[CleftCouple]:
-    """The family's couples ordered by cleft under the y-lex order, then cell."""
-    keys = sorted(fam.variables, key=lambda k: (-k[0][0], k[1]))
-    return [CleftCouple(Monomial(*c), Monomial(*m)) for c, m in keys]
+def _positive_couples(basis: TangentBasis) -> list[CleftCouple]:
+    """The positive couples ordered by cleft under the y-lex order, then cell."""
+    return sorted(basis.positive, key=lambda cp: (-cp.c.alpha, cp.m.alpha, cp.m.beta))
 
 
 @dataclass(frozen=True)
@@ -100,12 +99,12 @@ def degenerate_once(
     The limit is the x-weight-maximal initial ideal of the specialized
     generators, a monomial ideal; the target is read off it and certified
     distinct from E, strictly below it in the S-profile order, and of equal
-    Hilbert function.  One call builds one chart family (one tangent basis),
-    runs one Buchberger and computes two S-profiles.
+    Hilbert function.  One call builds one tangent basis and no chart
+    family, runs one Buchberger and computes two S-profiles.
     """
     _require_descent_regime(w)
-    fam = build_chart_family(E, "invariant", w)
-    candidates = _positive_couples(fam)
+    basis = tangent_basis(E, w)
+    candidates = _positive_couples(basis)
     if not candidates:
         raise DomainError(f"positive tangent space of {E.columns} in direction "
                           f"({w.a}, {w.b}) is empty; nothing to degenerate")
@@ -114,42 +113,49 @@ def degenerate_once(
     elif couple not in candidates:
         raise DomainError(f"({couple.c}, {couple.m}) is not a significant positive "
                           f"couple of direction ({w.a}, {w.b})")
-    return _degenerate(fam, couple, {}, step_limit)
+    return _degenerate(basis, couple, {}, step_limit)
 
 
-def _degenerate(fam: ChartFamily, couple: CleftCouple,
+def _degenerate(basis: TangentBasis, couple: CleftCouple,
                 profiles: dict[Staircase, SProfile],
                 step_limit: Optional[int]) -> DegenerationStep:
-    """Degenerate the source of an invariant family at one of its couples.
+    """Degenerate the source of an invariant tangent basis at one of its couples.
 
-    The source's and target's S-profiles are read from ``profiles``, or
-    computed and added to it.  The step runs one Buchberger and computes at
-    most two S-profiles.
+    The specialized generators are the cleft recursion of the basis
+    evaluated over Q with the couple's variable 1 and every other 0, equal
+    to substituting that point into the invariant chart family, which is
+    not built.  The source's and target's S-profiles are read from
+    ``profiles``, or computed and added to it.  The step runs one
+    Buchberger and computes at most two S-profiles.
     """
-    E, w = fam.staircase, fam.weight
+    E, w = basis.staircase, basis.direction
     key = couple_key(couple)
-    gens = specialize_family(fam, {key: Fraction(1)})
+    gens, _ = cleft_plan(basis).evaluate({key: Fraction(1)}, DOMAIN_RATIONAL)
     limit = weight_initial_ideal(gens, (1, 0), "max", step_limit)
-    dump = (
-        f"source {E.columns}, couple ({couple.c}, {couple.m}), "
-        f"specialized [{'; '.join(p.to_text() for p in gens)}], "
-        f"limit [{'; '.join(p.to_text() for p in limit)}]"
-    )
+
+    def inconsistent(reason: str, *found: str) -> ConsistencyError:
+        return ConsistencyError(", ".join((
+            f"{reason}: source {E.columns}",
+            f"couple ({couple.c}, {couple.m})",
+            f"specialized [{'; '.join(p.to_text() for p in gens)}]",
+            f"limit [{'; '.join(p.to_text() for p in limit)}]",
+            *found,
+        )))
+
     # Chart variables have (a, b)-degree 0, so each limit generator is
     # homogeneous in x-degree and in (a, b)-degree: with b != 0, a monomial.
     if not all(p.is_monomial() for p in limit):
-        raise ConsistencyError(f"flat limit is not a monomial ideal: {dump}")
+        raise inconsistent("flat limit is not a monomial ideal")
     F = standard_monomials(GroebnerBasis(tuple(limit), LEX_YX))  # monomials form a Groebner basis
-    dump += f", target {F.columns}"
     if F == E:
-        raise ConsistencyError(f"degeneration did not move: {dump}")
+        raise inconsistent("degeneration did not move", f"target {F.columns}")
     if hilbert_function(F, w) != hilbert_function(E, w):
-        raise ConsistencyError(f"degeneration changed the Hilbert function: {dump}")
+        raise inconsistent("degeneration changed the Hilbert function", f"target {F.columns}")
     for S in (E, F):
         if S not in profiles:
             profiles[S] = s_profile(S, w)
     if _compare_profiles(profiles[F], profiles[E]) != Comparison.LESS:
-        raise ConsistencyError(f"limit staircase is not below the source: {dump}")
+        raise inconsistent("limit staircase is not below the source", f"target {F.columns}")
 
     return DegenerationStep(
         E, couple, ((key, "1"),), tuple(gens), tuple(limit), F, profiles[E], profiles[F],
@@ -167,9 +173,9 @@ def descend_to_minimal(
 
     The couple picked at each step follows the policy (first, last, or
     seeded random); the endpoint does not depend on it.  A descent of k
-    steps builds k+1 chart families (one tangent basis each), runs k
-    Buchbergers and computes k+1 S-profiles (none if k = 0): each target's
-    profile is carried into the next step.
+    steps builds k+1 tangent bases and no chart family, runs k Buchbergers
+    and computes k+1 S-profiles (none if k = 0): each target's profile is
+    carried into the next step.
     """
     _require_descent_regime(w)
     if policy not in ("first", "last", "random"):
@@ -180,8 +186,8 @@ def descend_to_minimal(
     current = E
     cap = len(_partitions(len(E)))
     while True:
-        fam = build_chart_family(current, "invariant", w)
-        candidates = _positive_couples(fam)
+        basis = tangent_basis(current, w)
+        candidates = _positive_couples(basis)
         if not candidates:
             return tuple(chain)
         if policy == "first":
@@ -190,7 +196,7 @@ def descend_to_minimal(
             chosen = candidates[-1]
         else:
             chosen = rng.choice(candidates)
-        step = _degenerate(fam, chosen, profiles, step_limit)
+        step = _degenerate(basis, chosen, profiles, step_limit)
         chain.append(step)
         current = step.target
         if len(chain) > cap:
@@ -337,11 +343,11 @@ def component_report(length: int, w: Weight, bound: int = 12) -> list[ComponentR
     recursion and by the enumeration oracle, and a descent chain from every
     stratum.  Otherwise classes collapse to single strata.
 
-    Each staircase gets one invariant chart family, whose tangent basis gives
-    its stratum data and feeds the oracle, one S-profile and at most one
-    degeneration step (policy "first"); the chains follow those steps, as
-    every target is a member of the same class.  p staircases in c classes
-    cost p tangent bases, p families, p S-profiles and p - c Buchbergers.
+    Each staircase gets one tangent basis, which gives its stratum data,
+    feeds the oracle and indexes its degeneration step, one S-profile and at
+    most one step (policy "first"); the chains follow those steps, as every
+    target is a member of the same class.  p staircases in c classes cost p
+    tangent bases, p S-profiles and p - c Buchbergers, and no chart family.
     """
     _require_length(length)
     if length > bound:
@@ -355,11 +361,7 @@ def component_report(length: int, w: Weight, bound: int = 12) -> list[ComponentR
     reports = []
     for H in sorted(groups, key=lambda h: h.values):
         members = groups[H]
-        if w.a > 0:
-            families = {E: build_chart_family(E, "invariant", w) for E in members}
-            bases = {E: fam.basis for E, fam in families.items()}
-        else:
-            bases = {E: tangent_basis(E, w) for E in members}
+        bases = {E: tangent_basis(E, w) for E in members}
         data = [StratumData(E, tb.dimension, len(tb.positive), len(tb.negative))
                 for E, tb in bases.items()]
 
@@ -375,10 +377,10 @@ def component_report(length: int, w: Weight, bound: int = 12) -> list[ComponentR
                     f"recursion gives {minimal.columns} but enumeration gives {oracle.columns}"
                 )
             targets = {}
-            for E, fam in families.items():
-                candidates = _positive_couples(fam)
+            for E, tb in bases.items():
+                candidates = _positive_couples(tb)
                 if candidates:
-                    targets[E] = _degenerate(fam, candidates[0], profiles, None).target
+                    targets[E] = _degenerate(tb, candidates[0], profiles, None).target
             chains = []
             for E in members:
                 chain = [E]

@@ -23,8 +23,8 @@ from hilbcells import (
     verify_flatness,
     weight_initial_ideal,
 )
-from hilbcells.charts import default_sample_points
-from hilbcells.polynomials import DOMAIN_CHART
+from hilbcells.charts import cleft_plan, default_sample_points
+from hilbcells.polynomials import DOMAIN_CHART, DOMAIN_RATIONAL
 
 W11 = Weight(1, -1)
 
@@ -138,6 +138,25 @@ class TestSpecialize:
         fam = build_chart_family(construct_staircase([1, 1]), "invariant", W11)
         with pytest.raises(DomainError):
             specialize_family(fam, {X_Y1: Fraction(1)})
+
+
+class TestCleftPlan:
+    """The cleft recursion evaluated over Q equals substitution into the family."""
+
+    @pytest.mark.parametrize("mode, w", [
+        ("invariant", W11), ("invariant", Weight(2, -1)), ("invariant", Weight(1, -2)),
+        ("general", None),
+    ], ids=str)
+    def test_rational_evaluation_equals_specialize_family(self, mode, w):
+        # Every unit point, which is what a degeneration step evaluates,
+        # then two seeded points with every variable set.
+        for l in range(1, 10):
+            for E in enumerate_staircases(l):
+                fam = build_chart_family(E, mode, w)
+                plan = cleft_plan(fam.basis)
+                for point in default_sample_points(fam, extra=2, seed=3):
+                    generators, _ = plan.evaluate(point, DOMAIN_RATIONAL)
+                    assert generators == specialize_family(fam, point), (E.columns, point)
 
 
 class TestFlatness:

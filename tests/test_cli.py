@@ -1,10 +1,15 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import hilbcells
 from hilbcells import Weight, enumerate_staircases, poly_from_text, strata, tangent
 from hilbcells.cli import main
 
@@ -204,6 +209,8 @@ class TestSubcommands:
         # (3,-2) is read only by the class items and (-2,-3) only by the
         # collapse item: each staircase gets one basis per weight, and the
         # agreement item never re-enumerates through the public oracle.
+        # The graph item reads the same groups, so no (staircase, weight)
+        # pair gets a second basis.
         calls = Counter()
         original = tangent.tangent_basis
 
@@ -221,6 +228,39 @@ class TestSubcommands:
         for w in (Weight(3, -2), Weight(-2, -3)):
             for l in range(1, 7):
                 assert all(calls[E, w] == 1 for E in enumerate_staircases(l))
+        assert set(calls.values()) == {1}
+
+    # The census for every vector with first entry -2 is replaced by {0: 1}:
+    # at length 1 it then differs from the other vector's, and at length 2
+    # it counts one staircase of two.
+    WRONG_CENSUS = (
+        "import sys\n"
+        "from hilbcells import cli, strata\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit(3)\n"
+        "right = strata.poincare_polynomial\n"
+        "strata.poincare_polynomial = lambda l, v: {0: 1} if v[0] == -2 else right(l, v)\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+
+    @pytest.mark.parametrize("argv, witness", [
+        (("run-suite", "poincare", "--max-length", "3", "--weights", "(-1,-3);(-2,-5)"),
+         "census differs at length 1"),
+        (("run-suite", "poincare", "--max-length", "2", "--weights", "(-2,-5);(-2,-7)"),
+         "census of length 2 does not count every staircase"),
+        (("run-suite", "verify-all", "--max-length", "2"), "census differs at length 1"),
+    ])
+    def test_suite_checks_hold_under_python_O(self, argv, witness):
+        # python -O strips assert statements; the suites must still fail.
+        src = str(Path(hilbcells.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", self.WRONG_CENSUS, *argv],
+            capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert done.returncode == 0, done.stderr
+        assert '"all_ok":false' in done.stdout
+        assert witness in done.stdout
 
 
 class TestExitCodes:
@@ -276,6 +316,7 @@ class TestExitCodes:
         ("compatible", "--a", "1", "--b", "-1", "--hilbert", '{"0":41}'),
         ("run-suite", "poincare", "--max-length", "25", "--weights", "(-1,-26)"),
         ("run-suite", "verify-all", "--max-length", "13"),
+        ("hom-oracle", "--columns", "1", "--bound", "13"),
     ])
     def test_components_size_bound_is_one(self, capsys, argv):
         start = time.perf_counter()

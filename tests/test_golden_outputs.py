@@ -15,11 +15,13 @@ import pytest
 
 from hilbcells import (
     GRLEX_XY,
+    Weight,
     buchberger,
     build_chart_family,
     construct_staircase,
     enumerate_staircases,
     parse_ideal,
+    tangent_basis,
 )
 from hilbcells.cli import main
 
@@ -74,6 +76,25 @@ REPORT_SWEEPS = {
                            for c in DESCENT_COLUMNS],
 }
 
+# Degeneration steps past the length-6 sweep: a random-policy descent from
+# every staircase of lengths 7-9, and one step at every positive couple.
+DEEP_STAIRCASES = [E for l in range(7, 10) for E in enumerate_staircases(l)]
+
+
+def _couple_arg(couple) -> str:
+    return f"{couple.c.alpha},{couple.c.beta};{couple.m.alpha},{couple.m.beta}"
+
+
+DEEP_SWEEPS = {
+    "descend-random-7-9": [["descend", "--columns", ",".join(map(str, E.columns)),
+                            "--policy", "random", "--seed", "11", "--a", a, "--b", "-1"]
+                           for a in ("1", "2") for E in DEEP_STAIRCASES],
+    "degenerate-7-9": [["degenerate", "--columns", ",".join(map(str, E.columns)),
+                        "--couple", _couple_arg(couple), "--a", str(a), "--b", "-1"]
+                       for a in (1, 2) for E in DEEP_STAIRCASES
+                       for couple in tangent_basis(E, Weight(a, -1)).positive],
+}
+
 # Census outputs, each call's stderr included: the GenericityError and
 # RegimeError lines are part of the contract.  (-2,-9) and (-1,-3) stop
 # being generic inside these ranges, so exit 1 is pinned too.
@@ -124,6 +145,12 @@ DIGESTS = {
         "086e60f317010c869851d841d7e9a808b6d132a12944cfe1cdc5460753561a8e",
     "poincare-errors":
         "179a02d1335b02a13e14410ec092d3942ce5f4c22866d946ad813d976f2bfd5b",
+    # Recorded at a4e3e73, while every degeneration step still built its
+    # source's chart family over the chart ring.
+    "descend-random-7-9":
+        "5a21388d2c9f1dd7915660507d4c783cdc1a3cdaedc894278fb7d6b7fbcf941b",
+    "degenerate-7-9":
+        "d624c9b538eb43043272111873b018ede7b20ec9443b560cd0551db25e2eb562",
 }
 
 
@@ -159,6 +186,11 @@ def test_sweep_up_to_length_six(capsys, name):
 @pytest.mark.parametrize("name", sorted(REPORT_SWEEPS))
 def test_component_reports_and_descents(capsys, name):
     _check(name, _transcript(capsys, REPORT_SWEEPS[name]))
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_SWEEPS))
+def test_degenerations_up_to_length_nine(capsys, name):
+    _check(name, _transcript(capsys, DEEP_SWEEPS[name]))
 
 
 @pytest.mark.parametrize("name", sorted(CENSUS_SWEEPS))

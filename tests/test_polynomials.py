@@ -280,6 +280,18 @@ def random_zero_dimensional_ideal(rng):
     return gens
 
 
+def sympy_oracle_ideals():
+    """104 seeded ideals: random ones, then specialized general chart families."""
+    rng = random.Random(5)
+    ideals = [random_zero_dimensional_ideal(rng) for _ in range(100)]
+    for l in (3, 4, 5, 6):
+        E = rng.choice(enumerate_staircases(l))
+        fam = build_chart_family(E, "general")
+        point = {v: Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for v in fam.variables}
+        ideals.append(specialize_family(fam, point))
+    return ideals
+
+
 class TestSympyOracle:
     """Reduced bases equal those of sympy.groebner, an implementation outside this library."""
 
@@ -302,14 +314,7 @@ class TestSympyOracle:
                 for m, c in sympy.Poly(e, x, y, domain="QQ").terms()
             ))
 
-        rng = random.Random(5)
-        ideals = [random_zero_dimensional_ideal(rng) for _ in range(100)]
-        for l in (3, 4, 5, 6):
-            E = rng.choice(enumerate_staircases(l))
-            fam = build_chart_family(E, "general")
-            point = {v: Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for v in fam.variables}
-            ideals.append(specialize_family(fam, point))
-        for gens in ideals:
+        for gens in sympy_oracle_ideals():
             exprs = [to_expr(g) for g in gens]
             for order, name, variables in self.ORDERS:
                 gb = buchberger(gens, order)
@@ -318,6 +323,30 @@ class TestSympyOracle:
                     exprs, *(symbol[v] for v in variables), order=name, domain="QQ"
                 )
                 assert mine == sorted(from_expr(e) for e in theirs.exprs), (gens, order)
+
+
+class TestRemainderOnly:
+    """The reduction loop without a quotient sink gives divide's remainder."""
+
+    def test_equals_divide_on_the_oracle_ideals(self):
+        rng = random.Random(11)
+        for gens in sympy_oracle_ideals():
+            products = [g * h for g in gens for h in gens[:2]]
+            noise = BivariatePolynomial({
+                Monomial(rng.randint(0, 6), rng.randint(0, 6)): Fraction(rng.randint(-3, 3))
+                for _ in range(5)
+            })
+            for order, _name, _variables in TestSympyOracle.ORDERS:
+                records = [polynomials_module._Divisor(g, order) for g in gens]
+                spolys = [polynomials_module._s_poly(a, b)
+                          for i, a in enumerate(records) for b in records[i + 1:]]
+                for f in products + spolys + [noise, noise + gens[0]]:
+                    guard = polynomials_module._StepGuard(None)
+                    r = polynomials_module._reduce(f, records, order, guard)
+                    quotients, remainder = divide(f, gens, order)
+                    assert r == remainder, (gens, order, f)
+                    # f itself comes back exactly when no term reduced.
+                    assert (r is f) == (not any(quotients)), (gens, order, f)
 
 
 class TestBuchbergerWork:
@@ -331,7 +360,7 @@ class TestBuchbergerWork:
         E = construct_staircase(columns)
         fam = build_chart_family(E, "general")
         gens = specialize_family(fam, default_sample_points(fam, extra=1, seed=5)[-1])
-        counts = dict.fromkeys(("_s_poly", "_autoreduce"), 0)
+        counts = dict.fromkeys(("_s_poly", "_interreduce"), 0)
         for name in counts:
             original = getattr(polynomials_module, name)
 
@@ -343,7 +372,7 @@ class TestBuchbergerWork:
         gb = buchberger(gens, LEX_YX)
         assert standard_monomials(gb) == E
         r = len(clefts(E))
-        assert (counts["_s_poly"], counts["_autoreduce"]) == (r - 1, 1)
+        assert (counts["_s_poly"], counts["_interreduce"]) == (r - 1, 1)
 
 
 class TestStandardMonomials:

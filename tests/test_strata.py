@@ -121,7 +121,8 @@ PROFILE = ("hilbcells.strata.s_profile", "hilbcells.staircases.s_profile")
 
 
 class TestOneFamilyPerStep:
-    FAMILY = "hilbcells.strata.build_chart_family"
+    # Steps evaluate the cleft recursion over Q and build no chart family.
+    FAMILY = "hilbcells.charts.ChartFamily"
     TANGENT = ("hilbcells.charts.tangent_basis", "hilbcells.strata.tangent_basis")
     BUCHBERGER = "hilbcells.polynomials.buchberger"
     DESCENTS = [([2], 0), ([1, 1, 1, 1], 1), ([2, 2, 2], 2), ([2, 2, 1, 1, 1], 2)]
@@ -132,7 +133,7 @@ class TestOneFamilyPerStep:
         steps = descend_to_minimal(construct_staircase(columns), W11)
         assert len(steps) == k
         tangent_bases = sum(counts[t] for t in self.TANGENT)
-        assert (counts[self.FAMILY], tangent_bases, counts[self.BUCHBERGER]) == (k + 1, k + 1, k)
+        assert (counts[self.FAMILY], tangent_bases, counts[self.BUCHBERGER]) == (0, k + 1, k)
 
     @pytest.mark.parametrize("columns, k", DESCENTS)
     def test_descent_profiles_per_step(self, monkeypatch, columns, k):
@@ -147,7 +148,7 @@ class TestOneFamilyPerStep:
         counts = counting(monkeypatch, self.FAMILY, *self.TANGENT, self.BUCHBERGER)
         degenerate_once(construct_staircase([1, 1]), W11)
         tangent_bases = sum(counts[t] for t in self.TANGENT)
-        assert (counts[self.FAMILY], tangent_bases, counts[self.BUCHBERGER]) == (1, 1, 1)
+        assert (counts[self.FAMILY], tangent_bases, counts[self.BUCHBERGER]) == (0, 1, 1)
 
     def test_limit_that_is_not_monomial_is_inconsistent(self, monkeypatch):
         strata = importlib.import_module("hilbcells.strata")
@@ -174,13 +175,13 @@ class TestOneReportWork:
         p = len(enumerate_staircases(n))
         tangent_bases = sum(counts[t] for t in TestOneFamilyPerStep.TANGENT)
         profiles = sum(counts[t] for t in PROFILE)
-        assert (tangent_bases, counts[TestOneFamilyPerStep.FAMILY], profiles) == (p, p, p)
+        assert (tangent_bases, counts[TestOneFamilyPerStep.FAMILY], profiles) == (p, 0, p)
         assert counts[TestOneFamilyPerStep.BUCHBERGER] == p - len(reports)
 
     def test_step_cycle_is_inconsistent(self, monkeypatch):
         strata = importlib.import_module("hilbcells.strata")
         monkeypatch.setattr(strata, "_degenerate",
-                            lambda fam, *args: SimpleNamespace(target=fam.staircase))
+                            lambda basis, *args: SimpleNamespace(target=basis.staircase))
         with pytest.raises(ConsistencyError, match=r"descent from \(1, 1\) exceeded 2 steps"):
             component_report(2, W11)
 
