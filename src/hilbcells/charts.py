@@ -26,6 +26,7 @@ from .polynomials import (
     _Divisor,
     _s_pair_remainder,
     buchberger,
+    exact_rational,
     standard_monomials,
     variable_name,
 )
@@ -196,22 +197,26 @@ def build_chart_family(
 def specialize_family(
     fam: ChartFamily, point: Mapping[VarKey, Fraction]
 ) -> list[BivariatePolynomial]:
-    """Substitute rational values for the chart variables; absent means zero."""
+    """Substitute rational values for the chart variables; absent means zero.
+
+    Integral values are kept as ``int``, so a unit point specializes in
+    integers.
+    """
     unknown = set(point) - set(fam.variables)
     if unknown:
         names = ", ".join(sorted(variable_name(v) for v in unknown))
         raise DomainError(f"point assigns variables outside the family: {names}")
-    values = {k: Fraction(v) for k, v in point.items()}
+    values = {k: exact_rational(v) for k, v in point.items()}
     return [p.substitute_chart(values) for p in fam.generators]
 
 
 def default_sample_points(
     fam: ChartFamily, extra: int = 3, seed: int = 7
-) -> list[dict[VarKey, Fraction]]:
+) -> list[dict[VarKey, int | Fraction]]:
     """All unit points, then seeded pseudo-random points with small rationals."""
-    points: list[dict[VarKey, Fraction]] = []
+    points: list[dict[VarKey, int | Fraction]] = []
     for v in fam.variables:
-        points.append({v: Fraction(1)})
+        points.append({v: 1})
     rng = random.Random(seed)
     for _ in range(extra):
         points.append(
@@ -321,7 +326,7 @@ def verify_flatness(
     checks = []
     target = len(fam.staircase)
     for point in samples:
-        frozen = tuple(sorted((k, str(Fraction(v))) for k, v in point.items()))
+        frozen = tuple(sorted((k, str(exact_rational(v))) for k, v in point.items()))
         try:
             gens = specialize_family(fam, point)
             gb = buchberger(gens, LEX_YX, step_limit)

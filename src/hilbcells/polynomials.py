@@ -1,13 +1,18 @@
 """Exact bivariate polynomial arithmetic with one coefficient protocol.
 
-A coefficient is an arbitrary-precision rational (``Fraction``) or a
-``ChartCoefficient``, an element of the polynomial ring in chart variables
-over the rationals.  Both add, subtract, negate, test as false when zero and
-multiply by a rational scalar, so arithmetic, division and the Buchberger
-algorithm run unchanged over either ring; rendering reads every coefficient
-as (chart monomial, rational) pairs, a rational being the single pair with
-the empty chart monomial.  A polynomial's ``domain`` names its ring and is
-checked only where inputs meet.  On top of the arithmetic live monomial
+A coefficient is an exact rational or a ``ChartCoefficient``, an element of
+the polynomial ring in chart variables over the rationals.  A rational is a
+Python ``int`` while it is integral and becomes a ``Fraction`` only after a
+true division, so chart recursions, unit-point samples and the reduction
+of integral polynomials by monic divisors stay in the integers; ``int`` and
+``Fraction`` compare, hash and print alike, so no result depends on which
+one a value is.  Both
+rings add, subtract, negate, test as false when zero and multiply by a
+rational scalar, so arithmetic, division and the Buchberger algorithm run
+unchanged over either ring; rendering reads every coefficient as (chart
+monomial, rational) pairs, a rational being the single pair with the empty
+chart monomial.  A polynomial's ``domain`` names its ring and is checked
+only where inputs meet.  On top of the arithmetic live monomial
 orders, multivariate division, the Buchberger algorithm with a hard resource
 guard, standard monomials of zero-dimensional ideals, and extremal-weight
 initial ideals (flat limits of one-parameter orbits).
@@ -134,6 +139,14 @@ VarKey = tuple[tuple[int, int], tuple[int, int]]  # ((cx, cy), (mx, my))
 ChartMonomial = tuple[tuple[VarKey, int], ...]    # sorted, exponents > 0
 
 
+def exact_rational(q) -> int | Fraction:
+    """q as a coefficient: an ``int`` when integral, otherwise a ``Fraction``."""
+    if type(q) is int:
+        return q
+    q = Fraction(q)
+    return q.numerator if q.denominator == 1 else q
+
+
 def variable_name(key: VarKey) -> str:
     (cx, cy), (mx, my) = key
     return f"X[{cx},{cy};{mx},{my}]"
@@ -144,21 +157,20 @@ class ChartCoefficient:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[ChartMonomial, Fraction]):
+    def __init__(self, terms: Mapping[ChartMonomial, int | Fraction]):
         self.terms = {
-            k: v if isinstance(v, Fraction) else Fraction(v)
+            k: v if type(v) is int or type(v) is Fraction else exact_rational(v)
             for k, v in terms.items()
             if v != 0
         }
 
     @classmethod
     def from_fraction(cls, q) -> "ChartCoefficient":
-        q = Fraction(q)
-        return cls({(): q} if q else {})
+        return cls({(): exact_rational(q)})
 
     @classmethod
     def variable(cls, key: VarKey) -> "ChartCoefficient":
-        return cls({((key, 1),): Fraction(1)})
+        return cls({((key, 1),): 1})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -172,7 +184,7 @@ class ChartCoefficient:
     def __add__(self, other: "ChartCoefficient") -> "ChartCoefficient":
         out = dict(self.terms)
         for k, v in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + v
+            out[k] = out.get(k, 0) + v
         return ChartCoefficient(out)
 
     def __neg__(self) -> "ChartCoefficient":
@@ -191,34 +203,38 @@ class ChartCoefficient:
     def __mul__(self, other) -> "ChartCoefficient":
         """Product with another chart coefficient or with a rational scalar."""
         if not isinstance(other, ChartCoefficient):
-            q = Fraction(other)
+            q = exact_rational(other)
             return ChartCoefficient({k: v * q for k, v in self.terms.items()})
-        out: dict[ChartMonomial, Fraction] = {}
+        out: dict[ChartMonomial, int | Fraction] = {}
         for k1, v1 in self.terms.items():
             for k2, v2 in other.terms.items():
                 k = self._mul_mono(k1, k2)
-                out[k] = out.get(k, Fraction(0)) + v1 * v2
+                out[k] = out.get(k, 0) + v1 * v2
         return ChartCoefficient(out)
 
     @property
     def is_constant(self) -> bool:
         return not self.terms or set(self.terms) == {()}
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int | Fraction:
         if not self.is_constant:
             raise DomainError(f"chart coefficient {self.render()} is not constant")
-        return self.terms.get((), Fraction(0))
+        return self.terms.get((), 0)
 
-    def substitute(self, point: Mapping[VarKey, Fraction]) -> Fraction:
-        """Value at the point; a variable the point does not assign is zero."""
-        total = Fraction(0)
+    def substitute(self, point: Mapping[VarKey, int | Fraction]) -> int | Fraction:
+        """Value at the point; a variable the point does not assign is zero.
+
+        The values must be ``int`` or ``Fraction``, as ``exact_rational``
+        gives them.
+        """
+        total = 0
         for mono, coeff in self.terms.items():
             value = coeff
             for key, e in mono:
                 x = point.get(key)
                 if not x:
                     break
-                value *= (x if isinstance(x, Fraction) else Fraction(x)) ** e
+                value *= x ** e
             else:
                 total += value
         return total
@@ -233,16 +249,16 @@ class ChartCoefficient:
         return " + ".join(parts)
 
 
-def _coefficient(domain: str, q: Fraction, mono: ChartMonomial = ()):
+def _coefficient(domain: str, q: int | Fraction, mono: ChartMonomial = ()):
     """The coefficient q times the chart monomial, in the ring the domain names."""
     return q if domain == DOMAIN_RATIONAL else ChartCoefficient({mono: q})
 
 
-def _coefficient_terms(c) -> list[tuple[ChartMonomial, Fraction]]:
+def _coefficient_terms(c) -> list[tuple[ChartMonomial, int | Fraction]]:
     """A coefficient as sorted (chart monomial, rational) pairs."""
     if isinstance(c, ChartCoefficient):
         return sorted(c.terms.items())
-    return [((), Fraction(c))]
+    return [((), c)]
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +285,7 @@ class BivariatePolynomial:
     @classmethod
     def of_monomial(cls, m: Monomial, coeff=1, domain: str = DOMAIN_RATIONAL):
         if not isinstance(coeff, ChartCoefficient):
-            coeff = _coefficient(domain, Fraction(coeff))
+            coeff = _coefficient(domain, exact_rational(coeff))
         return cls({Monomial(*m): coeff}, domain)
 
     # -- simple queries ------------------------------------------------------
@@ -329,7 +345,7 @@ class BivariatePolynomial:
     def scale(self, coeff) -> "BivariatePolynomial":
         """Multiply by a rational or, over the chart ring, by a chart coefficient."""
         if not isinstance(coeff, ChartCoefficient):
-            coeff = Fraction(coeff)
+            coeff = exact_rational(coeff)
         return BivariatePolynomial({m: c * coeff for m, c in self.terms.items()}, self.domain)
 
     def mul_monomial(self, m: Monomial) -> "BivariatePolynomial":
@@ -365,10 +381,10 @@ class BivariatePolynomial:
 
     # -- chart specialization ---------------------------------------------------
 
-    def substitute_chart(self, point: Mapping[VarKey, Fraction]) -> "BivariatePolynomial":
+    def substitute_chart(self, point: Mapping[VarKey, int | Fraction]) -> "BivariatePolynomial":
         if self.domain != DOMAIN_CHART:
             raise DomainError("substitute_chart needs chart-ring coefficients")
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, int | Fraction] = {}
         for m, c in self.terms.items():
             value = c.substitute(point)
             if value:
@@ -414,18 +430,18 @@ class BivariatePolynomial:
                     for entry in term.get("chart", [])
                 )
             )
-            c = _coefficient(domain, Fraction(term["coeff"]), mono)
+            c = _coefficient(domain, exact_rational(term["coeff"]), mono)
             out[m] = out[m] + c if m in out else c
         return cls(out, domain)
 
 
-def _render_fraction(q: Fraction) -> str:
+def _render_fraction(q: int | Fraction) -> str:
     sign = "+" if q >= 0 else "-"
     q = abs(q)
     return f"{sign}{q.numerator}/{q.denominator}"
 
 
-def _render_term(q: Fraction, chart_mono: ChartMonomial, m: Monomial) -> str:
+def _render_term(q: int | Fraction, chart_mono: ChartMonomial, m: Monomial) -> str:
     body = f"x^{m.alpha}*y^{m.beta}"
     if chart_mono:
         chart = "*".join(f"{variable_name(k)}^{e}" for k, e in chart_mono)
@@ -457,7 +473,7 @@ def poly_from_text(text: str, domain: Optional[str] = None) -> BivariatePolynomi
         match = _TERM_RE.match(chunk)
         if not match:
             raise DomainError(f"malformed polynomial term {chunk!r}")
-        q = Fraction(int(match["num"]), int(match["den"]))
+        q = exact_rational(Fraction(int(match["num"]), int(match["den"])))
         if match["sign"] == "-":
             q = -q
         m = Monomial(int(match["x"]), int(match["y"]))
@@ -485,7 +501,7 @@ def poly_from_expr(expr: str) -> BivariatePolynomial:
         raise DomainError("empty polynomial expression")
     if s[0] not in "+-":
         s = "+" + s
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, int | Fraction] = {}
     pieces = re.findall(r"[+-][^+-]+", s)
     if "".join(pieces) != s:
         raise DomainError(f"malformed polynomial expression {expr!r}")
@@ -495,7 +511,7 @@ def poly_from_expr(expr: str) -> BivariatePolynomial:
         match = _EXPR_TERM_RE.match(body)
         if not match or (not match["coeff"] and not match["body"]):
             raise DomainError(f"malformed term {piece!r} in {expr!r}")
-        coeff = Fraction(match["coeff"]) if match["coeff"] else Fraction(1)
+        coeff = exact_rational(match["coeff"]) if match["coeff"] else 1
         alpha = beta = 0
         for var, exp in re.findall(r"([xy])(?:\^(\d+))?", match["body"]):
             e = int(exp) if exp else 1
@@ -504,7 +520,7 @@ def poly_from_expr(expr: str) -> BivariatePolynomial:
             else:
                 beta += e
         m = Monomial(alpha, beta)
-        out[m] = out.get(m, Fraction(0)) + sign * coeff
+        out[m] = out.get(m, 0) + sign * coeff
     return BivariatePolynomial(out, DOMAIN_RATIONAL)
 
 
@@ -537,16 +553,15 @@ class _StepGuard:
             )
 
 
-_ONE = Fraction(1)
-
-
 class _Divisor:
     """A polynomial with its leading monomial and inverse leading coefficient.
 
     Built once per basis element and checked when built, so no division
     recomputes or re-checks them: a leading coefficient that is not an
-    invertible constant raises ``DomainError`` here.  ``tail`` holds the
-    terms below the leading one.
+    invertible constant raises ``DomainError`` here.  ``inv_lc`` is an
+    ``int`` when the leading coefficient is 1 or -1, so reducing an integral
+    polynomial by such a divisor never divides.  ``tail`` holds the terms
+    below the leading one.
     """
 
     __slots__ = ("poly", "lm", "inv_lc", "monic", "tail")
@@ -561,7 +576,7 @@ class _Divisor:
             raise DomainError(
                 f"leading coefficient of {poly.to_text()} is not an invertible constant"
             )
-        self.inv_lc = _ONE / lc
+        self.inv_lc = int(lc) if lc == 1 or lc == -1 else 1 / Fraction(lc)
         self.monic = self.inv_lc == 1
         self.tail = [(t, c) for t, c in poly.terms.items() if t != self.lm]
 
@@ -839,11 +854,15 @@ def is_groebner(
     order: MonomialOrder,
     step_limit: Optional[int] = None,
 ) -> GroebnerCertificate:
-    """Check all S-polynomial remainders; works symbolically over chart rings."""
+    """Check all S-polynomial remainders; works symbolically over chart rings.
+
+    Every generator, a lone one included, is checked as a divisor first, so
+    a leading coefficient that is not an invertible constant raises
+    ``DomainError`` however many generators there are.
+    """
     if not gens or any(not g for g in gens):
         raise DomainError("generators must be nonzero")
-    # A single generator forms no pair and is not used as a divisor.
-    records = [_Divisor(g, order) for g in gens] if len(gens) > 1 else []
+    records = [_Divisor(g, order) for g in gens]
     statuses = []
     ok = True
     for i in range(len(records)):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Optional
 
 from .charts import cleft_plan, couple_key
@@ -130,7 +129,7 @@ def _degenerate(basis: TangentBasis, couple: CleftCouple,
     """
     E, w = basis.staircase, basis.direction
     key = couple_key(couple)
-    gens, _ = cleft_plan(basis).evaluate({key: Fraction(1)}, DOMAIN_RATIONAL)
+    gens, _ = cleft_plan(basis).evaluate({key: 1}, DOMAIN_RATIONAL)
     limit = weight_initial_ideal(gens, (1, 0), "max", step_limit)
 
     def inconsistent(reason: str, *found: str) -> ConsistencyError:

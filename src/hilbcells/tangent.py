@@ -299,20 +299,22 @@ def _nullity_and_free_chars(columns, rows) -> tuple[int, list[tuple[int, int]]]:
 
     ``columns`` fixes the pivot-search order; each row is a dict from column
     position to coefficient.  Returns the nullity and the characters of the
-    free (non-pivot) columns.
+    free (non-pivot) columns.  Integer entries stay ``int`` while every
+    pivot is 1 or -1, as in the Hom relations, whose entries are 1 and -1.
     """
-    pivots: dict[int, dict[int, Fraction]] = {}
+    pivots: dict[int, dict[int, int | Fraction]] = {}
     for row in rows:
         r = dict(row)
         while r:
             lead = min(r.keys())
             if lead not in pivots:
-                inv = Fraction(1) / r[lead]
+                lc = r[lead]
+                inv = lc if lc == 1 or lc == -1 else 1 / Fraction(lc)
                 pivots[lead] = {k: v * inv for k, v in r.items()}
                 break
             factor = r[lead]
             for k, v in pivots[lead].items():
-                nv = r.get(k, Fraction(0)) - factor * v
+                nv = r.get(k, 0) - factor * v
                 if nv:
                     r[k] = nv
                 else:
@@ -350,13 +352,13 @@ def hom_tangent_oracle(E: Staircase, bound: int = 10) -> HomOracleResult:
             shift_i = s.div(cs[i])
             shift_j = s.div(cs[j])
             for target in cells:
-                row: dict[int, Fraction] = {}
+                row: dict[int, int] = {}
                 back_i = Monomial(target.alpha - shift_i.alpha, target.beta - shift_i.beta)
                 if back_i in E:
-                    row[position[(i, back_i)]] = Fraction(1)
+                    row[position[(i, back_i)]] = 1
                 back_j = Monomial(target.alpha - shift_j.alpha, target.beta - shift_j.beta)
                 if back_j in E:
-                    row[position[(j, back_j)]] = row.get(position[(j, back_j)], Fraction(0)) - 1
+                    row[position[(j, back_j)]] = row.get(position[(j, back_j)], 0) - 1
                 row = {k: v for k, v in row.items() if v}
                 if row:
                     rows.append(row)

@@ -304,6 +304,32 @@ class TestExitCodes:
         assert code == 2 and not out
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("flags, code, message", [
+        (("--columns", "2,x", "--mode", "general"), 2, "cannot parse columns"),
+        (("--columns", "2,1", "--mode", "invariant"), 2, "needs --a and --b"),
+        (("--columns", "2,1", "--mode", "invariant", "--a", "0", "--b", "0"), 1,
+         "is not a direction"),
+        (("--columns", "2,1", "--mode", "sideways"), 2, "unknown mode"),
+        # Exit 1 (the RegimeError of a <= 0) before the point was checked first.
+        (("--columns", "2,1", "--mode", "invariant", "--a", "-1", "--b", "-1"), 2,
+         "--point must be a JSON object"),
+        (("--columns", "2,1", "--mode", "general"), 2, "--point must be a JSON object"),
+    ])
+    def test_specialize_checks_the_point_before_building(self, capsys, monkeypatch,
+                                                         flags, code, message):
+        # Columns, then mode and weight, then the point; no family is built.
+        def build(*args):
+            raise AssertionError("the chart family was built")
+
+        monkeypatch.setattr(hilbcells.charts, "build_chart_family", build)
+        got, out, err = run(capsys, "specialize", *flags, "--point", "[1,2]")
+        assert (got, out) == (code, "") and message in err, err
+
+    def test_specialize_regime_error_with_a_good_point_is_one(self, capsys):
+        code, out, err = run(capsys, "specialize", "--columns", "2,1", "--mode", "invariant",
+                             "--a", "-1", "--b", "-1", "--point", "{}")
+        assert code == 1 and not out and "invariant mode needs a > 0" in err
+
     def test_non_primitive_weight_payload_is_one(self, capsys):
         code, out, err = run(capsys, "minimal",
                              "--hilbert", '{"a":2,"b":-2,"values":{"0":1}}')

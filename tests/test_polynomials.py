@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from hilbcells import (
     BivariatePolynomial,
     ChartCoefficient,
     DomainError,
+    GroebnerBasis,
     Monomial,
     NotZeroDimensionalError,
     StepLimitExceeded,
@@ -141,6 +143,15 @@ class TestDivision:
         bad = x.scale(ChartCoefficient.variable(((0, 1), (1, 0))))
         with pytest.raises(DomainError):
             divide(x, [bad], LEX_YX)
+
+    def test_is_groebner_checks_a_lone_generator(self):
+        # One generator forms no S-pair but is still checked as a divisor, so
+        # it fails exactly as it does next to a second generator.
+        x = BivariatePolynomial.of_monomial(Monomial(1, 0), 1, DOMAIN_CHART)
+        bad = x.scale(ChartCoefficient.variable(((0, 1), (1, 0))))
+        for gens in ([bad], [bad, x], [x, bad]):
+            with pytest.raises(DomainError, match="is not an invertible constant"):
+                is_groebner(gens, LEX_YX)
 
     def test_step_guard(self):
         with pytest.raises(StepLimitExceeded):
@@ -280,8 +291,14 @@ def random_zero_dimensional_ideal(rng):
     return gens
 
 
+def unit_specializations():
+    """The general family of (3, 2, 1), of length 6, at each of its unit points."""
+    fam = build_chart_family(construct_staircase([3, 2, 1]), "general")
+    return [specialize_family(fam, point) for point in default_sample_points(fam, extra=0)]
+
+
 def sympy_oracle_ideals():
-    """104 seeded ideals: random ones, then specialized general chart families."""
+    """110 seeded ideals: random ones, specialized general chart families, unit points."""
     rng = random.Random(5)
     ideals = [random_zero_dimensional_ideal(rng) for _ in range(100)]
     for l in (3, 4, 5, 6):
@@ -289,7 +306,7 @@ def sympy_oracle_ideals():
         fam = build_chart_family(E, "general")
         point = {v: Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for v in fam.variables}
         ideals.append(specialize_family(fam, point))
-    return ideals
+    return ideals + unit_specializations()
 
 
 class TestSympyOracle:
@@ -323,6 +340,56 @@ class TestSympyOracle:
                     exprs, *(symbol[v] for v in variables), order=name, domain="QQ"
                 )
                 assert mine == sorted(from_expr(e) for e in theirs.exprs), (gens, order)
+
+
+def with_coefficients(gens, kind):
+    """The same polynomials with every coefficient converted by kind."""
+    return [BivariatePolynomial({m: kind(c) for m, c in g.terms.items()}) for g in gens]
+
+
+class TestIntegerPath:
+    """Integral coefficients stay int, and give the answers and bytes of Fractions."""
+
+    def test_unit_points_stay_integral(self):
+        specializations = unit_specializations()
+        assert len(specializations) == 6
+        for gens in specializations:
+            basis = buchberger(gens, LEX_YX).generators
+            assert standard_monomials(GroebnerBasis(basis, LEX_YX)).columns == (3, 2, 1)
+            for p in gens + list(basis):
+                assert all(type(c) is int for c in p.terms.values()), p
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_int_and_fraction_coefficients_agree(self, seed):
+        rng = random.Random(seed)
+        ideal = random_zero_dimensional_ideal(rng)
+        noise = BivariatePolynomial({
+            Monomial(rng.randint(0, 5), rng.randint(0, 5)): rng.randint(-3, 3) for _ in range(4)
+        })
+        ints = with_coefficients(ideal + [ideal[0] * ideal[-1] + noise], int)
+        fractions = with_coefficients(ints, Fraction)
+        assert all(type(c) is int for g in ints for c in g.terms.values())
+
+        def same(a, b):
+            assert a == b
+            assert a.to_text() == b.to_text()
+            assert json.dumps(a.to_json()) == json.dumps(b.to_json())
+
+        for order in (LEX_XY, LEX_YX, GRLEX_XY):
+            by_int, by_fraction = buchberger(ints[:-1], order), buchberger(fractions[:-1], order)
+            assert json.dumps(by_int.to_json()) == json.dumps(by_fraction.to_json())
+            for a, b in zip(by_int.generators, by_fraction.generators, strict=True):
+                same(a, b)
+            q_int, r_int = divide(ints[-1], ints[:-1], order)
+            q_fraction, r_fraction = divide(fractions[-1], fractions[:-1], order)
+            for a, b in zip(q_int + [r_int], q_fraction + [r_fraction], strict=True):
+                same(a, b)
+        vector = (rng.randint(0, 3), rng.randint(0, 3))
+        limits = zip(weight_initial_ideal(ints[:-1], vector, "max"),
+                     weight_initial_ideal(fractions[:-1], vector, "max"), strict=True)
+        for a, b in limits:
+            same(a, b)
 
 
 class TestRemainderOnly:
