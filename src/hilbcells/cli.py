@@ -694,18 +694,45 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser every ``main`` call shares, built on the first call.
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser every ``main`` call shares and its sub-parsers by name.
 
-    Parsing only reads it, so calls share no state.  It is not built at
-    import, which would charge every importer for a tree few of them use.
+    Built on the first call, not at import, which would charge every
+    importer for a tree few of them use.  The sub-parsers are the
+    ``choices`` of the tree's own subcommand action, not a second tree.
+    Parsing only reads them, so calls share no state.
     """
-    return build_parser()
+    parser = build_parser()
+    (commands,) = (a.choices for a in parser._actions if a.dest == "command")
+    return parser, commands
+
+
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with one argparse pass when it can.
+
+    When ``argv[0]`` names a subcommand, the top level would only select
+    that sub-parser and hand it the rest, so the sub-parser parses
+    ``argv[1:]`` itself and leftovers go to the top level's "unrecognized
+    arguments" error.  Any other argv (empty, help, an unknown word, a
+    leading ``--``) takes the full parse.  Help, error text and exit codes
+    are the same either way.
+    """
+    parser, commands = _parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    sub = commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand; may be called any number of times in one process."""
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         payload = args.handler(args)
     except MalformedInput as exc:

@@ -220,36 +220,34 @@ def minimal_staircase(H: HilbertFunction) -> Staircase:
 
 
 def _minimal_columns(values: dict[int, int], w: Weight) -> tuple[int, ...]:
+    """Columns of the least staircase with these degree counts, a row per pass.
+
+    Each pass takes the bottom row x^0, ..., x^k, for the largest k whose
+    degree k*(-b) sees the count rise over the degree a below it, and moves
+    the rest down by a, the degree of y.  A pass reads each degree of the
+    residual once, so neither the size of the degrees nor the number of
+    rows limits it; the rows, bottom first, give the columns at the end.
+    """
+    step = -w.b  # degree of x
     values = {d: c for d, c in values.items() if c != 0}
-    if not values:
-        return ()
     if any(c < 0 for c in values.values()):
         raise UnrealizableError("H not realizable: negative residual count")
-    step = -w.b  # degree of x
-    maxdeg = max(values)
-
-    def count(d: int) -> int:
-        return values.get(d, 0)
-
-    admissible = [j for j in range(maxdeg // step + 1) if count(step * j - w.a) < count(step * j)]
-    if not admissible:
-        raise UnrealizableError("H not realizable: no admissible bottom row")
-    k = max(admissible)
-
-    bottom_degrees = [step * j for j in range(k + 1)]
-    residual: dict[int, int] = {}
-    degrees = set(values) | set(bottom_degrees)
-    for d in degrees:
-        c = count(d) - bottom_degrees.count(d)
-        if c < 0:
+    widths = []
+    while values:
+        admissible = [d // step for d, c in values.items()
+                      if d >= 0 and d % step == 0 and values.get(d - w.a, 0) < c]
+        if not admissible:
+            raise UnrealizableError("H not realizable: no admissible bottom row")
+        k = max(admissible)
+        row = {d for d in values if 0 <= d <= k * step and d % step == 0}
+        if len(row) != k + 1:
             raise UnrealizableError("H not realizable: bottom row exceeds a count")
-        if c:
-            residual[d - w.a] = c
-
-    upper = _minimal_columns(residual, w)
-    if len(upper) > k + 1:
+        widths.append(k + 1)
+        residual = {d: c - 1 if d in row else c for d, c in values.items()}
+        values = {d - w.a: c for d, c in residual.items() if c}
+    if any(upper > lower for lower, upper in zip(widths, widths[1:])):
         raise UnrealizableError("H not realizable: upper part wider than the bottom row")
-    return tuple(u + 1 for u in upper) + (1,) * (k + 1 - len(upper))
+    return tuple(sum(1 for r in widths if r > i) for i in range(widths[0] if widths else 0))
 
 
 def minimal_staircase_oracle(H: HilbertFunction, bound: int = 14) -> Staircase:

@@ -88,14 +88,30 @@ def cleft_couples(E: Staircase, direction: Weight | None = None) -> tuple[CleftC
     A couple with positive half-direction always has strictly negative
     y-increment: the complement is an ideal, so moving a cleft by a
     nonnegative vector cannot land inside E.
+
+    With a direction (a, b), which is primitive, a couple's character is a
+    multiple t*(a, b), so its cells lie on the lattice line through each
+    cleft c: only the t with c.beta + t*b in [0, height) are visited.  They
+    run in the order of ``CleftCouple.sort_key``, which the clefts, sorted
+    by alpha, already follow.
     """
+    if direction is None:
+        out = []
+        for c in clefts(E):
+            for m in E.cells():
+                out.append(CleftCouple(c, m))
+        return tuple(sorted(out, key=CleftCouple.sort_key))
+    a, b = direction.a, direction.b              # b < 0
     out = []
     for c in clefts(E):
-        for m in E.cells():
-            couple = CleftCouple(c, m)
-            if direction is None or couple.has_direction(direction):
-                out.append(couple)
-    return tuple(sorted(out, key=CleftCouple.sort_key))
+        lo = (E.height - c.beta) // b + 1        # least t with c.beta + t*b < height
+        hi = c.beta // -b                        # greatest t with c.beta + t*b >= 0
+        ts = range(lo, hi + 1) if a > 0 else range(hi, lo - 1, -1)
+        for t in ts:
+            m = Monomial(c.alpha + t * a, c.beta + t * b)
+            if m in E:
+                out.append(CleftCouple(c, m))
+    return tuple(out)
 
 
 def _successor(E: Staircase, c: Monomial, positive: bool) -> Monomial | None:

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,9 +10,10 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hilbcells
-from hilbcells import Weight, enumerate_staircases, poly_from_text, strata, tangent
+from hilbcells import Weight, cli, enumerate_staircases, poly_from_text, strata, tangent
 from hilbcells.cli import main
 
 
@@ -476,3 +479,219 @@ class TestDeterminism:
         data = run_json(capsys, "chart", "--columns", "2,1", "--mode", "general")
         for text in data["generators"]:
             assert poly_from_text(text).to_text() == text
+
+
+# One argv per subcommand and per run-suite suite, with valid flags.
+VALID_ARGVS = [
+    ("staircase", "--columns", "2,1"),
+    ("clefts", "--columns", "3,1"),
+    ("hilbert", "--columns", "2,1", "--a", "1", "--b", "-1"),
+    ("compatible", "--a", "1", "--b", "-1", "--hilbert", '{"0":1,"1":2}'),
+    ("compare", "--columns", "2,1", "--other", "1,1,1", "--a", "1", "--b", "-1"),
+    ("tangent", "--columns", "2,1", "--a", "1", "--b", "-1"),
+    ("graph", "--columns", "2,1", "--a", "2", "--b", "-1"),
+    ("hom-oracle", "--columns", "2,1", "--bound", "6"),
+    ("cells", "--columns", "2,1", "--vector", "(-1,-4)"),
+    ("chart", "--columns", "2,1", "--mode", "invariant", "--a", "1", "--b", "-1"),
+    ("specialize", "--columns", "2,1", "--mode", "general", "--point", "{}"),
+    ("verify-flat", "--columns", "2,1", "--mode", "general", "--samples", "2", "--seed", "3",
+     "--max-steps", "1000"),
+    ("degenerate", "--columns", "1,1", "--a", "1", "--b", "-1", "--couple", "0,1;1,0"),
+    ("descend", "--columns", "2,2", "--a", "1", "--b", "-1", "--policy", "random",
+     "--seed", "3"),
+    ("minimal", "--a", "1", "--b", "-1", "--hilbert", '{"0":1,"1":2}'),
+    ("components", "--length", "3", "--a", "1", "--b", "-1"),
+    ("poincare", "--length", "3", "--vector", "(-1,-4)"),
+    ("groebner", "--order", "grlex_xy", "--ideal", ANCHOR_IDEAL, "--max-steps", "500"),
+    ("initial", "--order", "cell", "--a", "1", "--b", "-1", "--ideal", "x^2; y"),
+    ("weight-initial", "--ideal", "x^2; y", "--vector", "(-1,2)", "--extremum", "min"),
+    ("run-suite", "verify-all", "--max-length", "2", "--seed", "3"),
+    ("run-suite", "components", "--length", "3", "--a", "1", "--b", "-1"),
+    ("run-suite", "poincare", "--max-length", "3", "--weights", "(-1,-4)"),
+]
+
+EDGE_ARGVS = [
+    (), ("-h",), ("--help",), ("nope",), ("tan",), ("TANGENT",), ("tangent",),
+    ("tangent", "-h"), ("tangent", "--columns", "2,1", "extra"), ("--zzz",),
+    ("tangent", "--columns", "2,1", "--zzz"), ("--", "tangent", "--columns", "1"),
+    ("tangent", "--", "--columns", "1"), ("tangent", "--columns=2,1"),
+    ("tangent", "--col", "2,1"), ("tangent", "--columns", "2,1", "--a", "1", "--b", "-1"),
+    ("tangent", "--columns", "2,1", "--a=1", "--b=-1"), ("cells", "--columns", "1",
+                                                         "--vector", "-1,-2"),
+    ("cells", "--columns", "1", "--vector=-1,-2"), ("tangent", "--columns", "2,1", "--h"),
+    ("-h", "tangent"), ("staircase", "-h", "--columns", "1"),
+    ("run-suite",), ("run-suite", "nope"), ("run-suite", "--max-length", "4", "verify-all"),
+    ("run-suite", "components", "-h"), ("run-suite", "verify-all", "extra", "--zzz"),
+    ("weight-initial", "--ideal", "x", "--vector", "1,0", "--extremum", "mid"),
+    ("hom-oracle", "--columns", "1", "--bound", "x"), ("tangent", "--columns", "1", "1"),
+]
+
+
+def parse_outcome(capsys, parse, argv):
+    """The namespace of one parse, or its exit code, with what it printed."""
+    try:
+        result = vars(parse(list(argv)))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+class TestSubcommandParse:
+    """``main`` parses with the subcommand's own parser, as the full tree would."""
+
+    def test_corpus_names_every_subcommand_and_suite(self):
+        parser = cli.build_parser()
+        (commands,) = (a.choices for a in parser._actions if a.dest == "command")
+        (suites,) = (a.choices for a in commands["run-suite"]._actions if a.dest == "suite")
+        assert {argv[0] for argv in VALID_ARGVS} == set(commands)
+        assert {argv[1] for argv in VALID_ARGVS if argv[0] == "run-suite"} == set(suites)
+
+    @pytest.mark.parametrize("argv", VALID_ARGVS + EDGE_ARGVS, ids=" ".join)
+    def test_parse_equals_the_full_tree(self, capsys, argv):
+        mine = parse_outcome(capsys, cli._parse_args, argv)
+        full = parse_outcome(capsys, cli.build_parser().parse_args, argv)
+        assert mine == full
+        if argv in VALID_ARGVS:
+            assert isinstance(mine[0], dict) and mine[0]["command"] == argv[0]
+
+
+def ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def pair(lo, hi):
+    return st.tuples(st.integers(lo, hi), st.integers(lo, hi)).map(lambda v: "(%d,%d)" % v)
+
+
+def mostly(valid, *malformed):
+    """A valid value three times in four, otherwise one of the malformed texts."""
+    return st.sampled_from((True, True, True, False)).flatmap(
+        lambda ok: valid if ok else st.sampled_from(malformed))
+
+
+# Flag values by destination: small sizes, and malformed text for each.
+FLAG_VALUES = {
+    "columns": mostly(
+        st.lists(st.integers(1, 3), min_size=1, max_size=3).map(
+            lambda hs: ",".join(map(str, sorted(hs, reverse=True)))),
+        "", "x", "1,2", "0", "2,,1", "-1"),
+    "a": mostly(ints(-3, 3), "x"),
+    "b": mostly(ints(-3, -1), "1", "0", "1.5"),
+    "hilbert": mostly(
+        st.one_of(
+            st.sampled_from(('{"0":1,"1":2}', '{"0":1,"1":2,"2":1}', '{"0":1,"1":1,"2":1}',
+                             '{"0":1,"1":2,"2":2,"3":1}', '{"0":1,"2":1,"3":1}',
+                             '{"a":1,"b":-1,"values":{"0":1,"1":2}}')),
+            st.dictionaries(ints(-3, 6), st.integers(-1, 4), max_size=4).map(json.dumps)),
+        "{x", "[]", '{"0":[1]}', '{"a":1,"b":-1,"values":{"0":"x"}}'),
+    "bound": ints(-1, 12),
+    "vector": mostly(pair(-2, 2), "1", "x,y", "1,2,3", "-1,-3"),
+    "mode": st.sampled_from(("invariant", "general", "sideways")),
+    "point": st.sampled_from(("{}", '{"X[0,1;1,0]":"1"}', '{"X[0,2;1,0]":"1/2"}', "[1,2]",
+                              "{x", '{"bad":1}', '{"X[9,9;9,9]":"1"}')),
+    "seed": ints(-5, 1000),
+    "max_steps": mostly(st.one_of(ints(0, 40), ints(1000, 5000)), "-1", "x"),
+    "samples": ints(-1, 2),
+    "couple": mostly(st.tuples(*[st.integers(0, 3)] * 4).map(lambda v: "%d,%d;%d,%d" % v),
+                     "0,1", "x;y", ""),
+    "policy": st.sampled_from(("first", "last", "random", "best")),
+    "length": ints(-1, 5),
+    "max_length": ints(-1, 3),
+    "order": st.sampled_from(("lex_xy", "lex_yx", "grlex_xy", "cell", "revlex")),
+    "ideal": mostly(
+        st.sampled_from((ANCHOR_IDEAL, "x^2; y", "x*y; x^2; y^2", "y+x^2; x^3", "x^2+y; y^2",
+                         "x^2-y^2; x*y", "x^3-y; y^2+x*y", "y")),
+        "x+1", "", "x^(2)", "0"),
+    "extremum": st.sampled_from(("max", "min", "mid")),
+    "weights": st.lists(pair(-3, 1), max_size=3).map(";".join),
+}
+FLAG_VALUES["other"] = FLAG_VALUES["columns"]
+
+
+def subcommand_parsers():
+    """(argv prefix, parser) of every subcommand and run-suite suite."""
+    (commands,) = (a.choices for a in cli.build_parser()._actions if a.dest == "command")
+    out = []
+    for name, sub in commands.items():
+        suites = [a.choices for a in sub._actions if a.dest == "suite"]
+        if suites:
+            out += [((name, suite), parser) for suite, parser in suites[0].items()]
+        else:
+            out.append(((name,), sub))
+    return out
+
+
+@st.composite
+def any_argv(draw, prefix, parser):
+    """The subcommand with each of its flags present or not, in any order.
+
+    ``-h`` is not drawn: help exits 0 with text, not a JSON document.
+    """
+    flags = [a for a in parser._actions if a.option_strings and a.dest != "help"]
+    argv = list(prefix)
+    for action in draw(st.permutations(flags)):
+        if draw(st.sampled_from((True,) * 7 + (False,))):
+            argv += [action.option_strings[0], draw(FLAG_VALUES[action.dest])]
+    junk = draw(st.sampled_from((None,) * 9 + ("extra", "--zzz", "--columns")))
+    return argv + ([junk] if junk else [])
+
+
+# (argv before the size, size flag, bound); sizes above the bound exit 1.
+BOUNDED = [
+    (("components", "--a", "1", "--b", "-1"), "--length", 12),
+    (("run-suite", "components", "--a", "2", "--b", "-1"), "--length", 12),
+    (("poincare", "--vector", "(-1,-3)"), "--length", strata.POINCARE_BOUND),
+    (("run-suite", "poincare", "--weights", "(-1,-3)"), "--max-length",
+     strata.POINCARE_BOUND),
+    (("run-suite", "verify-all"), "--max-length", cli.VERIFY_ALL_BOUND),
+    (("hom-oracle", "--columns", "2,1"), "--bound", cli.HOM_ORACLE_BOUND),
+]
+
+
+def captured(*argv):
+    """Exit code, stdout and stderr of one call; argparse's exit is its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestArgvFuzz:
+    """The CLI contract on any argv: exit 0, 1 or 2, one JSON document on 0."""
+
+    @pytest.mark.parametrize("prefix, parser", subcommand_parsers(),
+                             ids=lambda v: " ".join(v) if isinstance(v, tuple) else "")
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_any_argv_keeps_the_contract(self, prefix, parser, data):
+        code, out, _ = captured(*data.draw(any_argv(prefix, parser)))
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert out.count("\n") == 1 and out.endswith("\n")
+            json.loads(out)
+        else:
+            assert out == ""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.sampled_from(BOUNDED), excess=st.integers(1, 10**9))
+    def test_sizes_above_each_bound_exit_one_at_once(self, case, excess):
+        prefix, flag, bound = case
+        start = time.perf_counter()
+        code, out, err = captured(*prefix, flag, str(bound + excess))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and not out and "bound" in err
+
+    @settings(max_examples=20, deadline=None)
+    @given(excess=st.integers(1, 10**9))
+    def test_compatible_mass_above_its_bound_exits_one_at_once(self, excess):
+        from hilbcells.staircases import COMPATIBLE_BOUND
+
+        mass = json.dumps({"0": 1, "1": COMPATIBLE_BOUND - 1 + excess})
+        start = time.perf_counter()
+        code, out, err = captured("compatible", "--a", "1", "--b", "-1", "--hilbert", mass)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and not out and "bound" in err

@@ -1,4 +1,6 @@
 import importlib
+import random
+import time
 from collections import Counter
 from types import SimpleNamespace
 
@@ -26,9 +28,10 @@ from hilbcells import (
     minimal_staircase,
     minimal_staircase_oracle,
     poincare_polynomial,
+    s_profile,
     tangent_basis,
 )
-from hilbcells.strata import POINCARE_BOUND
+from hilbcells.strata import POINCARE_BOUND, _least_compatible
 
 W11 = Weight(1, -1)
 
@@ -208,6 +211,19 @@ class TestMinimalStaircase:
         with pytest.raises(RegimeError):
             minimal_staircase(hf({0: 1}, Weight(0, -1)))
 
+    def test_more_rows_than_the_recursion_limit(self):
+        # One row per pass: a column of 1,100 cells used to raise RecursionError.
+        assert minimal_staircase(hf({d: 1 for d in range(1100)})).columns == (1100,)
+
+    def test_large_degrees_are_not_enumerated(self):
+        # A pass reads the degrees present, not every multiple of -b up to
+        # them; listing the 10**6 + 1 bottom-row degrees took about 0.5 s.
+        start = time.perf_counter()
+        with pytest.raises(UnrealizableError, match="bottom row exceeds a count"):
+            minimal_staircase(hf({0: 1, 10**6: 1}))
+        assert minimal_staircase(hf({0: 1, 10**6: 1}, Weight(10**6, -1))).columns == (2,)
+        assert time.perf_counter() - start < 0.2
+
     def test_oracle_examples(self):
         assert minimal_staircase_oracle(hf({0: 1, 1: 2, 2: 1})).columns == (3, 1)
         with pytest.raises(UnrealizableError):
@@ -288,6 +304,34 @@ class TestComponentReport:
             ]
             assert minimal_data[0].dim_pos == 0
             assert report.dimension == minimal_data[0].dim_neg
+
+
+MINIMAL_WEIGHTS = (W11, Weight(2, -1), Weight(3, -2), Weight(1, -3))
+
+
+def check_minimal_agreement(lengths):
+    """The recursion against the enumeration oracle on every Hilbert-function class.
+
+    Covers ``MINIMAL_WEIGHTS`` at the given lengths and returns the number
+    of classes checked.  CI calls it beyond the Tier-1 lengths.
+    """
+    classes = 0
+    for w in MINIMAL_WEIGHTS:
+        for l in lengths:
+            groups = {}
+            for E in enumerate_staircases(l):
+                groups.setdefault(hilbert_function(E, w), []).append(E)
+            for H, members in groups.items():
+                bases = {E: tangent_basis(E, w) for E in members}
+                profiles = {E: s_profile(E, w) for E in members}
+                assert minimal_staircase(H) == _least_compatible(H, bases, profiles), H.as_dict()
+                classes += 1
+    return classes
+
+
+class TestMinimalAgreementBeyondTwelve:
+    def test_every_class_up_to_length_16(self):
+        assert check_minimal_agreement(range(1, 17)) > 0
 
 
 class TestPoincare:
@@ -382,6 +426,70 @@ class TestArmLegCensus:
         with pytest.raises(ConsistencyError,
                            match=r"character \(1, -1\) of \(1, 1\) is orthogonal to \(-1, -1\)"):
             poincare_polynomial(2, (-1, -1))
+
+
+def goettsche_census(n_max):
+    """Per n <= n_max, the q^n coefficient of prod_{k>=1} 1/(1 - t^(k+1) q^k).
+
+    Each is a Counter from the t-degree to its coefficient (Ellingsrud-
+    Stromme, Invent. Math. 87, 1987; Goettsche, Math. Ann. 286, 1990).
+    """
+    series = [Counter() for _ in range(n_max + 1)]
+    series[0][0] = 1
+    for k in range(1, n_max + 1):
+        # Times 1/(1 - t^(k+1) q^k): in place, n ascending, so series[n - k]
+        # already holds every power of the factor.
+        for n in range(k, n_max + 1):
+            for d, c in series[n - k].items():
+                series[n][d + k + 1] += c
+    return series
+
+
+def partitions(n, cap=None):
+    """Partitions of n as weakly decreasing tuples of parts no larger than cap."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, cap or n), 0, -1):
+        for rest in partitions(n - part, part):
+            yield (part,) + rest
+
+
+def orthogonal_character(columns, vector):
+    """Some arm-leg character of the staircase with these columns pairs to 0 with vector."""
+    rows = [sum(1 for h in columns if h > j) for j in range(columns[0])]
+    w1, w2 = vector
+    for i, h in enumerate(columns):
+        for j in range(h):
+            arm, leg = rows[j] - i - 1, h - j - 1
+            if -w1 * (arm + 1) + w2 * leg == 0 or w1 * arm - w2 * (leg + 1) == 0:
+                return True
+    return False
+
+
+class TestGoettscheCensus:
+    """The census at seeded vectors against the product formula, to the length bound."""
+
+    def test_census_equals_the_product_formula(self):
+        rng = random.Random(2001)
+        # Six vectors drawn at random, four with a small ratio scaled into
+        # range, which turn non-generic at a length below the bound.
+        vectors = [(-rng.randint(1, 400), -rng.randint(1, 400)) for _ in range(6)]
+        for p, q in ((1, 2), (2, 3), (3, 7), (5, 8)):
+            g = rng.randint(1, 400 // q)
+            vectors.append((-g * p, -g * q))
+        series = goettsche_census(POINCARE_BOUND)
+        outcomes = Counter()
+        for vector in vectors:
+            for n in range(1, POINCARE_BOUND + 1):
+                if any(orthogonal_character(c, vector) for c in partitions(n)):
+                    with pytest.raises(GenericityError):
+                        poincare_polynomial(n, vector)
+                    outcomes["non-generic"] += 1
+                else:
+                    assert poincare_polynomial(n, vector) == dict(series[n]), (vector, n)
+                    outcomes["generic"] += 1
+        assert outcomes["generic"] > 0 and outcomes["non-generic"] > 0
 
 
 class TestStepSerialization:

@@ -19,6 +19,7 @@ from hilbcells import (
     significance_graph,
     tangent_basis,
 )
+from hilbcells import tangent as tangent_module
 
 W11 = Weight(1, -1)
 
@@ -75,6 +76,37 @@ class TestCleftCouples:
                 for c in cleft_couples(E):
                     if c.halfdir.positive:
                         assert c.char[1] < 0 and c.char[0] >= 0
+
+
+# Directions of every sign pattern, steep and shallow, for the lattice-line test.
+LATTICE_WEIGHTS = tuple(Weight(a, b) for a, b in (
+    (1, -1), (2, -1), (1, -2), (3, -2), (5, -3), (1, -7), (0, -1), (-1, -1), (-2, -1), (-3, -7),
+))
+
+
+def filtered_couples(E, direction):
+    """Every (cleft, cell) couple of E whose character is parallel to the direction."""
+    return tuple(c for c in cleft_couples(E) if c.has_direction(direction))
+
+
+class TestLatticeLineCouples:
+    """The direction-filtered couples, enumerated on lattice lines, against the filter."""
+
+    CASES = [(E, w) for l in range(1, 13) for E in enumerate_staircases(l)
+             for w in LATTICE_WEIGHTS]
+
+    def test_equals_the_filtered_couples_up_to_length_12(self):
+        for E, w in self.CASES:
+            assert cleft_couples(E, w) == filtered_couples(E, w), (E.columns, w)
+
+    def test_graph_and_basis_equal_the_filtered_construction(self, monkeypatch):
+        def documents():
+            return [(significance_graph(E, w).to_json(), tangent_basis(E, w).to_json())
+                    for E, w in self.CASES]
+
+        mine = documents()
+        monkeypatch.setattr(tangent_module, "cleft_couples", filtered_couples)
+        assert documents() == mine
 
 
 class TestSignificance:
