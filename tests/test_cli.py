@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import hilbcells
 from hilbcells import Weight, cli, enumerate_staircases, poly_from_text, strata, tangent
 from hilbcells.cli import main
+from hilbcells.staircases import COMPATIBLE_BOUND
 
 
 ANCHOR_IDEAL = "x*y^2+y^3; x^2*y+x*y^2; x^3+x^2*y-x*y-y^2; y^4-y^3"
@@ -511,46 +512,46 @@ VALID_ARGVS = [
 ]
 
 EDGE_ARGVS = [
-    (), ("-h",), ("--help",), ("nope",), ("tan",), ("TANGENT",), ("tangent",),
-    ("tangent", "-h"), ("tangent", "--columns", "2,1", "extra"), ("--zzz",),
-    ("tangent", "--columns", "2,1", "--zzz"), ("--", "tangent", "--columns", "1"),
+    (), ("-h",), ("--help",), ("nope",), ("tan",), ("TANGENT",), ("--zzz",), ("-h", "tangent"),
+    ("--", "tangent", "--columns", "1"),
+    ("tangent",), ("tangent", "-h"), ("tangent", "--columns", "1", "1"),
+    ("tangent", "--columns", "2,1", "extra"), ("tangent", "--columns", "2,1", "--zzz"),
     ("tangent", "--", "--columns", "1"), ("tangent", "--columns=2,1"),
-    ("tangent", "--col", "2,1"), ("tangent", "--columns", "2,1", "--a", "1", "--b", "-1"),
-    ("tangent", "--columns", "2,1", "--a=1", "--b=-1"), ("cells", "--columns", "1",
-                                                         "--vector", "-1,-2"),
-    ("cells", "--columns", "1", "--vector=-1,-2"), ("tangent", "--columns", "2,1", "--h"),
-    ("-h", "tangent"), ("staircase", "-h", "--columns", "1"),
+    ("tangent", "--col", "2,1"), ("tangent", "--columns", "2,1", "--h"),
+    ("tangent", "--columns", "2,1", "--a", "1", "--b", "-1"),
+    ("tangent", "--columns", "2,1", "--a=1", "--b=-1"),
+    ("cells", "--columns", "1", "--vector", "-1,-2"),
+    ("cells", "--columns", "1", "--vector=-1,-2"),
+    ("staircase", "-h", "--columns", "1"), ("hom-oracle", "--columns", "1", "--bound", "x"),
+    ("weight-initial", "--ideal", "x", "--vector", "1,0", "--extremum", "mid"),
     ("run-suite",), ("run-suite", "nope"), ("run-suite", "--max-length", "4", "verify-all"),
     ("run-suite", "components", "-h"), ("run-suite", "verify-all", "extra", "--zzz"),
-    ("weight-initial", "--ideal", "x", "--vector", "1,0", "--extremum", "mid"),
-    ("hom-oracle", "--columns", "1", "--bound", "x"), ("tangent", "--columns", "1", "1"),
 ]
 
 
-def parse_outcome(capsys, parse, argv):
-    """The namespace of one parse, or its exit code, with what it printed."""
-    try:
-        result = vars(parse(list(argv)))
-    except SystemExit as exc:
-        result = exc.code
-    captured = capsys.readouterr()
-    return result, captured.out, captured.err
+def captured(call, argv):
+    """What one call returns, or its exit code, with its stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = call(list(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
 
 
 class TestSubcommandParse:
     """``main`` parses with the subcommand's own parser, as the full tree would."""
 
     def test_corpus_names_every_subcommand_and_suite(self):
-        parser = cli.build_parser()
-        (commands,) = (a.choices for a in parser._actions if a.dest == "command")
-        (suites,) = (a.choices for a in commands["run-suite"]._actions if a.dest == "suite")
-        assert {argv[0] for argv in VALID_ARGVS} == set(commands)
-        assert {argv[1] for argv in VALID_ARGVS if argv[0] == "run-suite"} == set(suites)
+        named = {argv[:2] if argv[0] == "run-suite" else argv[:1] for argv in VALID_ARGVS}
+        assert named == {prefix for prefix, _ in subcommand_parsers()}
 
     @pytest.mark.parametrize("argv", VALID_ARGVS + EDGE_ARGVS, ids=" ".join)
-    def test_parse_equals_the_full_tree(self, capsys, argv):
-        mine = parse_outcome(capsys, cli._parse_args, argv)
-        full = parse_outcome(capsys, cli.build_parser().parse_args, argv)
+    def test_parse_equals_the_full_tree(self, argv):
+        full_tree = cli.build_parser()
+        mine = captured(lambda a: vars(cli._parse_args(a)), argv)
+        full = captured(lambda a: vars(full_tree.parse_args(a)), argv)
         assert mine == full
         if argv in VALID_ARGVS:
             assert isinstance(mine[0], dict) and mine[0]["command"] == argv[0]
@@ -649,17 +650,6 @@ BOUNDED = [
 ]
 
 
-def captured(*argv):
-    """Exit code, stdout and stderr of one call; argparse's exit is its code."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
-
-
 class TestArgvFuzz:
     """The CLI contract on any argv: exit 0, 1 or 2, one JSON document on 0."""
 
@@ -668,7 +658,7 @@ class TestArgvFuzz:
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_any_argv_keeps_the_contract(self, prefix, parser, data):
-        code, out, _ = captured(*data.draw(any_argv(prefix, parser)))
+        code, out, _ = captured(main, data.draw(any_argv(prefix, parser)))
         assert code in (0, 1, 2)
         if code == 0:
             assert out.count("\n") == 1 and out.endswith("\n")
@@ -681,17 +671,15 @@ class TestArgvFuzz:
     def test_sizes_above_each_bound_exit_one_at_once(self, case, excess):
         prefix, flag, bound = case
         start = time.perf_counter()
-        code, out, err = captured(*prefix, flag, str(bound + excess))
+        code, out, err = captured(main, prefix + (flag, str(bound + excess)))
         assert time.perf_counter() - start < 1.0
         assert code == 1 and not out and "bound" in err
 
     @settings(max_examples=20, deadline=None)
     @given(excess=st.integers(1, 10**9))
     def test_compatible_mass_above_its_bound_exits_one_at_once(self, excess):
-        from hilbcells.staircases import COMPATIBLE_BOUND
-
         mass = json.dumps({"0": 1, "1": COMPATIBLE_BOUND - 1 + excess})
         start = time.perf_counter()
-        code, out, err = captured("compatible", "--a", "1", "--b", "-1", "--hilbert", mass)
+        code, out, err = captured(main, ("compatible", "--a", "1", "--b", "-1", "--hilbert", mass))
         assert time.perf_counter() - start < 1.0
         assert code == 1 and not out and "bound" in err
