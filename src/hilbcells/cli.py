@@ -383,8 +383,15 @@ def _suite_item(name, check):
 VERIFY_ALL_BOUND = 12
 
 
+def _require_max_length(max_length: int) -> None:
+    """A suite over the lengths 1 to ``max_length`` must check at least one."""
+    if max_length < 1:
+        raise DomainError("max length must be at least 1")
+
+
 def _suite_verify_all(args):
     max_length = args.max_length
+    _require_max_length(max_length)
     if max_length > VERIFY_ALL_BOUND:
         raise BoundExceededError(
             f"verify-all bound {VERIFY_ALL_BOUND} exceeded by max length {max_length}"
@@ -531,6 +538,7 @@ def _suite_poincare(args):
     if not args.weights:
         raise MalformedInput("run-suite poincare needs --weights '(w1,w2);(w1,w2)'")
     vectors = _parse_weights(args.weights)
+    _require_max_length(args.max_length)
     if args.max_length > strata.POINCARE_BOUND:
         raise BoundExceededError(
             f"poincare bound {strata.POINCARE_BOUND} exceeded by max length {args.max_length}"

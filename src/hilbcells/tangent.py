@@ -17,6 +17,15 @@ from .errors import BoundExceededError, ConsistencyError, DomainError, Genericit
 from .staircases import Monomial, Staircase, Weight, clefts
 
 
+def _positive(f: int, g: int) -> bool:
+    """Whether (f, g) is positive: f > 0, or f = 0 and g < 0.
+
+    Dividing by the gcd does not change the answer, so it holds for a
+    character as for its primitive half-direction.
+    """
+    return f > 0 or (f == 0 and g < 0)
+
+
 @dataclass(frozen=True)
 class HalfDirection:
     """Primitive integer vector (f, g), classified positive or negative.
@@ -35,7 +44,7 @@ class HalfDirection:
 
     @property
     def positive(self) -> bool:
-        return self.f > 0 or (self.f == 0 and self.g < 0)
+        return _positive(self.f, self.g)
 
     @property
     def sign(self) -> str:
@@ -172,14 +181,38 @@ class TangentBasis:
         }
 
 
+def _one_pass(E: Staircase, couples: tuple[CleftCouple, ...]):
+    """Significance flags of the couples, and the significant ones split by sign.
+
+    One pass: the clefts are computed once, each couple's sign is read from
+    its character, its successor cleft is taken by index (the next cleft if
+    positive, the previous one otherwise), and the successor-lcm test of
+    ``is_significant`` flags it.
+    """
+    cs = clefts(E)
+    index = {c: i for i, c in enumerate(cs)}
+    flags: list[bool] = []
+    pos: list[CleftCouple] = []
+    neg: list[CleftCouple] = []
+    for couple in couples:
+        c, m = couple.c, couple.m
+        positive = _positive(m.alpha - c.alpha, m.beta - c.beta)
+        i = index[c] + 1 if positive else index[c] - 1
+        ok = 0 <= i < len(cs) and m.mul(c.lcm(cs[i]).div(c)) not in E
+        flags.append(ok)
+        if ok:
+            (pos if positive else neg).append(couple)
+    return tuple(flags), tuple(pos), tuple(neg)
+
+
 def tangent_basis(E: Staircase, direction: Weight | None = None) -> TangentBasis:
-    """Basis of the (optionally direction-filtered) tangent space at Z(E)."""
+    """Basis of the (optionally direction-filtered) tangent space at Z(E).
+
+    The couples of ``cleft_couples(E, direction)`` are flagged in one pass
+    that computes the clefts once and finds each successor by index.
+    """
     couples = cleft_couples(E, direction)
-    flags = tuple(is_significant(E, c) for c in couples)
-    sig = [c for c, ok in zip(couples, flags) if ok]
-    pos = tuple(c for c in sig if c.halfdir.positive)
-    neg = tuple(c for c in sig if not c.halfdir.positive)
-    return TangentBasis(E, direction, couples, flags, pos, neg)
+    return TangentBasis(E, direction, couples, *_one_pass(E, couples))
 
 
 def cell_dimension(E: Staircase, weight_vector: tuple[int, int]) -> int:
@@ -257,17 +290,22 @@ def significance_graph(E: Staircase, w: Weight) -> SignificanceGraph:
 
     Each non-significant couple receives one arrow: from the couple obtained
     by sliding along the successor cleft when that stays on the grid, from
-    itself otherwise.
+    itself otherwise.  The nodes are flagged by the one pass of
+    ``tangent_basis``, and successors are taken by cleft index.
     """
     nodes = cleft_couples(E, direction=w)
+    flags, _, _ = _one_pass(E, nodes)
     index = {n: i for i, n in enumerate(nodes)}
+    cs = clefts(E)
+    cleft_index = {c: i for i, c in enumerate(cs)}
     arrows: list[tuple[int, int]] = []
-    for node in nodes:
-        if is_significant(E, node):
+    for node, ok in zip(nodes, flags):
+        if ok:
             continue
-        succ = _successor(E, node.c, node.halfdir.positive)
-        if succ is None:
+        i = cleft_index[node.c] + (1 if _positive(*node.char) else -1)
+        if not 0 <= i < len(cs):
             raise ConsistencyError(f"non-significant couple {node} lacks a successor cleft")
+        succ = cs[i]
         m2 = Monomial(
             node.m.alpha + succ.alpha - node.c.alpha,
             node.m.beta + succ.beta - node.c.beta,

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -419,10 +420,12 @@ class TestExitCodes:
         assert code == 1 and not out and err.count("\n") == 1
         assert err.startswith(f"error: {variable} sorts below 1")
 
-    def test_poincare_suite_without_lengths_is_empty(self, capsys):
-        data = run_json(capsys, "run-suite", "poincare", "--max-length", "0",
-                        "--weights", "(-1,-3)")
-        assert data["items"] == [] and data["all_ok"]
+    def test_suites_below_length_one_exit_one(self, capsys):
+        # A suite over no length used to report a vacuous "all_ok": true.
+        for suite in (("verify-all",), ("poincare", "--weights", "(-1,-3)")):
+            for length in ("0", "-2"):
+                code, out, err = run(capsys, "run-suite", *suite, "--max-length", length)
+                assert (code, out, err) == (1, "", "error: max length must be at least 1\n")
 
 
 def outcome(capsys, argv):
@@ -650,6 +653,20 @@ BOUNDED = [
 ]
 
 
+# The subcommands that read an S-profile at a weight, each with small sizes.
+WEIGHTED = (
+    ("compare", "--columns", "2,1", "--other", "1,1,1"),
+    ("components", "--length", "3"),
+    ("degenerate", "--columns", "3,2,1"),
+    ("descend", "--columns", "3,2,1"),
+)
+LARGE = st.integers(10**6, 10**9)
+
+
+def signed(magnitudes):
+    return st.tuples(magnitudes, st.booleans()).map(lambda v: -v[0] if v[1] else v[0])
+
+
 class TestArgvFuzz:
     """The CLI contract on any argv: exit 0, 1 or 2, one JSON document on 0."""
 
@@ -674,6 +691,36 @@ class TestArgvFuzz:
         code, out, err = captured(main, prefix + (flag, str(bound + excess)))
         assert time.perf_counter() - start < 1.0
         assert code == 1 and not out and "bound" in err
+
+    @settings(max_examples=60, deadline=None)
+    @given(prefix=st.sampled_from(WEIGHTED), data=st.data())
+    def test_large_weights_keep_the_contract_at_once(self, prefix, data):
+        # Entries up to 10**9 in size, at least one of them past 10**6.
+        small = signed(st.integers(1, 5))
+        a, b = data.draw(st.one_of(st.tuples(signed(LARGE), small),
+                                   st.tuples(small, signed(LARGE)),
+                                   st.tuples(signed(LARGE), signed(LARGE))))
+        start = time.perf_counter()
+        code, out, _ = captured(main, prefix + ("--a", str(a), "--b", str(b)))
+        assert time.perf_counter() - start < 1.0
+        assert code in (0, 1)
+        if code == 0:
+            json.loads(out)
+
+    @settings(max_examples=40, deadline=None)
+    @given(prefix=st.sampled_from(WEIGHTED[:2]), steep=st.booleans(),
+           sizes=st.tuples(st.integers(10**7, 10**9), st.integers(1, 3)).filter(
+               lambda v: math.gcd(*v) == 1))
+    def test_profile_horizon_above_its_bound_exits_one_at_once(self, prefix, steep, sizes):
+        # (large, -small) puts 3 x 2*large/small grid positions below the top
+        # degree of (3) or (2, 1); (small, -large) the transpose.  No call
+        # walks them.
+        large, small = sizes
+        a, b = (small, -large) if steep else (large, -small)
+        start = time.perf_counter()
+        code, out, err = captured(main, prefix + ("--a", str(a), "--b", str(b)))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and not out and "S-profile bound" in err
 
     @settings(max_examples=20, deadline=None)
     @given(excess=st.integers(1, 10**9))

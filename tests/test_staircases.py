@@ -1,6 +1,7 @@
 import pytest
 
 from hilbcells import (
+    BoundExceededError,
     Comparison,
     DomainError,
     HilbertFunction,
@@ -18,6 +19,8 @@ from hilbcells import (
     monomial_sequence,
     s_profile,
 )
+
+from hilbcells.staircases import S_PROFILE_BOUND
 
 W11 = Weight(1, -1)
 
@@ -173,6 +176,28 @@ class TestSProfile:
             s_profile(construct_staircase([1]), Weight(0, -1))
         with pytest.raises(DomainError):
             s_profile(construct_staircase([1]), Weight(-1, -2))
+
+    def test_equals_the_walk_along_the_sequence(self):
+        # The walk is the definition: count cells along monomial_sequence up
+        # to the end of the top degree's block.
+        for w in (W11, Weight(2, -1), Weight(1, -3), Weight(3, -2), Weight(5, -7)):
+            for l in range(1, 10):
+                for E in enumerate_staircases(l):
+                    top = max(w.degree(m) for m in E.cells())
+                    walk, running = [], 0
+                    for m in monomial_sequence(w):
+                        if w.degree(m) > top:
+                            break
+                        running += m in E
+                        walk.append(running)
+                    assert s_profile(E, w).counts == tuple(walk), (E.columns, w)
+
+    def test_horizon_above_the_bound_is_refused(self):
+        # (2, 1) at (a, -1) reaches degree a: a 2 x (a + 1) grid of positions.
+        a = S_PROFILE_BOUND // 2
+        assert len(s_profile(construct_staircase([2, 1]), Weight(a - 1, -1)).counts) == a + 1
+        with pytest.raises(BoundExceededError, match="S-profile bound"):
+            s_profile(construct_staircase([2, 1]), Weight(a, -1))
 
     def test_sequence_is_sorted(self):
         w = Weight(2, -3)

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from hilbcells import (
@@ -109,6 +111,141 @@ class TestLatticeLineCouples:
         assert documents() == mine
 
 
+def _dumps(data) -> str:
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+class ReferenceBasis:
+    """The significant couples of a staircase, from its column heights alone.
+
+    Written apart from ``hilbcells.tangent``: couples are (cleft, cell)
+    pairs of integer tuples, the successor of a cleft is its neighbour in
+    the x-sorted list (right for a positive character, left otherwise), and
+    a couple is significant when its cell, moved by lcm(cleft, successor) /
+    cleft, leaves the staircase.
+    """
+
+    def __init__(self, columns, direction=None):
+        self.columns, self.direction = list(columns), direction
+        heights = self.columns + [0]
+        self.clefts = [(i, h) for i, h in enumerate(heights) if i == 0 or h < heights[i - 1]]
+        cells = [(i, j) for i, h in enumerate(self.columns) for j in range(h)]
+        pairs = sorted((c, m) for c in self.clefts for m in cells)
+        if direction is not None:
+            a, b = direction
+            pairs = [(c, m) for c, m in pairs if (m[0] - c[0]) * b == (m[1] - c[1]) * a]
+        self.couples = pairs
+        self.flags = [self.successor(c, m) is not None and self.significant(c, m)
+                      for c, m in pairs]
+
+    def contains(self, i, j):
+        return 0 <= i < len(self.columns) and 0 <= j < self.columns[i]
+
+    @staticmethod
+    def positive(c, m):
+        f, g = m[0] - c[0], m[1] - c[1]
+        return f > 0 or (f == 0 and g < 0)
+
+    def successor(self, c, m):
+        k = self.clefts.index(c) + (1 if self.positive(c, m) else -1)
+        return self.clefts[k] if 0 <= k < len(self.clefts) else None
+
+    def significant(self, c, m):
+        s = self.successor(c, m)
+        lcm = (max(c[0], s[0]), max(c[1], s[1]))
+        return not self.contains(m[0] + lcm[0] - c[0], m[1] + lcm[1] - c[1])
+
+    def split(self, positive):
+        return [(c, m) for (c, m), ok in zip(self.couples, self.flags)
+                if ok and self.positive(c, m) == positive]
+
+    def couple_json(self, c, m):
+        return {"c": list(c), "m": list(m),
+                "halfdir": "positive" if self.positive(c, m) else "negative"}
+
+    def direction_json(self):
+        return None if self.direction is None else dict(zip("ab", self.direction))
+
+    def basis_json(self):
+        pos, neg = len(self.split(True)), len(self.split(False))
+        return {
+            "staircase": {"columns": self.columns},
+            "direction": self.direction_json(),
+            "couples": [dict(self.couple_json(c, m), significant=ok)
+                        for (c, m), ok in zip(self.couples, self.flags)],
+            "split": {"pos": pos, "neg": neg},
+            "dimension": pos + neg,
+        }
+
+    def graph_json(self):
+        index = {couple: k for k, couple in enumerate(self.couples)}
+        arrows = []
+        for k, ((c, m), ok) in enumerate(zip(self.couples, self.flags)):
+            if ok:
+                continue
+            s = self.successor(c, m)
+            source = (s, (m[0] + s[0] - c[0], m[1] + s[1] - c[1]))
+            arrows.append([index[source] if min(source[1]) >= 0 else k, k])
+        # Components of the undirected arrow graph; a self-loop kills its own.
+        neighbours = {k: set() for k in index.values()}
+        for s, t in arrows:
+            neighbours[s].add(t)
+            neighbours[t].add(s)
+        looped = {s for s, t in arrows if s == t}
+        seen, dimension = set(), 0
+        for start in neighbours:
+            if start in seen:
+                continue
+            component, stack = set(), [start]
+            while stack:
+                k = stack.pop()
+                if k not in component:
+                    component.add(k)
+                    stack.extend(neighbours[k])
+            seen |= component
+            dimension += not component & looped
+        return {
+            "staircase": {"columns": self.columns},
+            "direction": self.direction_json(),
+            "nodes": [self.couple_json(c, m) for c, m in self.couples],
+            "arrows": arrows,
+            "dimension": dimension,
+        }
+
+
+def pairs_of(couples):
+    return [(tuple(x.c), tuple(x.m)) for x in couples]
+
+
+class TestOnePassBasis:
+    """The one-pass tangent basis and graph against ``ReferenceBasis``."""
+
+    CASES = [(E, w) for l in range(1, 13) for E in enumerate_staircases(l)
+             for w in (None,) + LATTICE_WEIGHTS]
+
+    def test_basis_equals_the_reference_up_to_length_12(self):
+        for E, w in self.CASES:
+            ref = ReferenceBasis(E.columns, w and (w.a, w.b))
+            tb = tangent_basis(E, w)
+            assert pairs_of(tb.couples) == ref.couples, (E.columns, w)
+            assert list(tb.flags) == ref.flags, (E.columns, w)
+            assert pairs_of(tb.positive) == ref.split(True), (E.columns, w)
+            assert pairs_of(tb.negative) == ref.split(False), (E.columns, w)
+            assert _dumps(tb.to_json()) == _dumps(ref.basis_json()), (E.columns, w)
+
+    def test_graph_equals_the_reference_up_to_length_12(self):
+        for E, w in self.CASES:
+            if w is not None:
+                ref = ReferenceBasis(E.columns, (w.a, w.b))
+                got = _dumps(significance_graph(E, w).to_json())
+                assert got == _dumps(ref.graph_json()), (E.columns, w)
+
+    def test_flags_equal_the_per_couple_test(self):
+        for E, w in self.CASES[::7]:
+            tb = tangent_basis(E, w)
+            assert tb.flags == tuple(is_significant(E, c) for c in tb.couples)
+
+
 class TestSignificance:
     def test_examples(self):
         assert is_significant(construct_staircase([1, 1]), couple((0, 1), (1, 0)))
@@ -188,12 +325,23 @@ class TestArmLegCharacters:
             (-2, 0), (1, -1), (-1, 0), (0, -1))
 
     def test_equals_significant_characters_up_to_length_16(self):
-        # The tangent basis is the oracle: its significant couples carry
-        # exactly the arm-leg characters, with multiplicity.
-        for l in range(1, 17):
-            for E in enumerate_staircases(l):
-                expected = sorted(c.char for c in tangent_basis(E).significant)
-                assert sorted(arm_leg_characters(E)) == expected, E.columns
+        assert check_arm_leg_agreement(range(1, 17)) == 914
+
+
+def check_arm_leg_agreement(lengths) -> int:
+    """Check ``arm_leg_characters`` against the one-pass tangent basis.
+
+    The tangent basis is the oracle: its significant couples carry exactly
+    the arm-leg characters, with multiplicity.  Returns the number of
+    staircases checked; CI runs it up to ``POINCARE_BOUND``.
+    """
+    checked = 0
+    for l in lengths:
+        for E in enumerate_staircases(l):
+            expected = sorted(c.char for c in tangent_basis(E).significant)
+            assert sorted(arm_leg_characters(E)) == expected, E.columns
+            checked += 1
+    return checked
 
 
 class TestSignificanceGraph:
