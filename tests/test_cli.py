@@ -653,7 +653,7 @@ BOUNDED = [
 ]
 
 
-# The subcommands that read an S-profile at a weight, each with small sizes.
+# The subcommands that can reach an S-profile at a weight, each with small sizes.
 WEIGHTED = (
     ("compare", "--columns", "2,1", "--other", "1,1,1"),
     ("components", "--length", "3"),
@@ -695,7 +695,10 @@ class TestArgvFuzz:
     @settings(max_examples=60, deadline=None)
     @given(prefix=st.sampled_from(WEIGHTED), data=st.data())
     def test_large_weights_keep_the_contract_at_once(self, prefix, data):
-        # Entries up to 10**9 in size, at least one of them past 10**6.
+        # Entries up to 10**9 in size, at least one of them past 10**6.  No
+        # couple of such a direction fits these staircases, so degenerate
+        # and descend stop before any S-profile; compare and components
+        # answer or hit the S-profile bound.
         small = signed(st.integers(1, 5))
         a, b = data.draw(st.one_of(st.tuples(signed(LARGE), small),
                                    st.tuples(small, signed(LARGE)),
@@ -712,9 +715,9 @@ class TestArgvFuzz:
            sizes=st.tuples(st.integers(10**7, 10**9), st.integers(1, 3)).filter(
                lambda v: math.gcd(*v) == 1))
     def test_profile_horizon_above_its_bound_exits_one_at_once(self, prefix, steep, sizes):
-        # (large, -small) puts 3 x 2*large/small grid positions below the top
-        # degree of (3) or (2, 1); (small, -large) the transpose.  No call
-        # walks them.
+        # (large, -small) gives (2, 1) the top degree large and (3) the top
+        # degree 2*large, with at least 2*large/small grid positions below
+        # it; (small, -large) the transpose.  No call walks them.
         large, small = sizes
         a, b = (small, -large) if steep else (large, -small)
         start = time.perf_counter()

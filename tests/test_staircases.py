@@ -126,6 +126,16 @@ class TestHilbertFunction:
             for E in enumerate_staircases(l):
                 assert hilbert_function(E, W11).total() == l
 
+    def test_equals_the_count_over_cells_for_every_sign(self):
+        weights = (W11, Weight(3, -2), Weight(0, -1), Weight(-1, -1), Weight(-2, -5))
+        for w in weights:
+            for l in range(1, 9):
+                for E in enumerate_staircases(l):
+                    counts = {}
+                    for m in E.cells():
+                        counts[degree(m, w)] = counts.get(degree(m, w), 0) + 1
+                    assert hilbert_function(E, w).as_dict() == counts, (E.columns, w)
+
 
 class TestCompatible:
     def test_three_staircases(self):
