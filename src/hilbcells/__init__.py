@@ -47,7 +47,6 @@ from .tangent import (
     cell_dimension,
     cleft_couples,
     hom_tangent_oracle,
-    is_significant,
     significance_graph,
     tangent_basis,
 )

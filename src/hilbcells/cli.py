@@ -414,7 +414,7 @@ def _suite_verify_all(args):
             for l in lengths:
                 for bases in grouped(w, l).values():
                     for E, tb in bases.items():
-                        g = tangent.significance_graph(E, w)
+                        g = tangent._graph(tb)
                         t = tb.dimension
                         _require(g.dimension == t,
                                  f"graph {g.dimension} vs tangent {t} at {E.columns}")
@@ -425,16 +425,9 @@ def _suite_verify_all(args):
     classes = {}
 
     def grouped(w, l):
-        """Hilbert-function classes of length l under w, each member with its tangent basis.
-
-        Built once per (w, l) and shared by the items that read classes or
-        bases, so each staircase gets one tangent basis per weight.
-        """
+        """``strata._classes(l, w)``, built once per (w, l) and shared by the items."""
         if (w, l) not in classes:
-            groups = {}
-            for E in enumerate_staircases(l):
-                groups.setdefault(hilbert_function(E, w), {})[E] = tangent.tangent_basis(E, w)
-            classes[w, l] = groups
+            classes[w, l] = strata._classes(l, w)
         return classes[w, l]
 
     descent_weights = (Weight(1, -1), Weight(2, -1), Weight(3, -2), Weight(1, -3))

@@ -311,9 +311,6 @@ class BivariatePolynomial:
             raise DomainError("the zero polynomial has no leading monomial")
         return max(self.terms, key=order.key)
 
-    def leading_coefficient(self, order: MonomialOrder):
-        return self.terms[self.leading_monomial(order)]
-
     # -- arithmetic ----------------------------------------------------------
 
     def _check(self, other: "BivariatePolynomial") -> None:

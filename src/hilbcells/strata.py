@@ -332,6 +332,18 @@ def _require_length(length: int) -> None:
         raise DomainError(f"length must be at least 1, got {length}")
 
 
+def _classes(length: int, w: Weight) -> dict[HilbertFunction, dict[Staircase, TangentBasis]]:
+    """The staircases of one length grouped by Hilbert function under w.
+
+    Each member maps to its tangent basis at w; classes and members keep
+    the enumeration order.
+    """
+    groups: dict[HilbertFunction, dict[Staircase, TangentBasis]] = {}
+    for E in enumerate_staircases(length):
+        groups.setdefault(hilbert_function(E, w), {})[E] = tangent_basis(E, w)
+    return groups
+
+
 def component_report(length: int, w: Weight, bound: int = 12) -> list[ComponentReport]:
     """Group the staircases of one length by Hilbert function and certify each class.
 
@@ -351,14 +363,11 @@ def component_report(length: int, w: Weight, bound: int = 12) -> list[ComponentR
         raise BoundExceededError(f"component bound {bound} exceeded by length {length}")
     if w.a > 0 and length > COMPATIBLE_BOUND:
         raise BoundExceededError(f"compatible bound {COMPATIBLE_BOUND} exceeded by mass {length}")
-    groups: dict[HilbertFunction, list[Staircase]] = {}
-    for E in enumerate_staircases(length):
-        groups.setdefault(hilbert_function(E, w), []).append(E)
-
+    groups = _classes(length, w)
     reports = []
     for H in sorted(groups, key=lambda h: h.values):
-        members = groups[H]
-        bases = {E: tangent_basis(E, w) for E in members}
+        bases = groups[H]
+        members = list(bases)
         data = [StratumData(E, tb.dimension, len(tb.positive), len(tb.negative))
                 for E, tb in bases.items()]
 

@@ -123,30 +123,6 @@ def cleft_couples(E: Staircase, direction: Weight | None = None) -> tuple[CleftC
     return tuple(out)
 
 
-def _successor(E: Staircase, c: Monomial, positive: bool) -> Monomial | None:
-    """Next cleft after c: under the x-lex order if positive, y-lex otherwise."""
-    cs = clefts(E)
-    i = cs.index(c)
-    if positive:
-        return cs[i + 1] if i + 1 < len(cs) else None
-    return cs[i - 1] if i > 0 else None
-
-
-def is_significant(E: Staircase, couple: CleftCouple) -> bool:
-    """Successor-lcm test: true iff m*(s/c) escapes E, s = lcm(c, successor).
-
-    The maximal cleft under the relevant order has no successor, but also
-    carries no couples of the matching half-direction, so returning False
-    there is vacuous.
-    """
-    succ = _successor(E, couple.c, couple.halfdir.positive)
-    if succ is None:
-        return False
-    s = couple.c.lcm(succ)
-    shifted = couple.m.mul(s.div(couple.c))
-    return shifted not in E
-
-
 @dataclass(frozen=True)
 class TangentBasis:
     """Significant couples of a staircase, split by half-direction.
@@ -184,10 +160,12 @@ class TangentBasis:
 def _one_pass(E: Staircase, couples: tuple[CleftCouple, ...]):
     """Significance flags of the couples, and the significant ones split by sign.
 
-    One pass: the clefts are computed once, each couple's sign is read from
-    its character, its successor cleft is taken by index (the next cleft if
-    positive, the previous one otherwise), and the successor-lcm test of
-    ``is_significant`` flags it.
+    The successor-lcm test: the clefts are computed once, each couple's
+    sign is read from its character, and its successor cleft is taken by
+    index (the next cleft if positive, the previous one otherwise).  The
+    couple is significant iff m*(s/c) escapes E, s = lcm(c, successor).  A
+    cleft without successor carries no couple of that sign, so False there
+    is vacuous.
     """
     cs = clefts(E)
     index = {c: i for i, c in enumerate(cs)}
@@ -290,16 +268,20 @@ def significance_graph(E: Staircase, w: Weight) -> SignificanceGraph:
 
     Each non-significant couple receives one arrow: from the couple obtained
     by sliding along the successor cleft when that stays on the grid, from
-    itself otherwise.  The nodes are flagged by the one pass of
-    ``tangent_basis``, and successors are taken by cleft index.
+    itself otherwise.  The nodes and their flags are those of
+    ``tangent_basis(E, w)``.
     """
-    nodes = cleft_couples(E, direction=w)
-    flags, _, _ = _one_pass(E, nodes)
+    return _graph(tangent_basis(E, w))
+
+
+def _graph(basis: TangentBasis) -> SignificanceGraph:
+    """The significance graph of a direction-filtered tangent basis."""
+    E, nodes = basis.staircase, basis.couples
     index = {n: i for i, n in enumerate(nodes)}
     cs = clefts(E)
     cleft_index = {c: i for i, c in enumerate(cs)}
     arrows: list[tuple[int, int]] = []
-    for node, ok in zip(nodes, flags):
+    for node, ok in zip(nodes, basis.flags):
         if ok:
             continue
         i = cleft_index[node.c] + (1 if _positive(*node.char) else -1)
@@ -337,7 +319,7 @@ def significance_graph(E: Staircase, w: Weight) -> SignificanceGraph:
     components = {find(i) for i in range(len(nodes))}
     dead = {find(d) for d in dead}
     dimension = len(components - dead)
-    return SignificanceGraph(E, w, nodes, tuple(arrows), dimension)
+    return SignificanceGraph(E, basis.direction, nodes, tuple(arrows), dimension)
 
 
 @dataclass(frozen=True)
@@ -384,10 +366,8 @@ def hom_tangent_oracle(E: Staircase, bound: int = 10) -> HomOracleResult:
     lcm-compatibility relations between consecutive clefts (under the x-lex
     order) are imposed as linear equations, with products reduced modulo the
     complement ideal by projecting escaped monomials to zero.  Returns the
-    solution-space dimension and its character grading.
-
-    Relations for non-consecutive cleft pairs follow from the consecutive
-    ones; for small staircases this is re-checked against the full system.
+    solution-space dimension and its character grading.  Relations for
+    non-consecutive cleft pairs follow from the consecutive ones.
     """
     if len(E) > bound:
         raise BoundExceededError(f"oracle bound {bound} exceeded by |E| = {len(E)}")
@@ -399,35 +379,17 @@ def hom_tangent_oracle(E: Staircase, bound: int = 10) -> HomOracleResult:
     variables.sort()
     position = {var: j for j, (_char, var) in enumerate(variables)}
 
-    def build_rows(pairs):
-        rows = []
-        for i, j in pairs:
-            s = cs[i].lcm(cs[j])
-            shift_i = s.div(cs[i])
-            shift_j = s.div(cs[j])
-            for target in cells:
-                row: dict[int, int] = {}
-                back_i = Monomial(target.alpha - shift_i.alpha, target.beta - shift_i.beta)
-                if back_i in E:
-                    row[position[(i, back_i)]] = 1
-                back_j = Monomial(target.alpha - shift_j.alpha, target.beta - shift_j.beta)
-                if back_j in E:
-                    row[position[(j, back_j)]] = row.get(position[(j, back_j)], 0) - 1
-                row = {k: v for k, v in row.items() if v}
-                if row:
-                    rows.append(row)
-        return rows
-
-    consecutive = [(i, i + 1) for i in range(len(cs) - 1)]
-    nullity, chars = _nullity_and_free_chars(variables, build_rows(consecutive))
-
-    if len(E) <= 5:
-        all_pairs = [(i, j) for i in range(len(cs)) for j in range(i + 1, len(cs))]
-        full_nullity, _ = _nullity_and_free_chars(variables, build_rows(all_pairs))
-        if full_nullity != nullity:
-            raise ConsistencyError(
-                f"consecutive-pair system has nullity {nullity} but the full system "
-                f"has {full_nullity} for columns {E.columns}"
-            )
-
+    rows = []
+    for i in range(len(cs) - 1):
+        s = cs[i].lcm(cs[i + 1])
+        shifts = ((i, s.div(cs[i]), 1), (i + 1, s.div(cs[i + 1]), -1))
+        for target in cells:
+            row = {}
+            for k, shift, sign in shifts:
+                back = Monomial(target.alpha - shift.alpha, target.beta - shift.beta)
+                if back in E:
+                    row[position[(k, back)]] = sign
+            if row:
+                rows.append(row)
+    nullity, chars = _nullity_and_free_chars(variables, rows)
     return HomOracleResult(tuple(sorted(chars)), nullity)

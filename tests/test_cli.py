@@ -215,18 +215,28 @@ class TestSubcommands:
         # collapse item: each staircase gets one basis per weight, and the
         # agreement item never re-enumerates through the public oracle.
         # The graph item reads the same groups, so no (staircase, weight)
-        # pair gets a second basis.
+        # pair gets a second basis.  The groups come from strata._classes,
+        # whose bases are counted as it returns them.
         calls = Counter()
         original = tangent.tangent_basis
+        original_classes = strata._classes
 
         def counted(E, direction=None):
             calls[E, direction] += 1
             return original(E, direction)
 
+        def counted_classes(length, w):
+            groups = original_classes(length, w)
+            for bases in groups.values():
+                for E in bases:
+                    calls[E, w] += 1
+            return groups
+
         def no_oracle(*args, **kwargs):
             raise AssertionError("minimal_staircase_oracle called")
 
         monkeypatch.setattr(tangent, "tangent_basis", counted)
+        monkeypatch.setattr(strata, "_classes", counted_classes)
         monkeypatch.setattr(strata, "minimal_staircase_oracle", no_oracle)
         data = run_json(capsys, "run-suite", "verify-all", "--max-length", "6")
         assert data["all_ok"] is True
@@ -234,6 +244,23 @@ class TestSubcommands:
             for l in range(1, 7):
                 assert all(calls[E, w] == 1 for E in enumerate_staircases(l))
         assert set(calls.values()) == {1}
+
+    def test_verify_all_enumerates_graph_couples_once(self, capsys, monkeypatch):
+        # At the four directions only the graph item reads, each staircase's
+        # couples are enumerated once, for the basis the graph is built from.
+        calls = Counter()
+        original = tangent.cleft_couples
+
+        def counted(E, direction=None):
+            calls[E, direction] += 1
+            return original(E, direction)
+
+        monkeypatch.setattr(tangent, "cleft_couples", counted)
+        data = run_json(capsys, "run-suite", "verify-all", "--max-length", "6")
+        assert data["all_ok"] is True
+        for w in (Weight(2, -1), Weight(1, -3), Weight(0, -1), Weight(-1, -2)):
+            for l in range(1, 7):
+                assert all(calls[E, w] == 1 for E in enumerate_staircases(l)), w
 
     # The census for every vector with first entry -2 is replaced by {0: 1}:
     # at length 1 it then differs from the other vector's, and at length 2
