@@ -23,11 +23,12 @@ from .polynomials import (
     BivariatePolynomial,
     ChartCoefficient,
     VarKey,
+    _complete,
     _Divisor,
     _s_pair_remainder,
-    buchberger,
+    _standard_staircase,
+    _StepGuard,
     exact_rational,
-    standard_monomials,
     variable_name,
 )
 from .staircases import Monomial, Staircase, Weight, clefts
@@ -173,25 +174,34 @@ def build_chart_family(
     formed in Laurent form and must come out polynomial.  The recursion is
     ``cleft_plan`` evaluated over the chart ring.
     """
+    return _family(_chart_basis(E, mode, weight), mode, weight)
+
+
+def _chart_basis(E: Staircase, mode: str, weight: Optional[Weight]) -> TangentBasis:
+    """The tangent basis whose positive couples index the family of the mode."""
     if mode == MODE_INVARIANT:
         if weight is None:
             raise RegimeError("invariant mode needs a weight (a > 0, b < 0)")
         if weight.a <= 0:
             raise RegimeError(f"invariant mode needs a > 0, got ({weight.a}, {weight.b})")
-        basis = tangent_basis(E, weight)
-    elif mode == MODE_GENERAL:
+        return tangent_basis(E, weight)
+    if mode == MODE_GENERAL:
         if weight is not None:
             raise RegimeError("general mode takes no weight")
-        basis = tangent_basis(E)
-    else:
-        raise DomainError(f"unknown chart mode {mode!r}")
+        return tangent_basis(E)
+    raise DomainError(f"unknown chart mode {mode!r}")
 
+
+def _family(basis: TangentBasis, mode: str, weight: Optional[Weight]) -> ChartFamily:
+    """The chart family of the mode from its tangent basis, as ``_chart_basis`` gives it."""
     plan = cleft_plan(basis)
     variables = tuple(sorted(couple_key(cp) for cp in basis.positive))
     P, q_polys = plan.evaluate(
         {key: ChartCoefficient.variable(key) for key in variables}, DOMAIN_CHART
     )
-    return ChartFamily(E, mode, weight, variables, plan.clefts, tuple(P), tuple(q_polys), basis)
+    return ChartFamily(
+        basis.staircase, mode, weight, variables, plan.clefts, tuple(P), tuple(q_polys), basis
+    )
 
 
 def specialize_family(
@@ -202,12 +212,17 @@ def specialize_family(
     Integral values are kept as ``int``, so a unit point specializes in
     integers.
     """
-    unknown = set(point) - set(fam.variables)
+    values = _point_values(fam.variables, point)
+    return [p.substitute_chart(values) for p in fam.generators]
+
+
+def _point_values(variables, point: Mapping[VarKey, Fraction]) -> dict[VarKey, int | Fraction]:
+    """The point's values as exact rationals; it must assign only the variables."""
+    unknown = set(point).difference(variables)
     if unknown:
         names = ", ".join(sorted(variable_name(v) for v in unknown))
         raise DomainError(f"point assigns variables outside the family: {names}")
-    values = {k: exact_rational(v) for k, v in point.items()}
-    return [p.substitute_chart(values) for p in fam.generators]
+    return {k: exact_rational(v) for k, v in point.items()}
 
 
 def default_sample_points(
@@ -277,6 +292,13 @@ def verify_flatness(
     generators reduces to zero over the chart ring and that leading monomials
     are exactly the clefts (consecutive pairs suffice: the lcm of two distant
     clefts is divisible by every cleft in between).
+
+    Each sample completes its specialized generators to a Groebner basis
+    under ``LEX_YX`` by the pair loop of ``buchberger`` alone, without
+    interreducing, and reads the colength from the leading monomials.  Every
+    Groebner basis of an ideal generates the same leading ideal, so the
+    number equals the colength of the reduced basis.  A zero generator, a
+    tripped step limit or an infinite colength gives colength -1.
     """
     witness = None
 
@@ -328,9 +350,9 @@ def verify_flatness(
     for point in samples:
         frozen = tuple(sorted((k, str(exact_rational(v))) for k, v in point.items()))
         try:
-            gens = specialize_family(fam, point)
-            gb = buchberger(gens, LEX_YX, step_limit)
-            col = len(standard_monomials(gb))
+            records = [_Divisor(p, LEX_YX) for p in specialize_family(fam, point)]
+            basis = _complete(records, LEX_YX, _StepGuard(step_limit))
+            col = len(_standard_staircase([d.lm for d in basis]))
         except DomainError:
             col = -1
         ok = col == target

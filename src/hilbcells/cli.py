@@ -17,6 +17,7 @@ from fractions import Fraction
 from . import charts, polynomials, strata, tangent
 from .errors import BoundExceededError, ConsistencyError, DomainError
 from .polynomials import (
+    DOMAIN_RATIONAL,
     GRLEX_XY,
     LEX_XY,
     LEX_YX,
@@ -266,9 +267,14 @@ def _cmd_chart(args):
 
 
 def _cmd_specialize(args):
+    # The cleft plan over Q at the point equals specialize_family on the
+    # family, which is not built.
     request = _chart_request(args)
-    point = _parse_point(args.point)  # before the family is built
-    gens = charts.specialize_family(charts.build_chart_family(*request), point)
+    point = _parse_point(args.point)  # before the basis is built
+    basis = charts._chart_basis(*request)
+    plan = charts.cleft_plan(basis)
+    values = charts._point_values(map(charts.couple_key, basis.positive), point)
+    gens, _ = plan.evaluate(values, DOMAIN_RATIONAL)
     return {"generators": [p.to_text() for p in gens]}
 
 
@@ -378,8 +384,8 @@ def _suite_item(name, check):
         return {"name": name, "ok": False, "witness": str(exc)}
 
 
-# Largest ``run-suite verify-all --max-length``: length 12 takes about 3 s
-# on a 2-vCPU VM, and each further length about 1.6 times as long.
+# Largest ``run-suite verify-all --max-length``: length 12 takes about 1.5 s
+# in process on a 2-vCPU VM, and each further length about 1.8 times as long.
 VERIFY_ALL_BOUND = 12
 
 
@@ -463,12 +469,16 @@ def _suite_verify_all(args):
         return "all descent policies end at the minimal staircase"
 
     def flatness():
+        def certify(fam):
+            cert = charts.verify_flatness(fam, extra_samples=3, seed=seed)
+            _require(cert.valid, f"{fam.mode} family of {fam.staircase.columns}: {cert.witness}")
+
+        w = Weight(1, -1)
         for l in lengths:
+            invariant = {E: tb for bases in grouped(w, l).values() for E, tb in bases.items()}
             for E in enumerate_staircases(l):
-                for mode, w in (("invariant", Weight(1, -1)), ("general", None)):
-                    fam = charts.build_chart_family(E, mode, w)
-                    cert = charts.verify_flatness(fam, extra_samples=3, seed=seed)
-                    _require(cert.valid, f"{mode} family of {E.columns}: {cert.witness}")
+                certify(charts._family(invariant[E], "invariant", w))
+                certify(charts.build_chart_family(E, "general"))
         return "flatness certificates valid in both modes"
 
     def collapse():

@@ -283,6 +283,13 @@ class BivariatePolynomial:
         return cls({}, domain)
 
     @classmethod
+    def _of(cls, terms: dict[Monomial, object], domain: str) -> "BivariatePolynomial":
+        """A polynomial on ``Monomial``-keyed terms that hold no zero, taken as they are."""
+        p = object.__new__(cls)
+        p.domain, p.terms = domain, terms
+        return p
+
+    @classmethod
     def of_monomial(cls, m: Monomial, coeff=1, domain: str = DOMAIN_RATIONAL):
         if not isinstance(coeff, ChartCoefficient):
             coeff = _coefficient(domain, exact_rational(coeff))
@@ -558,7 +565,7 @@ class _Divisor:
     invertible constant raises ``DomainError`` here.  ``inv_lc`` is an
     ``int`` when the leading coefficient is 1 or -1, so reducing an integral
     polynomial by such a divisor never divides.  ``tail`` holds the terms
-    below the leading one.
+    below the leading one as (alpha, beta, coefficient) triples.
     """
 
     __slots__ = ("poly", "lm", "inv_lc", "monic", "tail")
@@ -575,24 +582,26 @@ class _Divisor:
             )
         self.inv_lc = int(lc) if lc == 1 or lc == -1 else 1 / Fraction(lc)
         self.monic = self.inv_lc == 1
-        self.tail = [(t, c) for t, c in poly.terms.items() if t != self.lm]
-
-    def add_multiple(self, work: dict, shift: Monomial, coeff) -> None:
-        """Add coeff * shift * tail to the term dict, dropping cancelled terms."""
-        sa, sb = shift
-        for t, tc in self.tail:
-            m = Monomial(t.alpha + sa, t.beta + sb)
-            if m in work:
-                value = work[m] + tc * coeff
-                if value:
-                    work[m] = value
-                else:
-                    del work[m]
-            else:
-                work[m] = tc * coeff
+        self.tail = [(t.alpha, t.beta, c) for t, c in poly.terms.items() if t != self.lm]
 
     def made_monic(self, order: MonomialOrder) -> "_Divisor":
         return self if self.monic else _Divisor(self.poly.scale(self.inv_lc), order)
+
+
+def _add_multiple(work: dict, tail: list, sa: int, sb: int, coeff) -> None:
+    """Add coeff * x^sa*y^sb * tail to the term dict, dropping cancelled terms."""
+    new = tuple.__new__  # skips the named tuple's Python-level __new__
+    for ta, tb, tc in tail:
+        m = new(Monomial, (ta + sa, tb + sb))
+        value = work.get(m)
+        if value is None:
+            work[m] = tc * coeff
+        else:
+            value = value + tc * coeff
+            if value:
+                work[m] = value
+            else:
+                del work[m]
 
 
 def _reduce(
@@ -606,6 +615,7 @@ def _reduce(
 
     Returns f itself when no term reduced.  Quotient terms are recorded only
     when ``quotients`` holds one dict per divisor, as ``divide`` passes.
+    The work dict never holds a zero, so the remainder is taken as it is.
     """
     key = order.key
     remainder: dict[Monomial, object] = {}
@@ -615,19 +625,21 @@ def _reduce(
         guard.tick()
         m = max(work, key=key)
         c = work.pop(m)
+        ma, mb = m
         for k, d in enumerate(divisors):
-            lm = d.lm
-            if lm.alpha <= m.alpha and lm.beta <= m.beta:
-                shift = Monomial(m.alpha - lm.alpha, m.beta - lm.beta)
+            la, lb = d.lm
+            if la <= ma and lb <= mb:
+                sa, sb = ma - la, mb - lb
                 qc = c if d.monic else c * d.inv_lc
                 if quotients is not None:
-                    quotients[k][shift] = qc  # leading terms strictly decrease: no shift repeats
-                d.add_multiple(work, shift, -qc)
+                    # leading terms strictly decrease: no shift repeats
+                    quotients[k][Monomial(sa, sb)] = qc
+                _add_multiple(work, d.tail, sa, sb, -qc)
                 reduced = True
                 break
         else:
             remainder[m] = c
-    return BivariatePolynomial(remainder, f.domain) if reduced else f
+    return BivariatePolynomial._of(remainder, f.domain) if reduced else f
 
 
 def divide(
@@ -684,11 +696,12 @@ def s_polynomial(
 
 
 def _s_poly(df: _Divisor, dg: _Divisor) -> BivariatePolynomial:
-    lcm = df.lm.lcm(dg.lm)
+    (fa, fb), (ga, gb) = df.lm, dg.lm
+    la, lb = max(fa, ga), max(fb, gb)
     work: dict[Monomial, object] = {}
-    df.add_multiple(work, lcm.div(df.lm), df.inv_lc)
-    dg.add_multiple(work, lcm.div(dg.lm), -dg.inv_lc)
-    return BivariatePolynomial(work, df.poly.domain)
+    _add_multiple(work, df.tail, la - fa, lb - fb, df.inv_lc)
+    _add_multiple(work, dg.tail, la - ga, lb - gb, -dg.inv_lc)
+    return BivariatePolynomial._of(work, df.poly.domain)
 
 
 def _s_pair_remainder(
@@ -729,7 +742,9 @@ def buchberger(
     and neither of its pairs with the two is still pending.  The basis is
     interreduced, monic and sorted by leading monomial; when no S-pair adds
     an element, the first interreduction already gives it and is not
-    repeated.  Idempotent on already reduced bases.
+    repeated.  Idempotent on already reduced bases.  The pair loop between
+    the two interreductions (``_complete``) is shared with the sample check
+    of ``charts.verify_flatness``, which needs only the leading ideal.
 
     A local order (see ``MonomialOrder.is_global``) is accepted only when
     every variable below 1 is nilpotent modulo the ideal; otherwise the
@@ -754,22 +769,32 @@ def _buchberger(
     if not order.is_global:
         _require_local_variables_nilpotent(gens, order, _StepGuard(guard.limit))
     basis = _interreduce([_Divisor(p, order) for p in gens if p], order, guard)
+    interreduced = len(basis)
+    _complete(basis, order, guard)
+    return _interreduce(basis, order, guard) if len(basis) > interreduced else basis
 
+
+def _complete(basis: list[_Divisor], order: MonomialOrder, guard: _StepGuard) -> list[_Divisor]:
+    """Append S-pair remainders to the records until they form a Groebner basis.
+
+    The pair loop of ``buchberger``, run on any records: the criteria it
+    skips pairs by hold for every generating set, so the records need not
+    be interreduced.  The appended records are monic; ``basis`` is returned.
+    """
     def pair_entry(i: int, j: int):
-        lcm = basis[i].lm.lcm(basis[j].lm)
-        return (lcm.alpha + lcm.beta, (i, j))
+        (ia, ib), (ja, jb) = basis[i].lm, basis[j].lm
+        la, lb = max(ia, ja), max(ib, jb)
+        return (la + lb, (i, j), la, lb, ia + ib + ja + jb)
 
     pairs = [pair_entry(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
     heapq.heapify(pairs)
-    pending = {ij for _, ij in pairs}
-    interreduced = len(basis)
+    pending = {entry[1] for entry in pairs}
     while pairs:
-        _, (i, j) = heapq.heappop(pairs)
+        degree, (i, j), la, lb, product = heapq.heappop(pairs)
         pending.remove((i, j))
         guard.tick()
-        li, lj = basis[i].lm, basis[j].lm
-        lcm = li.lcm(lj)
-        if lcm == li.mul(lj) or _chain_criterion(basis, i, j, lcm, pending):
+        # the lcm is the product exactly when their degrees agree
+        if degree == product or _chain_criterion(basis, i, j, la, lb, pending):
             continue
         rem = _reduce(_s_poly(basis[i], basis[j]), basis, order, guard)
         if rem:
@@ -778,15 +803,16 @@ def _buchberger(
             for k in range(new):
                 heapq.heappush(pairs, pair_entry(k, new))
                 pending.add((k, new))
-    return _interreduce(basis, order, guard) if len(basis) > interreduced else basis
+    return basis
 
 
 def _chain_criterion(
-    basis: Sequence[_Divisor], i: int, j: int, lcm: Monomial, pending: set
+    basis: Sequence[_Divisor], i: int, j: int, la: int, lb: int, pending: set
 ) -> bool:
-    """Some k has lm_k dividing lcm, and neither (i, k) nor (j, k) is pending."""
+    """Some k has lm_k dividing lcm x^la*y^lb, and neither (i, k) nor (j, k) is pending."""
     for k, d in enumerate(basis):
-        if k == i or k == j or not d.lm.divides(lcm):
+        ka, kb = d.lm
+        if k == i or k == j or ka > la or kb > lb:
             continue
         if (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending:
             return True
@@ -872,8 +898,12 @@ def is_groebner(
 
 def standard_monomials(gb: GroebnerBasis) -> Staircase:
     """Staircase of monomials outside the leading ideal; errors if infinite."""
-    lms = list(gb.leading_monomials)
-    if any(m == Monomial(0, 0) for m in lms):
+    return _standard_staircase(gb.leading_monomials)
+
+
+def _standard_staircase(lms: Sequence[Monomial]) -> Staircase:
+    """Staircase outside the ideal the monomials generate (any generating set serves)."""
+    if any(m == ONE for m in lms):
         return Staircase(())
     x_powers = [m.alpha for m in lms if m.beta == 0]
     y_powers = [m.beta for m in lms if m.alpha == 0]

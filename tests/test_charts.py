@@ -24,12 +24,69 @@ from hilbcells import (
     weight_initial_ideal,
 )
 from hilbcells.charts import cleft_plan, default_sample_points
-from hilbcells.polynomials import DOMAIN_CHART, DOMAIN_RATIONAL
+from hilbcells.polynomials import DOMAIN_CHART, DOMAIN_RATIONAL, _complete, _Divisor, _StepGuard
 
 W11 = Weight(1, -1)
 
 X_YX = ((0, 1), (1, 0))  # the variable for couple (y, x)
 X_Y1 = ((0, 1), (0, 0))  # the variable for couple (y, 1)
+
+
+def corrupted_families(fam):
+    """Two corruptions of a family with chart variables, none without.
+
+    In the first, the last-but-one generator gains the constant term X, X
+    its first variable: the leading monomials stay the clefts, but the
+    generators stop being a Groebner basis, so completing a sample adds
+    records.  In the second, the last generator is multiplied by X, so it
+    is zero at every sample where X is.
+    """
+    if not fam.variables:
+        return []
+    x = ChartCoefficient.variable(fam.variables[0])
+    gens = list(fam.generators)
+    shifted = list(gens)
+    shifted[-2] += BivariatePolynomial({Monomial(0, 0): x}, DOMAIN_CHART)
+    vanishing = gens[:-1] + [gens[-1].scale(x)]
+    return [dataclasses.replace(fam, generators=tuple(g)) for g in (shifted, vanishing)]
+
+
+def check_sample_colengths(lengths) -> tuple[int, int, int]:
+    """Check every sample colength of ``verify_flatness`` against the reduced basis.
+
+    Every staircase of the given lengths is certified in both modes, as
+    built and as ``corrupted_families`` makes it, at the
+    ``default_sample_points`` of seeds 1 and 7 with three extra points.
+    Each sample's colength must be ``len(standard_monomials(buchberger(gens,
+    LEX_YX)))`` of its specialized generators, or -1 where that raises.
+    Returns the number of samples, of samples whose completion added
+    records, and of samples with a zero generator (those must give -1).
+    """
+    samples = completed = zero = 0
+    for l in lengths:
+        for E in enumerate_staircases(l):
+            for mode, w in (("invariant", W11), ("general", None)):
+                fam = build_chart_family(E, mode, w)
+                for f in [fam] + corrupted_families(fam):
+                    for seed in (1, 7):
+                        points = default_sample_points(f, extra=3, seed=seed)
+                        cert = verify_flatness(f, samples=points)
+                        for point, check in zip(points, cert.samples):
+                            gens = specialize_family(f, point)
+                            try:
+                                expected = len(standard_monomials(buchberger(gens, LEX_YX)))
+                            except DomainError:
+                                expected = -1
+                            assert check.colength == expected, (E.columns, mode, point)
+                            samples += 1
+                            if any(not p for p in gens):
+                                assert expected == -1
+                                zero += 1
+                                continue
+                            records = [_Divisor(p, LEX_YX) for p in gens]
+                            grown = _complete(list(records), LEX_YX, _StepGuard(None))
+                            completed += len(grown) > len(records)
+    return samples, completed, zero
 
 
 class TestSectors:
@@ -183,6 +240,9 @@ class TestFlatness:
         cert = verify_flatness(corrupted)
         assert not cert.valid
         assert cert.witness is not None
+
+    def test_sample_colengths_equal_the_reduced_basis_up_to_length_7(self):
+        assert check_sample_colengths(range(1, 8)) == (3030, 331, 468)
 
     def test_all_staircases_both_modes(self):
         for l in range(1, 7):

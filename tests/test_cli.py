@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hilbcells
-from hilbcells import Weight, cli, enumerate_staircases, poly_from_text, strata, tangent
+from hilbcells import Weight, charts, cli, enumerate_staircases, poly_from_text, strata, tangent
 from hilbcells.cli import main
 from hilbcells.staircases import COMPATIBLE_BOUND
 
@@ -214,9 +214,11 @@ class TestSubcommands:
         # (3,-2) is read only by the class items and (-2,-3) only by the
         # collapse item: each staircase gets one basis per weight, and the
         # agreement item never re-enumerates through the public oracle.
-        # The graph item reads the same groups, so no (staircase, weight)
-        # pair gets a second basis.  The groups come from strata._classes,
-        # whose bases are counted as it returns them.
+        # The graph item and the invariant chart families read the same
+        # groups, so no (staircase, weight) pair gets a second basis.  The
+        # groups come from strata._classes, whose bases are counted as it
+        # returns them.  The unfiltered basis is built twice, once by the
+        # oracle item and once by the general chart family.
         calls = Counter()
         original = tangent.tangent_basis
         original_classes = strata._classes
@@ -236,6 +238,7 @@ class TestSubcommands:
             raise AssertionError("minimal_staircase_oracle called")
 
         monkeypatch.setattr(tangent, "tangent_basis", counted)
+        monkeypatch.setattr(charts, "tangent_basis", counted)
         monkeypatch.setattr(strata, "_classes", counted_classes)
         monkeypatch.setattr(strata, "minimal_staircase_oracle", no_oracle)
         data = run_json(capsys, "run-suite", "verify-all", "--max-length", "6")
@@ -243,7 +246,10 @@ class TestSubcommands:
         for w in (Weight(3, -2), Weight(-2, -3)):
             for l in range(1, 7):
                 assert all(calls[E, w] == 1 for E in enumerate_staircases(l))
-        assert set(calls.values()) == {1}
+        unfiltered = {pair: n for pair, n in calls.items() if pair[1] is None}
+        assert len(unfiltered) == sum(len(enumerate_staircases(l)) for l in range(1, 7))
+        assert set(unfiltered.values()) == {2}
+        assert all(n == 1 for (E, w), n in calls.items() if w is not None)
 
     def test_verify_all_enumerates_graph_couples_once(self, capsys, monkeypatch):
         # At the four directions only the graph item reads, each staircase's
@@ -261,6 +267,23 @@ class TestSubcommands:
         for w in (Weight(2, -1), Weight(1, -3), Weight(0, -1), Weight(-1, -2)):
             for l in range(1, 7):
                 assert all(calls[E, w] == 1 for E in enumerate_staircases(l)), w
+
+    def test_verify_flat_budget_trades_a_colength_only_for_minus_one(self, capsys):
+        # A step budget may fail a sample (colength -1) or an S-pair, but
+        # never changes a colength it reaches, nor makes an invalid family valid.
+        for l in range(1, 7):
+            for E in enumerate_staircases(l):
+                cs = ",".join(map(str, E.columns))
+                for mode in (("--mode", "invariant", "--a", "1", "--b", "-1"),
+                             ("--mode", "general")):
+                    argv = ("verify-flat", "--columns", cs) + mode
+                    full = run_json(capsys, *argv)
+                    for budget in (1, 2, 3, 5, 8, 13, 21, 34):
+                        cert = run_json(capsys, *argv, "--max-steps", str(budget))
+                        for got, want in zip(cert["samples"], full["samples"]):
+                            assert got["point"] == want["point"]
+                            assert got["colength"] in (-1, want["colength"]), (argv, budget)
+                        assert full["valid"] or not cert["valid"], (argv, budget)
 
     # The census for every vector with first entry -2 is replaced by {0: 1}:
     # at length 1 it then differs from the other vector's, and at length 2
