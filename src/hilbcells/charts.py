@@ -26,7 +26,7 @@ from .polynomials import (
     _complete,
     _Divisor,
     _s_pair_remainder,
-    _standard_staircase,
+    _standard_columns,
     _StepGuard,
     exact_rational,
     variable_name,
@@ -352,7 +352,7 @@ def verify_flatness(
         try:
             records = [_Divisor(p, LEX_YX) for p in specialize_family(fam, point)]
             basis = _complete(records, LEX_YX, _StepGuard(step_limit))
-            col = len(_standard_staircase([d.lm for d in basis]))
+            col = sum(_standard_columns([d.lm for d in basis]))
         except DomainError:
             col = -1
         ok = col == target

@@ -36,6 +36,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -71,9 +72,9 @@ class MonomialOrder:
     def key(self) -> Callable[[Monomial], tuple]:
         """The sort key of this order, built once per order."""
         if self.kind == "lex_xy":
-            return lambda m: (m.alpha, m.beta)
+            return itemgetter(0, 1)
         if self.kind == "lex_yx":
-            return lambda m: (m.beta, m.alpha)
+            return itemgetter(1, 0)
         if self.kind == "grlex_xy":
             return lambda m: (m.alpha + m.beta, m.alpha)
         if self.kind == "cell":
@@ -393,7 +394,7 @@ class BivariatePolynomial:
             value = c.substitute(point)
             if value:
                 out[m] = value
-        return BivariatePolynomial(out, DOMAIN_RATIONAL)
+        return BivariatePolynomial._of(out, DOMAIN_RATIONAL)
 
     # -- serialization -----------------------------------------------------------
 
@@ -898,25 +899,20 @@ def is_groebner(
 
 def standard_monomials(gb: GroebnerBasis) -> Staircase:
     """Staircase of monomials outside the leading ideal; errors if infinite."""
-    return _standard_staircase(gb.leading_monomials)
+    return Staircase(_standard_columns(gb.leading_monomials))
 
 
-def _standard_staircase(lms: Sequence[Monomial]) -> Staircase:
-    """Staircase outside the ideal the monomials generate (any generating set serves)."""
-    if any(m == ONE for m in lms):
-        return Staircase(())
+def _standard_columns(lms: Sequence[Monomial]) -> tuple[int, ...]:
+    """Column heights outside the ideal the monomials generate (any generating set serves)."""
+    if ONE in lms:
+        return ()
     x_powers = [m.alpha for m in lms if m.beta == 0]
     y_powers = [m.beta for m in lms if m.alpha == 0]
     if not x_powers or not y_powers:
         raise NotZeroDimensionalError(
             "leading ideal contains no pure power of x or of y; colength is infinite"
         )
-    width = min(x_powers)
-    columns = []
-    for i in range(width):
-        height = min(m.beta for m in lms if m.alpha <= i)
-        columns.append(height)
-    return Staircase(tuple(columns))
+    return tuple(min(b for a, b in lms if a <= i) for i in range(min(x_powers)))
 
 
 def colength(gb: GroebnerBasis) -> int:
