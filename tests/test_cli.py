@@ -146,6 +146,11 @@ class TestSubcommands:
         )
         assert data["valid"] is True
 
+    def test_verify_flat_rejects_negative_samples(self, capsys):
+        code, out, err = run(capsys, "verify-flat", "--columns", "2,1", "--mode", "general",
+                             "--samples", "-1")
+        assert (code, out) == (1, "") and "--samples must be at least 0" in err
+
     def test_degenerate(self, capsys):
         data = run_json(capsys, "degenerate", "--columns", "1,1", "--a", "1", "--b", "-1")
         assert data["target"] == {"columns": [2]}
@@ -700,6 +705,8 @@ BOUNDED = [
      strata.POINCARE_BOUND),
     (("run-suite", "verify-all"), "--max-length", cli.VERIFY_ALL_BOUND),
     (("hom-oracle", "--columns", "2,1"), "--bound", cli.HOM_ORACLE_BOUND),
+    (("verify-flat", "--columns", "2,1", "--mode", "general"), "--samples",
+     cli.SAMPLES_BOUND),
 ]
 
 

@@ -95,6 +95,16 @@ DEEP_SWEEPS = {
                        for couple in tangent_basis(E, Weight(a, -1)).positive],
 }
 
+# Component reports and general flatness certificates at and past the sizes
+# the benchmark's cli-mix workload runs.
+LARGE_SWEEPS = {
+    "components-9-12": [["components", "--length", str(l), "--a", a, "--b", b]
+                        for a, b in REPORT_WEIGHTS[:3] for l in range(9, 13)],
+    "verify-flat-general-7-9": [["verify-flat", "--columns", ",".join(map(str, E.columns)),
+                                 "--mode", "general", "--seed", "7", "--samples", "2"]
+                                for E in DEEP_STAIRCASES],
+}
+
 # Census outputs, each call's stderr included: the GenericityError and
 # RegimeError lines are part of the contract.  (-2,-9) and (-1,-3) stop
 # being generic inside these ranges, so exit 1 is pinned too.
@@ -151,6 +161,12 @@ DIGESTS = {
         "5a21388d2c9f1dd7915660507d4c783cdc1a3cdaedc894278fb7d6b7fbcf941b",
     "degenerate-7-9":
         "d624c9b538eb43043272111873b018ede7b20ec9443b560cd0551db25e2eb562",
+    # Recorded at e7d71ff, before reports took each class's Hilbert function
+    # and S-profile grid once and samples specialized unit points in one pass.
+    "components-9-12":
+        "9337a64d60761ccffa4d6b99e16a1232ebd56fcb2345702b76bb984c4f160165",
+    "verify-flat-general-7-9":
+        "2f727ba6f41128db6353c049eab617f15d0c4a170e89680ec636f203192949c8",
 }
 
 
@@ -191,6 +207,11 @@ def test_component_reports_and_descents(capsys, name):
 @pytest.mark.parametrize("name", sorted(DEEP_SWEEPS))
 def test_degenerations_up_to_length_nine(capsys, name):
     _check(name, _transcript(capsys, DEEP_SWEEPS[name]))
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_SWEEPS))
+def test_reports_and_certificates_past_length_eight(capsys, name):
+    _check(name, _transcript(capsys, LARGE_SWEEPS[name]))
 
 
 @pytest.mark.parametrize("name", sorted(CENSUS_SWEEPS))

@@ -312,8 +312,19 @@ class TestSympyOracle:
     """Reduced bases equal those of sympy.groebner, an implementation outside this library."""
 
     ORDERS = ((LEX_XY, "lex", "xy"), (LEX_YX, "lex", "yx"), (GRLEX_XY, "grlex", "xy"))
+    # Weight first, then y-lex: x-degree then y is lex on (x, y); y-degree
+    # then x is lex on (y, x); total degree then y then x is grlex on (y, x).
+    WEIGHTED = ((weight_order((1, 0), "max"), "lex", "xy"),
+                (weight_order((0, 1), "max"), "lex", "yx"),
+                (weight_order((1, 1), "max"), "grlex", "yx"))
 
     def test_reduced_bases_agree_term_for_term(self):
+        self.check_against_sympy(self.ORDERS)
+
+    def test_weighted_orders_agree_term_for_term(self):
+        self.check_against_sympy(self.WEIGHTED)
+
+    def check_against_sympy(self, orders):
         sympy = pytest.importorskip("sympy")
         x, y = sympy.symbols("x y")
         symbol = {"x": x, "y": y}
@@ -332,7 +343,7 @@ class TestSympyOracle:
 
         for gens in sympy_oracle_ideals():
             exprs = [to_expr(g) for g in gens]
-            for order, name, variables in self.ORDERS:
+            for order, name, variables in orders:
                 gb = buchberger(gens, order)
                 mine = sorted(tuple(sorted(g.terms.items())) for g in gb.generators)
                 theirs = sympy.groebner(
