@@ -19,6 +19,7 @@ from typing import Mapping, Optional, Sequence
 from .errors import ConsistencyError, DomainError, RegimeError
 from .polynomials import (
     DOMAIN_CHART,
+    DOMAIN_RATIONAL,
     LEX_YX,
     BivariatePolynomial,
     ChartCoefficient,
@@ -54,8 +55,10 @@ class SectorDecomposition:
         if m in self.staircase:
             raise DomainError(f"{m} lies in the staircase, not in its complement")
         best = 0
-        for i, c in enumerate(self.clefts, start=1):
-            if c.divides(m):
+        for i, (ca, cb) in enumerate(self.clefts, start=1):
+            if ca > m.alpha:  # the clefts' x-exponents increase
+                break
+            if cb <= m.beta:
                 best = i
         if best == 0:
             raise ConsistencyError(f"complement monomial {m} divisible by no cleft")
@@ -121,14 +124,16 @@ class CleftPlan:
         P[-1] = BivariatePolynomial.of_monomial(cs[-1], 1, domain)
         q_polys: list[tuple[VarKey, BivariatePolynomial]] = []
         for i, shift, couples in self.rows:
-            total = P[i + 1].mul_laurent(*shift)
+            total = dict(P[i + 1].mul_laurent(*shift).terms)
             for key, target, (da, db) in couples:
                 if key not in values:
                     continue
                 q = P[target].mul_laurent(da, db)
                 q_polys.append((key, q))
-                total = total + q.scale(values[key])
-            P[i] = total
+                v = values[key]
+                for m, c in q.terms.items():  # total += v * q, in place
+                    total[m] = total[m] + c * v if m in total else c * v
+            P[i] = BivariatePolynomial._of({m: c for m, c in total.items() if c}, domain)
         return P, q_polys
 
 
@@ -141,25 +146,26 @@ def cleft_plan(basis: TangentBasis) -> CleftPlan:
     E = basis.staircase
     cs = clefts(E)
     sectors = SectorDecomposition(E, cs)
+    index = {c: i for i, c in enumerate(cs)}
     by_cleft: dict[int, list[CleftCouple]] = {}
-    for couple in basis.positive:
-        by_cleft.setdefault(cs.index(couple.c), []).append(couple)
+    for couple in sorted(basis.positive, key=CleftCouple.sort_key):
+        by_cleft.setdefault(index[couple.c], []).append(couple)
     rows = []
     for i in range(len(cs) - 2, -1, -1):
-        g = cs[i].lcm(cs[i + 1])
+        (ca, cb), (na, nb) = cs[i], cs[i + 1]
         couples = []
-        for couple in sorted(by_cleft.get(i, ()), key=CleftCouple.sort_key):
-            landing = couple.m.mul(g.div(cs[i]))
+        for couple in by_cleft.get(i, ()):
+            ma, mb = couple.m
+            landing = Monomial(ma + na - ca, mb)  # m * lcm(c_i, c_i+1) / c_i
             target = sectors.sector(landing) - 1
             if target <= i:
                 raise ConsistencyError(
                     f"couple ({couple.c}, {couple.m}): landing {landing} sits in "
                     f"sector {target + 1}, not past cleft {i + 1}"
                 )
-            shift = (couple.m.alpha - cs[target].alpha, couple.m.beta - cs[target].beta)
-            couples.append((couple_key(couple), target, shift))
-        shift = (cs[i].alpha - cs[i + 1].alpha, cs[i].beta - cs[i + 1].beta)
-        rows.append((i, shift, tuple(couples)))
+            ta, tb = cs[target]
+            couples.append((((ca, cb), (ma, mb)), target, (ma - ta, mb - tb)))
+        rows.append((i, (ca - na, cb - nb), tuple(couples)))
     return CleftPlan(cs, tuple(rows))
 
 
@@ -214,6 +220,43 @@ def specialize_family(
     """
     values = _point_values(fam.variables, point)
     return [p.substitute_chart(values) for p in fam.generators]
+
+
+def _unit_specializations(fam: ChartFamily) -> tuple[list, dict[tuple, list]]:
+    """``specialize_family`` at the origin and at every unit point.
+
+    The unit points are keyed as ``verify_flatness`` freezes a point.
+
+    One pass over the chart terms of the generators: at the unit point of
+    v a chart monomial is 1 when it is constant or a power of v, and 0
+    otherwise.  A generator free of v is shared with the origin.
+    """
+    if any(p.domain != DOMAIN_CHART for p in fam.generators):
+        raise DomainError("substitute_chart needs chart-ring coefficients")
+    const: list[dict] = [{} for _ in fam.generators]
+    single: dict[VarKey, dict[int, dict]] = {v: {} for v in fam.variables}
+    for g, p in enumerate(fam.generators):
+        for m, c in p.terms.items():
+            for mono, q in c.terms.items():
+                if not mono:
+                    const[g][m] = q
+                elif len(mono) == 1 and mono[0][0] in single:
+                    single[mono[0][0]].setdefault(g, {})[m] = q
+    base = [BivariatePolynomial._of(terms, DOMAIN_RATIONAL) for terms in const]
+    out = {}
+    for v, extra in single.items():
+        gens = list(base)
+        for g, terms in extra.items():
+            total = dict(const[g])
+            for m, q in terms.items():
+                q += total.get(m, 0)
+                if q:
+                    total[m] = q
+                else:
+                    del total[m]
+            gens[g] = BivariatePolynomial._of(total, DOMAIN_RATIONAL)
+        out[((v, "1"),)] = gens
+    return base, out
 
 
 def _point_values(variables, point: Mapping[VarKey, Fraction]) -> dict[VarKey, int | Fraction]:
@@ -295,7 +338,9 @@ def verify_flatness(
 
     Each sample completes its specialized generators to a Groebner basis
     under ``LEX_YX`` by the pair loop of ``buchberger`` alone, without
-    interreducing, and reads the colength from the leading monomials.  Every
+    interreducing, and reads the colength from the leading monomials.  The
+    unit points are specialized together in one pass over the chart terms;
+    any other point is substituted into ``fam.generators``.  Every
     Groebner basis of an ideal generates the same leading ideal, so the
     number equals the colength of the reduced basis.  A zero generator, a
     tripped step limit or an infinite colength gives colength -1.
@@ -337,7 +382,7 @@ def verify_flatness(
         if rem and witness is None:
             witness = f"S-pair ({i}, {i + 1}) leaves remainder {rem.to_text()}"
 
-    origin = [p.substitute_chart({}) for p in fam.generators]
+    origin, units = _unit_specializations(fam)
     expected = [BivariatePolynomial.of_monomial(c, 1) for c in fam.clefts]
     origin_ok = origin == expected
     if not origin_ok and witness is None:
@@ -350,7 +395,8 @@ def verify_flatness(
     for point in samples:
         frozen = tuple(sorted((k, str(exact_rational(v))) for k, v in point.items()))
         try:
-            records = [_Divisor(p, LEX_YX) for p in specialize_family(fam, point)]
+            gens = units.get(frozen) or specialize_family(fam, point)
+            records = [_Divisor(p, LEX_YX) for p in gens]
             basis = _complete(records, LEX_YX, _StepGuard(step_limit))
             col = sum(_standard_columns([d.lm for d in basis]))
         except DomainError:

@@ -83,8 +83,12 @@ class MonomialOrder:
         if self.kind == "weighted":
             sign = 1 if self.extremum == "max" else -1
             p, q = sign * self.vector[0], sign * self.vector[1]
+            if self.tiebreak.kind == "lex_yx":  # one flat tuple for the usual tiebreak
+                if q == 0 < p or p == 0 < q:  # the weight orders as lex does
+                    return itemgetter(0, 1) if q == 0 else itemgetter(1, 0)
+                return lambda m: (p * m[0] + q * m[1], m[1], m[0])
             tie = self.tiebreak.key
-            return lambda m: (p * m.alpha + q * m.beta,) + tie(m)
+            return lambda m: (p * m[0] + q * m[1],) + tie(m)
         raise DomainError(f"unknown monomial order kind {self.kind!r}")
 
     def compare(self, m1: Monomial, m2: Monomial) -> int:
@@ -144,7 +148,8 @@ def exact_rational(q) -> int | Fraction:
     """q as a coefficient: an ``int`` when integral, otherwise a ``Fraction``."""
     if type(q) is int:
         return q
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     return q.numerator if q.denominator == 1 else q
 
 
@@ -164,6 +169,13 @@ class ChartCoefficient:
             for k, v in terms.items()
             if v != 0
         }
+
+    @classmethod
+    def _of(cls, terms: dict[ChartMonomial, int | Fraction]) -> "ChartCoefficient":
+        """A coefficient on exact nonzero values, taken as they are."""
+        c = object.__new__(cls)
+        c.terms = terms
+        return c
 
     @classmethod
     def from_fraction(cls, q) -> "ChartCoefficient":
@@ -186,10 +198,10 @@ class ChartCoefficient:
         out = dict(self.terms)
         for k, v in other.terms.items():
             out[k] = out.get(k, 0) + v
-        return ChartCoefficient(out)
+        return ChartCoefficient._of({k: v for k, v in out.items() if v})
 
     def __neg__(self) -> "ChartCoefficient":
-        return ChartCoefficient({k: -v for k, v in self.terms.items()})
+        return ChartCoefficient._of({k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other: "ChartCoefficient") -> "ChartCoefficient":
         return self + (-other)
@@ -205,13 +217,13 @@ class ChartCoefficient:
         """Product with another chart coefficient or with a rational scalar."""
         if not isinstance(other, ChartCoefficient):
             q = exact_rational(other)
-            return ChartCoefficient({k: v * q for k, v in self.terms.items()})
+            return ChartCoefficient._of({k: v * q for k, v in self.terms.items() if q})
         out: dict[ChartMonomial, int | Fraction] = {}
         for k1, v1 in self.terms.items():
             for k2, v2 in other.terms.items():
-                k = self._mul_mono(k1, k2)
+                k = self._mul_mono(k1, k2) if k1 and k2 else k1 or k2
                 out[k] = out.get(k, 0) + v1 * v2
-        return ChartCoefficient(out)
+        return ChartCoefficient._of({k: v for k, v in out.items() if v})
 
     @property
     def is_constant(self) -> bool:
@@ -235,7 +247,7 @@ class ChartCoefficient:
                 x = point.get(key)
                 if not x:
                     break
-                value *= x ** e
+                value *= x if e == 1 else x ** e
             else:
                 total += value
         return total
@@ -359,14 +371,15 @@ class BivariatePolynomial:
     def mul_laurent(self, da: int, db: int) -> "BivariatePolynomial":
         """Shift all exponents by (da, db); the result must stay polynomial."""
         out = {}
-        for t, c in self.terms.items():
-            a, b = t.alpha + da, t.beta + db
+        new = tuple.__new__
+        for (a, b), c in self.terms.items():
+            a, b = a + da, b + db
             if a < 0 or b < 0:
                 raise NonPolynomialError(
                     f"shifting {self.to_text()} by x^{da}*y^{db} leaves the polynomial ring"
                 )
-            out[Monomial(a, b)] = c
-        return BivariatePolynomial(out, self.domain)
+            out[new(Monomial, (a, b))] = c
+        return BivariatePolynomial._of(out, self.domain)
 
     # -- weight structure ------------------------------------------------------
 
@@ -377,7 +390,7 @@ class BivariatePolynomial:
         v1, v2 = vector
         weights = {m: v1 * m.alpha + v2 * m.beta for m in self.terms}
         target = max(weights.values()) if extremum == "max" else min(weights.values())
-        return BivariatePolynomial(
+        return BivariatePolynomial._of(
             {m: c for m, c in self.terms.items() if weights[m] == target}, self.domain
         )
 
@@ -668,7 +681,9 @@ def _interreduce(
     """Interreduce to a fixpoint: every element irreducible modulo the others.
 
     Sound on arbitrary generating sets: each element is replaced by its full
-    remainder, never dropped unless that remainder is zero.  The result is
+    remainder, never dropped unless that remainder is zero.  A pass that
+    moves no leading monomial leaves each element irreducible modulo the
+    leading monomials of the others, so it is the last.  The result is
     monic and sorted by leading monomial.
     """
     changed = True
@@ -680,10 +695,9 @@ def _interreduce(
             r = _reduce(d.poly, others, order, guard) if others else d.poly
             if r is d.poly:
                 out.append(d)
-                continue
-            changed = True
-            if r:
+            elif r:
                 out.append(_Divisor(r, order))
+                changed = changed or out[-1].lm != d.lm
         divisors = out
     divisors.sort(key=lambda d: order.key(d.lm))
     return [d.made_monic(order) for d in divisors]
@@ -772,7 +786,28 @@ def _buchberger(
     basis = _interreduce([_Divisor(p, order) for p in gens if p], order, guard)
     interreduced = len(basis)
     _complete(basis, order, guard)
-    return _interreduce(basis, order, guard) if len(basis) > interreduced else basis
+    return _reduce_basis(basis, order, guard) if len(basis) > interreduced else basis
+
+
+def _reduce_basis(
+    basis: list[_Divisor], order: MonomialOrder, guard: _StepGuard
+) -> list[_Divisor]:
+    """The reduced basis from a Groebner basis, in one pass: minimalize, then reduce tails.
+
+    A record goes when another's leading monomial divides its own (of two
+    equal ones, the later goes); each kept record is reduced once modulo the
+    other kept ones, which leaves its leading term alone.  Monic and sorted
+    by leading monomial, as ``_interreduce`` leaves a basis.
+    """
+    kept = [d for i, d in enumerate(basis)
+            if not any(e.lm[0] <= d.lm[0] and e.lm[1] <= d.lm[1] and (e.lm != d.lm or j < i)
+                       for j, e in enumerate(basis) if j != i)]
+    kept.sort(key=lambda d: order.key(d.lm))
+    out = []
+    for i, d in enumerate(kept):
+        r = _reduce(d.poly, kept[:i] + kept[i + 1:], order, guard)
+        out.append((d if r is d.poly else _Divisor(r, order)).made_monic(order))
+    return out
 
 
 def _complete(basis: list[_Divisor], order: MonomialOrder, guard: _StepGuard) -> list[_Divisor]:
@@ -903,16 +938,26 @@ def standard_monomials(gb: GroebnerBasis) -> Staircase:
 
 
 def _standard_columns(lms: Sequence[Monomial]) -> tuple[int, ...]:
-    """Column heights outside the ideal the monomials generate (any generating set serves)."""
-    if ONE in lms:
-        return ()
-    x_powers = [m.alpha for m in lms if m.beta == 0]
-    y_powers = [m.beta for m in lms if m.alpha == 0]
-    if not x_powers or not y_powers:
-        raise NotZeroDimensionalError(
-            "leading ideal contains no pure power of x or of y; colength is infinite"
-        )
-    return tuple(min(b for a, b in lms if a <= i) for i in range(min(x_powers)))
+    """Column heights outside the ideal the monomials generate (any generating set serves).
+
+    One pass over the monomials sorted by x-exponent: a column's height is
+    the least y-exponent seen so far, and the first pure power of x ends it.
+    """
+    columns: list[int] = []
+    height = None
+    for a, b in sorted(lms):
+        if height is None:
+            if a:
+                break  # no pure power of y
+            height = b
+        elif b < height:
+            columns += [height] * (a - len(columns))
+            height = b
+        if not height:
+            return tuple(columns)
+    raise NotZeroDimensionalError(
+        "leading ideal contains no pure power of x or of y; colength is infinite"
+    )
 
 
 def colength(gb: GroebnerBasis) -> int:

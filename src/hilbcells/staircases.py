@@ -225,19 +225,18 @@ class HilbertFunction:
         return cls.from_counts(w, {int(k): int(v) for k, v in data["values"].items()})
 
 
-def _cell_degrees(E: Staircase, w: Weight) -> Iterator[int]:
-    """The w-degree of each cell of E, read column by column from the heights."""
-    step, a = -w.b, w.a
-    for i, h in enumerate(E.columns):
-        yield from range(step * i, step * i + a * h, a) if a else (step * i,) * h
-
-
 def hilbert_function(E: Staircase, w: Weight) -> HilbertFunction:
-    """Number of cells of E in each degree of the w-grading."""
+    """Number of cells of E in each degree of the w-grading.
+
+    Column i holds the degrees -b*i + a*j for j below its height, so the
+    counts are taken straight from the heights.
+    """
+    step, a = -w.b, w.a
     counts: dict[int, int] = {}
-    for d in _cell_degrees(E, w):
-        counts[d] = counts.get(d, 0) + 1
-    return HilbertFunction.from_counts(w, counts)
+    for i, h in enumerate(E.columns):
+        for d in range(step * i, step * i + a * h, a) if a else (step * i,) * h:
+            counts[d] = counts.get(d, 0) + 1
+    return HilbertFunction(w, tuple(sorted(counts.items())))
 
 
 @lru_cache(maxsize=None)
@@ -347,8 +346,17 @@ def s_profile(E: Staircase, w: Weight) -> SProfile:
     _require_positive_regime(w)
     if not E.columns:
         raise DomainError("s_profile of the empty staircase is undefined")
+    top = max(-w.b * i + w.a * (h - 1) for i, h in enumerate(E.columns))
+    return _profile(E, _profile_grid(top, w))
+
+
+def _profile_grid(top: int, w: Weight) -> tuple[Weight, int, list[int]]:
+    """The positions up to degree top, as keys in sequence order, for ``_profile``.
+
+    Staircases with one Hilbert function share their top degree, so a class
+    lays out its grid once.
+    """
     a, step = w.a, -w.b
-    top = max(step * i + a * (h - 1) for i, h in enumerate(E.columns))
     rows, cols = top // a + 1, top // step + 1
     if rows * cols > S_PROFILE_BOUND:
         raise BoundExceededError(
@@ -358,9 +366,15 @@ def s_profile(E: Staircase, w: Weight) -> SProfile:
     # A position's key orders it by (degree, y-exponent), as the sequence does.
     keys = sorted((step * i + a * j) * rows + j
                   for j in range(rows) for i in range((top - a * j) // step + 1))
-    cells = {(step * i + a * j) * rows + j
-             for i, h in enumerate(E.columns) for j in range(h)}
-    return SProfile(w, tuple(accumulate((k in cells for k in keys), initial=0))[1:])
+    return w, rows, keys
+
+
+def _profile(E: Staircase, grid: tuple[Weight, int, list[int]]) -> SProfile:
+    """The S-profile of E on a grid reaching its top degree."""
+    w, rows, keys = grid
+    a, step = w.a, -w.b
+    cells = {(step * i + a * j) * rows + j for i, h in enumerate(E.columns) for j in range(h)}
+    return SProfile(w, tuple(accumulate(map(cells.__contains__, keys), initial=0))[1:])
 
 
 class Comparison(Enum):

@@ -41,6 +41,8 @@ from .staircases import (
     Weight,
     _compare_profiles,
     _partitions,
+    _profile,
+    _profile_grid,
     compatible_staircases,
     enumerate_staircases,
     hilbert_function,
@@ -99,7 +101,8 @@ def degenerate_once(
     generators, a monomial ideal; the target is read off it and certified
     distinct from E, strictly below it in the S-profile order, and of equal
     Hilbert function.  One call builds one tangent basis and no chart
-    family, runs one Buchberger and computes two S-profiles.
+    family, runs one Buchberger and computes two Hilbert functions and two
+    S-profiles.
     """
     _require_descent_regime(w)
     basis = tangent_basis(E, w)
@@ -112,10 +115,10 @@ def degenerate_once(
     elif couple not in candidates:
         raise DomainError(f"({couple.c}, {couple.m}) is not a significant positive "
                           f"couple of direction ({w.a}, {w.b})")
-    return _degenerate(basis, couple, {}, step_limit)
+    return _degenerate(basis, couple, hilbert_function(E, w), {}, step_limit)
 
 
-def _degenerate(basis: TangentBasis, couple: CleftCouple,
+def _degenerate(basis: TangentBasis, couple: CleftCouple, H: HilbertFunction,
                 profiles: dict[Staircase, SProfile],
                 step_limit: Optional[int]) -> DegenerationStep:
     """Degenerate the source of an invariant tangent basis at one of its couples.
@@ -123,9 +126,11 @@ def _degenerate(basis: TangentBasis, couple: CleftCouple,
     The specialized generators are the cleft recursion of the basis
     evaluated over Q with the couple's variable 1 and every other 0, equal
     to substituting that point into the invariant chart family, which is
-    not built.  The source's and target's S-profiles are read from
+    not built.  H is the source's Hilbert function, which the target's must
+    equal.  The source's and target's S-profiles are read from
     ``profiles``, or computed and added to it.  The step runs one
-    Buchberger and computes at most two S-profiles.
+    Buchberger and computes the target's Hilbert function and at most two
+    S-profiles.
     """
     E, w = basis.staircase, basis.direction
     key = couple_key(couple)
@@ -148,7 +153,7 @@ def _degenerate(basis: TangentBasis, couple: CleftCouple,
     F = standard_monomials(GroebnerBasis(tuple(limit), LEX_YX))  # monomials form a Groebner basis
     if F == E:
         raise inconsistent("degeneration did not move", f"target {F.columns}")
-    if hilbert_function(F, w) != hilbert_function(E, w):
+    if hilbert_function(F, w) != H:
         raise inconsistent("degeneration changed the Hilbert function", f"target {F.columns}")
     for S in (E, F):
         if S not in profiles:
@@ -173,8 +178,9 @@ def descend_to_minimal(
     The couple picked at each step follows the policy (first, last, or
     seeded random); the endpoint does not depend on it.  A descent of k
     steps builds k+1 tangent bases and no chart family, runs k Buchbergers
-    and computes k+1 S-profiles (none if k = 0): each target's profile is
-    carried into the next step.
+    and computes k+1 Hilbert functions and k+1 S-profiles (none of either
+    if k = 0): the source's Hilbert function serves every step, and each
+    target's profile is carried into the next step.
     """
     _require_descent_regime(w)
     if policy not in ("first", "last", "random"):
@@ -182,6 +188,7 @@ def descend_to_minimal(
     rng = random.Random(seed)
     chain: list[DegenerationStep] = []
     profiles: dict[Staircase, SProfile] = {}
+    H = None
     current = E
     cap = len(_partitions(len(E)))
     while True:
@@ -195,7 +202,9 @@ def descend_to_minimal(
             chosen = candidates[-1]
         else:
             chosen = rng.choice(candidates)
-        step = _degenerate(basis, chosen, profiles, step_limit)
+        if H is None:
+            H = hilbert_function(E, w)
+        step = _degenerate(basis, chosen, H, profiles, step_limit)
         chain.append(step)
         current = step.target
         if len(chain) > cap:
@@ -224,27 +233,34 @@ def _minimal_columns(values: dict[int, int], w: Weight) -> tuple[int, ...]:
 
     Each pass takes the bottom row x^0, ..., x^k, for the largest k whose
     degree k*(-b) sees the count rise over the degree a below it, and moves
-    the rest down by a, the degree of y.  A pass reads each degree of the
-    residual once, so neither the size of the degrees nor the number of
-    rows limits it; the rows, bottom first, give the columns at the end.
+    the rest down by a, the degree of y.  The residual is one dict, updated
+    in place: a residual degree d sits at key d + shift, and moving down
+    adds a to the shift.  A pass reads each degree of the residual once, so
+    neither the size of the degrees nor the number of rows limits it; the
+    rows, bottom first, give the columns at the end.
     """
-    step = -w.b  # degree of x
+    step, a = -w.b, w.a  # degrees of x and of y
     values = {d: c for d, c in values.items() if c != 0}
     if any(c < 0 for c in values.values()):
         raise UnrealizableError("H not realizable: negative residual count")
     widths = []
+    shift = 0
     while values:
-        admissible = [d // step for d, c in values.items()
-                      if d >= 0 and d % step == 0 and values.get(d - w.a, 0) < c]
-        if not admissible:
+        k = max(((d - shift) // step for d, c in values.items()
+                 if d >= shift and (d - shift) % step == 0 and values.get(d - a, 0) < c),
+                default=-1)
+        if k < 0:
             raise UnrealizableError("H not realizable: no admissible bottom row")
-        k = max(admissible)
-        row = {d for d in values if 0 <= d <= k * step and d % step == 0}
-        if len(row) != k + 1:
-            raise UnrealizableError("H not realizable: bottom row exceeds a count")
+        for d in range(shift, shift + k * step + 1, step):
+            c = values.get(d)
+            if c is None:
+                raise UnrealizableError("H not realizable: bottom row exceeds a count")
+            if c == 1:
+                del values[d]
+            else:
+                values[d] = c - 1
         widths.append(k + 1)
-        residual = {d: c - 1 if d in row else c for d, c in values.items()}
-        values = {d - w.a: c for d, c in residual.items() if c}
+        shift += a
     if any(upper > lower for lower, upper in zip(widths, widths[1:])):
         raise UnrealizableError("H not realizable: upper part wider than the bottom row")
     return tuple(sum(1 for r in widths if r > i) for i in range(widths[0] if widths else 0))
@@ -355,8 +371,11 @@ def component_report(length: int, w: Weight, bound: int = 12) -> list[ComponentR
     Each staircase gets one tangent basis, which gives its stratum data,
     feeds the oracle and indexes its degeneration step, one S-profile and at
     most one step (policy "first"); the chains follow those steps, as every
-    target is a member of the same class.  p staircases in c classes cost p
-    tangent bases, p S-profiles and p - c Buchbergers, and no chart family.
+    target is a member of the same class.  A class lays out one S-profile
+    grid and hands its Hilbert function to its steps.  p staircases in c
+    classes cost p tangent bases, p S-profiles, 2p Hilbert functions (p to
+    group, c to check the minimal staircases, p - c for the targets) and
+    p - c Buchbergers, and no chart family.
     """
     _require_length(length)
     if length > bound:
@@ -376,7 +395,8 @@ def component_report(length: int, w: Weight, bound: int = 12) -> list[ComponentR
             if len(dims) != 1:
                 raise ConsistencyError(f"tangent dimension varies over {H.as_dict()}: {dims}")
             minimal = minimal_staircase(H)
-            profiles = {E: s_profile(E, w) for E in members}
+            grid = _profile_grid(H.values[-1][0], w)
+            profiles = {E: _profile(E, grid) for E in members}
             oracle = _least_compatible(H, bases, profiles)
             if minimal != oracle:
                 raise ConsistencyError(
@@ -386,7 +406,7 @@ def component_report(length: int, w: Weight, bound: int = 12) -> list[ComponentR
             for E, tb in bases.items():
                 candidates = _positive_couples(tb)
                 if candidates:
-                    targets[E] = _degenerate(tb, candidates[0], profiles, None).target
+                    targets[E] = _degenerate(tb, candidates[0], H, profiles, None).target
             chains = []
             for E in members:
                 chain = [E]

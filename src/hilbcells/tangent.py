@@ -111,15 +111,16 @@ def cleft_couples(E: Staircase, direction: Weight | None = None) -> tuple[CleftC
                 out.append(CleftCouple(c, m))
         return tuple(sorted(out, key=CleftCouple.sort_key))
     a, b = direction.a, direction.b              # b < 0
+    cols, width = E.columns, E.width
     out = []
     for c in clefts(E):
         lo = (E.height - c.beta) // b + 1        # least t with c.beta + t*b < height
         hi = c.beta // -b                        # greatest t with c.beta + t*b >= 0
         ts = range(lo, hi + 1) if a > 0 else range(hi, lo - 1, -1)
         for t in ts:
-            m = Monomial(c.alpha + t * a, c.beta + t * b)
-            if m in E:
-                out.append(CleftCouple(c, m))
+            ma, mb = c.alpha + t * a, c.beta + t * b
+            if 0 <= ma < width and mb < cols[ma]:  # the cell (ma, mb) lies in E
+                out.append(CleftCouple(c, Monomial(ma, mb)))
     return tuple(out)
 
 

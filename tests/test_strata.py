@@ -120,7 +120,10 @@ def counting(monkeypatch, *targets):
     return counts
 
 
-PROFILE = ("hilbcells.strata.s_profile", "hilbcells.staircases.s_profile")
+# Every S-profile is laid out by staircases._profile, on a grid that s_profile
+# builds per staircase and a component report once per class.
+PROFILE = ("hilbcells.strata._profile", "hilbcells.staircases._profile")
+HILBERT = ("hilbcells.strata.hilbert_function", "hilbcells.staircases.hilbert_function")
 
 
 class TestOneFamilyPerStep:
@@ -137,6 +140,15 @@ class TestOneFamilyPerStep:
         assert len(steps) == k
         tangent_bases = sum(counts[t] for t in self.TANGENT)
         assert (counts[self.FAMILY], tangent_bases, counts[self.BUCHBERGER]) == (0, k + 1, k)
+
+    @pytest.mark.parametrize("columns, k", DESCENTS)
+    def test_descent_hilbert_functions_per_step(self, monkeypatch, columns, k):
+        # The source's Hilbert function serves every step; each target's is
+        # checked against it.  A descent that takes no step computes none.
+        counts = counting(monkeypatch, *HILBERT)
+        steps = descend_to_minimal(construct_staircase(columns), W11)
+        assert len(steps) == k
+        assert sum(counts.values()) == (k + 1 if k else 0)
 
     @pytest.mark.parametrize("columns, k", DESCENTS)
     def test_descent_profiles_per_step(self, monkeypatch, columns, k):
@@ -173,13 +185,15 @@ class TestOneReportWork:
     @pytest.mark.parametrize("w", [W11, Weight(2, -1), Weight(1, -2)], ids=str)
     def test_report_work(self, monkeypatch, n, w):
         counts = counting(monkeypatch, TestOneFamilyPerStep.FAMILY, *TestOneFamilyPerStep.TANGENT,
-                          TestOneFamilyPerStep.BUCHBERGER, *PROFILE)
+                          TestOneFamilyPerStep.BUCHBERGER, *PROFILE, *HILBERT)
         reports = component_report(n, w)
         p = len(enumerate_staircases(n))
         tangent_bases = sum(counts[t] for t in TestOneFamilyPerStep.TANGENT)
         profiles = sum(counts[t] for t in PROFILE)
         assert (tangent_bases, counts[TestOneFamilyPerStep.FAMILY], profiles) == (p, 0, p)
         assert counts[TestOneFamilyPerStep.BUCHBERGER] == p - len(reports)
+        # p to group, one per class for its minimal staircase, one per target
+        assert sum(counts[t] for t in HILBERT) == 2 * p
 
     def test_step_cycle_is_inconsistent(self, monkeypatch):
         strata = importlib.import_module("hilbcells.strata")
