@@ -55,10 +55,8 @@ class SectorDecomposition:
         if m in self.staircase:
             raise DomainError(f"{m} lies in the staircase, not in its complement")
         best = 0
-        for i, (ca, cb) in enumerate(self.clefts, start=1):
-            if ca > m.alpha:  # the clefts' x-exponents increase
-                break
-            if cb <= m.beta:
+        for i, c in enumerate(self.clefts, start=1):
+            if c.divides(m):
                 best = i
         if best == 0:
             raise ConsistencyError(f"complement monomial {m} divisible by no cleft")
@@ -124,16 +122,14 @@ class CleftPlan:
         P[-1] = BivariatePolynomial.of_monomial(cs[-1], 1, domain)
         q_polys: list[tuple[VarKey, BivariatePolynomial]] = []
         for i, shift, couples in self.rows:
-            total = dict(P[i + 1].mul_laurent(*shift).terms)
+            total = P[i + 1].mul_laurent(*shift)
             for key, target, (da, db) in couples:
                 if key not in values:
                     continue
                 q = P[target].mul_laurent(da, db)
                 q_polys.append((key, q))
-                v = values[key]
-                for m, c in q.terms.items():  # total += v * q, in place
-                    total[m] = total[m] + c * v if m in total else c * v
-            P[i] = BivariatePolynomial._of({m: c for m, c in total.items() if c}, domain)
+                total = total + q.scale(values[key])
+            P[i] = total
         return P, q_polys
 
 
@@ -146,10 +142,9 @@ def cleft_plan(basis: TangentBasis) -> CleftPlan:
     E = basis.staircase
     cs = clefts(E)
     sectors = SectorDecomposition(E, cs)
-    index = {c: i for i, c in enumerate(cs)}
     by_cleft: dict[int, list[CleftCouple]] = {}
     for couple in sorted(basis.positive, key=CleftCouple.sort_key):
-        by_cleft.setdefault(index[couple.c], []).append(couple)
+        by_cleft.setdefault(cs.index(couple.c), []).append(couple)
     rows = []
     for i in range(len(cs) - 2, -1, -1):
         (ca, cb), (na, nb) = cs[i], cs[i + 1]
@@ -223,40 +218,26 @@ def specialize_family(
 
 
 def _unit_specializations(fam: ChartFamily) -> tuple[list, dict[tuple, list]]:
-    """``specialize_family`` at the origin and at every unit point.
-
-    The unit points are keyed as ``verify_flatness`` freezes a point.
-
-    One pass over the chart terms of the generators: at the unit point of
-    v a chart monomial is 1 when it is constant or a power of v, and 0
-    otherwise.  A generator free of v is shared with the origin.
-    """
+    """``specialize_family`` at the origin and at each unit point, keyed as a sample freezes it."""
     if any(p.domain != DOMAIN_CHART for p in fam.generators):
         raise DomainError("substitute_chart needs chart-ring coefficients")
     const: list[dict] = [{} for _ in fam.generators]
     single: dict[VarKey, dict[int, dict]] = {v: {} for v in fam.variables}
     for g, p in enumerate(fam.generators):
         for m, c in p.terms.items():
-            for mono, q in c.terms.items():
+            for mono, q in c.terms.items():  # 1 at the unit point of v if constant or v^e
                 if not mono:
                     const[g][m] = q
                 elif len(mono) == 1 and mono[0][0] in single:
                     single[mono[0][0]].setdefault(g, {})[m] = q
-    base = [BivariatePolynomial._of(terms, DOMAIN_RATIONAL) for terms in const]
-    out = {}
+    origin = [BivariatePolynomial._of(terms, DOMAIN_RATIONAL) for terms in const]
+    units = {}
     for v, extra in single.items():
-        gens = list(base)
+        gens = list(origin)  # a generator free of v is its origin fiber
         for g, terms in extra.items():
-            total = dict(const[g])
-            for m, q in terms.items():
-                q += total.get(m, 0)
-                if q:
-                    total[m] = q
-                else:
-                    del total[m]
-            gens[g] = BivariatePolynomial._of(total, DOMAIN_RATIONAL)
-        out[((v, "1"),)] = gens
-    return base, out
+            gens[g] = origin[g] + BivariatePolynomial._of(terms, DOMAIN_RATIONAL)
+        units[((v, "1"),)] = gens
+    return origin, units
 
 
 def _point_values(variables, point: Mapping[VarKey, Fraction]) -> dict[VarKey, int | Fraction]:
@@ -272,15 +253,11 @@ def default_sample_points(
     fam: ChartFamily, extra: int = 3, seed: int = 7
 ) -> list[dict[VarKey, int | Fraction]]:
     """All unit points, then seeded pseudo-random points with small rationals."""
-    points: list[dict[VarKey, int | Fraction]] = []
-    for v in fam.variables:
-        points.append({v: 1})
     rng = random.Random(seed)
-    for _ in range(extra):
-        points.append(
-            {v: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for v in fam.variables}
-        )
-    return points
+    return [{v: 1} for v in fam.variables] + [
+        {v: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for v in fam.variables}
+        for _ in range(extra)
+    ]
 
 
 @dataclass(frozen=True)
@@ -338,9 +315,8 @@ def verify_flatness(
 
     Each sample completes its specialized generators to a Groebner basis
     under ``LEX_YX`` by the pair loop of ``buchberger`` alone, without
-    interreducing, and reads the colength from the leading monomials.  The
-    unit points are specialized together in one pass over the chart terms;
-    any other point is substituted into ``fam.generators``.  Every
+    interreducing, and reads the colength from the leading monomials (unit
+    points are specialized in one pass, others substituted).  Every
     Groebner basis of an ideal generates the same leading ideal, so the
     number equals the colength of the reduced basis.  A zero generator, a
     tripped step limit or an infinite colength gives colength -1.
@@ -406,12 +382,6 @@ def verify_flatness(
         if not ok and witness is None:
             witness = f"specialization {dict(frozen)} has colength {col}, expected {target}"
 
-    valid = (
-        leading_ok
-        and origin_ok
-        and all(ok for _, _, ok, _ in spairs)
-        and all(c.ok for c in checks)
-    )
-    return FlatnessCertificate(
-        valid, leading_ok, tuple(spairs), origin_ok, tuple(checks), witness
-    )
+    valid = (leading_ok and origin_ok and all(ok for _, _, ok, _ in spairs)
+             and all(c.ok for c in checks))
+    return FlatnessCertificate(valid, leading_ok, tuple(spairs), origin_ok, tuple(checks), witness)

@@ -278,17 +278,12 @@ def _cmd_specialize(args):
     return {"generators": [p.to_text() for p in gens]}
 
 
-# Largest ``verify-flat --samples``: the seeded points are laid out before
-# any check, one dict each.
-SAMPLES_BOUND = 100
+SAMPLES_BOUND = 100  # largest verify-flat --samples: its points are laid out before any check
 
 
 def _cmd_verify_flat(args):
-    if args.samples < 0:
-        raise DomainError(f"--samples must be at least 0, got {args.samples}")
-    if args.samples > SAMPLES_BOUND:
-        raise BoundExceededError(
-            f"samples bound {SAMPLES_BOUND} exceeded by --samples {args.samples}")
+    if not 0 <= args.samples <= SAMPLES_BOUND:
+        raise BoundExceededError(f"--samples {args.samples} outside 0 to bound {SAMPLES_BOUND}")
     fam = _chart_family(args)
     cert = charts.verify_flatness(fam, extra_samples=args.samples, seed=args.seed,
                                   step_limit=args.max_steps)

@@ -83,10 +83,9 @@ class MonomialOrder:
         if self.kind == "weighted":
             sign = 1 if self.extremum == "max" else -1
             p, q = sign * self.vector[0], sign * self.vector[1]
-            if self.tiebreak.kind == "lex_yx":  # one flat tuple for the usual tiebreak
-                if q == 0 < p or p == 0 < q:  # the weight orders as lex does
-                    return itemgetter(0, 1) if q == 0 else itemgetter(1, 0)
-                return lambda m: (p * m[0] + q * m[1], m[1], m[0])
+            if self.tiebreak.kind == "lex_yx":  # one flat tuple; one positive weight is lex
+                return (itemgetter(0, 1) if q == 0 < p else itemgetter(1, 0) if p == 0 < q
+                        else lambda m: (p * m[0] + q * m[1], m[1], m[0]))
             tie = self.tiebreak.key
             return lambda m: (p * m[0] + q * m[1],) + tie(m)
         raise DomainError(f"unknown monomial order kind {self.kind!r}")
@@ -148,8 +147,7 @@ def exact_rational(q) -> int | Fraction:
     """q as a coefficient: an ``int`` when integral, otherwise a ``Fraction``."""
     if type(q) is int:
         return q
-    if type(q) is not Fraction:
-        q = Fraction(q)
+    q = q if type(q) is Fraction else Fraction(q)
     return q.numerator if q.denominator == 1 else q
 
 
@@ -169,13 +167,6 @@ class ChartCoefficient:
             for k, v in terms.items()
             if v != 0
         }
-
-    @classmethod
-    def _of(cls, terms: dict[ChartMonomial, int | Fraction]) -> "ChartCoefficient":
-        """A coefficient on exact nonzero values, taken as they are."""
-        c = object.__new__(cls)
-        c.terms = terms
-        return c
 
     @classmethod
     def from_fraction(cls, q) -> "ChartCoefficient":
@@ -198,10 +189,10 @@ class ChartCoefficient:
         out = dict(self.terms)
         for k, v in other.terms.items():
             out[k] = out.get(k, 0) + v
-        return ChartCoefficient._of({k: v for k, v in out.items() if v})
+        return ChartCoefficient(out)
 
     def __neg__(self) -> "ChartCoefficient":
-        return ChartCoefficient._of({k: -v for k, v in self.terms.items()})
+        return ChartCoefficient({k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other: "ChartCoefficient") -> "ChartCoefficient":
         return self + (-other)
@@ -217,13 +208,13 @@ class ChartCoefficient:
         """Product with another chart coefficient or with a rational scalar."""
         if not isinstance(other, ChartCoefficient):
             q = exact_rational(other)
-            return ChartCoefficient._of({k: v * q for k, v in self.terms.items() if q})
+            return ChartCoefficient({k: v * q for k, v in self.terms.items()})
         out: dict[ChartMonomial, int | Fraction] = {}
         for k1, v1 in self.terms.items():
             for k2, v2 in other.terms.items():
                 k = self._mul_mono(k1, k2) if k1 and k2 else k1 or k2
                 out[k] = out.get(k, 0) + v1 * v2
-        return ChartCoefficient._of({k: v for k, v in out.items() if v})
+        return ChartCoefficient(out)
 
     @property
     def is_constant(self) -> bool:
@@ -371,14 +362,13 @@ class BivariatePolynomial:
     def mul_laurent(self, da: int, db: int) -> "BivariatePolynomial":
         """Shift all exponents by (da, db); the result must stay polynomial."""
         out = {}
-        new = tuple.__new__
         for (a, b), c in self.terms.items():
             a, b = a + da, b + db
             if a < 0 or b < 0:
                 raise NonPolynomialError(
                     f"shifting {self.to_text()} by x^{da}*y^{db} leaves the polynomial ring"
                 )
-            out[new(Monomial, (a, b))] = c
+            out[tuple.__new__(Monomial, (a, b))] = c
         return BivariatePolynomial._of(out, self.domain)
 
     # -- weight structure ------------------------------------------------------
@@ -681,9 +671,8 @@ def _interreduce(
     """Interreduce to a fixpoint: every element irreducible modulo the others.
 
     Sound on arbitrary generating sets: each element is replaced by its full
-    remainder, never dropped unless that remainder is zero.  A pass that
-    moves no leading monomial leaves each element irreducible modulo the
-    leading monomials of the others, so it is the last.  The result is
+    remainder, never dropped unless that remainder is zero.  A pass moving no
+    leading monomial is the last (a Groebner basis takes one); the result is
     monic and sorted by leading monomial.
     """
     changed = True
@@ -786,28 +775,7 @@ def _buchberger(
     basis = _interreduce([_Divisor(p, order) for p in gens if p], order, guard)
     interreduced = len(basis)
     _complete(basis, order, guard)
-    return _reduce_basis(basis, order, guard) if len(basis) > interreduced else basis
-
-
-def _reduce_basis(
-    basis: list[_Divisor], order: MonomialOrder, guard: _StepGuard
-) -> list[_Divisor]:
-    """The reduced basis from a Groebner basis, in one pass: minimalize, then reduce tails.
-
-    A record goes when another's leading monomial divides its own (of two
-    equal ones, the later goes); each kept record is reduced once modulo the
-    other kept ones, which leaves its leading term alone.  Monic and sorted
-    by leading monomial, as ``_interreduce`` leaves a basis.
-    """
-    kept = [d for i, d in enumerate(basis)
-            if not any(e.lm[0] <= d.lm[0] and e.lm[1] <= d.lm[1] and (e.lm != d.lm or j < i)
-                       for j, e in enumerate(basis) if j != i)]
-    kept.sort(key=lambda d: order.key(d.lm))
-    out = []
-    for i, d in enumerate(kept):
-        r = _reduce(d.poly, kept[:i] + kept[i + 1:], order, guard)
-        out.append((d if r is d.poly else _Divisor(r, order)).made_monic(order))
-    return out
+    return _interreduce(basis, order, guard) if len(basis) > interreduced else basis
 
 
 def _complete(basis: list[_Divisor], order: MonomialOrder, guard: _StepGuard) -> list[_Divisor]:
@@ -938,19 +906,12 @@ def standard_monomials(gb: GroebnerBasis) -> Staircase:
 
 
 def _standard_columns(lms: Sequence[Monomial]) -> tuple[int, ...]:
-    """Column heights outside the ideal the monomials generate (any generating set serves).
-
-    One pass over the monomials sorted by x-exponent: a column's height is
-    the least y-exponent seen so far, and the first pure power of x ends it.
-    """
-    columns: list[int] = []
-    height = None
+    """Column heights outside the ideal the monomials generate, in one pass over them sorted."""
+    columns, height = [], None
     for a, b in sorted(lms):
-        if height is None:
-            if a:
-                break  # no pure power of y
-            height = b
-        elif b < height:
+        if height is None and a:
+            break  # no pure power of y
+        if height is None or b < height:
             columns += [height] * (a - len(columns))
             height = b
         if not height:

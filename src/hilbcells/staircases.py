@@ -226,11 +226,7 @@ class HilbertFunction:
 
 
 def hilbert_function(E: Staircase, w: Weight) -> HilbertFunction:
-    """Number of cells of E in each degree of the w-grading.
-
-    Column i holds the degrees -b*i + a*j for j below its height, so the
-    counts are taken straight from the heights.
-    """
+    """Number of cells of E in each degree of the w-grading, counted from the column heights."""
     step, a = -w.b, w.a
     counts: dict[int, int] = {}
     for i, h in enumerate(E.columns):
@@ -336,12 +332,10 @@ def s_profile(E: Staircase, w: Weight) -> SProfile:
     """The cumulative profile of E along the (degree, y-exponent) sequence.
 
     The profile stops at the end of the degree block holding the largest
-    cell, so profiles of staircases with equal Hilbert functions share their
-    horizon; beyond it the profile is constant.  The positions are the grid
-    monomials of degree at most the top one, sorted as ``monomial_sequence``
-    yields them; empty degrees cost nothing.  Raises ``BoundExceededError``
-    before laying out any position when the rectangle holding them exceeds
-    ``S_PROFILE_BOUND``.
+    cell, so staircases with equal Hilbert functions share this horizon and
+    the grid of positions, the monomials of degree at most the top one in
+    ``monomial_sequence`` order.  Raises ``BoundExceededError`` before laying
+    out any position when their rectangle exceeds ``S_PROFILE_BOUND``.
     """
     _require_positive_regime(w)
     if not E.columns:
@@ -351,11 +345,7 @@ def s_profile(E: Staircase, w: Weight) -> SProfile:
 
 
 def _profile_grid(top: int, w: Weight) -> tuple[Weight, int, list[int]]:
-    """The positions up to degree top, as keys in sequence order, for ``_profile``.
-
-    Staircases with one Hilbert function share their top degree, so a class
-    lays out its grid once.
-    """
+    """The positions up to degree top, as keys in sequence order; a Hilbert class shares them."""
     a, step = w.a, -w.b
     rows, cols = top // a + 1, top // step + 1
     if rows * cols > S_PROFILE_BOUND:
@@ -372,8 +362,7 @@ def _profile_grid(top: int, w: Weight) -> tuple[Weight, int, list[int]]:
 def _profile(E: Staircase, grid: tuple[Weight, int, list[int]]) -> SProfile:
     """The S-profile of E on a grid reaching its top degree."""
     w, rows, keys = grid
-    a, step = w.a, -w.b
-    cells = {(step * i + a * j) * rows + j for i, h in enumerate(E.columns) for j in range(h)}
+    cells = {(-w.b * i + w.a * j) * rows + j for i, h in enumerate(E.columns) for j in range(h)}
     return SProfile(w, tuple(accumulate(map(cells.__contains__, keys), initial=0))[1:])
 
 

@@ -100,9 +100,8 @@ def degenerate_once(
     The limit is the x-weight-maximal initial ideal of the specialized
     generators, a monomial ideal; the target is read off it and certified
     distinct from E, strictly below it in the S-profile order, and of equal
-    Hilbert function.  One call builds one tangent basis and no chart
-    family, runs one Buchberger and computes two Hilbert functions and two
-    S-profiles.
+    Hilbert function.  One call builds one tangent basis and no chart family,
+    runs one Buchberger and computes two Hilbert functions and two S-profiles.
     """
     _require_descent_regime(w)
     basis = tangent_basis(E, w)
@@ -126,11 +125,10 @@ def _degenerate(basis: TangentBasis, couple: CleftCouple, H: HilbertFunction,
     The specialized generators are the cleft recursion of the basis
     evaluated over Q with the couple's variable 1 and every other 0, equal
     to substituting that point into the invariant chart family, which is
-    not built.  H is the source's Hilbert function, which the target's must
-    equal.  The source's and target's S-profiles are read from
-    ``profiles``, or computed and added to it.  The step runs one
-    Buchberger and computes the target's Hilbert function and at most two
-    S-profiles.
+    not built.  H is the source's Hilbert function; the target's must equal
+    it.  The S-profiles are read from ``profiles``, or computed and added to
+    it.  The step runs one Buchberger and computes the target's Hilbert
+    function and at most two S-profiles.
     """
     E, w = basis.staircase, basis.direction
     key = couple_key(couple)
@@ -178,9 +176,8 @@ def descend_to_minimal(
     The couple picked at each step follows the policy (first, last, or
     seeded random); the endpoint does not depend on it.  A descent of k
     steps builds k+1 tangent bases and no chart family, runs k Buchbergers
-    and computes k+1 Hilbert functions and k+1 S-profiles (none of either
-    if k = 0): the source's Hilbert function serves every step, and each
-    target's profile is carried into the next step.
+    and computes k+1 Hilbert functions and k+1 S-profiles (none if k = 0):
+    each target is checked against E's and carries its profile onward.
     """
     _require_descent_regime(w)
     if policy not in ("first", "last", "random"):
@@ -188,8 +185,7 @@ def descend_to_minimal(
     rng = random.Random(seed)
     chain: list[DegenerationStep] = []
     profiles: dict[Staircase, SProfile] = {}
-    H = None
-    current = E
+    current, H = E, None  # H, the Hilbert function of E, at the first step
     cap = len(_partitions(len(E)))
     while True:
         basis = tangent_basis(current, w)
@@ -202,8 +198,7 @@ def descend_to_minimal(
             chosen = candidates[-1]
         else:
             chosen = rng.choice(candidates)
-        if H is None:
-            H = hilbert_function(E, w)
+        H = H or hilbert_function(E, w)
         step = _degenerate(basis, chosen, H, profiles, step_limit)
         chain.append(step)
         current = step.target
@@ -233,37 +228,33 @@ def _minimal_columns(values: dict[int, int], w: Weight) -> tuple[int, ...]:
 
     Each pass takes the bottom row x^0, ..., x^k, for the largest k whose
     degree k*(-b) sees the count rise over the degree a below it, and moves
-    the rest down by a, the degree of y.  The residual is one dict, updated
-    in place: a residual degree d sits at key d + shift, and moving down
-    adds a to the shift.  A pass reads each degree of the residual once, so
-    neither the size of the degrees nor the number of rows limits it; the
-    rows, bottom first, give the columns at the end.
+    the rest down by a, the degree of y, in place: key d + shift holds
+    residual degree d.  A pass reads each degree once, so neither the size
+    of the degrees nor the number of rows limits it; the rows give the columns.
     """
     step, a = -w.b, w.a  # degrees of x and of y
-    values = {d: c for d, c in values.items() if c != 0}
+    values = dict(values)
     if any(c < 0 for c in values.values()):
         raise UnrealizableError("H not realizable: negative residual count")
     widths = []
-    shift = 0
-    while values:
-        k = max(((d - shift) // step for d, c in values.items()
-                 if d >= shift and (d - shift) % step == 0 and values.get(d - a, 0) < c),
-                default=-1)
+    shift, left = 0, sum(values.values())
+    while left:
+        k = -1
+        for d, c in values.items():
+            q, r = divmod(d - shift, step)
+            if q > k and not r and values.get(d - a, 0) < c:
+                k = q
         if k < 0:
             raise UnrealizableError("H not realizable: no admissible bottom row")
         for d in range(shift, shift + k * step + 1, step):
-            c = values.get(d)
-            if c is None:
+            if not values.get(d):
                 raise UnrealizableError("H not realizable: bottom row exceeds a count")
-            if c == 1:
-                del values[d]
-            else:
-                values[d] = c - 1
+            values[d] -= 1
         widths.append(k + 1)
-        shift += a
+        shift, left = shift + a, left - k - 1
     if any(upper > lower for lower, upper in zip(widths, widths[1:])):
         raise UnrealizableError("H not realizable: upper part wider than the bottom row")
-    return tuple(sum(1 for r in widths if r > i) for i in range(widths[0] if widths else 0))
+    return tuple(sum(r > i for r in widths) for i in range(widths[0] if widths else 0))
 
 
 def minimal_staircase_oracle(H: HilbertFunction, bound: int = 14) -> Staircase:
@@ -371,11 +362,9 @@ def component_report(length: int, w: Weight, bound: int = 12) -> list[ComponentR
     Each staircase gets one tangent basis, which gives its stratum data,
     feeds the oracle and indexes its degeneration step, one S-profile and at
     most one step (policy "first"); the chains follow those steps, as every
-    target is a member of the same class.  A class lays out one S-profile
-    grid and hands its Hilbert function to its steps.  p staircases in c
-    classes cost p tangent bases, p S-profiles, 2p Hilbert functions (p to
-    group, c to check the minimal staircases, p - c for the targets) and
-    p - c Buchbergers, and no chart family.
+    target is a member of the same class, which shares its Hilbert function
+    and S-profile grid.  p staircases in c classes cost p tangent bases, p
+    S-profiles, 2p Hilbert functions, p - c Buchbergers and no chart family.
     """
     _require_length(length)
     if length > bound:

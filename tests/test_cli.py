@@ -149,7 +149,7 @@ class TestSubcommands:
     def test_verify_flat_rejects_negative_samples(self, capsys):
         code, out, err = run(capsys, "verify-flat", "--columns", "2,1", "--mode", "general",
                              "--samples", "-1")
-        assert (code, out) == (1, "") and "--samples must be at least 0" in err
+        assert (code, out) == (1, "") and "--samples -1 outside 0 to bound 100" in err
 
     def test_degenerate(self, capsys):
         data = run_json(capsys, "degenerate", "--columns", "1,1", "--a", "1", "--b", "-1")
