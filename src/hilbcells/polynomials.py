@@ -787,7 +787,7 @@ def _complete(basis: list[_Divisor], order: MonomialOrder, guard: _StepGuard) ->
     """
     def pair_entry(i: int, j: int):
         (ia, ib), (ja, jb) = basis[i].lm, basis[j].lm
-        la, lb = max(ia, ja), max(ib, jb)
+        la, lb = ia if ia > ja else ja, ib if ib > jb else jb
         return (la + lb, (i, j), la, lb, ia + ib + ja + jb)
 
     pairs = [pair_entry(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
