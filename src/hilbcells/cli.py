@@ -86,7 +86,10 @@ def _parse_hilbert(args) -> HilbertFunction:
     if not args.hilbert:
         raise MalformedInput("this subcommand needs --hilbert")
     try:
-        data = json.loads(args.hilbert)
+        # A boolean, or a number with a fraction or exponent, stays its JSON
+        # text, which int() below refuses instead of truncating.
+        data = json.loads(args.hilbert, object_pairs_hook=lambda pairs: {
+            k: json.dumps(v) if isinstance(v, (bool, float)) else v for k, v in pairs})
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"--hilbert is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -710,38 +713,77 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parser every ``main`` call shares and its sub-parsers by name.
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
+    """The parser every ``main`` call shares, and by subcommand name its
+    sub-parser and flag table.
 
     Built on the first call, not at import, which would charge every
     importer for a tree few of them use.  The sub-parsers are the
-    ``choices`` of the tree's own subcommand action, not a second tree.
-    Parsing only reads them, so calls share no state.
+    ``choices`` of the tree's own subcommand action, not a second tree, and
+    each table is read from its sub-parser's own actions: every flag's store
+    action and type function, the defaults and handler argparse starts the
+    namespace from, and the required actions.  A sub-parser with any other
+    action (``run-suite``, whose next word is a suite) has no table.
+    Parsing only reads all this, so calls share no state.
     """
     parser = build_parser()
     (commands,) = (a.choices for a in parser._actions if a.dest == "command")
-    return parser, commands
+    subs = {}
+    for name, sub in commands.items():
+        flags = [a for a in sub._actions if type(a) is not argparse._HelpAction]
+        plain = all(type(a) is argparse._StoreAction and a.option_strings and a.nargs is None
+                    for a in flags)
+        actions = {s: (a, sub._registry_get("type", a.type, a.type))
+                   for a in flags for s in a.option_strings}
+        defaults = {a.dest: a.default for a in flags if a.default is not argparse.SUPPRESS}
+        subs[name] = sub, plain and (actions, {**sub._defaults, **defaults},
+                                     {a for a in flags if a.required})
+    return parser, subs
+
+
+def _read_pairs(sub, table, words: list[str]) -> argparse.Namespace | None:
+    """``sub``'s namespace from ``words`` if well formed (see ``_parse_args``), else None."""
+    flags, defaults, required = table
+    values, seen = dict(defaults), set()
+    for flag, text in zip(words[::2], words[1::2]):
+        action, convert = flags.get(flag, (None, None))
+        if action is None or text[:1] == "-" and (
+                sub._has_negative_number_optionals or not sub._negative_number_matcher.match(text)):
+            return None
+        try:
+            values[action.dest] = value = convert(text)
+        except Exception:  # argparse reports it
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        seen.add(action)
+    return argparse.Namespace(**values) if required <= seen and len(words) % 2 == 0 else None
 
 
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, with one argparse pass when it can.
+    """``build_parser().parse_args(argv)``, without argparse on well-formed argv.
 
-    When ``argv[0]`` names a subcommand, the top level would only select
-    that sub-parser and hand it the rest, so the sub-parser parses
-    ``argv[1:]`` itself and leftovers go to the top level's "unrecognized
-    arguments" error.  Any other argv (empty, help, an unknown word, a
-    leading ``--``) takes the full parse.  Help, error text and exit codes
-    are the same either way.
+    When ``argv[0]`` names a subcommand, the rest is well formed if it is
+    exact ``--flag value`` pairs from the sub-parser's flag table whose
+    values convert by the flag's type and lie in its choices, with every
+    required flag present and a value starting with ``-`` only where the
+    sub-parser reads it as a negative number.  Such words are read into the
+    namespace argparse would build.  Any other rest goes to the sub-parser's
+    own parse, and leftovers to the top level's "unrecognized arguments"
+    error.  Any other argv (empty, help, an unknown word, a leading ``--``)
+    takes the full parse.  Help, error text and exit codes are argparse's.
     """
-    parser, commands = _parser()
+    parser, subs = _parser()
     if argv is None:
         argv = sys.argv[1:]
-    sub = commands.get(argv[0]) if argv else None
+    sub, table = subs.get(argv[0], (None, None)) if argv else (None, None)
     if sub is None:
         return parser.parse_args(argv)
-    args, extras = sub.parse_known_args(argv[1:])
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args = _read_pairs(sub, table, argv[1:]) if table else None
+    if args is None:
+        args, extras = sub.parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     args.command = argv[0]
     return args
 

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -390,6 +391,30 @@ class TestExitCodes:
                              "--a", "-1", "--b", "-1", "--point", "{}")
         assert code == 1 and not out and "invariant mode needs a > 0" in err
 
+    @pytest.mark.parametrize("flags", [
+        ("--a", "1", "--b", "-1", "--hilbert", '{"0":1,"1":2.9}'),
+        ("--a", "1", "--b", "-1", "--hilbert", '{"0":true,"1":2}'),
+        ("--a", "1", "--b", "-1", "--hilbert", '{"0":1,"1":2.0}'),
+        ("--a", "1", "--b", "-1", "--hilbert", '{"0":1,"1":1e0}'),
+        ("--hilbert", '{"a":1,"b":-1,"values":{"0":1,"1":2.7}}'),
+        ("--hilbert", '{"a":1.9,"b":-1,"values":{"0":1,"1":2}}'),
+        ("--hilbert", '{"a":1,"b":-1e0,"values":{"0":1,"1":2}}'),
+        ("--hilbert", '{"a":true,"b":-1,"values":{"0":1,"1":2}}'),
+    ])
+    def test_non_integer_hilbert_numbers_are_two(self, capsys, flags):
+        # Booleans and numbers written with a fraction or exponent were
+        # truncated to integers; 2.9 read as 2 and exited 0.
+        for command in ("minimal", "compatible"):
+            code, out, err = run(capsys, command, *flags)
+            assert (code, out) == (2, "") and "integer counts" in err, (command, err)
+
+    @pytest.mark.parametrize("flags", [
+        ("--a", "1", "--b", "-1", "--hilbert", '{"0":1,"1":"2"}'),
+        ("--hilbert", '{"a":"1","b":"-1","values":{"0":"1","1":2}}'),
+    ])
+    def test_decimal_string_hilbert_numbers_are_read(self, capsys, flags):
+        assert run_json(capsys, "minimal", *flags) == {"columns": [2, 1]}
+
     def test_non_primitive_weight_payload_is_one(self, capsys):
         code, out, err = run(capsys, "minimal",
                              "--hilbert", '{"a":2,"b":-2,"values":{"0":1}}')
@@ -584,6 +609,10 @@ EDGE_ARGVS = [
     ("weight-initial", "--ideal", "x", "--vector", "1,0", "--extremum", "mid"),
     ("run-suite",), ("run-suite", "nope"), ("run-suite", "--max-length", "4", "verify-all"),
     ("run-suite", "components", "-h"), ("run-suite", "verify-all", "extra", "--zzz"),
+    ("groebner", "--ideal", "-x^2 + y; y^2"), ("tangent", "--columns", "2,1", "--b", "-1.5"),
+    ("cells", "--columns", "1", "--vector", "-1"),
+    ("tangent", "--columns", "1", "--a", "2", "--columns", "2,1"),
+    ("hom-oracle", "--columns", "1", "--bound", "-3"),
 ]
 
 
@@ -613,6 +642,19 @@ class TestSubcommandParse:
         assert mine == full
         if argv in VALID_ARGVS:
             assert isinstance(mine[0], dict) and mine[0]["command"] == argv[0]
+
+    def test_well_formed_argv_skips_argparse(self, monkeypatch):
+        # Every subcommand reads exact flag-value pairs from its own table;
+        # run-suite, whose next word is a suite, still goes through argparse.
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("argparse parsed the argv")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+        for argv in VALID_ARGVS:
+            if argv[0] != "run-suite":
+                assert vars(cli._parse_args(list(argv)))["command"] == argv[0]
+        with pytest.raises(AssertionError, match="argparse parsed"):
+            cli._parse_args(list(VALID_ARGVS[-1]))
 
 
 def ints(lo, hi):
@@ -694,6 +736,88 @@ def any_argv(draw, prefix, parser):
             argv += [action.option_strings[0], draw(FLAG_VALUES[action.dest])]
     junk = draw(st.sampled_from((None,) * 9 + ("extra", "--zzz", "--columns")))
     return argv + ([junk] if junk else [])
+
+
+FULL_TREE = cli.build_parser()
+
+# Values that argparse reads in different ways: negative numbers, other
+# leading dashes, spaces, "=", the empty word, and words that some flag's
+# type or choices refuse.
+TRICKY_VALUES = ("1", "2,1", "0", "-1", "-3", "-1.5", "-.5", "-1e3", "- 1", "-x^2 + y", "-1,-2",
+                 "(-1,-3)", "--", "-", "=", "", " 3", "1_0", "x", "max", "min", "general",
+                 "{}", "x^2; y", "-h", "--columns")
+# Words out of place: help, the end of options, unknown and abbreviated flags.
+STRAY_WORDS = ("-h", "--help", "--", "--zzz", "extra", "-", "--col", "--columns=2,1", "--a=-1",
+               "--max", "--length", "verify-all")
+
+
+def random_argv(rng, prefix, parser):
+    """The prefix and its flags in random order, each present or not, valued
+    with a small integer or a ``TRICKY_VALUES`` word; sometimes a stray
+    word is inserted or the last word dropped."""
+    flags = [a.option_strings[0] for a in parser._actions if a.option_strings and a.dest != "help"]
+    rng.shuffle(flags)
+    argv = []
+    for flag in flags:
+        if rng.random() < 0.8:
+            value = str(rng.randint(-3, 12)) if rng.random() < 0.7 else rng.choice(TRICKY_VALUES)
+            argv += [flag, value]
+    if rng.random() < 0.15:
+        argv.insert(rng.randint(0, len(argv)), rng.choice(STRAY_WORDS))
+    if argv and rng.random() < 0.1:
+        argv.pop()
+    return list(prefix) + argv
+
+
+def check_parse_agreement(count, seed):
+    """``cli._parse_args`` against the full tree's ``parse_args`` on seeded argvs.
+
+    Draws ``count`` argvs with ``random_argv`` over every subcommand and
+    run-suite suite, and a few with no subcommand, and asserts that each
+    gives the same namespace or exit code, stdout and stderr both ways.
+    Standard library only.  Returns the number of argvs and how many of
+    them ``_parse_args`` read without argparse's parse.  CI runs it beyond
+    the Tier-1 count.
+    """
+    rng = random.Random(seed)
+    prefixes = subcommand_parsers()
+    prefixes += [((), FULL_TREE), (("run-suite",), FULL_TREE), (("nope",), FULL_TREE)]
+    parse = argparse.ArgumentParser.parse_known_args
+    parsed = 0
+
+    def counted(self, *args, **kwargs):
+        nonlocal parsed
+        parsed += 1
+        return parse(self, *args, **kwargs)
+
+    direct = 0
+    for _ in range(count):
+        argv = random_argv(rng, *rng.choice(prefixes))
+        before = parsed
+        argparse.ArgumentParser.parse_known_args = counted
+        try:
+            mine = captured(cli._parse_args, argv)
+        finally:
+            argparse.ArgumentParser.parse_known_args = parse
+        direct += parsed == before
+        assert mine == captured(FULL_TREE.parse_args, argv), argv
+    return count, direct
+
+
+class TestParseAgreement:
+    """``cli._parse_args`` equals the full tree's ``parse_args`` on generated argvs."""
+
+    @pytest.mark.parametrize("prefix, parser", subcommand_parsers(),
+                             ids=lambda v: " ".join(v) if isinstance(v, tuple) else "")
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_any_argv_parses_as_the_full_tree(self, prefix, parser, data):
+        argv = data.draw(any_argv(prefix, parser))
+        assert captured(cli._parse_args, argv) == captured(FULL_TREE.parse_args, argv)
+
+    def test_seeded_argvs_agree(self):
+        checked, direct = check_parse_agreement(2000, 17)
+        assert 0.2 * checked < direct < 0.8 * checked  # both paths are taken
 
 
 # (argv before the size, size flag, bound); sizes above the bound exit 1.
