@@ -8,11 +8,18 @@ exact stdout bytes.  Only a deliberate change of output may re-record one;
 the failure message prints the new value.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hilbcells
 from hilbcells import (
     GRLEX_XY,
     Weight,
@@ -169,6 +176,39 @@ DIGESTS = {
         "2f727ba6f41128db6353c049eab617f15d0c4a170e89680ec636f203192949c8",
 }
 
+# Help and error text of the parser tree, stdout and stderr of argparse's
+# own exits included: every subcommand and suite with help, no flags, an
+# unknown flag, a flag without its value, an ill-typed value and a value
+# outside a flag's choices.
+PREFIXES = [[name] for name in (
+    "staircase", "clefts", "hilbert", "compatible", "compare", "tangent", "graph",
+    "hom-oracle", "cells", "chart", "specialize", "verify-flat", "degenerate", "descend",
+    "minimal", "components", "poincare", "groebner", "initial", "weight-initial")]
+PREFIXES += [["run-suite", suite] for suite in ("verify-all", "components", "poincare")]
+HELP_AND_ERROR_ARGVS = [["-h"], [], ["bogus"], ["run-suite", "-h"], ["run-suite"],
+                        ["run-suite", "bogus"]] + [
+    prefix + rest for prefix in PREFIXES
+    for rest in (["-h"], [], ["--zzz", "1"], ["--columns"], ["--a", "x"], ["--extremum", "mid"])]
+
+# argparse lays help out differently from Python 3.13 on, so each layout has
+# its own digests, keyed by ``sys.version_info >= (3, 13)``.  Recorded at
+# 1c6ff51, while every flag was still declared by hand, under Python
+# 3.10.13, 3.11.7 and 3.12.1 (False) and 3.13.0 (True), at 80 columns.
+NEW_HELP_LAYOUT = sys.version_info >= (3, 13)
+DIGESTS["cli-help-and-errors"] = {
+    False: "3e8910152aa6de20ac2fedb7a0ef777724fc58ceff94c239a3b84748d13226d3",
+    True: "d4751c6c4d06329534ec641b6b2dc70062327d7aea85ea016d61136d0a98f48d",
+}[NEW_HELP_LAYOUT]
+# SHA-256 of the stdout of each help argv; CI compares the console script's.
+TANGENT_HELP = "227273027669f2b355eb1cc7b87aba65d8b84f94401087a66bc8a752854e3dc3"
+VERIFY_ALL_HELP = "297fc76ca1f5aa8ddffa1c78f73d53d3fc585fe8321c5d0d1d65934202d429fa"
+HELP_DIGESTS = {
+    False: {"-h": "b97b870a8d4a5f26af7416cd091b9d71ad93f650dcc088cf8ae4eff27c886369",
+            "tangent -h": TANGENT_HELP, "run-suite verify-all -h": VERIFY_ALL_HELP},
+    True: {"-h": "9289a6ff26fdd37e94cd76fbba29bc5e9dcf5733010428b64f539e6ee6fae965",
+           "tangent -h": TANGENT_HELP, "run-suite verify-all -h": VERIFY_ALL_HELP},
+}
+
 
 def _digest(records) -> str:
     h = hashlib.sha256()
@@ -226,3 +266,46 @@ def test_polynomial_json_and_text():
     gb = buchberger(parse_ideal(ANCHOR_IDEAL), GRLEX_XY)
     polys = list(fam.generators) + list(gb.generators)
     _check("poly-json", _digest([[p.to_json(), p.to_text()] for p in polys]))
+
+
+def _outcome(argv):
+    """Exit code, stdout and stderr of one ``main`` call, argparse's own exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_help_and_error_text(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    _check("cli-help-and-errors",
+           _digest([[argv, *_outcome(argv)] for argv in HELP_AND_ERROR_ARGVS]))
+    for words, digest in HELP_DIGESTS[NEW_HELP_LAYOUT].items():
+        code, out, _ = _outcome(words.split())
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), words
+
+
+def check_help_digests(command=("hilbcells",)):
+    """The help text ``command`` prints against ``HELP_DIGESTS``.
+
+    Runs ``command -h``, ``command tangent -h`` and ``command run-suite
+    verify-all -h`` at 80 columns and asserts that each exits 0 with stdout
+    of the recorded SHA-256.  Standard library only.  Returns the number of
+    help texts checked.  CI runs it on the installed console script.
+    """
+    env = dict(os.environ, COLUMNS="80")
+    for words, digest in HELP_DIGESTS[NEW_HELP_LAYOUT].items():
+        done = subprocess.run([*command, *words.split()], capture_output=True, env=env,
+                              timeout=60, check=True)
+        got = hashlib.sha256(done.stdout).hexdigest()
+        assert got == digest, f"{words}: help changed, digest now {got}"
+    return len(HELP_DIGESTS[NEW_HELP_LAYOUT])
+
+
+def test_module_help_matches_the_recorded_digests(monkeypatch):
+    src = str(Path(hilbcells.__file__).resolve().parent.parent)
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    assert check_help_digests((sys.executable, "-m", "hilbcells.cli")) == 3
