@@ -572,173 +572,125 @@ def _suite_poincare(args):
 # Parser assembly and entry point
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, *, columns=False, weight=False, hilbert=False, order=False,
-                ideal=False, mode=False, vector=False, seed=False, max_steps=False):
-    if columns:
-        sub.add_argument("--columns", required=True, help="staircase column heights, e.g. 4,2")
-    if weight:
-        sub.add_argument("--a", type=int, default=None)
-        sub.add_argument("--b", type=int, default=None)
-    if hilbert:
-        sub.add_argument("--hilbert", help='degree counts as JSON, e.g. \'{"0":1,"1":2}\'')
-    if order:
-        sub.add_argument("--order", default="lex_yx",
-                         help="lex_xy | lex_yx | grlex_xy | cell (cell needs --a/--b)")
-    if ideal:
-        sub.add_argument("--ideal", help="semicolon-separated generators, e.g. 'x*y^2+y^3; x^2'")
-    if mode:
-        sub.add_argument("--mode", required=True, help="invariant | general")
-    if vector:
-        sub.add_argument("--vector", required=True, help="integer pair, e.g. '-1,-3'")
-    if seed:
-        sub.add_argument("--seed", type=int, default=7)
-    if max_steps:
-        sub.add_argument("--max-steps", dest="max_steps", type=int, default=None,
-                         help="resource guard for polynomial reductions")
+# Every flag by key: its option string and ``add_argument`` keywords.
+_FLAGS = {
+    "columns": ("--columns", dict(required=True, help="staircase column heights, e.g. 4,2")),
+    "a": ("--a", dict(type=int)),
+    "b": ("--b", dict(type=int)),
+    "hilbert": ("--hilbert", dict(help='degree counts as JSON, e.g. \'{"0":1,"1":2}\'')),
+    "order": ("--order", dict(default="lex_yx",
+                              help="lex_xy | lex_yx | grlex_xy | cell (cell needs --a/--b)")),
+    "ideal": ("--ideal", dict(help="semicolon-separated generators, e.g. 'x*y^2+y^3; x^2'")),
+    "mode": ("--mode", dict(required=True, help="invariant | general")),
+    "vector": ("--vector", dict(required=True, help="integer pair, e.g. '-1,-3'")),
+    "seed": ("--seed", dict(type=int, default=7)),
+    "max_steps": ("--max-steps", dict(type=int,
+                                      help="resource guard for polynomial reductions")),
+    "other": ("--other", dict(required=True, help="second staircase columns")),
+    "bound": ("--bound", dict(type=int, default=10)),
+    "point": ("--point", dict(help='JSON point, e.g. \'{"X[0,1;1,0]":"1"}\'')),
+    "samples": ("--samples", dict(type=int, default=3, help="extra pseudo-random sample points")),
+    "couple": ("--couple", dict(help="couple to specialize, e.g. '0,1;1,0'")),
+    "policy": ("--policy", dict(default="first", help="first | last | random")),
+    "extremum": ("--extremum", dict(default="max", choices=("max", "min"))),
+    "length": ("--length", dict(type=int, required=True)),
+    "suite_length": ("--length", dict(type=int, default=6)),
+    "max_length": ("--max-length", dict(type=int, default=6)),
+    "weights": ("--weights", dict(help="semicolon-separated pairs, e.g. '(-1,-3);(-2,-5)'")),
+}
+
+# Every subcommand: (name, help, flag keys in help order, handler).  A row
+# without a handler holds its own rows in place of flags: ``run-suite``'s
+# suites, chosen by the next word.
+_COMMANDS = (
+    ("staircase", "construct a staircase and list its data", "columns", _cmd_staircase),
+    ("clefts", "minimal generators of the complement ideal", "columns", _cmd_clefts),
+    ("hilbert", "Hilbert function of a staircase", "columns a b", _cmd_hilbert),
+    ("compatible", "all staircases with a given Hilbert function", "a b hilbert",
+     _cmd_compatible),
+    ("compare", "S-profile order between two staircases", "columns a b other", _cmd_compare),
+    ("tangent", "significant cleft couples, optionally by direction", "columns a b",
+     _cmd_tangent),
+    ("graph", "significance graph in one direction", "columns a b", _cmd_graph),
+    ("hom-oracle", "tangent space via exact linear algebra", "columns bound", _cmd_hom_oracle),
+    ("cells", "attracting-cell dimension for a torus weight vector", "columns vector",
+     _cmd_cells),
+    ("chart", "chart family over the positive tangent space", "columns a b mode", _cmd_chart),
+    ("specialize", "evaluate a chart family at a point", "columns a b mode point",
+     _cmd_specialize),
+    ("verify-flat", "flatness certificate of a chart family",
+     "columns a b mode seed max_steps samples", _cmd_verify_flat),
+    ("degenerate", "one flat degeneration to a smaller stratum", "columns a b max_steps couple",
+     _cmd_degenerate),
+    ("descend", "degenerate until the positive tangent space vanishes",
+     "columns a b seed max_steps policy", _cmd_descend),
+    ("minimal", "minimal staircase of a Hilbert function", "a b hilbert", _cmd_minimal),
+    ("components", "full report per Hilbert-function class", "a b length", _cmd_components),
+    ("poincare", "cell-dimension census over one length", "vector length", _cmd_poincare),
+    ("groebner", "Groebner check, reduced basis and colength", "a b order ideal max_steps",
+     _cmd_groebner),
+    ("initial", "staircase of the initial ideal", "a b order ideal max_steps", _cmd_initial),
+    ("weight-initial", "extremal-weight initial ideal (flat limit)",
+     "ideal vector max_steps extremum", _cmd_weight_initial),
+    ("run-suite", "batch property suites with JSON summaries", (
+        ("verify-all", "every acceptance check up to a length", "seed max_length",
+         _suite_verify_all),
+        ("components", "component report of one length", "a b suite_length", _suite_components),
+        ("poincare", "census agreement across weight vectors", "max_length weights",
+         _suite_poincare),
+    ), None),
+)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_commands(parser, dest: str, rows) -> dict[str, tuple]:
+    """Add ``rows`` as the subcommands ``parser`` reads into ``dest``.
+
+    Returns, by name, each sub-parser and its flag table: by option string
+    the ``Action`` that ``add_argument`` returned and its type function, the
+    namespace argparse starts from (each flag's default and the handler),
+    and the required actions.  A row without a handler gets no table.
+    """
+    choices = parser.add_subparsers(dest=dest, required=True)
+    subs = {}
+    for name, text, keys, handler in rows:
+        sub = choices.add_parser(name, help=text)
+        if handler is None:
+            _add_commands(sub, "suite", keys)
+            subs[name] = sub, None
+            continue
+        flags, start, required = {}, {"handler": handler}, set()
+        for option, kwargs in (_FLAGS[key] for key in keys.split()):
+            action = sub.add_argument(option, **kwargs)
+            flags[option] = action, kwargs.get("type", str)
+            start[action.dest] = action.default
+            if action.required:
+                required.add(action)
+        sub.set_defaults(handler=handler)
+        subs[name] = sub, (flags, start, required)
+    return subs
+
+
+@functools.cache
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
+    """The tree every ``main`` call shares, and by subcommand name its
+    sub-parser and flag table, both from one walk of ``_COMMANDS``.
+
+    Built on the first call, not at import, which would charge every
+    importer for a tree few of them use.  ``run-suite``, whose next word is
+    a suite, has no table.  Parsing only reads all this, so calls share no
+    state.
+    """
     parser = argparse.ArgumentParser(
         prog="hilbcells",
         description="Staircase invariants of equivariant punctual Hilbert schemes; "
                     "one JSON document per invocation.",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("staircase", help="construct a staircase and list its data")
-    _add_common(s, columns=True)
-    s.set_defaults(handler=_cmd_staircase)
-
-    s = subs.add_parser("clefts", help="minimal generators of the complement ideal")
-    _add_common(s, columns=True)
-    s.set_defaults(handler=_cmd_clefts)
-
-    s = subs.add_parser("hilbert", help="Hilbert function of a staircase")
-    _add_common(s, columns=True, weight=True)
-    s.set_defaults(handler=_cmd_hilbert)
-
-    s = subs.add_parser("compatible", help="all staircases with a given Hilbert function")
-    _add_common(s, weight=True, hilbert=True)
-    s.set_defaults(handler=_cmd_compatible)
-
-    s = subs.add_parser("compare", help="S-profile order between two staircases")
-    _add_common(s, columns=True, weight=True)
-    s.add_argument("--other", required=True, help="second staircase columns")
-    s.set_defaults(handler=_cmd_compare)
-
-    s = subs.add_parser("tangent", help="significant cleft couples, optionally by direction")
-    _add_common(s, columns=True, weight=True)
-    s.set_defaults(handler=_cmd_tangent)
-
-    s = subs.add_parser("graph", help="significance graph in one direction")
-    _add_common(s, columns=True, weight=True)
-    s.set_defaults(handler=_cmd_graph)
-
-    s = subs.add_parser("hom-oracle", help="tangent space via exact linear algebra")
-    _add_common(s, columns=True)
-    s.add_argument("--bound", type=int, default=10)
-    s.set_defaults(handler=_cmd_hom_oracle)
-
-    s = subs.add_parser("cells", help="attracting-cell dimension for a torus weight vector")
-    _add_common(s, columns=True, vector=True)
-    s.set_defaults(handler=_cmd_cells)
-
-    s = subs.add_parser("chart", help="chart family over the positive tangent space")
-    _add_common(s, columns=True, weight=True, mode=True)
-    s.set_defaults(handler=_cmd_chart)
-
-    s = subs.add_parser("specialize", help="evaluate a chart family at a point")
-    _add_common(s, columns=True, weight=True, mode=True)
-    s.add_argument("--point", help='JSON point, e.g. \'{"X[0,1;1,0]":"1"}\'')
-    s.set_defaults(handler=_cmd_specialize)
-
-    s = subs.add_parser("verify-flat", help="flatness certificate of a chart family")
-    _add_common(s, columns=True, weight=True, mode=True, seed=True, max_steps=True)
-    s.add_argument("--samples", type=int, default=3, help="extra pseudo-random sample points")
-    s.set_defaults(handler=_cmd_verify_flat)
-
-    s = subs.add_parser("degenerate", help="one flat degeneration to a smaller stratum")
-    _add_common(s, columns=True, weight=True, max_steps=True)
-    s.add_argument("--couple", help="couple to specialize, e.g. '0,1;1,0'")
-    s.set_defaults(handler=_cmd_degenerate)
-
-    s = subs.add_parser("descend", help="degenerate until the positive tangent space vanishes")
-    _add_common(s, columns=True, weight=True, seed=True, max_steps=True)
-    s.add_argument("--policy", default="first", help="first | last | random")
-    s.set_defaults(handler=_cmd_descend)
-
-    s = subs.add_parser("minimal", help="minimal staircase of a Hilbert function")
-    _add_common(s, weight=True, hilbert=True)
-    s.set_defaults(handler=_cmd_minimal)
-
-    s = subs.add_parser("components", help="full report per Hilbert-function class")
-    _add_common(s, weight=True)
-    s.add_argument("--length", type=int, required=True)
-    s.set_defaults(handler=_cmd_components)
-
-    s = subs.add_parser("poincare", help="cell-dimension census over one length")
-    _add_common(s, vector=True)
-    s.add_argument("--length", type=int, required=True)
-    s.set_defaults(handler=_cmd_poincare)
-
-    s = subs.add_parser("groebner", help="Groebner check, reduced basis and colength")
-    _add_common(s, weight=True, order=True, ideal=True, max_steps=True)
-    s.set_defaults(handler=_cmd_groebner)
-
-    s = subs.add_parser("initial", help="staircase of the initial ideal")
-    _add_common(s, weight=True, order=True, ideal=True, max_steps=True)
-    s.set_defaults(handler=_cmd_initial)
-
-    s = subs.add_parser("weight-initial", help="extremal-weight initial ideal (flat limit)")
-    _add_common(s, ideal=True, vector=True, max_steps=True)
-    s.add_argument("--extremum", default="max", choices=("max", "min"))
-    s.set_defaults(handler=_cmd_weight_initial)
-
-    s = subs.add_parser("run-suite", help="batch property suites with JSON summaries")
-    suites = s.add_subparsers(dest="suite", required=True)
-    t = suites.add_parser("verify-all", help="every acceptance check up to a length")
-    _add_common(t, seed=True)
-    t.add_argument("--max-length", dest="max_length", type=int, default=6)
-    t.set_defaults(handler=_suite_verify_all)
-    t = suites.add_parser("components", help="component report of one length")
-    _add_common(t, weight=True)
-    t.add_argument("--length", type=int, default=6)
-    t.set_defaults(handler=_suite_components)
-    t = suites.add_parser("poincare", help="census agreement across weight vectors")
-    t.add_argument("--max-length", dest="max_length", type=int, default=6)
-    t.add_argument("--weights", help="semicolon-separated pairs, e.g. '(-1,-3);(-2,-5)'")
-    t.set_defaults(handler=_suite_poincare)
-
-    return parser
+    return parser, _add_commands(parser, "command", _COMMANDS)
 
 
-@functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
-    """The parser every ``main`` call shares, and by subcommand name its
-    sub-parser and flag table.
-
-    Built on the first call, not at import, which would charge every
-    importer for a tree few of them use.  The sub-parsers are the
-    ``choices`` of the tree's own subcommand action, not a second tree, and
-    each table is read from its sub-parser's own actions: every flag's store
-    action and type function, the defaults and handler argparse starts the
-    namespace from, and the required actions.  A sub-parser with any other
-    action (``run-suite``, whose next word is a suite) has no table.
-    Parsing only reads all this, so calls share no state.
-    """
-    parser = build_parser()
-    (commands,) = (a.choices for a in parser._actions if a.dest == "command")
-    subs = {}
-    for name, sub in commands.items():
-        flags = [a for a in sub._actions if type(a) is not argparse._HelpAction]
-        plain = all(type(a) is argparse._StoreAction and a.option_strings and a.nargs is None
-                    for a in flags)
-        actions = {s: (a, sub._registry_get("type", a.type, a.type))
-                   for a in flags for s in a.option_strings}
-        defaults = {a.dest: a.default for a in flags if a.default is not argparse.SUPPRESS}
-        subs[name] = sub, plain and (actions, {**sub._defaults, **defaults},
-                                     {a for a in flags if a.required})
-    return parser, subs
+def build_parser() -> argparse.ArgumentParser:
+    """A new full parser tree, the one ``_parser()`` builds once and shares."""
+    return _parser.__wrapped__()[0]
 
 
 def _read_pairs(sub, table, words: list[str]) -> argparse.Namespace | None:

@@ -46,7 +46,7 @@ from .errors import (
     RegimeError,
     StepLimitExceeded,
 )
-from .staircases import ONE, X, Y, Monomial, Staircase, Weight
+from .staircases import ONE, X, Y, Monomial, Staircase, Weight, json_int
 
 DEFAULT_STEP_LIMIT = 500_000
 
@@ -356,9 +356,6 @@ class BivariatePolynomial:
             coeff = exact_rational(coeff)
         return BivariatePolynomial({m: c * coeff for m, c in self.terms.items()}, self.domain)
 
-    def mul_monomial(self, m: Monomial) -> "BivariatePolynomial":
-        return BivariatePolynomial({t.mul(m): c for t, c in self.terms.items()}, self.domain)
-
     def mul_laurent(self, da: int, db: int) -> "BivariatePolynomial":
         """Shift all exponents by (da, db); the result must stay polynomial."""
         out = {}
@@ -431,13 +428,12 @@ class BivariatePolynomial:
         domain = data["domain"]
         out: dict[Monomial, object] = {}
         for term in data["terms"]:
-            m = Monomial(int(term["x"]), int(term["y"]))
-            mono = tuple(
-                sorted(
-                    ((tuple(entry[0]), tuple(entry[1])), int(entry[2]))
-                    for entry in term.get("chart", [])
-                )
-            )
+            m = Monomial(json_int(term["x"], "x"), json_int(term["y"], "y"))
+            mono = tuple(sorted(
+                ((tuple(json_int(v, "chart") for v in entry[0]),
+                  tuple(json_int(v, "chart") for v in entry[1])), json_int(entry[2], "chart"))
+                for entry in term.get("chart", [])
+            ))
             c = _coefficient(domain, exact_rational(term["coeff"]), mono)
             out[m] = out[m] + c if m in out else c
         return cls(out, domain)
@@ -692,14 +688,8 @@ def _interreduce(
     return [d.made_monic(order) for d in divisors]
 
 
-def s_polynomial(
-    f: BivariatePolynomial, g: BivariatePolynomial, order: MonomialOrder
-) -> BivariatePolynomial:
-    """Monic multiples of f and g whose leading terms cancel, subtracted."""
-    return _s_poly(_Divisor(f, order), _Divisor(g, order))
-
-
 def _s_poly(df: _Divisor, dg: _Divisor) -> BivariatePolynomial:
+    """Monic multiples of df and dg whose leading terms cancel, subtracted."""
     (fa, fb), (ga, gb) = df.lm, dg.lm
     la, lb = max(fa, ga), max(fb, gb)
     work: dict[Monomial, object] = {}

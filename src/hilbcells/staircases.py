@@ -89,7 +89,22 @@ class Weight:
 
     @classmethod
     def from_json(cls, data: dict) -> "Weight":
-        return cls(int(data["a"]), int(data["b"]))
+        return cls(json_int(data["a"], "a"), json_int(data["b"], "b"))
+
+
+def json_int(value, field: str) -> int:
+    """``value`` of ``field`` in a JSON document, read as an integer.
+
+    Every ``from_json`` reads its integers here.  An int (not a bool) or a
+    string ``int()`` reads is accepted.  Any other value, a float or a bool
+    included, raises ValueError naming the field instead of truncating.
+    """
+    if isinstance(value, str) or isinstance(value, int) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"{field} must be an integer, not {value!r}")
 
 
 def degree(m: Monomial, w: Weight) -> int:
@@ -155,7 +170,7 @@ class Staircase:
 
     @classmethod
     def from_json(cls, data: dict) -> "Staircase":
-        return construct_staircase(data["columns"])
+        return construct_staircase([json_int(c, "columns") for c in data["columns"]])
 
 
 def construct_staircase(columns: Iterable[int]) -> Staircase:
@@ -221,8 +236,9 @@ class HilbertFunction:
 
     @classmethod
     def from_json(cls, data: dict) -> "HilbertFunction":
-        w = Weight(int(data["a"]), int(data["b"]))
-        return cls.from_counts(w, {int(k): int(v) for k, v in data["values"].items()})
+        w = Weight.from_json(data)
+        return cls.from_counts(w, {json_int(k, "values"): json_int(v, "values")
+                                   for k, v in data["values"].items()})
 
 
 def hilbert_function(E: Staircase, w: Weight) -> HilbertFunction:

@@ -283,9 +283,6 @@ def test_help_and_error_text(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     _check("cli-help-and-errors",
            _digest([[argv, *_outcome(argv)] for argv in HELP_AND_ERROR_ARGVS]))
-    for words, digest in HELP_DIGESTS[NEW_HELP_LAYOUT].items():
-        code, out, _ = _outcome(words.split())
-        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), words
 
 
 def check_help_digests(command=("hilbcells",)):
@@ -307,5 +304,6 @@ def check_help_digests(command=("hilbcells",)):
 
 def test_module_help_matches_the_recorded_digests(monkeypatch):
     src = str(Path(hilbcells.__file__).resolve().parent.parent)
-    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    monkeypatch.setenv("PYTHONPATH", path)
     assert check_help_digests((sys.executable, "-m", "hilbcells.cli")) == 3

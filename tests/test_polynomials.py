@@ -191,7 +191,7 @@ class TestChartDivisionInvariant:
             fam = build_chart_family(construct_staircase(list(columns)), "general")
             gens = list(fam.generators)
             extra = ChartCoefficient.variable(fam.variables[0])
-            f = gens[0] * gens[-1] + gens[0].mul_monomial(Monomial(1, 2)).scale(extra) + x_poly
+            f = gens[0] * gens[-1] + gens[0].mul_laurent(1, 2).scale(extra) + x_poly
             # The generators are monic in their clefts only under the y-lex
             # order; any other order may hit a variable leading coefficient.
             quotients, remainder = divide(f, gens, LEX_YX)
@@ -565,6 +565,16 @@ class TestSerialization:
     @settings(max_examples=100, deadline=None)
     def test_json_round_trip(self, p):
         assert BivariatePolynomial.from_json(p.to_json()) == p
+
+    @pytest.mark.parametrize("domain, term", [
+        (DOMAIN_RATIONAL, {"coeff": "1", "x": 1.9, "y": 0}),
+        (DOMAIN_RATIONAL, {"coeff": "1", "x": 0, "y": True}),
+        (DOMAIN_CHART, {"coeff": "1", "x": 0, "y": 0, "chart": [[[0, 1], [1, 0], 1.5]]}),
+        (DOMAIN_CHART, {"coeff": "1", "x": 0, "y": 0, "chart": [[[0, 1.0], [1, 0], 1]]}),
+    ])
+    def test_json_refuses_non_integer_exponents(self, domain, term):
+        with pytest.raises(ValueError, match="must be an integer"):
+            BivariatePolynomial.from_json({"domain": domain, "terms": [term]})
 
     def test_chart_round_trip(self):
         E = construct_staircase([3, 1, 1, 1])

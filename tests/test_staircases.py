@@ -82,6 +82,25 @@ class TestConstruction:
         H = hilbert_function(E, W11)
         assert HilbertFunction.from_json(H.to_json()) == H
 
+    @pytest.mark.parametrize("read, data, field", [
+        (Weight.from_json, {"a": True, "b": -1.5}, "a"),
+        (Weight.from_json, {"a": 1, "b": -1.5}, "b"),
+        (Staircase.from_json, {"columns": [2.7, 1]}, "columns"),
+        (HilbertFunction.from_json, {"a": 1, "b": -1, "values": {"0": 1, "1": True}}, "values"),
+        (HilbertFunction.from_json, {"a": 1.9, "b": -1, "values": {"0": 1}}, "a"),
+        (HilbertFunction.from_json, {"a": 1, "b": -1, "values": {"0": "x"}}, "values"),
+    ])
+    def test_json_readers_refuse_what_is_not_an_integer(self, read, data, field):
+        # int() would truncate a float and read a bool as 0 or 1.
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            read(data)
+
+    def test_json_readers_take_decimal_integer_strings(self):
+        assert Weight.from_json({"a": "1", "b": "-1"}) == W11
+        assert Staircase.from_json({"columns": ["2", 1]}) == construct_staircase([2, 1])
+        H = HilbertFunction.from_json({"a": "1", "b": -1, "values": {"0": "1", "-1": 1}})
+        assert H == HilbertFunction.from_counts(W11, {0: 1, -1: 1})
+
 
 class TestClefts:
     def test_examples(self):
