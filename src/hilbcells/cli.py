@@ -11,11 +11,17 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
 from . import charts, polynomials, strata, tangent
-from .errors import BoundExceededError, ConsistencyError, DomainError
+from .errors import (
+    BoundExceededError,
+    ConsistencyError,
+    DomainError,
+    NotZeroDimensionalError,
+)
 from .polynomials import (
     DOMAIN_RATIONAL,
     GRLEX_XY,
@@ -90,7 +96,7 @@ def _parse_hilbert(args) -> HilbertFunction:
         # text, which int() below refuses instead of truncating.
         data = json.loads(args.hilbert, object_pairs_hook=lambda pairs: {
             k: json.dumps(v) if isinstance(v, (bool, float)) else v for k, v in pairs})
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or an integer too long to read
         raise MalformedInput(f"--hilbert is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise MalformedInput("--hilbert must be a JSON object")
@@ -120,7 +126,7 @@ def _parse_point(text: str | None) -> dict:
         return {}
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or an integer too long to read
         raise MalformedInput(f"--point is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise MalformedInput("--point must be a JSON object")
@@ -128,10 +134,25 @@ def _parse_point(text: str | None) -> dict:
     for name, value in data.items():
         key = _parse_variable_name(name)
         try:
-            point[key] = Fraction(str(value))
+            point[key] = _parse_rational(str(value))
         except (ValueError, ZeroDivisionError) as exc:
             raise MalformedInput(f"bad rational {value!r} for {name}") from exc
     return point
+
+
+# Largest |exponent| of a --point value such as "1e3": Fraction expands it
+# into that many digits before any other check could refuse it.
+POINT_EXPONENT_BOUND = 4300
+
+
+def _parse_rational(text: str) -> Fraction:
+    """``Fraction(text)``; ValueError also for a value that could not be printed."""
+    _, e, exponent = text.lower().rpartition("e")
+    if e and abs(int(exponent)) > POINT_EXPONENT_BOUND:
+        raise ValueError(f"exponent above {POINT_EXPONENT_BOUND}")
+    q = Fraction(text)
+    str(q)  # past the interpreter's digit limit this raises now, not while printing the answer
+    return q
 
 
 def _parse_variable_name(name: str):
@@ -262,7 +283,7 @@ def _cmd_hom_oracle(args):
 def _cmd_cells(args):
     E = _parse_columns(args.columns)
     vector = _parse_vector(args.vector)
-    return {"vector": list(vector), "cell_dimension": tangent.cell_dimension(E, vector)}
+    return {"vector": list(vector), "cell_dimension": strata._arm_leg_dimension(E, vector)}
 
 
 def _cmd_chart(args):
@@ -337,7 +358,7 @@ def _cmd_groebner(args):
     try:
         E = polynomials.standard_monomials(gb)
         staircase_json, col = E.to_json(), len(E)
-    except DomainError:
+    except NotZeroDimensionalError:
         staircase_json, col = None, None
     return {
         "is_groebner": cert.is_groebner,
@@ -642,102 +663,118 @@ _COMMANDS = (
 )
 
 
-def _add_commands(parser, dest: str, rows) -> dict[str, tuple]:
-    """Add ``rows`` as the subcommands ``parser`` reads into ``dest``.
-
-    Returns, by name, each sub-parser and its flag table: by option string
-    the ``Action`` that ``add_argument`` returned and its type function, the
-    namespace argparse starts from (each flag's default and the handler),
-    and the required actions.  A row without a handler gets no table.
-    """
-    choices = parser.add_subparsers(dest=dest, required=True)
-    subs = {}
-    for name, text, keys, handler in rows:
-        sub = choices.add_parser(name, help=text)
-        if handler is None:
-            _add_commands(sub, "suite", keys)
-            subs[name] = sub, None
-            continue
-        flags, start, required = {}, {"handler": handler}, set()
-        for option, kwargs in (_FLAGS[key] for key in keys.split()):
-            action = sub.add_argument(option, **kwargs)
-            flags[option] = action, kwargs.get("type", str)
-            start[action.dest] = action.default
-            if action.required:
-                required.add(action)
-        sub.set_defaults(handler=handler)
-        subs[name] = sub, (flags, start, required)
-    return subs
+def _add_flags(parser, keys, handler) -> None:
+    """Give ``parser`` the flags of one ``_COMMANDS`` row, or its suites if it has no handler."""
+    if handler is None:
+        choices = parser.add_subparsers(dest="suite", required=True)
+        for name, text, suite_keys, suite_handler in keys:
+            _add_flags(choices.add_parser(name, help=text), suite_keys, suite_handler)
+        return
+    for option, kwargs in (_FLAGS[key] for key in keys.split()):
+        parser.add_argument(option, **kwargs)
+    parser.set_defaults(handler=handler)
 
 
-@functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
-    """The tree every ``main`` call shares, and by subcommand name its
-    sub-parser and flag table, both from one walk of ``_COMMANDS``.
-
-    Built on the first call, not at import, which would charge every
-    importer for a tree few of them use.  ``run-suite``, whose next word is
-    a suite, has no table.  Parsing only reads all this, so calls share no
-    state.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """A new full parser tree; ``main`` reads well-formed argv without one."""
     parser = argparse.ArgumentParser(
         prog="hilbcells",
         description="Staircase invariants of equivariant punctual Hilbert schemes; "
                     "one JSON document per invocation.",
     )
-    return parser, _add_commands(parser, "command", _COMMANDS)
+    choices = parser.add_subparsers(dest="command", required=True)
+    for name, text, keys, handler in _COMMANDS:
+        _add_flags(choices.add_parser(name, help=text), keys, handler)
+    return parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """A new full parser tree, the one ``_parser()`` builds once and shares."""
-    return _parser.__wrapped__()[0]
+# Built on the first argv that needs it, then shared: parsing only reads a parser.
+_full_parser = functools.cache(build_parser)
+_ROWS = {name: (keys, handler) for name, _text, keys, handler in _COMMANDS}
 
 
-def _read_pairs(sub, table, words: list[str]) -> argparse.Namespace | None:
-    """``sub``'s namespace from ``words`` if well formed (see ``_parse_args``), else None."""
-    flags, defaults, required = table
-    values, seen = dict(defaults), set()
+@functools.cache
+def _sub_parser(name: str) -> argparse.ArgumentParser:
+    """The sub-parser the full tree holds for ``name``, built alone."""
+    parser = argparse.ArgumentParser(prog=f"hilbcells {name}")
+    _add_flags(parser, *_ROWS[name])
+    return parser
+
+
+def _flag_table(keys: str, handler):
+    """The direct reader's table of one subcommand, from its ``_FLAGS`` keywords.
+
+    By option string: the destination, type function and choices argparse
+    would use; then the namespace argparse starts from (each flag's default
+    and the handler), and the required option strings.
+    """
+    flags, start, required = {}, {"handler": handler}, set()
+    for option, kwargs in (_FLAGS[key] for key in keys.split()):
+        dest = option[2:].replace("-", "_")
+        flags[option] = dest, kwargs.get("type", str), kwargs.get("choices")
+        start[dest] = kwargs.get("default")
+        if kwargs.get("required"):
+            required.add(option)
+    return flags, start, required
+
+
+# ``run-suite``, whose next word is a suite, has no table.
+_TABLES = {name: _flag_table(keys, handler) for name, (keys, handler) in _ROWS.items() if handler}
+# The words argparse reads as negative numbers, hence as values, since no
+# flag looks like one (its ``_negative_number_matcher``, Python 3.6 to 3.13).
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _read_pairs(table, words: list[str]) -> argparse.Namespace | None:
+    """The namespace of ``words`` if well formed (see ``_parse_args``), else None."""
+    flags, start, required = table
+    if len(words) % 2 or not required.issubset(words[::2]):
+        return None
+    values = dict(start)
     for flag, text in zip(words[::2], words[1::2]):
-        action, convert = flags.get(flag, (None, None))
-        if action is None or text[:1] == "-" and (
-                sub._has_negative_number_optionals or not sub._negative_number_matcher.match(text)):
+        dest, convert, choices = flags.get(flag, (None, None, None))
+        if dest is None or text[:1] == "-" and not _NEGATIVE_NUMBER.match(text):
             return None
         try:
-            values[action.dest] = value = convert(text)
+            values[dest] = value = convert(text)
         except Exception:  # argparse reports it
             return None
-        if action.choices is not None and value not in action.choices:
+        if choices is not None and value not in choices:
             return None
-        seen.add(action)
-    return argparse.Namespace(**values) if required <= seen and len(words) % 2 == 0 else None
+    return argparse.Namespace(**values)
 
 
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     """``build_parser().parse_args(argv)``, without argparse on well-formed argv.
 
     When ``argv[0]`` names a subcommand, the rest is well formed if it is
-    exact ``--flag value`` pairs from the sub-parser's flag table whose
+    exact ``--flag value`` pairs from the subcommand's flag table whose
     values convert by the flag's type and lie in its choices, with every
-    required flag present and a value starting with ``-`` only where the
-    sub-parser reads it as a negative number.  Such words are read into the
-    namespace argparse would build.  Any other rest goes to the sub-parser's
-    own parse, and leftovers to the top level's "unrecognized arguments"
-    error.  Any other argv (empty, help, an unknown word, a leading ``--``)
-    takes the full parse.  Help, error text and exit codes are argparse's.
+    required flag present and a value starting with ``-`` only where
+    argparse reads it as a negative number.  Such words are read into the
+    namespace argparse would build, and no parser is built.  Any other rest
+    goes to the subcommand's own sub-parser, built alone, and leftovers to
+    the full tree's "unrecognized arguments" error.  Any other argv (empty,
+    help, an unknown word, a leading ``--``) takes the full tree's parse.
+    Help, error text and exit codes are argparse's.
     """
-    parser, subs = _parser()
     if argv is None:
         argv = sys.argv[1:]
-    sub, table = subs.get(argv[0], (None, None)) if argv else (None, None)
-    if sub is None:
-        return parser.parse_args(argv)
-    args = _read_pairs(sub, table, argv[1:]) if table else None
+    name = argv[0] if argv else None
+    if name not in _ROWS:
+        return _full_parser().parse_args(argv)
+    table = _TABLES.get(name)
+    args = _read_pairs(table, argv[1:]) if table else None
     if args is None:
-        args, extras = sub.parse_known_args(argv[1:])
+        args, extras = _sub_parser(name).parse_known_args(argv[1:])
         if extras:
-            parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    args.command = argv[0]
+            _full_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = name
     return args
+
+
+# One encoder for every answer; ``json.dumps`` with keywords builds one per call.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -751,9 +788,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, ConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.write(
-        json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
-    )
+    sys.stdout.write(_encode(payload) + "\n")
     return 0
 
 

@@ -40,6 +40,7 @@ from operator import itemgetter
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import (
+    BoundExceededError,
     DomainError,
     NonPolynomialError,
     NotZeroDimensionalError,
@@ -405,8 +406,9 @@ class BivariatePolynomial:
         """Canonical text: signed terms ±p/q·[chart·]x^a*y^b joined by spaces."""
         if not self.terms:
             return "0"
+        names: dict[VarKey, str] = {}  # each chart variable's name, rendered once
         return " ".join(
-            _render_term(q, mono, m)
+            _render_term(q, mono, m, names)
             for m, c in self._sorted_terms()
             for mono, q in _coefficient_terms(c)
         )
@@ -445,10 +447,12 @@ def _render_fraction(q: int | Fraction) -> str:
     return f"{sign}{q.numerator}/{q.denominator}"
 
 
-def _render_term(q: int | Fraction, chart_mono: ChartMonomial, m: Monomial) -> str:
+def _render_term(q: int | Fraction, chart_mono: ChartMonomial, m: Monomial,
+                 names: dict[VarKey, str]) -> str:
     body = f"x^{m.alpha}*y^{m.beta}"
     if chart_mono:
-        chart = "*".join(f"{variable_name(k)}^{e}" for k, e in chart_mono)
+        chart = "*".join(
+            f"{names.get(k) or names.setdefault(k, variable_name(k))}^{e}" for k, e in chart_mono)
         return f"{_render_fraction(q)}·{chart}·{body}"
     return f"{_render_fraction(q)}·{body}"
 
@@ -496,6 +500,8 @@ def poly_from_text(text: str, domain: Optional[str] = None) -> BivariatePolynomi
 _EXPR_TERM_RE = re.compile(
     r"^(?P<coeff>\d+(?:/\d+)?)?(?P<body>(?:\*?[xy](?:\^\d+)?)*)$"
 )
+_EXPR_PIECE_RE = re.compile(r"[+-][^+-]+")
+_EXPR_FACTOR_RE = re.compile(r"([xy])(?:\^(\d+))?")
 
 
 def poly_from_expr(expr: str) -> BivariatePolynomial:
@@ -506,7 +512,7 @@ def poly_from_expr(expr: str) -> BivariatePolynomial:
     if s[0] not in "+-":
         s = "+" + s
     out: dict[Monomial, int | Fraction] = {}
-    pieces = re.findall(r"[+-][^+-]+", s)
+    pieces = _EXPR_PIECE_RE.findall(s)
     if "".join(pieces) != s:
         raise DomainError(f"malformed polynomial expression {expr!r}")
     for piece in pieces:
@@ -515,14 +521,21 @@ def poly_from_expr(expr: str) -> BivariatePolynomial:
         match = _EXPR_TERM_RE.match(body)
         if not match or (not match["coeff"] and not match["body"]):
             raise DomainError(f"malformed term {piece!r} in {expr!r}")
-        coeff = exact_rational(match["coeff"]) if match["coeff"] else 1
         alpha = beta = 0
-        for var, exp in re.findall(r"([xy])(?:\^(\d+))?", match["body"]):
-            e = int(exp) if exp else 1
-            if var == "x":
-                alpha += e
-            else:
-                beta += e
+        coeff = match["coeff"] or "1"
+        try:
+            coeff = exact_rational(coeff) if "/" in coeff else int(coeff)
+            for var, exp in _EXPR_FACTOR_RE.findall(match["body"]):
+                e = int(exp) if exp else 1
+                if var == "x":
+                    alpha += e
+                else:
+                    beta += e
+        except ValueError as exc:  # a number past the interpreter's digit limit
+            raise DomainError("a number in the polynomial expression has too many digits "
+                              "to read") from exc
+        except ZeroDivisionError as exc:
+            raise DomainError(f"zero denominator in term {piece!r} of {expr!r}") from exc
         m = Monomial(alpha, beta)
         out[m] = out.get(m, 0) + sign * coeff
     return BivariatePolynomial(out, DOMAIN_RATIONAL)
@@ -895,8 +908,24 @@ def standard_monomials(gb: GroebnerBasis) -> Staircase:
     return Staircase(_standard_columns(gb.leading_monomials))
 
 
+# Largest number of columns ``standard_monomials`` lays out, one per unit of
+# the least pure power of x in the leading ideal.  Flatness samples reach
+# colengths of at most the staircase's size (24 at the census bound); at
+# 10**5 columns the JSON staircase is about 200 KB.
+STANDARD_COLUMNS_BOUND = 10**5
+
+
 def _standard_columns(lms: Sequence[Monomial]) -> tuple[int, ...]:
-    """Column heights outside the ideal the monomials generate, in one pass over them sorted."""
+    """Column heights outside the ideal the monomials generate, in one pass over them sorted.
+
+    Raises ``BoundExceededError`` before laying out any column when there
+    would be more than ``STANDARD_COLUMNS_BOUND`` of them.
+    """
+    width = min((a for a, b in lms if not b), default=0)
+    if width > STANDARD_COLUMNS_BOUND and any(not a for a, _ in lms):
+        raise BoundExceededError(
+            f"standard monomial bound {STANDARD_COLUMNS_BOUND} exceeded by {width} columns"
+        )
     columns, height = [], None
     for a, b in sorted(lms):
         if height is None and a:

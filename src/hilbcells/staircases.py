@@ -169,6 +169,13 @@ class Staircase:
         return {"columns": list(self.columns)}
 
     @classmethod
+    def _of(cls, columns: tuple[int, ...]) -> "Staircase":
+        """A staircase on column heights known to be a partition, taken as they are."""
+        E = object.__new__(cls)
+        object.__setattr__(E, "columns", columns)
+        return E
+
+    @classmethod
     def from_json(cls, data: dict) -> "Staircase":
         return construct_staircase([json_int(c, "columns") for c in data["columns"]])
 
@@ -178,7 +185,7 @@ def construct_staircase(columns: Iterable[int]) -> Staircase:
     cols = list(columns)
     while cols and cols[-1] == 0:
         cols.pop()
-    return Staircase(tuple(int(c) for c in cols))
+    return Staircase(tuple(map(int, cols)))
 
 
 def clefts(E: Staircase) -> tuple[Monomial, ...]:
@@ -243,12 +250,20 @@ class HilbertFunction:
 
 def hilbert_function(E: Staircase, w: Weight) -> HilbertFunction:
     """Number of cells of E in each degree of the w-grading, counted from the column heights."""
+    H = object.__new__(HilbertFunction)  # sorted positive counts: nothing to validate
+    object.__setattr__(H, "weight", w)
+    object.__setattr__(H, "values", _degree_counts(E, w))
+    return H
+
+
+def _degree_counts(E: Staircase, w: Weight) -> tuple[tuple[int, int], ...]:
+    """``hilbert_function(E, w).values``: sorted (degree, count) pairs."""
     step, a = -w.b, w.a
     counts: dict[int, int] = {}
     for i, h in enumerate(E.columns):
         for d in range(step * i, step * i + a * h, a) if a else (step * i,) * h:
             counts[d] = counts.get(d, 0) + 1
-    return HilbertFunction(w, tuple(sorted(counts.items())))
+    return tuple(sorted(counts.items()))
 
 
 @lru_cache(maxsize=None)
@@ -272,7 +287,7 @@ def enumerate_staircases(cardinality: int) -> tuple[Staircase, ...]:
     """All staircases with the given number of cells, lex-ordered by columns."""
     if cardinality < 0:
         raise DomainError("cardinality must be nonnegative")
-    return tuple(Staircase(p) for p in _partitions(cardinality))
+    return tuple(map(Staircase._of, _partitions(cardinality)))
 
 
 # Largest mass ``compatible_staircases`` filters: the 37338 staircases of
@@ -289,9 +304,8 @@ def compatible_staircases(H: HilbertFunction) -> tuple[Staircase, ...]:
         raise BoundExceededError(
             f"compatible bound {COMPATIBLE_BOUND} exceeded by mass {H.total()}"
         )
-    return tuple(
-        E for E in enumerate_staircases(H.total()) if hilbert_function(E, H.weight) == H
-    )
+    w, values = H.weight, H.values
+    return tuple(E for E in enumerate_staircases(H.total()) if _degree_counts(E, w) == values)
 
 
 def _require_positive_regime(w: Weight) -> None:
@@ -356,23 +370,33 @@ def s_profile(E: Staircase, w: Weight) -> SProfile:
     _require_positive_regime(w)
     if not E.columns:
         raise DomainError("s_profile of the empty staircase is undefined")
-    top = max(-w.b * i + w.a * (h - 1) for i, h in enumerate(E.columns))
-    return _profile(E, _profile_grid(top, w))
+    return _profile(E, _profile_grid(_top_degree(E, w), w))
+
+
+def _top_degree(E: Staircase, w: Weight) -> int:
+    """The largest degree of a cell of the nonempty staircase E."""
+    return max(-w.b * i + w.a * (h - 1) for i, h in enumerate(E.columns))
 
 
 def _profile_grid(top: int, w: Weight) -> tuple[Weight, int, list[int]]:
     """The positions up to degree top, as keys in sequence order; a Hilbert class shares them."""
     a, step = w.a, -w.b
-    rows, cols = top // a + 1, top // step + 1
+    rows = _profile_grid_shape(top, w)
+    # A position's key orders it by (degree, y-exponent), as the sequence does.
+    keys = sorted((step * i + a * j) * rows + j
+                  for j in range(rows) for i in range((top - a * j) // step + 1))
+    return w, rows, keys
+
+
+def _profile_grid_shape(top: int, w: Weight) -> int:
+    """The rows of the grid up to degree top; raises if the grid exceeds ``S_PROFILE_BOUND``."""
+    rows, cols = top // w.a + 1, top // -w.b + 1
     if rows * cols > S_PROFILE_BOUND:
         raise BoundExceededError(
             f"S-profile bound {S_PROFILE_BOUND} exceeded by the {cols} x {rows} grid "
             f"up to degree {top} of weight ({w.a}, {w.b})"
         )
-    # A position's key orders it by (degree, y-exponent), as the sequence does.
-    keys = sorted((step * i + a * j) * rows + j
-                  for j in range(rows) for i in range((top - a * j) // step + 1))
-    return w, rows, keys
+    return rows
 
 
 def _profile(E: Staircase, grid: tuple[Weight, int, list[int]]) -> SProfile:
@@ -400,7 +424,25 @@ def compare_staircases(E: Staircase, F: Staircase, w: Weight) -> Comparison:
         raise DomainError(f"cardinality mismatch: {len(E)} vs {len(F)}")
     if E == F:
         return Comparison.EQUAL
-    return _compare_profiles(s_profile(E, w), s_profile(F, w))
+    _require_positive_regime(w)
+    # The bound is checked on the grids s_profile would lay out, in its order.
+    top_e, top_f = _top_degree(E, w), _top_degree(F, w)
+    if top_e < top_f:
+        _profile_grid_shape(top_e, w)
+    rows = _profile_grid_shape(max(top_e, top_f), w)
+    # Profile of E minus profile of F: a running sum that steps by +1 at each
+    # cell of E alone and -1 at each cell of F alone, in sequence order (a
+    # cell's key orders it as in _profile_grid), and ends at 0.
+    a, step = w.a, -w.b
+    ce = {(step * i + a * j) * rows + j for i, h in enumerate(E.columns) for j in range(h)}
+    cf = {(step * i + a * j) * rows + j for i, h in enumerate(F.columns) for j in range(h)}
+    steps = sorted([(k, 1) for k in ce - cf] + [(k, -1) for k in cf - ce])
+    running = list(accumulate(d for _k, d in steps))
+    if min(running) >= 0:
+        return Comparison.GREATER
+    if max(running) <= 0:
+        return Comparison.LESS
+    return Comparison.INCOMPARABLE
 
 
 def _compare_profiles(pe: SProfile, pf: SProfile) -> Comparison:

@@ -217,7 +217,7 @@ def minimal_staircase(H: HilbertFunction) -> Staircase:
     if w.a <= 0:
         raise RegimeError(f"minimal staircase needs a > 0, b < 0; got ({w.a}, {w.b})")
     columns = _minimal_columns(H.as_dict(), w)
-    E = Staircase(columns)
+    E = Staircase._of(columns)  # a partition: the rows below are nonincreasing
     if hilbert_function(E, w) != H:
         raise UnrealizableError(f"H not realizable: recursion output {columns} misses it")
     return E
@@ -241,9 +241,10 @@ def _minimal_columns(values: dict[int, int], w: Weight) -> tuple[int, ...]:
     while left:
         k = -1
         for d, c in values.items():
-            q, r = divmod(d - shift, step)
-            if q > k and not r and values.get(d - a, 0) < c:
-                k = q
+            if values.get(d - a, 0) < c:
+                q, r = divmod(d - shift, step)
+                if q > k and not r:
+                    k = q
         if k < 0:
             raise UnrealizableError("H not realizable: no admissible bottom row")
         for d in range(shift, shift + k * step + 1, step):
@@ -429,6 +430,30 @@ def component_report(length: int, w: Weight, bound: int = 12) -> list[ComponentR
     return reports
 
 
+def _arm_leg_dimension(E: Staircase, weight_vector: tuple[int, int]) -> int:
+    """``cell_dimension(E, weight_vector)``, counted on ``arm_leg_characters(E)``.
+
+    Where ``cell_dimension`` raises (the empty staircase, or a character
+    pairing to zero) it is called to raise the same error; should it accept
+    such a vector, the two disagree and ``ConsistencyError`` is raised.
+    """
+    if not E.columns:
+        return cell_dimension(E, weight_vector)
+    w1, w2 = weight_vector
+    d = 0
+    for f, g in arm_leg_characters(E):
+        pairing = w1 * f + w2 * g
+        if pairing > 0:
+            d += 1
+        elif pairing == 0:
+            cell_dimension(E, weight_vector)
+            raise ConsistencyError(
+                f"character ({f}, {g}) of {E.columns} is orthogonal to "
+                f"{weight_vector}, but cell_dimension accepts the vector"
+            )
+    return d
+
+
 # Largest length ``poincare_polynomial`` takes.  The 1575 staircases of
 # length 24 take about 0.06 s; the bound stays because raising it would
 # change the exit code of ``poincare --length 25``.
@@ -461,16 +486,6 @@ def poincare_polynomial(length: int, weight_vector: tuple[int, int]) -> dict[int
         )
     counts: dict[int, int] = {}
     for E in enumerate_staircases(length):
-        d = 0
-        for f, g in arm_leg_characters(E):
-            pairing = w1 * f + w2 * g
-            if pairing > 0:
-                d += 1
-            elif pairing == 0:
-                cell_dimension(E, weight_vector)
-                raise ConsistencyError(
-                    f"character ({f}, {g}) of {E.columns} is orthogonal to "
-                    f"{weight_vector}, but cell_dimension accepts the vector"
-                )
+        d = _arm_leg_dimension(E, weight_vector)
         counts[d] = counts.get(d, 0) + 1
     return dict(sorted(counts.items()))

@@ -81,10 +81,11 @@ class CleftCouple:
         return (self.c.alpha, self.c.beta, self.m.alpha, self.m.beta)
 
     def to_json(self, significant: bool | None = None) -> dict:
+        (ca, cb), (ma, mb) = self.c, self.m
         data = {
-            "c": [self.c.alpha, self.c.beta],
-            "m": [self.m.alpha, self.m.beta],
-            "halfdir": self.halfdir.sign,
+            "c": [ca, cb],
+            "m": [ma, mb],
+            "halfdir": "positive" if _positive(ma - ca, mb - cb) else "negative",  # halfdir.sign
         }
         if significant is not None:
             data["significant"] = significant
@@ -227,15 +228,17 @@ def arm_leg_characters(E: Staircase) -> tuple[tuple[int, int], ...]:
     ``tangent_basis(E).significant``; this reads it in O(|E|) from the
     column heights and their conjugate, in cell order, two per cell.
     """
-    rows = [0] * E.height              # rows[j]: number of columns taller than j
-    for h in E.columns:
-        for j in range(h):
-            rows[j] += 1
+    cols = E.columns
+    rows, r = [], len(cols)            # rows[j]: number of columns taller than j
+    for j in range(E.height):
+        while cols[r - 1] <= j:
+            r -= 1
+        rows.append(r)
     chars = []
-    for i, h in enumerate(E.columns):
+    for i, h in enumerate(cols):
         for j in range(h):
-            arm, leg = rows[j] - i - 1, h - j - 1
-            chars += ((-arm - 1, leg), (arm, -leg - 1))
+            r = rows[j]                # arm r - i - 1, leg h - j - 1
+            chars += ((i - r, h - j - 1), (r - i - 1, j - h))
     return tuple(chars)
 
 
@@ -276,30 +279,34 @@ def significance_graph(E: Staircase, w: Weight) -> SignificanceGraph:
 
 
 def _graph(basis: TangentBasis) -> SignificanceGraph:
-    """The significance graph of a direction-filtered tangent basis."""
+    """The significance graph of a direction-filtered tangent basis.
+
+    A node is found by its (cleft, cell) key; ``Monomial`` hashes as its
+    coordinate pair, so an arrow's source is looked up without building it.
+    """
     E, nodes = basis.staircase, basis.couples
-    index = {n: i for i, n in enumerate(nodes)}
+    index = {(n.c, n.m): i for i, n in enumerate(nodes)}
     cs = clefts(E)
     cleft_index = {c: i for i, c in enumerate(cs)}
     arrows: list[tuple[int, int]] = []
-    for node, ok in zip(nodes, basis.flags):
+    for j, (node, ok) in enumerate(zip(nodes, basis.flags)):
         if ok:
             continue
-        i = cleft_index[node.c] + (1 if _positive(*node.char) else -1)
+        c = node.c
+        (ca, cb), (ma, mb) = c, node.m
+        i = cleft_index[c] + (1 if _positive(ma - ca, mb - cb) else -1)
         if not 0 <= i < len(cs):
             raise ConsistencyError(f"non-significant couple {node} lacks a successor cleft")
         succ = cs[i]
-        m2 = Monomial(
-            node.m.alpha + succ.alpha - node.c.alpha,
-            node.m.beta + succ.beta - node.c.beta,
-        )
-        if m2.alpha >= 0 and m2.beta >= 0:
-            source = CleftCouple(succ, m2)
-            if source not in index:
-                raise ConsistencyError(f"arrow source {source} is not a graph node")
-            arrows.append((index[source], index[node]))
+        sa, sb = ma + succ.alpha - ca, mb + succ.beta - cb
+        if sa >= 0 and sb >= 0:
+            source = index.get((succ, (sa, sb)))
+            if source is None:
+                raise ConsistencyError(
+                    f"arrow source {CleftCouple(succ, Monomial(sa, sb))} is not a graph node")
+            arrows.append((source, j))
         else:
-            arrows.append((index[node], index[node]))
+            arrows.append((j, j))
 
     # Union-find over nodes; a self-loop kills its whole component.
     parent = list(range(len(nodes)))
@@ -373,23 +380,25 @@ def hom_tangent_oracle(E: Staircase, bound: int = 10) -> HomOracleResult:
     if len(E) > bound:
         raise BoundExceededError(f"oracle bound {bound} exceeded by |E| = {len(E)}")
     cs = clefts(E)
-    cells = E.cells()
+    cols, width = E.columns, E.width
+    cells = [(a, b) for a in range(width) for b in range(cols[a])]
 
-    variables = [((m.alpha - c.alpha, m.beta - c.beta), (i, m))
-                 for i, c in enumerate(cs) for m in cells]
+    variables = [((ma - ca, mb - cb), (i, ma, mb))
+                 for i, (ca, cb) in enumerate(cs) for ma, mb in cells]
     variables.sort()
     position = {var: j for j, (_char, var) in enumerate(variables)}
 
     rows = []
     for i in range(len(cs) - 1):
-        s = cs[i].lcm(cs[i + 1])
-        shifts = ((i, s.div(cs[i]), 1), (i + 1, s.div(cs[i + 1]), -1))
-        for target in cells:
+        (a0, b0), (a1, b1) = cs[i], cs[i + 1]
+        sa, sb = max(a0, a1), max(b0, b1)
+        shifts = ((i, sa - a0, sb - b0, 1), (i + 1, sa - a1, sb - b1, -1))
+        for ta, tb in cells:
             row = {}
-            for k, shift, sign in shifts:
-                back = Monomial(target.alpha - shift.alpha, target.beta - shift.beta)
-                if back in E:
-                    row[position[(k, back)]] = sign
+            for k, da, db, sign in shifts:
+                ba, bb = ta - da, tb - db
+                if 0 <= ba < width and 0 <= bb < cols[ba]:  # target / shift lies in E
+                    row[position[k, ba, bb]] = sign
             if row:
                 rows.append(row)
     nullity, chars = _nullity_and_free_chars(variables, rows)

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import functools
 import io
 import json
 import math
@@ -415,6 +416,56 @@ class TestExitCodes:
     def test_decimal_string_hilbert_numbers_are_read(self, capsys, flags):
         assert run_json(capsys, "minimal", *flags) == {"columns": [2, 1]}
 
+    @pytest.mark.parametrize("ideal", [
+        "1" * 5000 + "*x + y; y^2",            # a coefficient
+        "x^" + "1" * 5000 + " + y; y^2",       # an exponent
+        "1/" + "1" * 5000 + "*x + y; y^2",     # a denominator
+        "1/0*x + y; y^2",
+    ])
+    def test_unreadable_ideal_numbers_are_one(self, capsys, ideal):
+        # Numbers past the interpreter's digit limit escaped as a ValueError
+        # traceback, and a zero denominator as ZeroDivisionError.
+        for command in ("groebner", "initial"):
+            code, out, err = run(capsys, command, "--ideal", ideal)
+            assert (code, out) == (1, "") and err.startswith("error: "), (command, err[:200])
+            assert err.count("\n") == 1 and len(err) < 200
+
+    @pytest.mark.parametrize("value", ['"1e4400"', '"1e999999999"', '"1e-4400"',
+                                       '"%se100"' % ("3" * 4250), "1" * 5000])
+    def test_unprintable_point_values_are_two(self, capsys, value):
+        # "1e4400" parsed, then failed while printing; "1e999999999" would
+        # build a billion-digit integer first.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "specialize", "--columns", "2,1", "--mode", "general",
+                             "--point", '{"X[0,2;1,0]":%s}' % value)
+        assert (code, out) == (2, "") and err.startswith("error: ")
+        assert time.perf_counter() - start < 1
+
+    def test_point_values_with_exponents_are_read(self, capsys):
+        data = run_json(capsys, "specialize", "--columns", "2,1", "--mode", "general",
+                        "--point", '{"X[0,2;1,0]":"1.5e2"}')
+        assert data == {"generators": ["+1/1·x^0*y^2 +150/1·x^1*y^0", "+1/1·x^1*y^1",
+                                       "+1/1·x^2*y^0"]}
+
+    @pytest.mark.parametrize("argv", [
+        ("initial", "--ideal", "x^" + "9" * 40 + "; y"),
+        ("groebner", "--ideal", "x^" + "9" * 40 + "; y"),
+        ("weight-initial", "--ideal", "x^" + "9" * 40 + "; y", "--vector", "1,0"),
+        ("initial", "--ideal", "x^1000000000; y"),
+        ("initial", "--ideal", "x^100001; y"),
+    ])
+    def test_standard_monomials_past_the_layout_bound_are_one(self, capsys, argv):
+        # A 40-digit exponent escaped as OverflowError; x^1000000000 needed
+        # gigabytes.
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and "standard monomial bound 100000 exceeded" in err
+        assert time.perf_counter() - start < 1
+
+    def test_standard_monomials_at_the_layout_bound_are_laid_out(self, capsys):
+        data = run_json(capsys, "initial", "--ideal", "x^100000; y")
+        assert data == {"columns": [1] * 100000}
+
     def test_non_primitive_weight_payload_is_one(self, capsys):
         code, out, err = run(capsys, "minimal",
                              "--hilbert", '{"a":2,"b":-2,"values":{"0":1}}')
@@ -549,6 +600,41 @@ class TestRepeatedCalls:
         assert forward == backward
         assert [code for code, _ in forward] == [2, 2, 0, 0, 0]
         assert forward[2] != forward[3]  # the two seeds give different chains
+
+
+class TestLazyParsers:
+    """A well-formed argv builds no parser; a refused one builds its sub-parser once."""
+
+    def test_parsers_built_per_argv(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        monkeypatch.setattr(cli, "_sub_parser", functools.cache(cli._sub_parser.__wrapped__))
+        monkeypatch.setattr(cli, "_full_parser", functools.cache(cli.build_parser))
+        steps = [  # argv, the progs of the parsers its parse builds
+            (("staircase", "--columns", "2,1"), []),
+            (("poincare", "--length", "3", "--vector", "(-1,-4)"), []),
+            (("staircase",), ["hilbcells staircase"]),
+            (("staircase",), []),
+            (("run-suite", "poincare", "--weights", "(-1,-4)", "--max-length", "2"),
+             ["hilbcells run-suite", "hilbcells run-suite verify-all",
+              "hilbcells run-suite components", "hilbcells run-suite poincare"]),
+        ]
+        for argv, expected in steps:
+            built.clear()
+            outcome(capsys, argv)
+            assert built == expected, argv
+        # Leftover words need the full tree's error: the top level, 21
+        # subcommands and 3 suites, built once.
+        for argv, count in [(("staircase", "--columns", "2,1", "extra"), 25), (("nope",), 0)]:
+            built.clear()
+            outcome(capsys, argv)
+            assert len(built) == count, argv
 
 
 class TestDeterminism:

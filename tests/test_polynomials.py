@@ -11,6 +11,7 @@ from hilbcells import (
     LEX_XY,
     LEX_YX,
     BivariatePolynomial,
+    BoundExceededError,
     ChartCoefficient,
     DomainError,
     Monomial,
@@ -117,6 +118,17 @@ class TestParsing:
             poly_from_expr("x + + y")
         with pytest.raises(DomainError):
             poly_from_expr("z^2")
+
+    @pytest.mark.parametrize("expr", ["1" * 5000 + "*x", "x^" + "1" * 5000, "1/" + "1" * 5000,
+                                      "1/0*x", "0/0"])
+    def test_expr_refuses_unreadable_numbers(self, expr):
+        with pytest.raises(DomainError):
+            poly_from_expr(expr)
+
+    def test_expr_reads_integer_and_rational_coefficients_alike(self):
+        p = poly_from_expr("007*x + 4/2*y - 10/4")
+        assert p.terms == {Monomial(1, 0): 7, Monomial(0, 1): 2, Monomial(0, 0): Fraction(-5, 2)}
+        assert type(p.terms[Monomial(0, 1)]) is int
 
     def test_ideal(self):
         gens = parse_ideal(LENGTH_SEVEN_IDEAL)
@@ -240,6 +252,18 @@ class TestBuchberger:
         # {x, x+y} generates (x, y); a naive leading-term filter would lose y.
         gb = buchberger(parse_ideal("x; x+y"), LEX_XY)
         assert standard_monomials(gb).columns == (1,)
+
+    def test_standard_monomials_refuse_more_columns_than_the_bound(self):
+        bound = polynomials_module.STANDARD_COLUMNS_BOUND
+        gb = buchberger(parse_ideal(f"x^{bound}; y^2"), LEX_YX)
+        assert standard_monomials(gb).columns == (2,) * bound
+        gb = buchberger(parse_ideal(f"x^{10**40}; y"), LEX_YX)
+        with pytest.raises(BoundExceededError, match="exceeded by 10000000000"):
+            standard_monomials(gb)
+        # No pure power of y: infinite colength comes first, as before.
+        gb = buchberger(parse_ideal(f"x^{10**40}; x*y"), LEX_YX)
+        with pytest.raises(NotZeroDimensionalError):
+            standard_monomials(gb)
 
     def test_square_plus_y_instance(self):
         # The S-polynomial of x^2+y and y^2 is y^3, which reduces to zero, so

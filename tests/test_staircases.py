@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from hilbcells import (
@@ -290,3 +292,76 @@ class TestCompare:
                     for G in all_E:
                         if table[(F, G)] is Comparison.GREATER:
                             assert table[(E, G)] is Comparison.GREATER
+
+
+COMPARE_WEIGHTS = (Weight(1, -1), Weight(2, -1), Weight(1, -2), Weight(3, -2))
+
+
+def profile_order(E, F, w):
+    """The S-profile order of two staircases, from their public ``s_profile``s."""
+    if E == F:
+        return Comparison.EQUAL
+    pe, pf = s_profile(E, w), s_profile(F, w)
+    horizon = max(pe.stabilization_index, pf.stabilization_index)
+    diffs = [pe.value(k) - pf.value(k) for k in range(horizon + 1)]
+    if min(diffs) >= 0:
+        return Comparison.GREATER
+    if max(diffs) <= 0:
+        return Comparison.LESS
+    return Comparison.INCOMPARABLE
+
+
+def check_compare_agreement(lengths) -> int:
+    """``compare_staircases`` against the order of the public S-profiles.
+
+    Every ordered pair of staircases of each length is compared at each of
+    ``COMPARE_WEIGHTS``.  Standard library only; returns the number of
+    pairs.  CI runs it up to length 12.
+    """
+    checked = 0
+    for w in COMPARE_WEIGHTS:
+        for l in lengths:
+            staircases = enumerate_staircases(l)
+            for E in staircases:
+                for F in staircases:
+                    assert compare_staircases(E, F, w) is profile_order(E, F, w), (E, F, w)
+                    checked += 1
+    return checked
+
+
+class TestCompareAgreement:
+    def test_every_pair_to_length_9_agrees_with_the_profiles(self):
+        assert check_compare_agreement(range(1, 10)) == 4 * 1818
+
+    def test_bound_is_checked_on_the_first_staircase_first(self):
+        # Both grids exceed the bound; the error names the first staircase's
+        # top degree, as s_profile on it would.
+        w = Weight(10**6, -1)
+        low, high = construct_staircase([2, 2]), construct_staircase([3, 1])
+        for E, F in ((low, high), (high, low)):
+            with pytest.raises(BoundExceededError) as expected:
+                s_profile(E, w)
+            with pytest.raises(BoundExceededError) as got:
+                compare_staircases(E, F, w)
+            assert str(got.value) == str(expected.value)
+
+    def test_one_grid_exceeding_the_bound_is_refused(self):
+        w = Weight(10**6, -1)
+        wide, tall = construct_staircase([1, 1]), construct_staircase([2])
+        for E, F in ((wide, tall), (tall, wide)):
+            with pytest.raises(BoundExceededError, match="up to degree 1000000 "):
+                compare_staircases(E, F, w)
+
+
+class TestEnumeratedStaircases:
+    def test_equal_to_validated_staircases(self):
+        for l in range(13):
+            for E in enumerate_staircases(l):
+                built = Staircase(E.columns)
+                assert E == built and hash(E) == hash(built)
+                assert type(E.columns) is tuple and E.columns == built.columns
+
+    def test_still_frozen(self):
+        E = enumerate_staircases(4)[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            E.columns = (1,)

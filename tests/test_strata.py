@@ -442,6 +442,26 @@ class TestArmLegCensus:
             poincare_polynomial(2, (-1, -1))
 
 
+class TestArmLegCellDimension:
+    """``cells`` counts arm-leg pairings; ``cell_dimension`` raises where they fail."""
+
+    @pytest.mark.parametrize("vector", [(-1, -13), (3, -2), (1, 2), (-5, 7), (0, 1), (1, -1),
+                                        (-1, -3), (0, 0)])
+    def test_equals_cell_dimension_or_its_error(self, vector):
+        strata = importlib.import_module("hilbcells.strata")
+        for n in range(0, 11):
+            for E in enumerate_staircases(n):
+                try:
+                    expected = cell_dimension(E, vector)
+                except DomainError as exc:
+                    with pytest.raises(type(exc)) as err:
+                        strata._arm_leg_dimension(E, vector)
+                    assert str(err.value) == str(exc)
+                    assert getattr(err.value, "couple", None) == getattr(exc, "couple", None)
+                else:
+                    assert strata._arm_leg_dimension(E, vector) == expected, (E.columns, vector)
+
+
 def goettsche_census(n_max):
     """Per n <= n_max, the q^n coefficient of prod_{k>=1} 1/(1 - t^(k+1) q^k).
 

@@ -491,3 +491,26 @@ def all_pairs_relations(columns) -> tuple[int, list[list[int]]]:
                 if any(row):
                     rows.append(row)
     return len(unknown), rows
+
+
+class TestSerializedSigns:
+    def test_couple_json_sign_is_the_half_direction_sign_to_length_12(self):
+        checked = 0
+        for l in range(1, 13):
+            for E in enumerate_staircases(l):
+                for c in cleft_couples(E):
+                    data = c.to_json(significant=True)
+                    assert data == {"c": list(c.c), "m": list(c.m),
+                                    "halfdir": c.halfdir.sign, "significant": True}
+                    checked += 1
+        assert checked == 8877
+
+
+class TestHomOracleAgreement:
+    def test_characters_and_dimension_to_length_12(self):
+        # Against the arm-leg characters, which share no code with the oracle.
+        for l in range(1, 13):
+            for E in enumerate_staircases(l):
+                result = hom_tangent_oracle(E, bound=12)
+                assert result.characters == tuple(sorted(arm_leg_characters(E))), E.columns
+                assert result.dimension == 2 * l
