@@ -16,12 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import charts, polynomials, strata, tangent
-from .errors import (
-    BoundExceededError,
-    ConsistencyError,
-    DomainError,
-    NotZeroDimensionalError,
-)
+from .errors import BoundExceededError, ConsistencyError, DomainError, NotZeroDimensionalError
 from .polynomials import (
     DOMAIN_RATIONAL,
     GRLEX_XY,

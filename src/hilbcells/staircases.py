@@ -402,8 +402,13 @@ def _profile_grid_shape(top: int, w: Weight) -> int:
 def _profile(E: Staircase, grid: tuple[Weight, int, list[int]]) -> SProfile:
     """The S-profile of E on a grid reaching its top degree."""
     w, rows, keys = grid
-    cells = {(-w.b * i + w.a * j) * rows + j for i, h in enumerate(E.columns) for j in range(h)}
+    cells = _cell_keys(E, w, rows)
     return SProfile(w, tuple(accumulate(map(cells.__contains__, keys), initial=0))[1:])
+
+
+def _cell_keys(E: Staircase, w: Weight, rows: int) -> set[int]:
+    """The keys of E's cells on a grid of ``rows`` rows, as ``_profile_grid`` orders them."""
+    return {(-w.b * i + w.a * j) * rows + j for i, h in enumerate(E.columns) for j in range(h)}
 
 
 class Comparison(Enum):
@@ -431,11 +436,9 @@ def compare_staircases(E: Staircase, F: Staircase, w: Weight) -> Comparison:
         _profile_grid_shape(top_e, w)
     rows = _profile_grid_shape(max(top_e, top_f), w)
     # Profile of E minus profile of F: a running sum that steps by +1 at each
-    # cell of E alone and -1 at each cell of F alone, in sequence order (a
-    # cell's key orders it as in _profile_grid), and ends at 0.
-    a, step = w.a, -w.b
-    ce = {(step * i + a * j) * rows + j for i, h in enumerate(E.columns) for j in range(h)}
-    cf = {(step * i + a * j) * rows + j for i, h in enumerate(F.columns) for j in range(h)}
+    # cell of E alone and -1 at each cell of F alone, in sequence order, and
+    # ends at 0.
+    ce, cf = _cell_keys(E, w, rows), _cell_keys(F, w, rows)
     steps = sorted([(k, 1) for k in ce - cf] + [(k, -1) for k in cf - ce])
     running = list(accumulate(d for _k, d in steps))
     if min(running) >= 0:
