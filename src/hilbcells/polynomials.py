@@ -909,9 +909,10 @@ def standard_monomials(gb: GroebnerBasis) -> Staircase:
 
 
 # Largest number of columns ``standard_monomials`` lays out, one per unit of
-# the least pure power of x in the leading ideal.  Flatness samples reach
-# colengths of at most the staircase's size (24 at the census bound); at
-# 10**5 columns the JSON staircase is about 200 KB.
+# the least pure power of x in the leading ideal.  A flatness sample of a
+# family whose generators lead with the clefts holds x^w for the last cleft
+# (w, 0), so it lays out at most w <= |E| columns.  At 10**5 columns the
+# JSON staircase is about 200 KB.
 STANDARD_COLUMNS_BOUND = 10**5
 
 
