@@ -696,15 +696,25 @@ def _sub_parser(name: str) -> argparse.ArgumentParser:
     return parser
 
 
+# The ``add_argument`` keywords the direct reader follows.  Any other (an
+# ``action``, ``nargs`` or ``dest``) changes how argparse reads the flag, and
+# argparse would convert a string default through the flag's type.
+_READ_KEYWORDS = frozenset({"type", "default", "required", "help", "choices"})
+
+
 def _flag_table(keys: str, handler):
     """The direct reader's table of one subcommand, from its ``_FLAGS`` keywords.
 
     By option string: the destination, type function and choices argparse
     would use; then the namespace argparse starts from (each flag's default
-    and the handler), and the required option strings.
+    and the handler), and the required option strings.  Raises ``TypeError``,
+    at import, for a flag whose keywords it cannot follow.
     """
     flags, start, required = {}, {"handler": handler}, set()
     for option, kwargs in (_FLAGS[key] for key in keys.split()):
+        if not kwargs.keys() <= _READ_KEYWORDS or "type" in kwargs and isinstance(
+                kwargs.get("default"), str):
+            raise TypeError(f"the direct reader cannot read {option} with {dict(kwargs)}")
         dest = option[2:].replace("-", "_")
         flags[option] = dest, kwargs.get("type", str), kwargs.get("choices")
         start[dest] = kwargs.get("default")
@@ -715,8 +725,10 @@ def _flag_table(keys: str, handler):
 
 # ``run-suite``, whose next word is a suite, has no table.
 _TABLES = {name: _flag_table(keys, handler) for name, (keys, handler) in _ROWS.items() if handler}
-# The words argparse reads as negative numbers, hence as values, since no
-# flag looks like one (its ``_negative_number_matcher``, Python 3.6 to 3.13).
+# Words read as negative numbers, hence as values, since no flag looks like
+# one: argparse's ``_negative_number_matcher`` as of Python 3.10.13 to 3.13.0.
+# Later releases widen it (exponents, underscores); a word only they match
+# is refused here and goes to argparse, so the parse is the same.
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 

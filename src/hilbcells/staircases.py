@@ -185,7 +185,7 @@ def construct_staircase(columns: Iterable[int]) -> Staircase:
     cols = list(columns)
     while cols and cols[-1] == 0:
         cols.pop()
-    return Staircase(tuple(map(int, cols)))
+    return Staircase(tuple(int(c) for c in cols))
 
 
 def clefts(E: Staircase) -> tuple[Monomial, ...]:
@@ -402,13 +402,8 @@ def _profile_grid_shape(top: int, w: Weight) -> int:
 def _profile(E: Staircase, grid: tuple[Weight, int, list[int]]) -> SProfile:
     """The S-profile of E on a grid reaching its top degree."""
     w, rows, keys = grid
-    cells = _cell_keys(E, w, rows)
+    cells = {(-w.b * i + w.a * j) * rows + j for i, h in enumerate(E.columns) for j in range(h)}
     return SProfile(w, tuple(accumulate(map(cells.__contains__, keys), initial=0))[1:])
-
-
-def _cell_keys(E: Staircase, w: Weight, rows: int) -> set[int]:
-    """The keys of E's cells on a grid of ``rows`` rows, as ``_profile_grid`` orders them."""
-    return {(-w.b * i + w.a * j) * rows + j for i, h in enumerate(E.columns) for j in range(h)}
 
 
 class Comparison(Enum):
@@ -430,22 +425,14 @@ def compare_staircases(E: Staircase, F: Staircase, w: Weight) -> Comparison:
     if E == F:
         return Comparison.EQUAL
     _require_positive_regime(w)
-    # The bound is checked on the grids s_profile would lay out, in its order.
+    # One grid at the larger top degree: past its own top degree a profile
+    # stays at |E|, as _compare_profiles pads it.  The bound is checked in
+    # s_profile's order, E's grid first.
     top_e, top_f = _top_degree(E, w), _top_degree(F, w)
     if top_e < top_f:
         _profile_grid_shape(top_e, w)
-    rows = _profile_grid_shape(max(top_e, top_f), w)
-    # Profile of E minus profile of F: a running sum that steps by +1 at each
-    # cell of E alone and -1 at each cell of F alone, in sequence order, and
-    # ends at 0.
-    ce, cf = _cell_keys(E, w, rows), _cell_keys(F, w, rows)
-    steps = sorted([(k, 1) for k in ce - cf] + [(k, -1) for k in cf - ce])
-    running = list(accumulate(d for _k, d in steps))
-    if min(running) >= 0:
-        return Comparison.GREATER
-    if max(running) <= 0:
-        return Comparison.LESS
-    return Comparison.INCOMPARABLE
+    grid = _profile_grid(max(top_e, top_f), w)
+    return _compare_profiles(_profile(E, grid), _profile(F, grid))
 
 
 def _compare_profiles(pe: SProfile, pf: SProfile) -> Comparison:

@@ -572,7 +572,8 @@ class TestRepeatedCalls:
     DESCEND = ("descend", "--columns", "2,2,2", "--a", "1", "--b", "-1", "--policy", "random")
 
     def test_parser_is_built_once(self, capsys, monkeypatch):
-        outcome(capsys, ("staircase", "--columns", "2,1"))
+        # A well-formed argv builds no parser, so warm up with a refused one.
+        outcome(capsys, ("staircase",))
         built = 0
         init = argparse.ArgumentParser.__init__
 
@@ -635,6 +636,14 @@ class TestLazyParsers:
             built.clear()
             outcome(capsys, argv)
             assert len(built) == count, argv
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(action="store_true"), dict(nargs=2), dict(dest="cols"), dict(type=int, default="7"),
+    ])
+    def test_flag_table_refuses_keywords_it_cannot_follow(self, monkeypatch, kwargs):
+        monkeypatch.setitem(cli._FLAGS, "extra", ("--extra", kwargs))
+        with pytest.raises(TypeError, match="cannot read --extra"):
+            cli._flag_table("columns extra", cli._cmd_staircase)
 
 
 class TestDeterminism:
