@@ -408,8 +408,8 @@ def _suite_item(name, check):
         return {"name": name, "ok": False, "witness": str(exc)}
 
 
-# Largest ``run-suite verify-all --max-length``: length 12 takes about 1.5 s
-# in process on a 2-vCPU VM, and each further length about 1.8 times as long.
+# Largest ``run-suite verify-all --max-length``: length 12 takes 0.7 to 1.2 s
+# in process on a shared 2-vCPU VM, and each further length about 1.7 times as long.
 VERIFY_ALL_BOUND = 12
 
 
@@ -429,10 +429,12 @@ def _suite_verify_all(args):
     seed = args.seed
     lengths = range(1, max_length + 1)
 
+    unfiltered = functools.cache(tangent.tangent_basis)  # also read by the general families
+
     def oracle_equivalence():
         for l in lengths:
             for E in enumerate_staircases(l):
-                basis = tangent.tangent_basis(E)
+                basis = unfiltered(E)
                 mine = tuple(sorted(c.char for c in basis.significant))
                 oracle = tangent.hom_tangent_oracle(E, bound=max_length)
                 _require(mine == oracle.characters, f"character mismatch at {E.columns}")
@@ -442,7 +444,7 @@ def _suite_verify_all(args):
     def graph_dimension():
         for w in (Weight(1, -1), Weight(2, -1), Weight(1, -3), Weight(0, -1), Weight(-1, -2)):
             for l in lengths:
-                for bases in grouped(w, l).values():
+                for bases in grouped(l, w).values():
                     for E, tb in bases.items():
                         g = tangent._graph(tb)
                         t = tb.dimension
@@ -452,20 +454,14 @@ def _suite_verify_all(args):
                             _require(t == 0, f"nonzero invariant tangent at {E.columns}")
         return "graph dimension matches the tangent basis for five weights"
 
-    classes = {}
-
-    def grouped(w, l):
-        """``strata._classes(l, w)``, built once per (w, l) and shared by the items."""
-        if (w, l) not in classes:
-            classes[w, l] = strata._classes(l, w)
-        return classes[w, l]
+    grouped = functools.cache(strata._classes)  # each (l, w) grouped once for all items
 
     descent_weights = (Weight(1, -1), Weight(2, -1), Weight(3, -2), Weight(1, -3))
 
     def constancy():
         for w in descent_weights:
             for l in lengths:
-                for H, bases in grouped(w, l).items():
+                for H, bases in grouped(l, w).items():
                     dims = {tb.dimension for tb in bases.values()}
                     _require(len(dims) == 1, f"dimensions {dims} in class {H.as_dict()}")
         return "dimension constant on every Hilbert-function class"
@@ -473,7 +469,7 @@ def _suite_verify_all(args):
     def minimal_agreement():
         for w in descent_weights:
             for l in lengths:
-                for H, bases in grouped(w, l).items():
+                for H, bases in grouped(l, w).items():
                     rec = strata.minimal_staircase(H)
                     profiles = {E: s_profile(E, w) for E in bases}
                     oracle = strata._least_compatible(H, bases, profiles)
@@ -483,13 +479,14 @@ def _suite_verify_all(args):
     def descent():
         w = Weight(1, -1)
         for l in lengths:
-            for E in enumerate_staircases(l):
-                H = hilbert_function(E, w)
+            for H, bases in grouped(l, w).items():
                 minimal = strata.minimal_staircase(H)
-                for policy in ("first", "last", "random"):
-                    steps = strata.descend_to_minimal(E, w, policy=policy, seed=seed)
-                    end = steps[-1].target if steps else E
-                    _require(end == minimal, f"{policy} descent from {E.columns}")
+                profiles, steps = {}, {}
+                for E in bases:
+                    for policy in ("first", "last", "random"):
+                        walk = strata._descend(E, w, policy, seed, None, bases, profiles, steps, H)
+                        end = walk[-1].target if walk else E
+                        _require(end == minimal, f"{policy} descent from {E.columns}")
         return "all descent policies end at the minimal staircase"
 
     def flatness():
@@ -499,16 +496,16 @@ def _suite_verify_all(args):
 
         w = Weight(1, -1)
         for l in lengths:
-            invariant = {E: tb for bases in grouped(w, l).values() for E, tb in bases.items()}
+            invariant = {E: tb for bases in grouped(l, w).values() for E, tb in bases.items()}
             for E in enumerate_staircases(l):
                 certify(charts._family(invariant[E], "invariant", w))
-                certify(charts.build_chart_family(E, "general"))
+                certify(charts._family(unfiltered(E), "general", None))
         return "flatness certificates valid in both modes"
 
     def collapse():
         for w in (Weight(-1, -2), Weight(-2, -3)):
             for l in lengths:
-                for H, bases in grouped(w, l).items():
+                for H, bases in grouped(l, w).items():
                     _require(len(bases) == 1, f"{len(bases)} staircases for {H.as_dict()}")
                     (E, tb), = bases.items()
                     _require(tb.dimension == 0, f"nonzero invariant tangent at {E.columns}")

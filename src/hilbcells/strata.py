@@ -40,7 +40,6 @@ from .staircases import (
     Staircase,
     Weight,
     _compare_profiles,
-    _partitions,
     _profile,
     _profile_grid,
     compatible_staircases,
@@ -182,14 +181,25 @@ def descend_to_minimal(
     _require_descent_regime(w)
     if policy not in ("first", "last", "random"):
         raise DomainError(f"unknown policy {policy!r}")
+    return _descend(E, w, policy, seed, step_limit, {}, {}, {})
+
+
+def _descend(E: Staircase, w: Weight, policy: str, seed: int, step_limit: Optional[int],
+             bases: dict, profiles: dict, steps: dict,
+             H: Optional[HilbertFunction] = None) -> tuple[DegenerationStep, ...]:
+    """``descend_to_minimal`` over state it may share, building only what is missing.
+
+    ``bases`` and ``profiles`` hold tangent bases and S-profiles at w, and
+    ``steps`` the steps taken, keyed by (source, couple); H is E's Hilbert
+    function.  The descents within one class may share all four.
+    """
     rng = random.Random(seed)
     chain: list[DegenerationStep] = []
-    profiles: dict[Staircase, SProfile] = {}
-    current, H = E, None  # H, the Hilbert function of E, at the first step
-    cap = len(_partitions(len(E)))
+    current = E
     while True:
-        basis = tangent_basis(current, w)
-        candidates = _positive_couples(basis)
+        if current not in bases:
+            bases[current] = tangent_basis(current, w)
+        candidates = _positive_couples(bases[current])
         if not candidates:
             return tuple(chain)
         if policy == "first":
@@ -198,12 +208,23 @@ def descend_to_minimal(
             chosen = candidates[-1]
         else:
             chosen = rng.choice(candidates)
-        H = H or hilbert_function(E, w)
-        step = _degenerate(basis, chosen, H, profiles, step_limit)
-        chain.append(step)
-        current = step.target
-        if len(chain) > cap:
+        if (current, chosen) not in steps:
+            H = H or hilbert_function(E, w)
+            steps[current, chosen] = _degenerate(bases[current], chosen, H, profiles, step_limit)
+        chain.append(steps[current, chosen])
+        current = chain[-1].target
+        # The cap is p(|E|) >= |E|, so it is counted only for a longer chain.
+        if len(chain) > len(E) and len(chain) > (cap := _partition_count(len(E))):
             raise ConsistencyError(f"descent from {E.columns} exceeded {cap} steps")
+
+
+def _partition_count(n: int) -> int:
+    """``len(_partitions(n))``, the number of staircases of n cells, without listing them."""
+    counts = [1] + [0] * n
+    for part in range(1, n + 1):
+        for total in range(part, n + 1):
+            counts[total] += counts[total - part]
+    return counts[n]
 
 
 def minimal_staircase(H: HilbertFunction) -> Staircase:
@@ -362,9 +383,9 @@ def component_report(length: int, w: Weight, bound: int = 12) -> list[ComponentR
 
     Each staircase gets one tangent basis, which gives its stratum data,
     feeds the oracle and indexes its degeneration step, one S-profile and at
-    most one step (policy "first"); the chains follow those steps, as every
-    target is a member of the same class, which shares its Hilbert function
-    and S-profile grid.  p staircases in c classes cost p tangent bases, p
+    most one step (policy "first"); the chains are descents over these, as
+    every target is a member of the same class, which shares its Hilbert
+    function and S-profile grid.  p staircases in c classes cost p tangent bases, p
     S-profiles, 2p Hilbert functions, p - c Buchbergers and no chart family.
     """
     _require_length(length)
@@ -392,26 +413,16 @@ def component_report(length: int, w: Weight, bound: int = 12) -> list[ComponentR
                 raise ConsistencyError(
                     f"recursion gives {minimal.columns} but enumeration gives {oracle.columns}"
                 )
-            targets = {}
-            for E, tb in bases.items():
-                candidates = _positive_couples(tb)
-                if candidates:
-                    targets[E] = _degenerate(tb, candidates[0], H, profiles, None).target
-            chains = []
+            steps, chains = {}, []
             for E in members:
-                chain = [E]
-                while chain[-1] in targets:
-                    chain.append(targets[chain[-1]])
-                    if len(chain) > len(members):
-                        raise ConsistencyError(
-                            f"descent from {E.columns} exceeded {len(members)} steps"
-                        )
+                walk = _descend(E, w, "first", 0, None, bases, profiles, steps, H)
+                chain = (E,) + tuple(step.target for step in walk)
                 if chain[-1] != minimal:
                     raise ConsistencyError(
                         f"descent from {E.columns} ends at {chain[-1].columns}, "
                         f"not {minimal.columns}"
                     )
-                chains.append(tuple(chain))
+                chains.append(chain)
             dimension = dims.pop()
         else:
             if len(members) != 1:

@@ -221,42 +221,39 @@ class TestSubcommands:
         # (3,-2) is read only by the class items and (-2,-3) only by the
         # collapse item: each staircase gets one basis per weight, and the
         # agreement item never re-enumerates through the public oracle.
-        # The graph item and the invariant chart families read the same
-        # groups, so no (staircase, weight) pair gets a second basis.  The
-        # groups come from strata._classes, whose bases are counted as it
-        # returns them.  The unfiltered basis is built twice, once by the
-        # oracle item and once by the general chart family.
-        calls = Counter()
+        # The graph item, the invariant chart families and the descents read
+        # the same groups, and the general chart families the oracle item's
+        # unfiltered bases, so no (staircase, direction) pair gets a second
+        # basis.  The descents of one class share their steps, so each
+        # (source, couple) is degenerated once.
+        calls, steps = Counter(), Counter()
         original = tangent.tangent_basis
-        original_classes = strata._classes
+        original_degenerate = strata._degenerate
 
         def counted(E, direction=None):
             calls[E, direction] += 1
             return original(E, direction)
 
-        def counted_classes(length, w):
-            groups = original_classes(length, w)
-            for bases in groups.values():
-                for E in bases:
-                    calls[E, w] += 1
-            return groups
+        def counted_degenerate(basis, couple, *args):
+            steps[basis.staircase, couple] += 1
+            return original_degenerate(basis, couple, *args)
 
         def no_oracle(*args, **kwargs):
             raise AssertionError("minimal_staircase_oracle called")
 
-        monkeypatch.setattr(tangent, "tangent_basis", counted)
-        monkeypatch.setattr(charts, "tangent_basis", counted)
-        monkeypatch.setattr(strata, "_classes", counted_classes)
+        for module in (tangent, strata, charts):
+            monkeypatch.setattr(module, "tangent_basis", counted)
+        monkeypatch.setattr(strata, "_degenerate", counted_degenerate)
         monkeypatch.setattr(strata, "minimal_staircase_oracle", no_oracle)
-        data = run_json(capsys, "run-suite", "verify-all", "--max-length", "6")
+        data = run_json(capsys, "run-suite", "verify-all", "--max-length", "8")
         assert data["all_ok"] is True
         for w in (Weight(3, -2), Weight(-2, -3)):
-            for l in range(1, 7):
+            for l in range(1, 9):
                 assert all(calls[E, w] == 1 for E in enumerate_staircases(l))
         unfiltered = {pair: n for pair, n in calls.items() if pair[1] is None}
-        assert len(unfiltered) == sum(len(enumerate_staircases(l)) for l in range(1, 7))
-        assert set(unfiltered.values()) == {2}
-        assert all(n == 1 for (E, w), n in calls.items() if w is not None)
+        assert len(unfiltered) == sum(len(enumerate_staircases(l)) for l in range(1, 9))
+        assert set(calls.values()) == {1}
+        assert set(steps.values()) == {1} and len(steps) == 64
 
     def test_verify_all_enumerates_graph_couples_once(self, capsys, monkeypatch):
         # At the four directions only the graph item reads, each staircase's
@@ -352,6 +349,14 @@ class TestExitCodes:
         code, out, err = run(capsys, "minimal", "--a", "1", "--b", "-1",
                              "--hilbert", '{"0":2}')
         assert code == 1
+
+    def test_long_descent_does_not_list_partitions(self, capsys):
+        # The step cap p(80), about 15.8 million, is counted, not listed;
+        # listing the partitions of 55 cells took about 3 s.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "descend", "--columns", "80", "--a", "1", "--b", "-1")
+        assert code == 0 and json.loads(out)["chain"] == []
+        assert time.perf_counter() - start < 1
 
     @pytest.mark.parametrize("argv", [
         ("specialize", "--columns", "2,1", "--mode", "general", "--point", "[1,2]"),

@@ -31,7 +31,7 @@ from hilbcells import (
     s_profile,
     tangent_basis,
 )
-from hilbcells.strata import POINCARE_BOUND, _least_compatible
+from hilbcells.strata import POINCARE_BOUND, _classes, _descend, _least_compatible
 
 W11 = Weight(1, -1)
 
@@ -103,6 +103,20 @@ class TestDescend:
     def test_unknown_policy(self):
         with pytest.raises(DomainError):
             descend_to_minimal(construct_staircase([1, 1]), W11, policy="middle")
+
+    @pytest.mark.parametrize("w", [W11, Weight(2, -1), Weight(3, -2)], ids=str)
+    def test_shared_state_does_not_change_a_descent(self, w):
+        # The descents of a class, under every policy, share its bases,
+        # profiles and steps; each still takes the steps of a fresh descent,
+        # evidence included.
+        for l in range(1, 9):
+            for H, bases in _classes(l, w).items():
+                profiles, steps = {}, {}
+                for E in bases:
+                    for policy in ("first", "last", "random"):
+                        shared = _descend(E, w, policy, 5, None, bases, profiles, steps, H)
+                        fresh = descend_to_minimal(E, w, policy, 5)
+                        assert [s.to_json() for s in shared] == [s.to_json() for s in fresh], E
 
 
 def counting(monkeypatch, *targets):

@@ -506,11 +506,24 @@ class TestSerializedSigns:
         assert checked == 8877
 
 
+def check_hom_agreement(lengths) -> int:
+    """Check ``hom_tangent_oracle`` against ``arm_leg_characters``, past its CLI bound.
+
+    The arm-leg characters share no code with the oracle's linear algebra;
+    the dimension must be 2n.  Returns the number of staircases checked; CI
+    runs it up to ``POINCARE_BOUND``.
+    """
+    checked = 0
+    for l in lengths:
+        for E in enumerate_staircases(l):
+            result = hom_tangent_oracle(E, bound=l)
+            assert result.characters == tuple(sorted(arm_leg_characters(E))), E.columns
+            assert result.dimension == 2 * l, E.columns
+            checked += 1
+    return checked
+
+
 class TestHomOracleAgreement:
-    def test_characters_and_dimension_to_length_12(self):
-        # Against the arm-leg characters, which share no code with the oracle.
-        for l in range(1, 13):
-            for E in enumerate_staircases(l):
-                result = hom_tangent_oracle(E, bound=12)
-                assert result.characters == tuple(sorted(arm_leg_characters(E))), E.columns
-                assert result.dimension == 2 * l
+    def test_characters_and_dimension_to_length_16(self):
+        assert check_hom_agreement(range(1, 17)) == sum(
+            len(enumerate_staircases(l)) for l in range(1, 17))
