@@ -23,6 +23,7 @@ from .polynomials import (
     LEX_YX,
     BivariatePolynomial,
     ChartCoefficient,
+    PairStatus,
     VarKey,
     _complete,
     _Divisor,
@@ -280,7 +281,7 @@ class FlatnessCertificate:
 
     valid: bool
     leading_ok: bool
-    spairs: tuple[tuple[int, int, bool, str], ...]
+    spairs: tuple[PairStatus, ...]
     origin_ok: bool
     samples: tuple[SampleCheck, ...]
     witness: Optional[str]
@@ -289,10 +290,7 @@ class FlatnessCertificate:
         return {
             "valid": self.valid,
             "leading_ok": self.leading_ok,
-            "spairs": [
-                {"i": i, "j": j, "remainder_zero": ok, "remainder": rem}
-                for i, j, ok, rem in self.spairs
-            ],
+            "spairs": [p._asdict() for p in self.spairs],
             "origin_ok": self.origin_ok,
             "samples": [s.to_json() for s in self.samples],
             "witness": self.witness,
@@ -350,11 +348,11 @@ def verify_flatness(
             except DomainError as exc:
                 failure = exc
         if failure is not None:
-            spairs.append((i, i + 1, False, f"reduction failed: {failure}"))
+            spairs.append(PairStatus(i, i + 1, False, f"reduction failed: {failure}"))
             if witness is None:
                 witness = f"S-pair ({i}, {i + 1}) cannot be reduced: {failure}"
             continue
-        spairs.append((i, i + 1, not rem, rem.to_text()))
+        spairs.append(PairStatus(i, i + 1, not rem, rem.to_text()))
         if rem and witness is None:
             witness = f"S-pair ({i}, {i + 1}) leaves remainder {rem.to_text()}"
 
@@ -382,6 +380,6 @@ def verify_flatness(
         if not ok and witness is None:
             witness = f"specialization {dict(frozen)} has colength {col}, expected {target}"
 
-    valid = (leading_ok and origin_ok and all(ok for _, _, ok, _ in spairs)
+    valid = (leading_ok and origin_ok and all(p.remainder_zero for p in spairs)
              and all(c.ok for c in checks))
     return FlatnessCertificate(valid, leading_ok, tuple(spairs), origin_ok, tuple(checks), witness)

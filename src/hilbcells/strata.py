@@ -376,17 +376,17 @@ def _classes(length: int, w: Weight) -> dict[HilbertFunction, dict[Staircase, Ta
 def component_report(length: int, w: Weight, bound: int = 12) -> list[ComponentReport]:
     """Group the staircases of one length by Hilbert function and certify each class.
 
-    In the descent regime (a > 0) every class gets per-stratum tangent data,
-    a dimension-constancy check, the minimal staircase computed both by
-    recursion and by the enumeration oracle, and a descent chain from every
-    stratum.  Otherwise classes collapse to single strata.
+    Every class gets per-stratum tangent data and the checks of
+    ``_least_of_class``: in the descent regime (a > 0) a dimension-constancy
+    check, the minimal staircase computed both by recursion and by the
+    enumeration oracle, and a descent chain from every stratum; otherwise a
+    collapse to a single stratum.
 
     Each staircase gets one tangent basis, which gives its stratum data,
     feeds the oracle and indexes its degeneration step, one S-profile and at
-    most one step (policy "first"); the chains are descents over these, as
-    every target is a member of the same class, which shares its Hilbert
-    function and S-profile grid.  p staircases in c classes cost p tangent bases, p
-    S-profiles, 2p Hilbert functions, p - c Buchbergers and no chart family.
+    most one step (policy "first"): every target is a member of the same
+    class.  p staircases in c classes cost p tangent bases, p S-profiles,
+    2p Hilbert functions, p - c Buchbergers and no chart family.
     """
     _require_length(length)
     if length > bound:
@@ -396,49 +396,57 @@ def component_report(length: int, w: Weight, bound: int = 12) -> list[ComponentR
     groups = _classes(length, w)
     reports = []
     for H in sorted(groups, key=lambda h: h.values):
-        bases = groups[H]
-        members = list(bases)
-        data = [StratumData(E, tb.dimension, len(tb.positive), len(tb.negative))
-                for E, tb in bases.items()]
-
-        if w.a > 0:
-            dims = {s.dim_ab for s in data}
-            if len(dims) != 1:
-                raise ConsistencyError(f"tangent dimension varies over {H.as_dict()}: {dims}")
-            minimal = minimal_staircase(H)
-            grid = _profile_grid(H.values[-1][0], w)
-            profiles = {E: _profile(E, grid) for E in members}
-            oracle = _least_compatible(H, bases, profiles)
-            if minimal != oracle:
-                raise ConsistencyError(
-                    f"recursion gives {minimal.columns} but enumeration gives {oracle.columns}"
-                )
-            steps, chains = {}, []
-            for E in members:
-                walk = _descend(E, w, "first", 0, None, bases, profiles, steps, H)
-                chain = (E,) + tuple(step.target for step in walk)
-                if chain[-1] != minimal:
-                    raise ConsistencyError(
-                        f"descent from {E.columns} ends at {chain[-1].columns}, "
-                        f"not {minimal.columns}"
-                    )
-                chains.append(chain)
-            dimension = dims.pop()
-        else:
-            if len(members) != 1:
-                raise ConsistencyError(
-                    f"{len(members)} staircases share H = {H.as_dict()} although a <= 0"
-                )
-            if w.a < 0 and data[0].dim_ab != 0:
-                raise ConsistencyError(
-                    f"nonzero invariant tangent space at {members[0].columns} with a*b > 0"
-                )
-            minimal = members[0]
-            chains = [(members[0],)]
-            dimension = data[0].dim_ab
-
-        reports.append(ComponentReport(w, H, tuple(data), minimal, dimension, tuple(chains)))
+        bases, profiles, steps = groups[H], {}, {}
+        minimal = _least_of_class(H, bases, profiles)
+        chains = tuple(_chain(E, minimal, "first", 0, H, bases, profiles, steps) if w.a > 0
+                       else (E,) for E in bases)
+        data = tuple(StratumData(E, tb.dimension, len(tb.positive), len(tb.negative))
+                     for E, tb in bases.items())
+        reports.append(ComponentReport(w, H, data, minimal, bases[minimal].dimension, chains))
     return reports
+
+
+def _least_of_class(H: HilbertFunction, bases: Mapping[Staircase, TangentBasis],
+                    profiles: dict[Staircase, SProfile]) -> Staircase:
+    """The least staircase of one Hilbert-function class, once the class is checked.
+
+    ``bases`` maps the members to their tangent bases at H's weight.  With
+    a <= 0 the class must be a single staircase, of zero invariant tangent
+    space if a < 0.  With a > 0 its tangent dimension must be constant, and
+    the bottom-row recursion must give the member ``_least_compatible``
+    finds on S-profiles laid out on the class's grid and added to ``profiles``.
+    """
+    w = H.weight
+    if w.a <= 0:
+        (E, tb), *others = bases.items()
+        if others:
+            raise ConsistencyError(f"{len(bases)} staircases share H = {H.as_dict()} "
+                                   "although a <= 0")
+        if w.a < 0 and tb.dimension != 0:
+            raise ConsistencyError(f"nonzero invariant tangent space at {E.columns} with a*b > 0")
+        return E
+    dims = {tb.dimension for tb in bases.values()}
+    if len(dims) != 1:
+        raise ConsistencyError(f"tangent dimension varies over {H.as_dict()}: {dims}")
+    minimal = minimal_staircase(H)
+    grid = _profile_grid(H.values[-1][0], w)
+    profiles.update((E, _profile(E, grid)) for E in bases)
+    oracle = _least_compatible(H, bases, profiles)
+    if minimal != oracle:
+        raise ConsistencyError(f"recursion gives {minimal.columns} but enumeration gives "
+                               f"{oracle.columns}")
+    return minimal
+
+
+def _chain(E: Staircase, least: Staircase, policy: str, seed: int, H: HilbertFunction,
+           bases: dict, profiles: dict, steps: dict) -> tuple[Staircase, ...]:
+    """E and the targets of its ``_descend`` under a policy, which must end at least."""
+    walk = _descend(E, H.weight, policy, seed, None, bases, profiles, steps, H)
+    chain = (E,) + tuple(step.target for step in walk)
+    if chain[-1] != least:
+        raise ConsistencyError(f"descent from {E.columns} ends at {chain[-1].columns}, "
+                               f"not {least.columns}")
+    return chain
 
 
 def _arm_leg_dimension(E: Staircase, weight_vector: tuple[int, int]) -> int:

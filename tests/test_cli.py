@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -16,7 +17,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hilbcells
-from hilbcells import Weight, charts, cli, enumerate_staircases, poly_from_text, strata, tangent
+from hilbcells import (
+    Weight, charts, cli, enumerate_staircases, poly_from_text, staircases, strata, tangent,
+)
 from hilbcells.cli import main
 from hilbcells.staircases import COMPATIBLE_BOUND
 
@@ -225,10 +228,12 @@ class TestSubcommands:
         # the same groups, and the general chart families the oracle item's
         # unfiltered bases, so no (staircase, direction) pair gets a second
         # basis.  The descents of one class share their steps, so each
-        # (source, couple) is degenerated once.
-        calls, steps = Counter(), Counter()
+        # (source, couple) is degenerated once, and the S-profiles the class
+        # check laid out, so each (staircase, weight) is laid out once.
+        calls, steps, layouts = Counter(), Counter(), Counter()
         original = tangent.tangent_basis
         original_degenerate = strata._degenerate
+        original_profile = staircases._profile
 
         def counted(E, direction=None):
             calls[E, direction] += 1
@@ -238,11 +243,17 @@ class TestSubcommands:
             steps[basis.staircase, couple] += 1
             return original_degenerate(basis, couple, *args)
 
+        def counted_profile(E, grid):
+            layouts[E, grid[0]] += 1
+            return original_profile(E, grid)
+
         def no_oracle(*args, **kwargs):
             raise AssertionError("minimal_staircase_oracle called")
 
         for module in (tangent, strata, charts):
             monkeypatch.setattr(module, "tangent_basis", counted)
+        for module in (staircases, strata):
+            monkeypatch.setattr(module, "_profile", counted_profile)
         monkeypatch.setattr(strata, "_degenerate", counted_degenerate)
         monkeypatch.setattr(strata, "minimal_staircase_oracle", no_oracle)
         data = run_json(capsys, "run-suite", "verify-all", "--max-length", "8")
@@ -254,6 +265,28 @@ class TestSubcommands:
         assert len(unfiltered) == sum(len(enumerate_staircases(l)) for l in range(1, 9))
         assert set(calls.values()) == {1}
         assert set(steps.values()) == {1} and len(steps) == 64
+        assert set(layouts.values()) == {1} and len(layouts) == 264
+
+    def test_components_and_verify_all_run_one_class_check(self, capsys, monkeypatch):
+        # A recursion that misses the least member of every class with more
+        # than one member fails both callers with the same text: verify-all's
+        # first such class, (2) and (1,1) at length 2, is the one
+        # ``components --length 2`` refuses.
+        original = strata.minimal_staircase
+
+        def wrong(H):
+            least = original(H)
+            return next((E for E in strata.compatible_staircases(H) if E != least), least)
+
+        monkeypatch.setattr(strata, "minimal_staircase", wrong)
+        text = re.compile(r"recursion gives \([\d, ]+\) but enumeration gives \([\d, ]+\)")
+        code, out, err = run(capsys, "components", "--length", "4", "--a", "1", "--b", "-1")
+        assert code == 1 and out == "" and text.fullmatch(err.removeprefix("error: ").rstrip())
+        code, _, err = run(capsys, "components", "--length", "2", "--a", "1", "--b", "-1")
+        data = run_json(capsys, "run-suite", "verify-all", "--max-length", "4")
+        item = {i["name"]: i for i in data["items"]}["minimal-staircase-agreement"]
+        assert code == 1 and item["ok"] is False and not data["all_ok"]
+        assert text.fullmatch(item["witness"]) and err == f"error: {item['witness']}\n"
 
     def test_verify_all_enumerates_graph_couples_once(self, capsys, monkeypatch):
         # At the four directions only the graph item reads, each staircase's

@@ -259,6 +259,16 @@ def test_census_outputs_and_errors(capsys, name):
     _check(name, _transcript(capsys, CENSUS_SWEEPS[name], stderr=True))
 
 
+# The stdout of ``run-suite verify-all --max-length 8``, recorded at
+# 18a6321: its items print only a verdict, so every byte is pinned here.
+VERIFY_ALL_8 = "94d526fd03e74d374f627d0c80a0634d323b5c21e19c726e04202f3c21b17726"
+
+
+def test_verify_all_stdout_to_length_eight(capsys):
+    assert main(["run-suite", "verify-all", "--max-length", "8"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY_ALL_8
+
+
 def test_polynomial_json_and_text():
     # Chart-domain generators pin the "domain" and "chart" fields, the
     # reduced anchor basis pins the rational form.
