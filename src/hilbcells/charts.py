@@ -6,7 +6,9 @@ general mode, only those of a fixed direction in invariant mode).  At the
 origin the family degenerates to the monomial ideal.  ``verify_flatness``,
 not construction, certifies the leading terms and the origin fiber, and
 flatness symbolically through S-pair reduction plus sampled
-specializations of constant colength.
+specializations of constant colength.  The rationals are the constants of
+the chart ring, so a specialized generator is a rational polynomial and one
+recursion, ``CleftPlan.evaluate``, runs over either ring.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ from typing import Mapping, Optional, Sequence
 
 from .errors import ConsistencyError, DomainError, RegimeError
 from .polynomials import (
-    DOMAIN_CHART,
-    DOMAIN_RATIONAL,
     LEX_YX,
     BivariatePolynomial,
     ChartCoefficient,
@@ -109,18 +109,18 @@ class CleftPlan:
     rows: tuple[tuple[int, tuple[int, int], tuple[tuple[VarKey, int, tuple[int, int]], ...]], ...]
 
     def evaluate(
-        self, values: Mapping[VarKey, object], domain: str
+        self, values: Mapping[VarKey, object], one=1
     ) -> tuple[list[BivariatePolynomial], list[tuple[VarKey, BivariatePolynomial]]]:
         """Generators P, and each couple's Q, with the variables set to ``values``.
 
-        Values lie in the ring the domain names; an absent variable is zero
-        and its term is skipped.  Every step is ring arithmetic, so
+        Values lie in the ring whose unit is ``one``; an absent variable is
+        zero and its term is skipped.  Every step is ring arithmetic, so
         evaluating at a rational point equals substituting it into the
         chart-ring generators.
         """
         cs = self.clefts
         P: list[Optional[BivariatePolynomial]] = [None] * len(cs)
-        P[-1] = BivariatePolynomial.of_monomial(cs[-1], 1, domain)
+        P[-1] = BivariatePolynomial.of_monomial(cs[-1], one)
         q_polys: list[tuple[VarKey, BivariatePolynomial]] = []
         for i, shift, couples in self.rows:
             total = P[i + 1].mul_laurent(*shift)
@@ -198,9 +198,8 @@ def _family(basis: TangentBasis, mode: str, weight: Optional[Weight]) -> ChartFa
     """The chart family of the mode from its tangent basis, as ``_chart_basis`` gives it."""
     plan = cleft_plan(basis)
     variables = tuple(sorted(couple_key(cp) for cp in basis.positive))
-    P, q_polys = plan.evaluate(
-        {key: ChartCoefficient.variable(key) for key in variables}, DOMAIN_CHART
-    )
+    P, q_polys = plan.evaluate({key: ChartCoefficient.variable(key) for key in variables},
+                               ChartCoefficient.from_fraction(1))
     return ChartFamily(
         basis.staircase, mode, weight, variables, plan.clefts, tuple(P), tuple(q_polys), basis
     )
@@ -220,23 +219,22 @@ def specialize_family(
 
 def _unit_specializations(fam: ChartFamily) -> tuple[list, dict[tuple, list]]:
     """``specialize_family`` at the origin and at each unit point, keyed as a sample freezes it."""
-    if any(p.domain != DOMAIN_CHART for p in fam.generators):
-        raise DomainError("substitute_chart needs chart-ring coefficients")
     const: list[dict] = [{} for _ in fam.generators]
     single: dict[VarKey, dict[int, dict]] = {v: {} for v in fam.variables}
     for g, p in enumerate(fam.generators):
         for m, c in p.terms.items():
-            for mono, q in c.terms.items():  # 1 at the unit point of v if constant or v^e
+            terms = c.terms.items() if isinstance(c, ChartCoefficient) else (((), c),)
+            for mono, q in terms:  # 1 at the unit point of v if constant or v^e
                 if not mono:
                     const[g][m] = q
                 elif len(mono) == 1 and mono[0][0] in single:
                     single[mono[0][0]].setdefault(g, {})[m] = q
-    origin = [BivariatePolynomial._of(terms, DOMAIN_RATIONAL) for terms in const]
+    origin = [BivariatePolynomial._of(terms) for terms in const]
     units = {}
     for v, extra in single.items():
         gens = list(origin)  # a generator free of v is its origin fiber
         for g, terms in extra.items():
-            gens[g] = origin[g] + BivariatePolynomial._of(terms, DOMAIN_RATIONAL)
+            gens[g] = origin[g] + BivariatePolynomial._of(terms)
         units[((v, "1"),)] = gens
     return origin, units
 
@@ -324,9 +322,7 @@ def verify_flatness(
     leading_ok = True
     for c, p in zip(fam.clefts, fam.generators):
         lm = p.leading_monomial(LEX_YX)
-        lc = p.terms[lm]
-        monic = isinstance(lc, ChartCoefficient) and lc.is_constant and lc.constant_value() == 1
-        if lm != c or not monic:
+        if lm != c or p.terms[lm] != 1:
             leading_ok = False
             witness = f"generator for cleft {c} leads with {lm}"
 

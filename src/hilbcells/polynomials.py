@@ -1,19 +1,18 @@
 """Exact bivariate polynomial arithmetic with one coefficient protocol.
 
 A coefficient is an exact rational or a ``ChartCoefficient``, an element of
-the polynomial ring in chart variables over the rationals.  A rational is a
-Python ``int`` while it is integral and becomes a ``Fraction`` only after a
-true division, so chart recursions, unit-point samples and the reduction
-of integral polynomials by monic divisors stay in the integers; ``int`` and
+the polynomial ring in chart variables over the rationals, and a rational
+is a constant of that ring: the two mix freely.  A rational is a Python
+``int`` while it is integral and becomes a ``Fraction`` only after a true
+division, so chart recursions, unit-point samples and the reduction of
+integral polynomials by monic divisors stay in the integers; ``int`` and
 ``Fraction`` compare, hash and print alike, so no result depends on which
-one a value is.  Both
-rings add, subtract, negate, test as false when zero and multiply by a
-rational scalar, so arithmetic, division and the Buchberger algorithm run
-unchanged over either ring; rendering reads every coefficient as (chart
-monomial, rational) pairs, a rational being the single pair with the empty
-chart monomial.  A polynomial's ``domain`` names its ring and is checked
-only where inputs meet.  On top of the arithmetic live monomial
-orders, multivariate division, the Buchberger algorithm with a hard resource
+one a value is.  Arithmetic, division and the Buchberger algorithm run over
+either ring; rendering reads every coefficient as (chart monomial,
+rational) pairs, a rational being the single pair with the empty chart
+monomial.  A ring's name (``DOMAIN_*``) lives only in the serialized forms.
+On top of the arithmetic live monomial orders, each a name with its sort
+key, multivariate division, the Buchberger algorithm with a hard resource
 guard, standard monomials of zero-dimensional ideals, and extremal-weight
 initial ideals (flat limits of one-parameter orbits).
 
@@ -33,9 +32,8 @@ from __future__ import annotations
 
 import heapq
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
@@ -61,63 +59,34 @@ DOMAIN_CHART = "chart"
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """Total multiplicative order on grid monomials, compared via sort keys."""
+    """Total multiplicative order on grid monomials, compared via its sort key.
 
-    kind: str
-    weight: Optional[Weight] = None
-    vector: Optional[tuple[int, int]] = None
-    extremum: Optional[str] = None
-    tiebreak: Optional["MonomialOrder"] = None
+    ``is_global``: the unit monomial is minimal, so division terminates.
+    Only the name, equal for equal arguments, is compared, hashed and shown.
+    """
 
-    @cached_property
-    def key(self) -> Callable[[Monomial], tuple]:
-        """The sort key of this order, built once per order."""
-        if self.kind == "lex_xy":
-            return itemgetter(0, 1)
-        if self.kind == "lex_yx":
-            return itemgetter(1, 0)
-        if self.kind == "grlex_xy":
-            return lambda m: (m.alpha + m.beta, m.alpha)
-        if self.kind == "cell":
-            deg = self.weight.degree
-            return lambda m: (deg(m), m.beta)
-        if self.kind == "weighted":
-            sign = 1 if self.extremum == "max" else -1
-            p, q = sign * self.vector[0], sign * self.vector[1]
-            if self.tiebreak.kind == "lex_yx":  # one flat tuple; one positive weight is lex
-                return (itemgetter(0, 1) if q == 0 < p else itemgetter(1, 0) if p == 0 < q
-                        else lambda m: (p * m[0] + q * m[1], m[1], m[0]))
-            tie = self.tiebreak.key
-            return lambda m: (p * m[0] + q * m[1],) + tie(m)
-        raise DomainError(f"unknown monomial order kind {self.kind!r}")
+    name: str
+    key: Callable[[Monomial], tuple] = field(compare=False, repr=False)
+    is_global: bool = field(default=True, compare=False, repr=False)
 
     def compare(self, m1: Monomial, m2: Monomial) -> int:
         k1, k2 = self.key(m1), self.key(m2)
         return (k1 > k2) - (k1 < k2)
 
-    @property
-    def is_global(self) -> bool:
-        """True when the unit monomial is minimal, so division terminates."""
-        if self.kind != "weighted":
-            return True
-        v1, v2 = self.vector
-        if self.extremum == "max":
-            return v1 >= 0 and v2 >= 0
-        return v1 <= 0 and v2 <= 0
-
 
 # Every key is a lexicographic tuple of integer linear forms in the
 # exponents, so every order built here is multiplicative by construction.
-LEX_XY = MonomialOrder("lex_xy")
-LEX_YX = MonomialOrder("lex_yx")
-GRLEX_XY = MonomialOrder("grlex_xy")
+LEX_XY = MonomialOrder("lex_xy", itemgetter(0, 1))
+LEX_YX = MonomialOrder("lex_yx", itemgetter(1, 0))
+GRLEX_XY = MonomialOrder("grlex_xy", lambda m: (m.alpha + m.beta, m.alpha))
 
 
 def cell_order(w: Weight) -> MonomialOrder:
     """The (degree, y-exponent) order; a monomial order only when a*b < 0."""
     if w.product >= 0:
         raise RegimeError(f"cell order needs a*b < 0, got ({w.a}, {w.b})")
-    return MonomialOrder("cell", weight=w)
+    deg = w.degree
+    return MonomialOrder(f"cell({w.a},{w.b})", lambda m: (deg(m), m.beta))
 
 
 def weight_order(
@@ -126,9 +95,15 @@ def weight_order(
     """Compare by extremal weight first, then by the tiebreak order."""
     if extremum not in ("max", "min"):
         raise DomainError(f"extremum must be 'max' or 'min', got {extremum!r}")
-    return MonomialOrder(
-        "weighted", vector=(int(vector[0]), int(vector[1])), extremum=extremum, tiebreak=tiebreak
-    )
+    v1, v2 = int(vector[0]), int(vector[1])
+    p, q = (v1, v2) if extremum == "max" else (-v1, -v2)
+    if tiebreak == LEX_YX:  # one flat tuple; one positive weight is lex
+        key = (itemgetter(0, 1) if q == 0 < p else itemgetter(1, 0) if p == 0 < q
+               else lambda m: (p * m[0] + q * m[1], m[1], m[0]))
+    else:
+        tie = tiebreak.key
+        key = lambda m: (p * m[0] + q * m[1],) + tie(m)
+    return MonomialOrder(f"{extremum}({v1},{v2});{tiebreak.name}", key, p >= 0 and q >= 0)
 
 
 def monomial_compare(m1: Monomial, m2: Monomial, order: MonomialOrder) -> int:
@@ -158,7 +133,11 @@ def variable_name(key: VarKey) -> str:
 
 
 class ChartCoefficient:
-    """Finite rational combination of monomials in chart variables."""
+    """Finite rational combination of monomials in chart variables.
+
+    A rational is a constant: it mixes with chart coefficients from either
+    side, and equals and hashes as the constant coefficient it is.
+    """
 
     __slots__ = ("terms",)
 
@@ -181,22 +160,35 @@ class ChartCoefficient:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, (int, Fraction)):
+            other = ChartCoefficient.from_fraction(other)
         return isinstance(other, ChartCoefficient) and self.terms == other.terms
 
     def __hash__(self):
+        if self.is_constant:
+            return hash(self.terms.get((), 0))
         return hash(tuple(sorted(self.terms.items())))
 
-    def __add__(self, other: "ChartCoefficient") -> "ChartCoefficient":
+    def __add__(self, other) -> "ChartCoefficient":
+        """Sum with another chart coefficient or with a rational."""
         out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
+        if isinstance(other, ChartCoefficient):
+            for k, v in other.terms.items():
+                out[k] = out.get(k, 0) + v
+        else:
+            out[()] = out.get((), 0) + other
         return ChartCoefficient(out)
+
+    __radd__ = __add__
 
     def __neg__(self) -> "ChartCoefficient":
         return ChartCoefficient({k: -v for k, v in self.terms.items()})
 
-    def __sub__(self, other: "ChartCoefficient") -> "ChartCoefficient":
+    def __sub__(self, other) -> "ChartCoefficient":
         return self + (-other)
+
+    def __rsub__(self, other) -> "ChartCoefficient":
+        return -self + other
 
     @staticmethod
     def _mul_mono(m1: ChartMonomial, m2: ChartMonomial) -> ChartMonomial:
@@ -216,6 +208,8 @@ class ChartCoefficient:
                 k = self._mul_mono(k1, k2) if k1 and k2 else k1 or k2
                 out[k] = out.get(k, 0) + v1 * v2
         return ChartCoefficient(out)
+
+    __rmul__ = __mul__
 
     @property
     def is_constant(self) -> bool:
@@ -254,8 +248,8 @@ class ChartCoefficient:
         return " + ".join(parts)
 
 
-def _coefficient(domain: str, q: int | Fraction, mono: ChartMonomial = ()):
-    """The coefficient q times the chart monomial, in the ring the domain names."""
+def _coefficient(domain: str, q: int | Fraction, mono: ChartMonomial):
+    """The coefficient q times the chart monomial, read in the ring the domain names."""
     return q if domain == DOMAIN_RATIONAL else ChartCoefficient({mono: q})
 
 
@@ -273,10 +267,9 @@ def _coefficient_terms(c) -> list[tuple[ChartMonomial, int | Fraction]]:
 class BivariatePolynomial:
     """Polynomial in x, y with exact coefficients and no stored zero terms."""
 
-    __slots__ = ("domain", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Monomial, object], domain: str = DOMAIN_RATIONAL):
-        self.domain = domain
+    def __init__(self, terms: Mapping[Monomial, object]):
         self.terms = {
             m if isinstance(m, Monomial) else Monomial(*m): c for m, c in terms.items() if c
         }
@@ -284,21 +277,21 @@ class BivariatePolynomial:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, domain: str = DOMAIN_RATIONAL) -> "BivariatePolynomial":
-        return cls({}, domain)
+    def zero(cls) -> "BivariatePolynomial":
+        return cls({})
 
     @classmethod
-    def _of(cls, terms: dict[Monomial, object], domain: str) -> "BivariatePolynomial":
+    def _of(cls, terms: dict[Monomial, object]) -> "BivariatePolynomial":
         """A polynomial on ``Monomial``-keyed terms that hold no zero, taken as they are."""
         p = object.__new__(cls)
-        p.domain, p.terms = domain, terms
+        p.terms = terms
         return p
 
     @classmethod
-    def of_monomial(cls, m: Monomial, coeff=1, domain: str = DOMAIN_RATIONAL):
+    def of_monomial(cls, m: Monomial, coeff=1):
         if not isinstance(coeff, ChartCoefficient):
-            coeff = _coefficient(domain, exact_rational(coeff))
-        return cls({Monomial(*m): coeff}, domain)
+            coeff = exact_rational(coeff)
+        return cls({Monomial(*m): coeff})
 
     # -- simple queries ------------------------------------------------------
 
@@ -306,11 +299,7 @@ class BivariatePolynomial:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BivariatePolynomial)
-            and self.domain == other.domain
-            and self.terms == other.terms
-        )
+        return isinstance(other, BivariatePolynomial) and self.terms == other.terms
 
     def __repr__(self) -> str:
         return f"BivariatePolynomial({self.to_text()!r})"
@@ -325,37 +314,31 @@ class BivariatePolynomial:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _check(self, other: "BivariatePolynomial") -> None:
-        if self.domain != other.domain:
-            raise DomainError(f"domain mismatch: {self.domain} vs {other.domain}")
-
     def __add__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
-        self._check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out[m] + c if m in out else c
-        return BivariatePolynomial(out, self.domain)
+        return BivariatePolynomial(out)
 
     def __neg__(self) -> "BivariatePolynomial":
-        return BivariatePolynomial({m: -c for m, c in self.terms.items()}, self.domain)
+        return BivariatePolynomial({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
         return self + (-other)
 
     def __mul__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
-        self._check(other)
         out: dict[Monomial, object] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m, c = m1.mul(m2), c1 * c2
                 out[m] = out[m] + c if m in out else c
-        return BivariatePolynomial(out, self.domain)
+        return BivariatePolynomial(out)
 
     def scale(self, coeff) -> "BivariatePolynomial":
-        """Multiply by a rational or, over the chart ring, by a chart coefficient."""
+        """Multiply by a rational or by a chart coefficient."""
         if not isinstance(coeff, ChartCoefficient):
             coeff = exact_rational(coeff)
-        return BivariatePolynomial({m: c * coeff for m, c in self.terms.items()}, self.domain)
+        return BivariatePolynomial({m: c * coeff for m, c in self.terms.items()})
 
     def mul_laurent(self, da: int, db: int) -> "BivariatePolynomial":
         """Shift all exponents by (da, db); the result must stay polynomial."""
@@ -367,7 +350,7 @@ class BivariatePolynomial:
                     f"shifting {self.to_text()} by x^{da}*y^{db} leaves the polynomial ring"
                 )
             out[tuple.__new__(Monomial, (a, b))] = c
-        return BivariatePolynomial._of(out, self.domain)
+        return BivariatePolynomial._of(out)
 
     # -- weight structure ------------------------------------------------------
 
@@ -379,8 +362,7 @@ class BivariatePolynomial:
         weights = {m: v1 * m.alpha + v2 * m.beta for m in self.terms}
         target = max(weights.values()) if extremum == "max" else min(weights.values())
         return BivariatePolynomial._of(
-            {m: c for m, c in self.terms.items() if weights[m] == target}, self.domain
-        )
+            {m: c for m, c in self.terms.items() if weights[m] == target})
 
     def weight_degrees(self, w: Weight) -> set[int]:
         return {w.degree(m) for m in self.terms}
@@ -388,14 +370,13 @@ class BivariatePolynomial:
     # -- chart specialization ---------------------------------------------------
 
     def substitute_chart(self, point: Mapping[VarKey, int | Fraction]) -> "BivariatePolynomial":
-        if self.domain != DOMAIN_CHART:
-            raise DomainError("substitute_chart needs chart-ring coefficients")
+        """Values at the point; a rational coefficient substitutes to itself."""
         out: dict[Monomial, int | Fraction] = {}
         for m, c in self.terms.items():
-            value = c.substitute(point)
+            value = c.substitute(point) if isinstance(c, ChartCoefficient) else c
             if value:
                 out[m] = value
-        return BivariatePolynomial._of(out, DOMAIN_RATIONAL)
+        return BivariatePolynomial._of(out)
 
     # -- serialization -----------------------------------------------------------
 
@@ -414,16 +395,17 @@ class BivariatePolynomial:
         )
 
     def to_json(self) -> dict:
-        """Canonical JSON; only chart-ring terms carry a "chart" key."""
+        """Canonical JSON; "chart" domain and keys exactly when a coefficient is one."""
+        chart = any(isinstance(c, ChartCoefficient) for c in self.terms.values())
         terms = []
         for m, c in self._sorted_terms():
             for mono, q in _coefficient_terms(c):
                 term = {"coeff": str(q)}
-                if self.domain != DOMAIN_RATIONAL:
+                if chart:
                     term["chart"] = [[list(k[0]), list(k[1]), e] for k, e in mono]
                 term["x"], term["y"] = m.alpha, m.beta
                 terms.append(term)
-        return {"domain": self.domain, "terms": terms}
+        return {"domain": DOMAIN_CHART if chart else DOMAIN_RATIONAL, "terms": terms}
 
     @classmethod
     def from_json(cls, data: dict) -> "BivariatePolynomial":
@@ -438,7 +420,7 @@ class BivariatePolynomial:
             ))
             c = _coefficient(domain, exact_rational(term["coeff"]), mono)
             out[m] = out[m] + c if m in out else c
-        return cls(out, domain)
+        return cls(out)
 
 
 def _render_fraction(q: int | Fraction) -> str:
@@ -475,7 +457,7 @@ def poly_from_text(text: str, domain: Optional[str] = None) -> BivariatePolynomi
     elif is_chart and domain == DOMAIN_RATIONAL:
         raise DomainError("chart variables in a rational-domain polynomial")
     if text == "0":
-        return BivariatePolynomial.zero(domain)
+        return BivariatePolynomial.zero()
     out: dict[Monomial, object] = {}
     for chunk in text.split():
         match = _TERM_RE.match(chunk)
@@ -494,7 +476,7 @@ def poly_from_text(text: str, domain: Optional[str] = None) -> BivariatePolynomi
             exps[key] = exps.get(key, 0) + int(fm[5])
         c = _coefficient(domain, q, tuple(sorted(exps.items())))
         out[m] = out[m] + c if m in out else c
-    return BivariatePolynomial(out, domain)
+    return BivariatePolynomial(out)
 
 
 _EXPR_TERM_RE = re.compile(
@@ -538,7 +520,7 @@ def poly_from_expr(expr: str) -> BivariatePolynomial:
             raise DomainError(f"zero denominator in term {piece!r} of {expr!r}") from exc
         m = Monomial(alpha, beta)
         out[m] = out.get(m, 0) + sign * coeff
-    return BivariatePolynomial(out, DOMAIN_RATIONAL)
+    return BivariatePolynomial(out)
 
 
 def parse_ideal(text: str) -> list[BivariatePolynomial]:
@@ -652,7 +634,7 @@ def _reduce(
                 break
         else:
             remainder[m] = c
-    return BivariatePolynomial._of(remainder, f.domain) if reduced else f
+    return BivariatePolynomial._of(remainder) if reduced else f
 
 
 def divide(
@@ -670,8 +652,8 @@ def divide(
     quotients: list[dict] = [{} for _ in records]
     r = _reduce(f, records, order, _StepGuard(step_limit), quotients)
     if r is f:
-        r = BivariatePolynomial(f.terms, f.domain)
-    return [BivariatePolynomial(q, f.domain) for q in quotients], r
+        r = BivariatePolynomial(f.terms)
+    return [BivariatePolynomial(q) for q in quotients], r
 
 
 def _interreduce(
@@ -708,7 +690,7 @@ def _s_poly(df: _Divisor, dg: _Divisor) -> BivariatePolynomial:
     work: dict[Monomial, object] = {}
     _add_multiple(work, df.tail, la - fa, lb - fb, df.inv_lc)
     _add_multiple(work, dg.tail, la - ga, lb - gb, -dg.inv_lc)
-    return BivariatePolynomial._of(work, df.poly.domain)
+    return BivariatePolynomial._of(work)
 
 
 def _s_pair_remainder(
@@ -762,9 +744,6 @@ def buchberger(
     """
     if not gens or any(not g for g in gens):
         raise DomainError("generators must be nonzero")
-    domain = gens[0].domain
-    if any(g.domain != domain for g in gens):
-        raise DomainError("mixed coefficient domains")
     basis = _buchberger(gens, order, _StepGuard(step_limit))
     return GroebnerBasis(tuple(d.poly for d in basis), order)
 
@@ -847,8 +826,7 @@ def _require_local_variables_nilpotent(
         ) from None
     for name, v in below:
         power = Monomial(n * v.alpha, n * v.beta)
-        f = BivariatePolynomial.of_monomial(power, 1, gens[0].domain)
-        if _reduce(f, basis, GRLEX_XY, guard):
+        if _reduce(BivariatePolynomial.of_monomial(power), basis, GRLEX_XY, guard):
             raise DomainError(
                 f"{name} sorts below 1 in the order but {name}^{n} is not in the ideal "
                 f"of colength {n}: the flat limit leaves the plane"

@@ -23,7 +23,6 @@ from .errors import (
     UnrealizableError,
 )
 from .polynomials import (
-    DOMAIN_RATIONAL,
     LEX_YX,
     BivariatePolynomial,
     GroebnerBasis,
@@ -131,7 +130,7 @@ def _degenerate(basis: TangentBasis, couple: CleftCouple, H: HilbertFunction,
     """
     E, w = basis.staircase, basis.direction
     key = couple_key(couple)
-    gens, _ = cleft_plan(basis).evaluate({key: 1}, DOMAIN_RATIONAL)
+    gens, _ = cleft_plan(basis).evaluate({key: 1})
     limit = weight_initial_ideal(gens, (1, 0), "max", step_limit)
 
     def inconsistent(reason: str, *found: str) -> ConsistencyError:

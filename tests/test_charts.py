@@ -24,7 +24,7 @@ from hilbcells import (
     weight_initial_ideal,
 )
 from hilbcells.charts import cleft_plan, default_sample_points
-from hilbcells.polynomials import DOMAIN_CHART, DOMAIN_RATIONAL, _complete, _Divisor, _StepGuard
+from hilbcells.polynomials import _complete, _Divisor, _StepGuard
 
 W11 = Weight(1, -1)
 
@@ -46,7 +46,7 @@ def corrupted_families(fam):
     x = ChartCoefficient.variable(fam.variables[0])
     gens = list(fam.generators)
     shifted = list(gens)
-    shifted[-2] += BivariatePolynomial({Monomial(0, 0): x}, DOMAIN_CHART)
+    shifted[-2] += BivariatePolynomial({Monomial(0, 0): x})
     vanishing = gens[:-1] + [gens[-1].scale(x)]
     return [dataclasses.replace(fam, generators=tuple(g)) for g in (shifted, vanishing)]
 
@@ -212,7 +212,7 @@ class TestCleftPlan:
                 fam = build_chart_family(E, mode, w)
                 plan = cleft_plan(fam.basis)
                 for point in default_sample_points(fam, extra=2, seed=3):
-                    generators, _ = plan.evaluate(point, DOMAIN_RATIONAL)
+                    generators, _ = plan.evaluate(point)
                     assert generators == specialize_family(fam, point), (E.columns, point)
 
 
@@ -231,8 +231,8 @@ class TestFlatness:
 
     def test_corrupted_family_is_rejected(self):
         fam = build_chart_family(construct_staircase([1, 1]), "invariant", W11)
-        bad_generator = BivariatePolynomial.of_monomial(Monomial(0, 1), 1, DOMAIN_CHART) + (
-            BivariatePolynomial.of_monomial(Monomial(0, 2), 1, DOMAIN_CHART).scale(
+        bad_generator = BivariatePolynomial.of_monomial(Monomial(0, 1)) + (
+            BivariatePolynomial.of_monomial(Monomial(0, 2)).scale(
                 ChartCoefficient.variable(X_YX)
             )
         )

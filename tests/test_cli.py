@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import functools
 import io
 import json
@@ -287,6 +288,25 @@ class TestSubcommands:
         item = {i["name"]: i for i in data["items"]}["minimal-staircase-agreement"]
         assert code == 1 and item["ok"] is False and not data["all_ok"]
         assert text.fullmatch(item["witness"]) and err == f"error: {item['witness']}\n"
+
+    def test_dimension_constancy_is_the_class_check(self, capsys, monkeypatch):
+        # One more negative couple at (1, 1) makes the tangent dimension vary
+        # over its class at (1,-1), which it shares with (2): verify-all's
+        # dimension-constancy item reports the error ``components`` gives.
+        original = strata.tangent_basis
+
+        def varying(E, direction=None):
+            tb = original(E, direction)
+            if E.columns == (1, 1) and direction == Weight(1, -1):
+                return dataclasses.replace(tb, negative=tb.negative + tb.couples[:1])
+            return tb
+
+        monkeypatch.setattr(strata, "tangent_basis", varying)
+        code, out, err = run(capsys, "components", "--length", "2", "--a", "1", "--b", "-1")
+        assert code == 1 and out == "" and "tangent dimension varies over" in err
+        data = run_json(capsys, "run-suite", "verify-all", "--max-length", "2")
+        item = {i["name"]: i for i in data["items"]}["dimension-constancy"]
+        assert item["ok"] is False and err == f"error: {item['witness']}\n"
 
     def test_verify_all_enumerates_graph_couples_once(self, capsys, monkeypatch):
         # At the four directions only the graph item reads, each staircase's

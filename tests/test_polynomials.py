@@ -36,7 +36,7 @@ from hilbcells import (
 )
 import hilbcells.polynomials as polynomials_module
 from hilbcells.charts import build_chart_family, default_sample_points, specialize_family
-from hilbcells.polynomials import DOMAIN_CHART, DOMAIN_RATIONAL
+from hilbcells.polynomials import DOMAIN_CHART, DOMAIN_RATIONAL, exact_rational
 
 W11 = Weight(1, -1)
 
@@ -102,6 +102,42 @@ class TestOrderAxioms:
                 assert order.compare(one, m1) == -1, (order, m1)
 
 
+TIEBREAK_KEYS = {"lex_xy": lambda a, b: (a, b), "lex_yx": lambda a, b: (b, a),
+                 "grlex_xy": lambda a, b: (a + b, a)}
+
+
+class TestWeightOrderRecords:
+    """``weight_order`` against a reference key, the sign rule, equality and repr."""
+
+    def test_every_small_vector(self):
+        for v1 in range(-3, 4):
+            for v2 in range(-3, 4):
+                if (v1, v2) == (0, 0):
+                    continue
+                for extremum, sign in (("max", 1), ("min", -1)):
+                    for tiebreak in NAMED_ORDERS:
+                        order = weight_order((v1, v2), extremum, tiebreak)
+                        tie = TIEBREAK_KEYS[tiebreak.name]
+
+                        def reference(m):
+                            return (sign * (v1 * m.alpha + v2 * m.beta),) + tie(*m)
+
+                        case = (v1, v2, extremum, tiebreak)
+                        assert (sorted(ORDER_GRID, key=order.key)
+                                == sorted(ORDER_GRID, key=reference)), case
+                        assert order.is_global == (sign * v1 >= 0 and sign * v2 >= 0), case
+                        again = weight_order([v1, v2], extremum, tiebreak)
+                        assert again == order and hash(again) == hash(order), case
+                        assert " at 0x" not in repr(order), case
+
+    def test_distinct_arguments_give_distinct_orders(self):
+        orders = [LEX_XY, LEX_YX, GRLEX_XY, cell_order(W11), cell_order(Weight(2, -1)),
+                  weight_order((1, 0), "max"), weight_order((-1, 0), "min"),
+                  weight_order((1, 0), "max", LEX_XY)]
+        assert len(set(orders)) == len(orders)
+        assert cell_order(W11) == cell_order(Weight(1, -1))
+
+
 class TestParsing:
     def test_expr(self):
         p = poly_from_expr("x*y^2 + y^3")
@@ -150,7 +186,7 @@ class TestDivision:
         assert not q[0] and q[1] == poly_from_expr("x") and not r
 
     def test_non_invertible_leading_coefficient(self):
-        x = BivariatePolynomial.of_monomial(Monomial(1, 0), 1, DOMAIN_CHART)
+        x = BivariatePolynomial.of_monomial(Monomial(1, 0))
         bad = x.scale(ChartCoefficient.variable(((0, 1), (1, 0))))
         with pytest.raises(DomainError):
             divide(x, [bad], LEX_YX)
@@ -158,7 +194,7 @@ class TestDivision:
     def test_is_groebner_checks_a_lone_generator(self):
         # One generator forms no S-pair but is still checked as a divisor, so
         # it fails exactly as it does next to a second generator.
-        x = BivariatePolynomial.of_monomial(Monomial(1, 0), 1, DOMAIN_CHART)
+        x = BivariatePolynomial.of_monomial(Monomial(1, 0))
         bad = x.scale(ChartCoefficient.variable(((0, 1), (1, 0))))
         for gens in ([bad], [bad, x], [x, bad]):
             with pytest.raises(DomainError, match="is not an invertible constant"):
@@ -198,7 +234,7 @@ class TestChartDivisionInvariant:
     def test_exact_identity_over_the_chart_ring(self):
         # Symbolic division against the monic chart generators satisfies the
         # same exact identity as over the rationals.
-        x_poly = BivariatePolynomial.of_monomial(Monomial(1, 0), 1, DOMAIN_CHART)
+        x_poly = BivariatePolynomial.of_monomial(Monomial(1, 0))
         for columns in ((3, 1, 1, 1), (2, 2), (4, 2)):
             fam = build_chart_family(construct_staircase(list(columns)), "general")
             gens = list(fam.generators)
@@ -633,3 +669,65 @@ class TestSerialization:
         assert not (a - a)
         assert two.is_constant and two.constant_value() == 2
         assert not a.is_constant
+
+
+CHART_A, CHART_B = ((0, 1), (1, 0)), ((0, 1), (0, 0))
+CHART_MONOMIALS = ((), ((CHART_A, 1),), ((CHART_A, 2),), ((CHART_B, 1),),
+                   tuple(sorted(((CHART_A, 1), (CHART_B, 1)))))
+small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3).map(exact_rational)
+chart_coefficients = st.dictionaries(
+    st.sampled_from(CHART_MONOMIALS), small_rationals, max_size=3).map(ChartCoefficient)
+mixed_polys = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    st.one_of(small_rationals, chart_coefficients),
+    max_size=5,
+).map(lambda d: BivariatePolynomial({Monomial(*k): v for k, v in d.items()}))
+
+
+def lifted(p):
+    """p with every rational coefficient made a constant chart coefficient."""
+    return BivariatePolynomial({m: c if isinstance(c, ChartCoefficient)
+                                else ChartCoefficient.from_fraction(c)
+                                for m, c in p.terms.items()})
+
+
+class TestOneCoefficientProtocol:
+    """Rationals are the constants of the chart ring: they mix, compare and serialize."""
+
+    @given(q=small_rationals, c=chart_coefficients)
+    @settings(max_examples=150, deadline=None)
+    def test_rational_is_a_chart_constant(self, q, c):
+        lq = ChartCoefficient.from_fraction(q)
+        assert lq == q and q == lq and hash(lq) == hash(q)
+        assert q + c == c + q == lq + c
+        assert q - c == lq - c and c - q == c - lq
+        assert q * c == c * q == lq * c
+
+    @given(p=mixed_polys, q=mixed_polys)
+    @settings(max_examples=150, deadline=None)
+    def test_mixed_sums_equal_the_lifted_sums(self, p, q):
+        assert p + q == lifted(p) + lifted(q) == lifted(p + q)
+        assert p * q == lifted(p) * lifted(q)
+        assert p - p == BivariatePolynomial.zero()
+
+    @given(p=mixed_polys)
+    @settings(max_examples=150, deadline=None)
+    def test_round_trips_are_exact(self, p):
+        data = p.to_json()
+        assert data["domain"] == (DOMAIN_CHART if any(
+            isinstance(c, ChartCoefficient) for c in p.terms.values()) else DOMAIN_RATIONAL)
+        assert BivariatePolynomial.from_json(data) == p
+        assert BivariatePolynomial.from_json(data).to_json() == data
+        assert poly_from_text(p.to_text(), domain=DOMAIN_CHART) == p
+
+    @given(p=small_polys, a=small_rationals)
+    @settings(max_examples=100, deadline=None)
+    def test_a_rational_polynomial_substitutes_to_itself(self, p, a):
+        assert p.substitute_chart({CHART_A: a}) == p
+        assert lifted(p).substitute_chart({CHART_A: a}) == p
+
+    def test_zero_serializes_as_rational(self):
+        assert BivariatePolynomial.zero().to_json() == {"domain": DOMAIN_RATIONAL, "terms": []}
+        c = ChartCoefficient.variable(CHART_A)
+        p = BivariatePolynomial({Monomial(1, 0): c})
+        assert (p - p).to_json() == {"domain": DOMAIN_RATIONAL, "terms": []}
