@@ -40,7 +40,8 @@ print("tangent dimension:", basis.dimension)
 # Hilbert scheme, split into positive and negative halves.
 invariant = tangent_basis(E, w)
 for couple in invariant.significant:
-    print(f"  ({couple.c}, {couple.m})  character {couple.char}  {couple.halfdir.sign}")
+    sign = "positive" if couple in invariant.positive else "negative"
+    print(f"  ({couple.c}, {couple.m})  character {couple.char}  {sign}")
 print("invariant split:", len(invariant.positive), "positive,",
       len(invariant.negative), "negative")
 

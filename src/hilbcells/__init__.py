@@ -31,7 +31,6 @@ from .staircases import (
     compare_staircases,
     compatible_staircases,
     construct_staircase,
-    degree,
     enumerate_staircases,
     hilbert_function,
     monomial_sequence,
@@ -39,7 +38,6 @@ from .staircases import (
 )
 from .tangent import (
     CleftCouple,
-    HalfDirection,
     HomOracleResult,
     SignificanceGraph,
     TangentBasis,
@@ -65,7 +63,6 @@ from .polynomials import (
     divide,
     initial_staircase,
     is_groebner,
-    monomial_compare,
     parse_ideal,
     poly_from_expr,
     poly_from_text,
@@ -76,10 +73,8 @@ from .polynomials import (
 from .charts import (
     ChartFamily,
     FlatnessCertificate,
-    SectorDecomposition,
     build_chart_family,
     default_sample_points,
-    sector_decomposition,
     specialize_family,
     verify_flatness,
 )

@@ -14,6 +14,7 @@ recursion, ``CleftPlan.evaluate``, runs over either ring.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -38,34 +39,6 @@ from .tangent import CleftCouple, TangentBasis, tangent_basis
 
 MODE_INVARIANT = "invariant"
 MODE_GENERAL = "general"
-
-
-@dataclass(frozen=True)
-class SectorDecomposition:
-    """Partition of the complement of E by the largest dividing cleft.
-
-    Sector indices are 1-based and follow the clefts in increasing x-lex
-    order: sector i consists of the multiples of cleft i that are not
-    multiples of cleft i+1 (all multiples, for the last cleft).
-    """
-
-    staircase: Staircase
-    clefts: tuple[Monomial, ...]
-
-    def sector(self, m: Monomial) -> int:
-        if m in self.staircase:
-            raise DomainError(f"{m} lies in the staircase, not in its complement")
-        best = 0
-        for i, c in enumerate(self.clefts, start=1):
-            if c.divides(m):
-                best = i
-        if best == 0:
-            raise ConsistencyError(f"complement monomial {m} divisible by no cleft")
-        return best
-
-
-def sector_decomposition(E: Staircase) -> SectorDecomposition:
-    return SectorDecomposition(E, clefts(E))
 
 
 def couple_key(couple: CleftCouple) -> VarKey:
@@ -137,12 +110,15 @@ class CleftPlan:
 def cleft_plan(basis: TangentBasis) -> CleftPlan:
     """The recursion indexed by the positive couples of the basis.
 
-    A couple whose moved monomial does not land past its own cleft raises
-    ``ConsistencyError``.
+    Each couple's moved monomial, its landing, goes to the largest cleft
+    dividing it: clefts rise in alpha and fall in beta, so that is the last
+    cleft whose alpha is at most the landing's, if it divides the landing.
+    A landing in E raises ``DomainError``; one that no cleft divides, or
+    that is not past its own cleft, ``ConsistencyError``.
     """
     E = basis.staircase
     cs = clefts(E)
-    sectors = SectorDecomposition(E, cs)
+    alphas = [c.alpha for c in cs]
     by_cleft: dict[int, list[CleftCouple]] = {}
     for couple in sorted(basis.positive, key=CleftCouple.sort_key):
         by_cleft.setdefault(cs.index(couple.c), []).append(couple)
@@ -152,11 +128,16 @@ def cleft_plan(basis: TangentBasis) -> CleftPlan:
         couples = []
         for couple in by_cleft.get(i, ()):
             ma, mb = couple.m
-            landing = Monomial(ma + na - ca, mb)  # m * lcm(c_i, c_i+1) / c_i
-            target = sectors.sector(landing) - 1
+            la = ma + na - ca  # the landing m * lcm(c_i, c_i+1) / c_i is (la, mb)
+            target = bisect_right(alphas, la) - 1
+            if target < 0 or cs[target].beta > mb:
+                landing = Monomial(la, mb)
+                if landing in E:
+                    raise DomainError(f"{landing} lies in the staircase, not in its complement")
+                raise ConsistencyError(f"complement monomial {landing} divisible by no cleft")
             if target <= i:
                 raise ConsistencyError(
-                    f"couple ({couple.c}, {couple.m}): landing {landing} sits in "
+                    f"couple ({couple.c}, {couple.m}): landing {Monomial(la, mb)} sits in "
                     f"sector {target + 1}, not past cleft {i + 1}"
                 )
             ta, tb = cs[target]

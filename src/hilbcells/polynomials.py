@@ -49,6 +49,11 @@ from .staircases import ONE, X, Y, Monomial, Staircase, Weight, json_int
 
 DEFAULT_STEP_LIMIT = 500_000
 
+# Numerators and denominators stay below 10**4300, so they print under the
+# interpreter's default limit of 4,300 digits; every number an argv gives is
+# below it.  Division remainders and divisor records are checked as wholes.
+_COEFFICIENT_BOUND = 10**4300
+
 DOMAIN_RATIONAL = "rational"
 DOMAIN_CHART = "chart"
 
@@ -59,7 +64,7 @@ DOMAIN_CHART = "chart"
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """Total multiplicative order on grid monomials, compared via its sort key.
+    """Total multiplicative order on grid monomials: m1 < m2 iff key(m1) < key(m2).
 
     ``is_global``: the unit monomial is minimal, so division terminates.
     Only the name, equal for equal arguments, is compared, hashed and shown.
@@ -68,10 +73,6 @@ class MonomialOrder:
     name: str
     key: Callable[[Monomial], tuple] = field(compare=False, repr=False)
     is_global: bool = field(default=True, compare=False, repr=False)
-
-    def compare(self, m1: Monomial, m2: Monomial) -> int:
-        k1, k2 = self.key(m1), self.key(m2)
-        return (k1 > k2) - (k1 < k2)
 
 
 # Every key is a lexicographic tuple of integer linear forms in the
@@ -104,11 +105,6 @@ def weight_order(
         tie = tiebreak.key
         key = lambda m: (p * m[0] + q * m[1],) + tie(m)
     return MonomialOrder(f"{extremum}({v1},{v2});{tiebreak.name}", key, p >= 0 and q >= 0)
-
-
-def monomial_compare(m1: Monomial, m2: Monomial, order: MonomialOrder) -> int:
-    """-1, 0 or 1 as m1 is below, equal to, or above m2 in the order."""
-    return order.compare(m1, m2)
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +211,6 @@ class ChartCoefficient:
     def is_constant(self) -> bool:
         return not self.terms or set(self.terms) == {()}
 
-    def constant_value(self) -> int | Fraction:
-        if not self.is_constant:
-            raise DomainError(f"chart coefficient {self.render()} is not constant")
-        return self.terms.get((), 0)
-
     def substitute(self, point: Mapping[VarKey, int | Fraction]) -> int | Fraction:
         """Value at the point; a variable the point does not assign is zero.
 
@@ -238,19 +229,11 @@ class ChartCoefficient:
                 total += value
         return total
 
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono, coeff in sorted(self.terms.items()):
-            body = "*".join(f"{variable_name(k)}^{e}" for k, e in mono) or "1"
-            parts.append(f"{coeff}*{body}")
-        return " + ".join(parts)
 
-
-def _coefficient(domain: str, q: int | Fraction, mono: ChartMonomial):
-    """The coefficient q times the chart monomial, read in the ring the domain names."""
-    return q if domain == DOMAIN_RATIONAL else ChartCoefficient({mono: q})
+def _add_term(out: dict, m: Monomial, q: int | Fraction, mono: Optional[ChartMonomial]) -> None:
+    """Add the term q times the chart monomial times m; without a chart monomial, q is rational."""
+    c = q if mono is None else ChartCoefficient({mono: q})
+    out[m] = out[m] + c if m in out else c
 
 
 def _coefficient_terms(c) -> list[tuple[ChartMonomial, int | Fraction]]:
@@ -258,6 +241,16 @@ def _coefficient_terms(c) -> list[tuple[ChartMonomial, int | Fraction]]:
     if isinstance(c, ChartCoefficient):
         return sorted(c.terms.items())
     return [((), c)]
+
+
+def _check_coefficients(p: BivariatePolynomial) -> BivariatePolynomial:
+    """p, or ``BoundExceededError`` if a numerator or denominator reaches ``_COEFFICIENT_BOUND``."""
+    for c in p.terms.values():
+        for q in c.terms.values() if isinstance(c, ChartCoefficient) else (c,):
+            if abs(q.numerator) >= _COEFFICIENT_BOUND or q.denominator >= _COEFFICIENT_BOUND:
+                raise BoundExceededError(
+                    "coefficient bound 10**4300 exceeded by a numerator or denominator")
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +357,6 @@ class BivariatePolynomial:
         return BivariatePolynomial._of(
             {m: c for m, c in self.terms.items() if weights[m] == target})
 
-    def weight_degrees(self, w: Weight) -> set[int]:
-        return {w.degree(m) for m in self.terms}
-
     # -- chart specialization ---------------------------------------------------
 
     def substitute_chart(self, point: Mapping[VarKey, int | Fraction]) -> "BivariatePolynomial":
@@ -409,17 +399,21 @@ class BivariatePolynomial:
 
     @classmethod
     def from_json(cls, data: dict) -> "BivariatePolynomial":
-        domain = data["domain"]
+        """``to_json``'s form: the domain is "chart" exactly when some term has a "chart" key."""
+        terms = data["terms"]
+        chart = any("chart" in term for term in terms)
+        if data["domain"] != (DOMAIN_CHART if chart else DOMAIN_RATIONAL):
+            raise DomainError(f"polynomial domain {data['domain']!r} does not match its "
+                              f"terms, {'some' if chart else 'none'} with a chart monomial")
         out: dict[Monomial, object] = {}
-        for term in data["terms"]:
-            m = Monomial(json_int(term["x"], "x"), json_int(term["y"], "y"))
-            mono = tuple(sorted(
+        for term in terms:
+            mono = None if "chart" not in term else tuple(sorted(
                 ((tuple(json_int(v, "chart") for v in entry[0]),
                   tuple(json_int(v, "chart") for v in entry[1])), json_int(entry[2], "chart"))
-                for entry in term.get("chart", [])
+                for entry in term["chart"]
             ))
-            c = _coefficient(domain, exact_rational(term["coeff"]), mono)
-            out[m] = out[m] + c if m in out else c
+            _add_term(out, Monomial(json_int(term["x"], "x"), json_int(term["y"], "y")),
+                      exact_rational(term["coeff"]), mono)
         return cls(out)
 
 
@@ -448,7 +442,8 @@ _CHARTVAR_RE = re.compile(r"X\[(-?\d+),(-?\d+);(-?\d+),(-?\d+)\]\^(\d+)$")
 def poly_from_text(text: str, domain: Optional[str] = None) -> BivariatePolynomial:
     """Parse the canonical text format back into a polynomial, bit-exactly.
 
-    Without an explicit domain, the presence of chart variables decides it.
+    Without an explicit domain, the presence of chart variables decides it;
+    in the chart domain every coefficient is a chart coefficient.
     """
     text = text.strip()
     is_chart = "X[" in text
@@ -474,8 +469,7 @@ def poly_from_text(text: str, domain: Optional[str] = None) -> BivariatePolynomi
                 raise DomainError(f"malformed chart variable {factor!r}")
             key = ((int(fm[1]), int(fm[2])), (int(fm[3]), int(fm[4])))
             exps[key] = exps.get(key, 0) + int(fm[5])
-        c = _coefficient(domain, q, tuple(sorted(exps.items())))
-        out[m] = out[m] + c if m in out else c
+        _add_term(out, m, q, tuple(sorted(exps.items())) if domain == DOMAIN_CHART else None)
     return BivariatePolynomial(out)
 
 
@@ -557,7 +551,8 @@ class _Divisor:
 
     Built once per basis element and checked when built, so no division
     recomputes or re-checks them: a leading coefficient that is not an
-    invertible constant raises ``DomainError`` here.  ``inv_lc`` is an
+    invertible constant raises ``DomainError`` here, and a coefficient past
+    the bound ``BoundExceededError``.  ``inv_lc`` is an
     ``int`` when the leading coefficient is 1 or -1, so reducing an integral
     polynomial by such a divisor never divides.  ``tail`` holds the terms
     below the leading one as (alpha, beta, coefficient) triples.
@@ -566,7 +561,7 @@ class _Divisor:
     __slots__ = ("poly", "lm", "inv_lc", "monic", "tail")
 
     def __init__(self, poly: BivariatePolynomial, order: MonomialOrder):
-        self.poly = poly
+        self.poly = _check_coefficients(poly)
         self.lm = poly.leading_monomial(order)
         lc = poly.terms[self.lm]
         if isinstance(lc, ChartCoefficient):
@@ -610,7 +605,8 @@ def _reduce(
 
     Returns f itself when no term reduced.  Quotient terms are recorded only
     when ``quotients`` holds one dict per divisor, as ``divide`` passes.
-    The work dict never holds a zero, so the remainder is taken as it is.
+    The work dict never holds a zero, so the remainder is taken as it is,
+    once its coefficients are checked against the bound.
     """
     key = order.key
     remainder: dict[Monomial, object] = {}
@@ -634,7 +630,7 @@ def _reduce(
                 break
         else:
             remainder[m] = c
-    return BivariatePolynomial._of(remainder) if reduced else f
+    return _check_coefficients(BivariatePolynomial._of(remainder) if reduced else f)
 
 
 def divide(
@@ -815,7 +811,7 @@ def _require_local_variables_nilpotent(
     terminate, and the flat limit leaves the plane.  An ideal of infinite
     colength gives no such bound and raises ``NotZeroDimensionalError``.
     """
-    below = [(name, v) for name, v in (("x", X), ("y", Y)) if order.compare(v, ONE) < 0]
+    below = [(name, v) for name, v in (("x", X), ("y", Y)) if order.key(v) < order.key(ONE)]
     basis = _buchberger(gens, GRLEX_XY, guard)
     try:
         n = colength(GroebnerBasis(tuple(d.poly for d in basis), GRLEX_XY))

@@ -107,11 +107,6 @@ def json_int(value, field: str) -> int:
     raise ValueError(f"{field} must be an integer, not {value!r}")
 
 
-def degree(m: Monomial, w: Weight) -> int:
-    """Grading -b*alpha + a*beta of a monomial under the weight (a, b)."""
-    return w.degree(m)
-
-
 @dataclass(frozen=True)
 class Staircase:
     """Finite divisor-closed set of monomials, stored as column heights.
@@ -148,22 +143,6 @@ class Staircase:
         return tuple(
             Monomial(i, j) for i in range(len(self.columns)) for j in range(self.columns[i])
         )
-
-    @classmethod
-    def from_cells(cls, cells: Iterable[Monomial]) -> "Staircase":
-        cellset = {Monomial(a, b) for a, b in cells}
-        if not cellset:
-            return cls(())
-        width = max(c.alpha for c in cellset) + 1
-        heights = []
-        for i in range(width):
-            column = {c.beta for c in cellset if c.alpha == i}
-            if column != set(range(len(column))):
-                raise ShapeError(f"column {i} has gaps: not a staircase")
-            heights.append(len(column))
-        if sum(heights) != len(cellset):
-            raise ShapeError("cell set is not a staircase")
-        return cls(tuple(heights))
 
     def to_json(self) -> dict:
         return {"columns": list(self.columns)}
@@ -227,9 +206,6 @@ class HilbertFunction:
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.values)
-
-    def count(self, d: int) -> int:
-        return dict(self.values).get(d, 0)
 
     def total(self) -> int:
         return sum(c for _, c in self.values)
@@ -342,13 +318,6 @@ class SProfile:
 
     weight: Weight
     counts: tuple[int, ...]
-
-    @property
-    def stabilization_index(self) -> int:
-        return len(self.counts) - 1
-
-    def value(self, k: int) -> int:
-        return self.counts[k] if k < len(self.counts) else self.counts[-1]
 
 
 # Largest grid rectangle up to the top degree D, (D//a + 1) * (D//-b + 1),

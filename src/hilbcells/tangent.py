@@ -9,53 +9,16 @@ solution space of an exact linear system on module homomorphisms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BoundExceededError, ConsistencyError, DomainError, GenericityError
+from .errors import BoundExceededError, ConsistencyError, GenericityError
 from .staircases import Monomial, Staircase, Weight, clefts
 
 
 def _positive(f: int, g: int) -> bool:
-    """Whether (f, g) is positive: f > 0, or f = 0 and g < 0.
-
-    Dividing by the gcd does not change the answer, so it holds for a
-    character as for its primitive half-direction.
-    """
+    """Whether the character (f, g) has positive half-direction: f > 0, or f = 0 and g < 0."""
     return f > 0 or (f == 0 and g < 0)
-
-
-@dataclass(frozen=True)
-class HalfDirection:
-    """Primitive integer vector (f, g), classified positive or negative.
-
-    Positive means f > 0, or f = 0 and g < 0; negative is the mirror.
-    """
-
-    f: int
-    g: int
-
-    def __post_init__(self):
-        if (self.f, self.g) == (0, 0):
-            raise DomainError("half-direction cannot be zero")
-        if math.gcd(abs(self.f), abs(self.g)) != 1:
-            raise DomainError(f"half-direction ({self.f}, {self.g}) is not primitive")
-
-    @property
-    def positive(self) -> bool:
-        return _positive(self.f, self.g)
-
-    @property
-    def sign(self) -> str:
-        return "positive" if self.positive else "negative"
-
-    @classmethod
-    def of_vector(cls, f: int, g: int) -> "HalfDirection":
-        d = math.gcd(abs(f), abs(g))
-        if d == 0:
-            raise DomainError("half-direction of the zero vector is undefined")
-        return cls(f // d, g // d)
 
 
 @dataclass(frozen=True)
@@ -69,14 +32,6 @@ class CleftCouple:
     def char(self) -> tuple[int, int]:
         return (self.m.alpha - self.c.alpha, self.m.beta - self.c.beta)
 
-    @property
-    def halfdir(self) -> HalfDirection:
-        return HalfDirection.of_vector(*self.char)
-
-    def has_direction(self, w: Weight) -> bool:
-        f, g = self.char
-        return f * w.b - g * w.a == 0
-
     def sort_key(self):
         return (self.c.alpha, self.c.beta, self.m.alpha, self.m.beta)
 
@@ -85,7 +40,7 @@ class CleftCouple:
         data = {
             "c": [ca, cb],
             "m": [ma, mb],
-            "halfdir": "positive" if _positive(ma - ca, mb - cb) else "negative",  # halfdir.sign
+            "halfdir": "positive" if _positive(ma - ca, mb - cb) else "negative",
         }
         if significant is not None:
             data["significant"] = significant
@@ -101,16 +56,13 @@ def cleft_couples(E: Staircase, direction: Weight | None = None) -> tuple[CleftC
 
     With a direction (a, b), which is primitive, a couple's character is a
     multiple t*(a, b), so its cells lie on the lattice line through each
-    cleft c: only the t with c.beta + t*b in [0, height) are visited.  They
-    run in the order of ``CleftCouple.sort_key``, which the clefts, sorted
-    by alpha, already follow.
+    cleft c: only the t with c.beta + t*b in [0, height) are visited.  Either
+    way the couples run in ``CleftCouple.sort_key`` order: the clefts ascend
+    in alpha, and the cells of one cleft come in (alpha, beta) order.
     """
     if direction is None:
-        out = []
-        for c in clefts(E):
-            for m in E.cells():
-                out.append(CleftCouple(c, m))
-        return tuple(sorted(out, key=CleftCouple.sort_key))
+        cells = E.cells()
+        return tuple(CleftCouple(c, m) for c in clefts(E) for m in cells)
     a, b = direction.a, direction.b              # b < 0
     cols, width = E.columns, E.width
     out = []

@@ -7,16 +7,18 @@ from hilbcells import (
     LEX_YX,
     BivariatePolynomial,
     ChartCoefficient,
+    CleftCouple,
+    ConsistencyError,
     DomainError,
     Monomial,
     RegimeError,
     Weight,
     buchberger,
     build_chart_family,
+    clefts,
     construct_staircase,
     enumerate_staircases,
     initial_staircase,
-    sector_decomposition,
     specialize_family,
     standard_monomials,
     tangent_basis,
@@ -89,37 +91,66 @@ def check_sample_colengths(lengths) -> tuple[int, int, int]:
     return samples, completed, zero
 
 
+def largest_dividing_cleft(E, m):
+    """The 1-based index of the last cleft of E that divides m; 0 if none does."""
+    return max((i for i, c in enumerate(clefts(E), start=1) if c.divides(m)), default=0)
+
+
+def landing_sector(E, landing):
+    """The 1-based index of the cleft ``cleft_plan`` finds for a landing of the first cleft.
+
+    The plan is read from a basis whose one positive couple (c_1, m) moves
+    m to the landing: m * lcm(c_1, c_2) / c_1 = landing.
+    """
+    c1, c2 = clefts(E)[:2]
+    m = Monomial(landing.alpha - c2.alpha + c1.alpha, landing.beta)
+    basis = dataclasses.replace(tangent_basis(E), positive=(CleftCouple(c1, m),))
+    (_, _, ((_, target, _),)), = [row for row in cleft_plan(basis).rows if row[0] == 0]
+    return target + 1
+
+
 class TestSectors:
+    """``cleft_plan`` takes each landing to the largest cleft dividing it."""
+
     def test_domino(self):
-        sd = sector_decomposition(construct_staircase([1, 1]))
-        assert sd.sector(Monomial(3, 0)) == 2
-        assert sd.sector(Monomial(0, 5)) == 1
+        E = construct_staircase([1, 1])
+        assert landing_sector(E, Monomial(3, 0)) == 2
+        with pytest.raises(ConsistencyError, match=r"landing y\^5 sits in sector 1,"):
+            landing_sector(E, Monomial(0, 5))
 
     def test_single_box(self):
-        sd = sector_decomposition(construct_staircase([1]))
-        assert sd.sector(Monomial(1, 1)) == 2
+        assert landing_sector(construct_staircase([1]), Monomial(1, 1)) == 2
 
     def test_cleft_sector_is_its_index(self):
         for l in range(1, 7):
             for E in enumerate_staircases(l):
-                sd = sector_decomposition(E)
-                for i, c in enumerate(sd.clefts, start=1):
-                    assert sd.sector(c) == i
+                cs = clefts(E)
+                for i, c in enumerate(cs[1:], start=2):
+                    assert landing_sector(E, c) == i
+                with pytest.raises(ConsistencyError, match="sits in sector 1,"):
+                    landing_sector(E, cs[0])
 
     def test_partition_of_complement(self):
+        # Every landing the plan can reach, and every positive couple's.
         for l in range(1, 7):
             for E in enumerate_staircases(l):
-                sd = sector_decomposition(E)
-                for a in range(E.width + 3):
+                cs = clefts(E)
+                for a in range(cs[1].alpha, E.width + 3):
                     for b in range(E.height + 3):
                         m = Monomial(a, b)
                         if m not in E:
-                            assert 1 <= sd.sector(m) <= len(sd.clefts)
+                            assert landing_sector(E, m) == largest_dividing_cleft(E, m) >= 2
+                basis = tangent_basis(E)
+                for i, _, couples in cleft_plan(basis).rows:
+                    (ca, _), (na, _) = cs[i], cs[i + 1]
+                    for (_, (ma, mb)), target, _ in couples:
+                        landing = Monomial(ma + na - ca, mb)
+                        assert target + 1 == largest_dividing_cleft(E, landing) > i + 1
 
     def test_rejects_staircase_cells(self):
-        sd = sector_decomposition(construct_staircase([1, 1]))
-        with pytest.raises(DomainError):
-            sd.sector(Monomial(0, 0))
+        E = construct_staircase([2, 1])
+        with pytest.raises(DomainError, match="x lies in the staircase"):
+            landing_sector(E, Monomial(1, 0))
 
 
 class TestBuildFamily:
@@ -267,7 +298,7 @@ class TestFlatness:
             for E in enumerate_staircases(l):
                 fam = build_chart_family(E, "invariant", W11)
                 for c, p in zip(fam.clefts, fam.generators):
-                    assert p.weight_degrees(W11) == {W11.degree(c)}
+                    assert {W11.degree(m) for m in p.terms} == {W11.degree(c)}
 
     def test_invariant_mode_min_weight_limit_recovers_the_ideal(self):
         # For torus exponents pairing positively with the direction, the

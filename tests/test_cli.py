@@ -488,6 +488,16 @@ class TestExitCodes:
             assert (code, out) == (1, "") and err.startswith("error: "), (command, err[:200])
             assert err.count("\n") == 1 and len(err) < 200
 
+    def test_computed_numbers_past_the_digit_limit_are_one(self, capsys):
+        # An S-pair remainder with a 5,000-digit coefficient escaped as a
+        # ValueError traceback when its text was rendered.
+        ideal = "3" * 2500 + "*x^2 + y; " + "7" * 2500 + "*x*y + 1"
+        start = time.perf_counter()
+        code, out, err = run(capsys, "groebner", "--ideal", ideal)
+        assert (code, out) == (1, "") and err.count("\n") == 1
+        assert err == "error: coefficient bound 10**4300 exceeded by a numerator or denominator\n"
+        assert time.perf_counter() - start < 1
+
     @pytest.mark.parametrize("value", ['"1e4400"', '"1e999999999"', '"1e-4400"',
                                        '"%se100"' % ("3" * 4250), "1" * 5000])
     def test_unprintable_point_values_are_two(self, capsys, value):

@@ -11,12 +11,14 @@ the failure message prints the new value.
 import argparse
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -343,3 +345,34 @@ def test_module_help_matches_the_recorded_digests(monkeypatch):
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     monkeypatch.setenv("PYTHONPATH", path)
     assert check_help_digests((sys.executable, "-m", "hilbcells.cli")) == 3
+
+
+# SHA-256 over repr((argv, exit code, stdout, stderr)) of each of the 1,960
+# ``cli_inputs`` argvs of perfbench/workloads.py at seeds 1-5, in order, at
+# 80 columns: every cli-mix call of the benchmark, malformed ones included.
+# Recorded at f4fd8d7, equal under Python 3.10.13, 3.11.7 and 3.12.1, layout
+# (False, True), and 3.13.0, (True, True).  (True, False) was not run; no
+# argv of the corpus names an invalid choice, the only text it changes.
+CLI_MIX = "40dd2de7b873d9ff329d39ce45cf4bf2eee61b5fcb4d700e3d6a11c849a6b65c"
+CLI_MIX_DIGESTS = {(False, True): CLI_MIX, (True, True): CLI_MIX, (True, False): CLI_MIX}
+
+
+def _perfbench_workloads():
+    """perfbench/workloads.py, loaded as a module of its own; it imports no hilbcells."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_cli_mix_corpus(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert ARGPARSE_LAYOUT in CLI_MIX_DIGESTS, f"no digest for {ARGPARSE_LAYOUT}"
+    cli_inputs = _perfbench_workloads().cli_inputs
+    api = SimpleNamespace(hc=hilbcells, cli=hilbcells.cli)
+    h = hashlib.sha256()
+    for seed in range(1, 6):
+        for case in cli_inputs(api, seed):
+            h.update(repr((case.argv, *_outcome(case.argv))).encode())
+    assert h.hexdigest() == CLI_MIX_DIGESTS[ARGPARSE_LAYOUT], f"cli-mix now {h.hexdigest()}"

@@ -26,7 +26,6 @@ from hilbcells import (
     enumerate_staircases,
     initial_staircase,
     is_groebner,
-    monomial_compare,
     parse_ideal,
     poly_from_expr,
     poly_from_text,
@@ -47,12 +46,18 @@ def cleft_generators(E):
     return [BivariatePolynomial.of_monomial(c, 1) for c in clefts(E)]
 
 
+def compare(order, m1, m2):
+    """-1, 0 or 1 as m1 is below, equal to, or above m2: an order is its key."""
+    k1, k2 = order.key(m1), order.key(m2)
+    return (k1 > k2) - (k1 < k2)
+
+
 class TestOrders:
     def test_compare_examples(self):
         x, y = Monomial(1, 0), Monomial(0, 1)
-        assert monomial_compare(x, y, LEX_XY) == 1
-        assert monomial_compare(x, y, LEX_YX) == -1
-        assert monomial_compare(x, y, cell_order(W11)) == -1
+        assert compare(LEX_XY, x, y) == 1
+        assert compare(LEX_YX, x, y) == -1
+        assert compare(cell_order(W11), x, y) == -1
 
     def test_cell_order_regime(self):
         with pytest.raises(DomainError):
@@ -94,12 +99,12 @@ class TestOrderAxioms:
         one = Monomial(0, 0)
         for m1 in ORDER_GRID:
             for m2 in ORDER_GRID:
-                c = order.compare(m1, m2)
+                c = compare(order, m1, m2)
                 assert (c == 0) == (m1 == m2), (order, m1, m2)
                 for t in ORDER_SHIFTS:
-                    assert order.compare(m1.mul(t), m2.mul(t)) == c, (order, m1, m2, t)
+                    assert compare(order, m1.mul(t), m2.mul(t)) == c, (order, m1, m2, t)
             if order.is_global and m1 != one:
-                assert order.compare(one, m1) == -1, (order, m1)
+                assert compare(order, one, m1) == -1, (order, m1)
 
 
 TIEBREAK_KEYS = {"lex_xy": lambda a, b: (a, b), "lex_yx": lambda a, b: (b, a),
@@ -636,6 +641,26 @@ class TestSerialization:
         with pytest.raises(ValueError, match="must be an integer"):
             BivariatePolynomial.from_json({"domain": domain, "terms": [term]})
 
+    @pytest.mark.parametrize("data", [
+        # A chart monomial under "rational" was dropped: this read as 1.
+        {"domain": DOMAIN_RATIONAL,
+         "terms": [{"coeff": "1", "chart": [[[0, 1], [1, 0], 1]], "x": 0, "y": 0}]},
+        # Any other name read as the chart ring.
+        {"domain": "foo", "terms": [{"coeff": "1", "chart": [], "x": 0, "y": 0}]},
+        {"domain": "foo", "terms": [{"coeff": "1", "x": 0, "y": 0}]},
+        {"domain": DOMAIN_CHART, "terms": [{"coeff": "1", "x": 0, "y": 0}]},
+        {"domain": DOMAIN_CHART, "terms": []},
+    ])
+    def test_json_domain_must_match_the_chart_keys(self, data):
+        with pytest.raises(DomainError, match="does not match its terms"):
+            BivariatePolynomial.from_json(data)
+
+    def test_json_chart_key_makes_a_chart_coefficient(self):
+        data = {"domain": DOMAIN_CHART, "terms": [{"coeff": "2", "chart": [], "x": 1, "y": 0}]}
+        p = BivariatePolynomial.from_json(data)
+        assert isinstance(p.terms[Monomial(1, 0)], ChartCoefficient)
+        assert p.to_json() == data
+
     def test_chart_round_trip(self):
         E = construct_staircase([3, 1, 1, 1])
         fam = build_chart_family(E, "general")
@@ -664,11 +689,44 @@ class TestSerialization:
         b = ChartCoefficient.variable(((0, 1), (0, 0)))
         two = ChartCoefficient.from_fraction(2)
         assert (a + b) - b == a
-        assert (a * b).render() == "1*X[0,1;0,0]^1*X[0,1;1,0]^1"
+        assert (a * b).terms == {((CHART_B, 1), (CHART_A, 1)): 1}
         assert (a * two).substitute({((0, 1), (1, 0)): Fraction(3)}) == 6
         assert not (a - a)
-        assert two.is_constant and two.constant_value() == 2
+        assert two.is_constant and two == 2
         assert not a.is_constant
+
+
+BIG = 10**4300  # the coefficient bound
+
+
+class TestCoefficientBound:
+    """Remainders and divisor records refuse a numerator or denominator of BIG or more."""
+
+    X, Y, ONE = Monomial(1, 0), Monomial(0, 1), Monomial(0, 0)
+
+    @pytest.mark.parametrize("q", [
+        BIG, -BIG, Fraction(1, BIG), Fraction(-BIG - 1, 3),
+        ChartCoefficient({(): 5, ((((0, 1), (1, 0)), 1),): BIG}),
+    ], ids=["numerator", "negative", "denominator", "fraction", "chart"])
+    def test_refused(self, q):
+        big = BivariatePolynomial({self.X: q})
+        with pytest.raises(BoundExceededError, match=r"coefficient bound 10\*\*4300"):
+            divide(big, [BivariatePolynomial({self.Y: 1})], LEX_YX)   # the remainder
+        with pytest.raises(BoundExceededError, match=r"coefficient bound 10\*\*4300"):
+            divide(BivariatePolynomial({self.Y: 1}), [big], LEX_YX)   # a divisor
+
+    def test_just_below_is_kept(self):
+        for q in (BIG - 1, -BIG + 1, Fraction(BIG - 1, BIG - 2)):
+            p = BivariatePolynomial({self.X: q})
+            assert divide(p, [BivariatePolynomial({self.Y: 1})], LEX_YX)[1] == p
+            assert p.to_text()
+
+    def test_monic_scaling_is_checked(self):
+        # Each coefficient is below the bound; made monic, the tail's
+        # denominator is (BIG - 1)**2.
+        p = BivariatePolynomial({self.X: BIG - 1, self.ONE: Fraction(1, BIG - 1)})
+        with pytest.raises(BoundExceededError):
+            buchberger([p, BivariatePolynomial({self.Y: 1})], LEX_YX)
 
 
 CHART_A, CHART_B = ((0, 1), (1, 0)), ((0, 1), (0, 0))

@@ -15,7 +15,6 @@ from hilbcells import (
     compare_staircases,
     compatible_staircases,
     construct_staircase,
-    degree,
     enumerate_staircases,
     hilbert_function,
     monomial_sequence,
@@ -25,6 +24,11 @@ from hilbcells import (
 from hilbcells.staircases import S_PROFILE_BOUND
 
 W11 = Weight(1, -1)
+
+
+def value(profile, k):
+    """The profile's count at position k; past its last entry it stays constant."""
+    return profile.counts[min(k, len(profile.counts) - 1)]
 
 
 class TestWeight:
@@ -41,9 +45,9 @@ class TestWeight:
         assert Weight(-3, -2).product == 6
 
     def test_degree_examples(self):
-        assert degree(Monomial(0, 0), W11) == 0
-        assert degree(Monomial(2, 3), W11) == 5
-        assert degree(Monomial(4, 0), Weight(2, -3)) == 12
+        assert W11.degree(Monomial(0, 0)) == 0
+        assert W11.degree(Monomial(2, 3)) == 5
+        assert Weight(2, -3).degree(Monomial(4, 0)) == 12
 
 
 class TestConstruction:
@@ -68,15 +72,6 @@ class TestConstruction:
 
     def test_trailing_zeros_trimmed(self):
         assert construct_staircase([2, 1, 0, 0]).columns == (2, 1)
-
-    def test_from_cells_round_trip(self):
-        for l in range(1, 8):
-            for E in enumerate_staircases(l):
-                assert Staircase.from_cells(E.cells()) == E
-
-    def test_from_cells_rejects_gaps(self):
-        with pytest.raises(ShapeError):
-            Staircase.from_cells([Monomial(0, 0), Monomial(0, 2)])
 
     def test_json_round_trip(self):
         E = construct_staircase([4, 2])
@@ -154,7 +149,7 @@ class TestHilbertFunction:
                 for E in enumerate_staircases(l):
                     counts = {}
                     for m in E.cells():
-                        counts[degree(m, w)] = counts.get(degree(m, w), 0) + 1
+                        counts[w.degree(m)] = counts.get(w.degree(m), 0) + 1
                     assert hilbert_function(E, w).as_dict() == counts, (E.columns, w)
 
 
@@ -248,9 +243,9 @@ class TestSProfile:
                     if not set(E.cells()) <= set(F.cells()):
                         continue
                     pe, pf = s_profile(E, W11), s_profile(F, W11)
-                    horizon = max(pe.stabilization_index, pf.stabilization_index)
+                    horizon = max(len(pe.counts), len(pf.counts))
                     assert all(
-                        pf.value(k) - pe.value(k) in (0, 1) for k in range(horizon + 1)
+                        value(pf, k) - value(pe, k) in (0, 1) for k in range(horizon)
                     )
 
 
@@ -302,8 +297,8 @@ def profile_order(E, F, w):
     if E == F:
         return Comparison.EQUAL
     pe, pf = s_profile(E, w), s_profile(F, w)
-    horizon = max(pe.stabilization_index, pf.stabilization_index)
-    diffs = [pe.value(k) - pf.value(k) for k in range(horizon + 1)]
+    horizon = max(len(pe.counts), len(pf.counts))
+    diffs = [value(pe, k) - value(pf, k) for k in range(horizon)]
     if min(diffs) >= 0:
         return Comparison.GREATER
     if max(diffs) <= 0:

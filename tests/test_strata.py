@@ -206,8 +206,8 @@ class TestOneReportWork:
         profiles = sum(counts[t] for t in PROFILE)
         assert (tangent_bases, counts[TestOneFamilyPerStep.FAMILY], profiles) == (p, 0, p)
         assert counts[TestOneFamilyPerStep.BUCHBERGER] == p - len(reports)
-        # p to group, one per class for its minimal staircase, one per target
-        assert sum(counts[t] for t in HILBERT) == 2 * p
+        # p to group and one per target; the minimal staircase needs none
+        assert sum(counts[t] for t in HILBERT) == 2 * p - len(reports)
 
     def test_step_cycle_is_inconsistent(self, monkeypatch):
         strata = importlib.import_module("hilbcells.strata")
@@ -216,9 +216,10 @@ class TestOneReportWork:
         with pytest.raises(ConsistencyError, match=r"descent from \(1, 1\) exceeded 2 steps"):
             component_report(2, W11)
 
-    def test_compatible_bound_applies_before_any_work(self):
+    def test_compatible_bound_applies_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(importlib.import_module("hilbcells.strata"), "COMPONENT_BOUND", 41)
         with pytest.raises(BoundExceededError, match="compatible bound 40 exceeded by mass 41"):
-            component_report(41, W11, bound=41)
+            component_report(41, W11)
 
 
 class TestMinimalStaircase:
@@ -283,7 +284,7 @@ class TestMinimalStaircase:
                     k = max(
                         j
                         for j in range(l + 1)
-                        if H.count(-w.b * j - w.a) < H.count(-w.b * j)
+                        if H.as_dict().get(-w.b * j - w.a, 0) < H.as_dict().get(-w.b * j, 0)
                     )
                     assert Em.width == k + 1
 
@@ -360,6 +361,46 @@ def check_minimal_agreement(lengths):
 class TestMinimalAgreementBeyondTwelve:
     def test_every_class_up_to_length_16(self):
         assert check_minimal_agreement(range(1, 17)) > 0
+
+
+class TestMinimalStaircaseRealizesH:
+    """Whatever ``minimal_staircase`` returns has the Hilbert function it was given.
+
+    Each bottom-row pass takes one count off at every degree of its row, so
+    the recursion needs no check of its answer against H.
+    """
+
+    WEIGHTS = (W11, Weight(2, -1), Weight(1, -2), Weight(3, -2), Weight(2, -5))
+
+    def test_every_class_to_length_12(self):
+        for w in self.WEIGHTS[:4]:
+            for H in {hilbert_function(E, w) for l in range(1, 13)
+                      for E in enumerate_staircases(l)}:
+                assert hilbert_function(minimal_staircase(H), w) == H, (w, H.as_dict())
+
+    def test_seeded_random_count_maps(self):
+        rng = random.Random(2)
+        real = {w: [hilbert_function(E, w).as_dict() for l in range(1, 9)
+                    for E in enumerate_staircases(l)] for w in self.WEIGHTS}
+        outcomes = Counter()
+        for k in range(100_000):
+            w = self.WEIGHTS[k % 5]
+            if k % 2:  # a realizable map with one count moved by one
+                counts = dict(rng.choice(real[w]))
+                d = rng.choice(list(counts) + [rng.randrange(-2, 12)])
+                counts[d] = counts[d] + rng.choice((-1, 1)) if d in counts else 1
+            else:
+                counts = {rng.randrange(-2, 12): rng.randint(1, 3)
+                          for _ in range(rng.randint(1, 6))}
+            H = hf(counts, w)
+            try:
+                E = minimal_staircase(H)
+            except UnrealizableError:
+                outcomes["refused"] += 1
+                continue
+            assert hilbert_function(E, w) == H, (w, counts)
+            outcomes["returned"] += 1
+        assert outcomes["returned"] > 10_000 and outcomes["refused"] > 10_000, outcomes
 
 
 class TestPoincare:

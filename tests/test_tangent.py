@@ -5,9 +5,7 @@ import pytest
 from hilbcells import (
     BoundExceededError,
     CleftCouple,
-    DomainError,
     GenericityError,
-    HalfDirection,
     Monomial,
     Weight,
     arm_leg_characters,
@@ -29,23 +27,23 @@ def couple(c, m):
     return CleftCouple(Monomial(*c), Monomial(*m))
 
 
+def sign(c):
+    """The sign of a couple's half-direction, as its JSON writes it."""
+    return "positive" if tangent_module._positive(*c.char) else "negative"
+
+
 class TestHalfDirection:
     def test_signs(self):
-        assert HalfDirection(1, -1).sign == "positive"
-        assert HalfDirection(0, -1).sign == "positive"
-        assert HalfDirection(-1, 0).sign == "negative"
-        assert HalfDirection(0, 1).sign == "negative"
-
-    def test_primitive_required(self):
-        with pytest.raises(DomainError):
-            HalfDirection(2, -2)
-        assert HalfDirection.of_vector(3, -3) == HalfDirection(1, -1)
+        assert tangent_module._positive(1, -1) and tangent_module._positive(0, -1)
+        assert tangent_module._positive(3, -3) and tangent_module._positive(2, 5)
+        assert not tangent_module._positive(-1, 0) and not tangent_module._positive(0, 1)
+        assert not tangent_module._positive(-2, -2)
 
 
 class TestCleftCouples:
     def test_single_box(self):
         found = cleft_couples(construct_staircase([1]))
-        data = {(c.c, c.m): (c.char, c.halfdir.sign) for c in found}
+        data = {(c.c, c.m): (c.char, sign(c)) for c in found}
         assert data == {
             (Monomial(0, 1), Monomial(0, 0)): ((0, -1), "positive"),
             (Monomial(1, 0), Monomial(0, 0)): ((-1, 0), "negative"),
@@ -57,7 +55,7 @@ class TestCleftCouples:
 
     def test_direction_filter(self):
         found = cleft_couples(construct_staircase([3, 1, 1, 1]), direction=W11)
-        data = {(str(c.c), str(c.m), c.halfdir.sign) for c in found}
+        data = {(str(c.c), str(c.m), sign(c)) for c in found}
         assert data == {
             ("x*y", "x^2", "positive"),
             ("y^3", "x^3", "positive"),
@@ -71,11 +69,18 @@ class TestCleftCouples:
             for E in enumerate_staircases(l):
                 assert len(cleft_couples(E)) == len(clefts(E)) * len(E)
 
+    def test_couples_come_in_sort_key_order(self):
+        for l in range(1, 13):
+            for E in enumerate_staircases(l):
+                for w in (None, W11, Weight(2, -1), Weight(0, -1), Weight(-1, -2)):
+                    found = cleft_couples(E, w)
+                    assert found == tuple(sorted(found, key=CleftCouple.sort_key)), (E, w)
+
     def test_positive_couples_have_negative_y_increment(self):
         for l in range(1, 13):
             for E in enumerate_staircases(l):
                 for c in cleft_couples(E):
-                    if c.halfdir.positive:
+                    if tangent_module._positive(*c.char):
                         assert c.char[1] < 0 and c.char[0] >= 0
 
 
@@ -85,9 +90,15 @@ LATTICE_WEIGHTS = tuple(Weight(a, b) for a, b in (
 ))
 
 
+def parallel(c, w):
+    """Whether the couple's character is a multiple of the direction w."""
+    f, g = c.char
+    return f * w.b - g * w.a == 0
+
+
 def filtered_couples(E, direction):
     """Every (cleft, cell) couple of E whose character is parallel to the direction."""
-    return tuple(c for c in cleft_couples(E) if c.has_direction(direction))
+    return tuple(c for c in cleft_couples(E) if parallel(c, direction))
 
 
 class TestLatticeLineCouples:
@@ -501,7 +512,7 @@ class TestSerializedSigns:
                 for c in cleft_couples(E):
                     data = c.to_json(significant=True)
                     assert data == {"c": list(c.c), "m": list(c.m),
-                                    "halfdir": c.halfdir.sign, "significant": True}
+                                    "halfdir": sign(c), "significant": True}
                     checked += 1
         assert checked == 8877
 
