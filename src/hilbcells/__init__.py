@@ -65,7 +65,6 @@ from .polynomials import (
     is_groebner,
     parse_ideal,
     poly_from_expr,
-    poly_from_text,
     standard_monomials,
     weight_initial_ideal,
     weight_order,

@@ -292,7 +292,8 @@ def _cmd_specialize(args):
     plan = charts.cleft_plan(basis)
     values = charts._point_values(map(charts.couple_key, basis.positive), point)
     gens, _ = plan.evaluate(values)
-    return {"generators": [p.to_text() for p in gens]}
+    # Products of point values can pass the digit limit; refuse them before rendering.
+    return {"generators": [polynomials._check_coefficients(p).to_text() for p in gens]}
 
 
 SAMPLES_BOUND = 100  # largest verify-flat --samples: its points are laid out before any check

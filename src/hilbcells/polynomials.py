@@ -10,7 +10,7 @@ integral polynomials by monic divisors stay in the integers; ``int`` and
 one a value is.  Arithmetic, division and the Buchberger algorithm run over
 either ring; rendering reads every coefficient as (chart monomial,
 rational) pairs, a rational being the single pair with the empty chart
-monomial.  A ring's name (``DOMAIN_*``) lives only in the serialized forms.
+monomial.  A ring's name (``DOMAIN_*``) lives only in ``to_json``'s output.
 On top of the arithmetic live monomial orders, each a name with its sort
 key, multivariate division, the Buchberger algorithm with a hard resource
 guard, standard monomials of zero-dimensional ideals, and extremal-weight
@@ -45,7 +45,7 @@ from .errors import (
     RegimeError,
     StepLimitExceeded,
 )
-from .staircases import ONE, X, Y, Monomial, Staircase, Weight, json_int
+from .staircases import ONE, X, Y, Monomial, Staircase, Weight
 
 DEFAULT_STEP_LIMIT = 500_000
 
@@ -230,12 +230,6 @@ class ChartCoefficient:
         return total
 
 
-def _add_term(out: dict, m: Monomial, q: int | Fraction, mono: Optional[ChartMonomial]) -> None:
-    """Add the term q times the chart monomial times m; without a chart monomial, q is rational."""
-    c = q if mono is None else ChartCoefficient({mono: q})
-    out[m] = out[m] + c if m in out else c
-
-
 def _coefficient_terms(c) -> list[tuple[ChartMonomial, int | Fraction]]:
     """A coefficient as sorted (chart monomial, rational) pairs."""
     if isinstance(c, ChartCoefficient):
@@ -397,25 +391,6 @@ class BivariatePolynomial:
                 terms.append(term)
         return {"domain": DOMAIN_CHART if chart else DOMAIN_RATIONAL, "terms": terms}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "BivariatePolynomial":
-        """``to_json``'s form: the domain is "chart" exactly when some term has a "chart" key."""
-        terms = data["terms"]
-        chart = any("chart" in term for term in terms)
-        if data["domain"] != (DOMAIN_CHART if chart else DOMAIN_RATIONAL):
-            raise DomainError(f"polynomial domain {data['domain']!r} does not match its "
-                              f"terms, {'some' if chart else 'none'} with a chart monomial")
-        out: dict[Monomial, object] = {}
-        for term in terms:
-            mono = None if "chart" not in term else tuple(sorted(
-                ((tuple(json_int(v, "chart") for v in entry[0]),
-                  tuple(json_int(v, "chart") for v in entry[1])), json_int(entry[2], "chart"))
-                for entry in term["chart"]
-            ))
-            _add_term(out, Monomial(json_int(term["x"], "x"), json_int(term["y"], "y")),
-                      exact_rational(term["coeff"]), mono)
-        return cls(out)
-
 
 def _render_fraction(q: int | Fraction) -> str:
     sign = "+" if q >= 0 else "-"
@@ -431,46 +406,6 @@ def _render_term(q: int | Fraction, chart_mono: ChartMonomial, m: Monomial,
             f"{names.get(k) or names.setdefault(k, variable_name(k))}^{e}" for k, e in chart_mono)
         return f"{_render_fraction(q)}·{chart}·{body}"
     return f"{_render_fraction(q)}·{body}"
-
-
-_TERM_RE = re.compile(
-    r"(?P<sign>[+-])(?P<num>\d+)/(?P<den>\d+)·(?:(?P<chart>[^·]+)·)?x\^(?P<x>\d+)\*y\^(?P<y>\d+)$"
-)
-_CHARTVAR_RE = re.compile(r"X\[(-?\d+),(-?\d+);(-?\d+),(-?\d+)\]\^(\d+)$")
-
-
-def poly_from_text(text: str, domain: Optional[str] = None) -> BivariatePolynomial:
-    """Parse the canonical text format back into a polynomial, bit-exactly.
-
-    Without an explicit domain, the presence of chart variables decides it;
-    in the chart domain every coefficient is a chart coefficient.
-    """
-    text = text.strip()
-    is_chart = "X[" in text
-    if domain is None:
-        domain = DOMAIN_CHART if is_chart else DOMAIN_RATIONAL
-    elif is_chart and domain == DOMAIN_RATIONAL:
-        raise DomainError("chart variables in a rational-domain polynomial")
-    if text == "0":
-        return BivariatePolynomial.zero()
-    out: dict[Monomial, object] = {}
-    for chunk in text.split():
-        match = _TERM_RE.match(chunk)
-        if not match:
-            raise DomainError(f"malformed polynomial term {chunk!r}")
-        q = exact_rational(Fraction(int(match["num"]), int(match["den"])))
-        if match["sign"] == "-":
-            q = -q
-        m = Monomial(int(match["x"]), int(match["y"]))
-        exps: dict[VarKey, int] = {}
-        for factor in match["chart"].split("*") if match["chart"] else ():
-            fm = _CHARTVAR_RE.match(factor)
-            if not fm:
-                raise DomainError(f"malformed chart variable {factor!r}")
-            key = ((int(fm[1]), int(fm[2])), (int(fm[3]), int(fm[4])))
-            exps[key] = exps.get(key, 0) + int(fm[5])
-        _add_term(out, m, q, tuple(sorted(exps.items())) if domain == DOMAIN_CHART else None)
-    return BivariatePolynomial(out)
 
 
 _EXPR_TERM_RE = re.compile(

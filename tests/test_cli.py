@@ -19,13 +19,15 @@ from hypothesis import given, settings, strategies as st
 
 import hilbcells
 from hilbcells import (
-    Weight, charts, cli, enumerate_staircases, poly_from_text, staircases, strata, tangent,
+    Weight, charts, cli, enumerate_staircases, staircases, strata, tangent,
 )
 from hilbcells.cli import main
 from hilbcells.staircases import COMPATIBLE_BOUND
+from test_polynomials import read_back
 
 
 ANCHOR_IDEAL = "x*y^2+y^3; x^2*y+x*y^2; x^3+x^2*y-x*y-y^2; y^4-y^3"
+POINCARE_ABOVE = f"(-1,-{strata.POINCARE_BOUND + 2})"  # paired with --length POINCARE_BOUND + 1
 
 
 def run(capsys, *argv):
@@ -138,7 +140,7 @@ class TestSubcommands:
         )
         assert data["variables"] == ["X[0,1;1,0]"]
         for text in data["generators"]:
-            poly_from_text(text)  # parses back
+            assert read_back(text).to_text() == text
         spec = run_json(
             capsys, "specialize", "--columns", "1,1", "--mode", "invariant",
             "--a", "1", "--b", "-1", "--point", '{"X[0,1;1,0]":"1"}',
@@ -498,6 +500,17 @@ class TestExitCodes:
         assert err == "error: coefficient bound 10**4300 exceeded by a numerator or denominator\n"
         assert time.perf_counter() - start < 1
 
+    def test_specialized_numbers_past_the_digit_limit_are_one(self, capsys):
+        # Products of 4,000-digit point values escaped as a ValueError
+        # traceback when the generators were rendered.
+        columns = ("--columns", "3,1,1", "--mode", "general")
+        names = run_json(capsys, "chart", *columns)["variables"]
+        assert len(names) == 5
+        point = json.dumps({name: "3" * 4000 for name in names})
+        code, out, err = run(capsys, "specialize", *columns, "--point", point)
+        assert (code, out) == (1, "")
+        assert err == "error: coefficient bound 10**4300 exceeded by a numerator or denominator\n"
+
     @pytest.mark.parametrize("value", ['"1e4400"', '"1e999999999"', '"1e-4400"',
                                        '"%se100"' % ("3" * 4250), "1" * 5000])
     def test_unprintable_point_values_are_two(self, capsys, value):
@@ -540,13 +553,15 @@ class TestExitCodes:
         assert code == 1 and not out and "not primitive" in err
 
     @pytest.mark.parametrize("argv", [
-        ("components", "--length", "13", "--a", "1", "--b", "-1"),
-        ("run-suite", "components", "--length", "13", "--a", "1", "--b", "-1"),
-        ("poincare", "--length", "25", "--vector", "(-1,-26)"),
-        ("compatible", "--a", "1", "--b", "-1", "--hilbert", '{"0":41}'),
-        ("run-suite", "poincare", "--max-length", "25", "--weights", "(-1,-26)"),
-        ("run-suite", "verify-all", "--max-length", "13"),
-        ("hom-oracle", "--columns", "1", "--bound", "13"),
+        ("components", "--length", str(strata.COMPONENT_BOUND + 1), "--a", "1", "--b", "-1"),
+        ("run-suite", "components", "--length", str(strata.COMPONENT_BOUND + 1),
+         "--a", "1", "--b", "-1"),
+        ("poincare", "--length", str(strata.POINCARE_BOUND + 1), "--vector", POINCARE_ABOVE),
+        ("compatible", "--a", "1", "--b", "-1", "--hilbert", '{"0":%d}' % (COMPATIBLE_BOUND + 1)),
+        ("run-suite", "poincare", "--max-length", str(strata.POINCARE_BOUND + 1),
+         "--weights", POINCARE_ABOVE),
+        ("run-suite", "verify-all", "--max-length", str(cli.VERIFY_ALL_BOUND + 1)),
+        ("hom-oracle", "--columns", "1", "--bound", str(cli.HOM_ORACLE_BOUND + 1)),
     ])
     def test_components_size_bound_is_one(self, capsys, argv):
         start = time.perf_counter()
@@ -725,7 +740,7 @@ class TestDeterminism:
     def test_round_trip_of_emitted_json(self, capsys):
         data = run_json(capsys, "chart", "--columns", "2,1", "--mode", "general")
         for text in data["generators"]:
-            assert poly_from_text(text).to_text() == text
+            assert read_back(text).to_text() == text
 
 
 # One argv per subcommand and per run-suite suite, with valid flags.
@@ -985,8 +1000,8 @@ class TestParseAgreement:
 
 # (argv before the size, size flag, bound); sizes above the bound exit 1.
 BOUNDED = [
-    (("components", "--a", "1", "--b", "-1"), "--length", 12),
-    (("run-suite", "components", "--a", "2", "--b", "-1"), "--length", 12),
+    (("components", "--a", "1", "--b", "-1"), "--length", strata.COMPONENT_BOUND),
+    (("run-suite", "components", "--a", "2", "--b", "-1"), "--length", strata.COMPONENT_BOUND),
     (("poincare", "--vector", "(-1,-3)"), "--length", strata.POINCARE_BOUND),
     (("run-suite", "poincare", "--weights", "(-1,-3)"), "--max-length",
      strata.POINCARE_BOUND),
@@ -1011,6 +1026,41 @@ def signed(magnitudes):
     return st.tuples(magnitudes, st.booleans()).map(lambda v: -v[0] if v[1] else v[0])
 
 
+@functools.lru_cache(maxsize=None)
+def chart_variables(argv):
+    """The chart variable names that ``chart`` prints for a family argv."""
+    return tuple(json.loads(captured(main, ("chart",) + argv)[1])["variables"])
+
+
+def digit_strings():
+    """1 to 4,300 digits: a drawn pattern repeated, so long strings are common."""
+    return st.tuples(st.integers(1, 4300), st.text("0123456789", min_size=1, max_size=6)).map(
+        lambda v: (v[1] * v[0])[:v[0]])
+
+
+@st.composite
+def point_argvs(draw):
+    """A ``specialize`` argv on at most 6 cells, its point valued with long or odd numbers.
+
+    Values are integers and fractions of 1 to 4,300 digits, and decimals
+    with exponents up to ``cli.POINT_EXPONENT_BOUND`` either way.
+    """
+    E = draw(st.integers(1, 6).flatmap(lambda n: st.sampled_from(enumerate_staircases(n))))
+    family = ("--columns", ",".join(map(str, E.columns))) + draw(st.sampled_from(
+        [("--mode", "general"), ("--mode", "invariant", "--a", "1", "--b", "-1")]))
+    sign, digits = st.sampled_from(["", "-"]), digit_strings()
+    bound = cli.POINT_EXPONENT_BOUND
+    value = st.one_of(
+        st.tuples(sign, digits).map("".join),
+        st.tuples(sign, digits, digits).map("{0[0]}{0[1]}/{0[2]}".format),
+        st.tuples(sign, digits, digits, st.integers(-bound, bound)).map(
+            "{0[0]}{0[1]}.{0[2]}e{0[3]}".format),
+    )
+    names = chart_variables(family)
+    point = draw(st.dictionaries(st.sampled_from(names), value)) if names else {}
+    return ("specialize",) + family + ("--point", json.dumps(point))
+
+
 class TestArgvFuzz:
     """The CLI contract on any argv: exit 0, 1 or 2, one JSON document on 0."""
 
@@ -1026,6 +1076,19 @@ class TestArgvFuzz:
             json.loads(out)
         else:
             assert out == ""
+
+    @settings(max_examples=30, deadline=None)
+    @given(argv=point_argvs())
+    def test_any_point_value_keeps_the_contract(self, argv):
+        start = time.perf_counter()
+        code, out, err = captured(main, argv)
+        assert time.perf_counter() - start < 2.0
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert out.count("\n") == 1 and not err
+            json.loads(out)
+        else:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
     @settings(max_examples=60, deadline=None)
     @given(case=st.sampled_from(BOUNDED), excess=st.integers(1, 10**9))

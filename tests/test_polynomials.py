@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,6 @@ from hilbcells import (
     is_groebner,
     parse_ideal,
     poly_from_expr,
-    poly_from_text,
     standard_monomials,
     weight_initial_ideal,
     weight_order,
@@ -620,64 +620,107 @@ class TestLocalOrders:
             buchberger(gens, order, step_limit=limit - 1)
 
 
+_TEXT_TERM = re.compile(r"([+-])(\d+)/(\d+)·(?:([^·]+)·)?x\^(\d+)\*y\^(\d+)")
+_TEXT_FACTOR = re.compile(r"X\[(-?\d+),(-?\d+);(-?\d+),(-?\d+)\]\^(\d+)")
+
+
+def read_back(form):
+    """The polynomial whose ``to_text`` string or ``to_json`` document is ``form``.
+
+    Written apart from ``hilbcells.polynomials``, which reads neither form:
+    each term becomes (monomial, chart monomial or None, rational), and the
+    terms are summed.  A term with chart factors in the text, or with a
+    ``"chart"`` key in the JSON, has a chart coefficient; any other term is
+    rational.  A malformed term, a non-integer JSON exponent, or a
+    ``"domain"`` that is not "chart" exactly when some term has a "chart"
+    key raises ``ValueError``.
+    """
+    if isinstance(form, str):
+        terms = [] if form == "0" else [_text_term(chunk) for chunk in form.split(" ")]
+    else:
+        chart = any("chart" in term for term in form["terms"])
+        if form["domain"] != ("chart" if chart else "rational"):
+            raise ValueError(f"domain {form['domain']!r} does not match the chart keys")
+        terms = [_json_term(term) for term in form["terms"]]
+    out = {}
+    for m, mono, q in terms:
+        c = q if mono is None else ChartCoefficient({mono: q})
+        out[m] = out[m] + c if m in out else c
+    return BivariatePolynomial(out)
+
+
+def _text_term(chunk):
+    match = _TEXT_TERM.fullmatch(chunk)
+    if not match:
+        raise ValueError(f"malformed term {chunk!r}")
+    sign, num, den, chart, x, y = match.groups()
+    q = Fraction(int(num), int(den)) * (-1 if sign == "-" else 1)
+    mono = None
+    if chart is not None:
+        factors = [_TEXT_FACTOR.fullmatch(factor) for factor in chart.split("*")]
+        if not all(factors):
+            raise ValueError(f"malformed chart monomial {chart!r}")
+        mono = tuple(sorted((((int(f[1]), int(f[2])), (int(f[3]), int(f[4]))), int(f[5]))
+                            for f in factors))
+    return Monomial(int(x), int(y)), mono, q
+
+
+def _json_term(term):
+    numbers = [term["x"], term["y"]] + [v for c, m, e in term.get("chart", ()) for v in c + m + [e]]
+    if not all(type(v) is int for v in numbers):
+        raise ValueError(f"non-integer exponent in {term!r}")
+    mono = None
+    if "chart" in term:
+        mono = tuple(sorted(((tuple(c), tuple(m)), e) for c, m, e in term["chart"]))
+    return Monomial(term["x"], term["y"]), mono, Fraction(term["coeff"])
+
+
+_A = ChartCoefficient.variable(((0, 1), (1, 0)))
+JSON_CASES = (  # rational; chart; chart beside rational; chart plus rational; zero
+    BivariatePolynomial({Monomial(1, 0): 2, Monomial(0, 0): Fraction(-1, 3)}),
+    BivariatePolynomial({Monomial(0, 1): _A}),
+    BivariatePolynomial({Monomial(0, 1): _A, Monomial(2, 0): 5}),
+    BivariatePolynomial({Monomial(0, 1): _A + Fraction(1, 2)}),
+    BivariatePolynomial.zero(),
+)
+
+
 class TestSerialization:
     @given(p=small_polys)
     @settings(max_examples=100, deadline=None)
     def test_text_round_trip(self, p):
-        assert poly_from_text(p.to_text()) == p
+        assert read_back(p.to_text()) == p
 
     @given(p=small_polys)
     @settings(max_examples=100, deadline=None)
     def test_json_round_trip(self, p):
-        assert BivariatePolynomial.from_json(p.to_json()) == p
+        assert read_back(p.to_json()) == p
 
-    @pytest.mark.parametrize("domain, term", [
-        (DOMAIN_RATIONAL, {"coeff": "1", "x": 1.9, "y": 0}),
-        (DOMAIN_RATIONAL, {"coeff": "1", "x": 0, "y": True}),
-        (DOMAIN_CHART, {"coeff": "1", "x": 0, "y": 0, "chart": [[[0, 1], [1, 0], 1.5]]}),
-        (DOMAIN_CHART, {"coeff": "1", "x": 0, "y": 0, "chart": [[[0, 1.0], [1, 0], 1]]}),
-    ])
-    def test_json_refuses_non_integer_exponents(self, domain, term):
-        with pytest.raises(ValueError, match="must be an integer"):
-            BivariatePolynomial.from_json({"domain": domain, "terms": [term]})
-
-    @pytest.mark.parametrize("data", [
-        # A chart monomial under "rational" was dropped: this read as 1.
-        {"domain": DOMAIN_RATIONAL,
-         "terms": [{"coeff": "1", "chart": [[[0, 1], [1, 0], 1]], "x": 0, "y": 0}]},
-        # Any other name read as the chart ring.
-        {"domain": "foo", "terms": [{"coeff": "1", "chart": [], "x": 0, "y": 0}]},
-        {"domain": "foo", "terms": [{"coeff": "1", "x": 0, "y": 0}]},
-        {"domain": DOMAIN_CHART, "terms": [{"coeff": "1", "x": 0, "y": 0}]},
-        {"domain": DOMAIN_CHART, "terms": []},
-    ])
+    @pytest.mark.parametrize("data", [p.to_json() for p in JSON_CASES])
     def test_json_domain_must_match_the_chart_keys(self, data):
-        with pytest.raises(DomainError, match="does not match its terms"):
-            BivariatePolynomial.from_json(data)
+        # "chart" exactly when some term has a "chart" key, and then every term has one.
+        chart = [("chart" in term) for term in data["terms"]]
+        assert data["domain"] == ("chart" if any(chart) else "rational")
+        assert all(chart) or not any(chart)
+        assert read_back(data).to_json() == data
 
     def test_json_chart_key_makes_a_chart_coefficient(self):
+        # A constant chart coefficient keeps the chart domain and its empty "chart" key.
         data = {"domain": DOMAIN_CHART, "terms": [{"coeff": "2", "chart": [], "x": 1, "y": 0}]}
-        p = BivariatePolynomial.from_json(data)
-        assert isinstance(p.terms[Monomial(1, 0)], ChartCoefficient)
+        p = BivariatePolynomial({Monomial(1, 0): ChartCoefficient.from_fraction(2)})
         assert p.to_json() == data
+        assert isinstance(read_back(data).terms[Monomial(1, 0)], ChartCoefficient)
 
     def test_chart_round_trip(self):
         E = construct_staircase([3, 1, 1, 1])
         fam = build_chart_family(E, "general")
         for p in fam.generators:
-            assert poly_from_text(p.to_text(), domain=DOMAIN_CHART) == p
-            assert poly_from_text(p.to_text()).to_text() == p.to_text()
-            assert BivariatePolynomial.from_json(p.to_json()) == p
+            assert read_back(p.to_text()) == p
+            assert read_back(p.to_text()).to_text() == p.to_text()
+            assert read_back(p.to_json()) == p
 
-    def test_text_rejects_malformed_terms(self):
-        for text, domain in (
-            ("+1/1·x^1", None),
-            ("+1/1·X[0,1;1,0]^1·x^1*y^0", DOMAIN_RATIONAL),
-            ("+1/1·foo·x^1*y^0", None),
-            ("+1/1·foo·x^1*y^0", DOMAIN_CHART),
-        ):
-            with pytest.raises(DomainError):
-                poly_from_text(text, domain=domain)
+    def test_chart_families_read_back_to_length_6(self):
+        assert check_text_round_trip(range(1, 7)) == 305
 
     def test_chart_coefficient_times_rational(self):
         a = ChartCoefficient.variable(((0, 1), (1, 0)))
@@ -695,6 +738,26 @@ class TestSerialization:
         assert two.is_constant and two == 2
         assert not a.is_constant
 
+
+
+def check_text_round_trip(lengths) -> int:
+    """Read back every chart-family polynomial's text and JSON with ``read_back``.
+
+    Every staircase of the given lengths gets its general family and its
+    invariant family at (1,-1); each generator and each Q-polynomial must
+    read back equal to itself, and to the same text and JSON.  Returns the
+    number of polynomials; CI runs it up to length 10.
+    """
+    checked = 0
+    for l in lengths:
+        for E in enumerate_staircases(l):
+            for fam in (build_chart_family(E, "general"), build_chart_family(E, "invariant", W11)):
+                for p in fam.generators + tuple(q for _, q in fam.q_polynomials):
+                    text, data = p.to_text(), p.to_json()
+                    assert read_back(text) == p and read_back(text).to_text() == text, text
+                    assert read_back(data) == p and read_back(data).to_json() == data, text
+                    checked += 1
+    return checked
 
 BIG = 10**4300  # the coefficient bound
 
@@ -774,9 +837,9 @@ class TestOneCoefficientProtocol:
         data = p.to_json()
         assert data["domain"] == (DOMAIN_CHART if any(
             isinstance(c, ChartCoefficient) for c in p.terms.values()) else DOMAIN_RATIONAL)
-        assert BivariatePolynomial.from_json(data) == p
-        assert BivariatePolynomial.from_json(data).to_json() == data
-        assert poly_from_text(p.to_text(), domain=DOMAIN_CHART) == p
+        assert read_back(data) == p
+        assert read_back(data).to_json() == data
+        assert read_back(p.to_text()) == p
 
     @given(p=small_polys, a=small_rationals)
     @settings(max_examples=100, deadline=None)
