@@ -60,7 +60,6 @@ from .polynomials import (
     buchberger,
     cell_order,
     colength,
-    divide,
     initial_staircase,
     is_groebner,
     parse_ideal,

@@ -17,7 +17,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .errors import ConsistencyError, DomainError, RegimeError
 from .polynomials import (
@@ -56,7 +56,6 @@ class ChartFamily:
     clefts: tuple[Monomial, ...]
     generators: tuple[BivariatePolynomial, ...]          # P, aligned with clefts
     q_polynomials: tuple[tuple[VarKey, BivariatePolynomial], ...]
-    basis: TangentBasis                   # its positive couples index the variables
 
     def to_json(self) -> dict:
         return {
@@ -182,7 +181,7 @@ def _family(basis: TangentBasis, mode: str, weight: Optional[Weight]) -> ChartFa
     P, q_polys = plan.evaluate({key: ChartCoefficient.variable(key) for key in variables},
                                ChartCoefficient.from_fraction(1))
     return ChartFamily(
-        basis.staircase, mode, weight, variables, plan.clefts, tuple(P), tuple(q_polys), basis
+        basis.staircase, mode, weight, variables, plan.clefts, tuple(P), tuple(q_polys)
     )
 
 
@@ -278,7 +277,6 @@ class FlatnessCertificate:
 
 def verify_flatness(
     fam: ChartFamily,
-    samples: Optional[Sequence[Mapping[VarKey, Fraction]]] = None,
     extra_samples: int = 3,
     seed: int = 7,
     step_limit: Optional[int] = None,
@@ -290,13 +288,14 @@ def verify_flatness(
     are exactly the clefts (consecutive pairs suffice: the lcm of two distant
     clefts is divisible by every cleft in between).
 
-    Each sample completes its specialized generators to a Groebner basis
-    under ``LEX_YX`` by the pair loop of ``buchberger`` alone, without
-    interreducing, and reads the colength from the leading monomials (unit
-    points are specialized in one pass, others substituted).  Every
-    Groebner basis of an ideal generates the same leading ideal, so the
-    number equals the colength of the reduced basis.  A zero generator, a
-    tripped step limit or an infinite colength gives colength -1.
+    Each of ``default_sample_points(fam, extra_samples, seed)`` completes
+    its specialized generators to a Groebner basis under ``LEX_YX`` by the
+    pair loop of ``buchberger`` alone, without interreducing, and reads the
+    colength from the leading monomials (unit points are specialized in
+    one pass, others substituted).  Every Groebner basis of an ideal
+    generates the same leading ideal, so the number equals the colength of
+    the reduced basis.  A zero generator, a tripped step limit or an
+    infinite colength gives colength -1.
     """
     witness = None
 
@@ -339,11 +338,9 @@ def verify_flatness(
     if not origin_ok and witness is None:
         witness = "origin fiber differs from the monomial ideal"
 
-    if samples is None:
-        samples = default_sample_points(fam, extra=extra_samples, seed=seed)
     checks = []
     target = len(fam.staircase)
-    for point in samples:
+    for point in default_sample_points(fam, extra=extra_samples, seed=seed):
         frozen = tuple(sorted((k, str(exact_rational(v))) for k, v in point.items()))
         try:
             gens = units.get(frozen) or specialize_family(fam, point)

@@ -47,12 +47,22 @@ class MalformedInput(ValueError):
 # Flag parsing helpers
 # ---------------------------------------------------------------------------
 
+# Most cells a --columns or --other value may hold: at 10**5 unfiltered
+# ``tangent`` takes about 2.3 s, and past 10**7 the layouts run out of memory.
+CELLS_BOUND = 10**5
+
+
 def _parse_columns(text: str) -> Staircase:
     try:
         cols = [int(c) for c in text.split(",") if c.strip() != ""]
     except ValueError as exc:
         raise MalformedInput(f"cannot parse columns {text!r}") from exc
-    return construct_staircase(cols)
+    E = construct_staircase(cols)
+    # The count can pass the digit limit, and len() the index size; width and height cannot.
+    if sum(E.columns) > CELLS_BOUND:
+        raise BoundExceededError(f"cell bound {CELLS_BOUND} exceeded by a staircase "
+                                 f"{len(E.columns)} wide and {E.columns[0]} high")
+    return E
 
 
 def _parse_vector(text: str) -> tuple[int, int]:

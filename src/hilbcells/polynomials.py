@@ -12,9 +12,9 @@ either ring; rendering reads every coefficient as (chart monomial,
 rational) pairs, a rational being the single pair with the empty chart
 monomial.  A ring's name (``DOMAIN_*``) lives only in ``to_json``'s output.
 On top of the arithmetic live monomial orders, each a name with its sort
-key, multivariate division, the Buchberger algorithm with a hard resource
-guard, standard monomials of zero-dimensional ideals, and extremal-weight
-initial ideals (flat limits of one-parameter orbits).
+key, remainders of multivariate division, the Buchberger algorithm with a
+hard resource guard, standard monomials of zero-dimensional ideals, and
+extremal-weight initial ideals (flat limits of one-parameter orbits).
 
 A weight-refined order under which a variable sorts below 1 is local
 (``MonomialOrder.is_global`` is false): it is not a well-order, and
@@ -90,21 +90,15 @@ def cell_order(w: Weight) -> MonomialOrder:
     return MonomialOrder(f"cell({w.a},{w.b})", lambda m: (deg(m), m.beta))
 
 
-def weight_order(
-    vector: tuple[int, int], extremum: str, tiebreak: MonomialOrder = LEX_YX
-) -> MonomialOrder:
-    """Compare by extremal weight first, then by the tiebreak order."""
+def weight_order(vector: tuple[int, int], extremum: str) -> MonomialOrder:
+    """Compare by extremal weight first, then by ``LEX_YX``; one positive weight alone is lex."""
     if extremum not in ("max", "min"):
         raise DomainError(f"extremum must be 'max' or 'min', got {extremum!r}")
     v1, v2 = int(vector[0]), int(vector[1])
     p, q = (v1, v2) if extremum == "max" else (-v1, -v2)
-    if tiebreak == LEX_YX:  # one flat tuple; one positive weight is lex
-        key = (itemgetter(0, 1) if q == 0 < p else itemgetter(1, 0) if p == 0 < q
-               else lambda m: (p * m[0] + q * m[1], m[1], m[0]))
-    else:
-        tie = tiebreak.key
-        key = lambda m: (p * m[0] + q * m[1],) + tie(m)
-    return MonomialOrder(f"{extremum}({v1},{v2});{tiebreak.name}", key, p >= 0 and q >= 0)
+    key = (itemgetter(0, 1) if q == 0 < p else itemgetter(1, 0) if p == 0 < q
+           else lambda m: (p * m[0] + q * m[1], m[1], m[0]))
+    return MonomialOrder(f"{extremum}({v1},{v2});{LEX_YX.name}", key, p >= 0 and q >= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -534,14 +528,12 @@ def _reduce(
     divisors: Sequence[_Divisor],
     order: MonomialOrder,
     guard: _StepGuard,
-    quotients: Optional[list[dict]] = None,
 ) -> BivariatePolynomial:
     """Remainder of f modulo the divisor records; the first matching divisor wins.
 
-    Returns f itself when no term reduced.  Quotient terms are recorded only
-    when ``quotients`` holds one dict per divisor, as ``divide`` passes.
-    The work dict never holds a zero, so the remainder is taken as it is,
-    once its coefficients are checked against the bound.
+    Returns f itself when no term reduced.  The work dict never holds a
+    zero, so the remainder is taken as it is, once its coefficients are
+    checked against the bound.
     """
     key = order.key
     remainder: dict[Monomial, object] = {}
@@ -552,39 +544,16 @@ def _reduce(
         m = max(work, key=key)
         c = work.pop(m)
         ma, mb = m
-        for k, d in enumerate(divisors):
+        for d in divisors:
             la, lb = d.lm
             if la <= ma and lb <= mb:
-                sa, sb = ma - la, mb - lb
                 qc = c if d.monic else c * d.inv_lc
-                if quotients is not None:
-                    # leading terms strictly decrease: no shift repeats
-                    quotients[k][Monomial(sa, sb)] = qc
-                _add_multiple(work, d.tail, sa, sb, -qc)
+                _add_multiple(work, d.tail, ma - la, mb - lb, -qc)
                 reduced = True
                 break
         else:
             remainder[m] = c
     return _check_coefficients(BivariatePolynomial._of(remainder) if reduced else f)
-
-
-def divide(
-    f: BivariatePolynomial,
-    divisors: Sequence[BivariatePolynomial],
-    order: MonomialOrder,
-    step_limit: Optional[int] = None,
-) -> tuple[list[BivariatePolynomial], BivariatePolynomial]:
-    """Multivariate division: f = sum(q_i * d_i) + r, first matching divisor wins.
-
-    No term of the remainder is divisible by any divisor's leading monomial.
-    Every divisor is checked before the division starts.
-    """
-    records = [_Divisor(d, order) for d in divisors]
-    quotients: list[dict] = [{} for _ in records]
-    r = _reduce(f, records, order, _StepGuard(step_limit), quotients)
-    if r is f:
-        r = BivariatePolynomial(f.terms)
-    return [BivariatePolynomial(q) for q in quotients], r
 
 
 def _interreduce(
@@ -640,12 +609,6 @@ class GroebnerBasis:
     @property
     def leading_monomials(self) -> tuple[Monomial, ...]:
         return tuple(g.leading_monomial(self.order) for g in self.generators)
-
-    def to_json(self) -> dict:
-        return {
-            "generators": [g.to_text() for g in self.generators],
-            "leading": [[m.alpha, m.beta] for m in self.leading_monomials],
-        }
 
 
 def buchberger(
@@ -777,12 +740,6 @@ class PairStatus(NamedTuple):
 class GroebnerCertificate:
     is_groebner: bool
     pairs: tuple[PairStatus, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "is_groebner": self.is_groebner,
-            "pairs": [p._asdict() for p in self.pairs],
-        }
 
 
 def is_groebner(

@@ -273,14 +273,14 @@ def _minimal_columns(values: dict[int, int], w: Weight) -> tuple[int, ...]:
     return tuple(sum(r > i for r in widths) for i in range(widths[0] if widths else 0))
 
 
-def minimal_staircase_oracle(H: HilbertFunction, bound: int = 14) -> Staircase:
+def minimal_staircase_oracle(H: HilbertFunction) -> Staircase:
     """Exhaustive check of the minimal staircase: enumerate, filter, compare.
 
     Hard-errors if the compatible set does not contain exactly one staircase
     with empty positive part, or if that one is not below every other.
     """
-    if H.total() > bound:
-        raise BoundExceededError(f"oracle bound {bound} exceeded by mass {H.total()}")
+    if H.total() > ORACLE_BOUND:
+        raise BoundExceededError(f"oracle bound {ORACLE_BOUND} exceeded by mass {H.total()}")
     w = H.weight
     if w.a <= 0:
         raise RegimeError(f"oracle needs a > 0, b < 0; got ({w.a}, {w.b})")
@@ -371,6 +371,9 @@ def _classes(length: int, w: Weight) -> dict[HilbertFunction, dict[Staircase, Ta
 # exit code of ``components --length 13``.
 COMPONENT_BOUND = 12
 
+# Largest mass ``minimal_staircase_oracle`` takes; it enumerates that length.
+ORACLE_BOUND = 14
+
 
 def component_report(length: int, w: Weight) -> list[ComponentReport]:
     """Group the staircases of one length by Hilbert function and certify each class.
@@ -451,9 +454,7 @@ def _chain(E: Staircase, least: Staircase, policy: str, seed: int, H: HilbertFun
 def _arm_leg_dimension(E: Staircase, weight_vector: tuple[int, int]) -> int:
     """``cell_dimension(E, weight_vector)``, counted on ``arm_leg_characters(E)``.
 
-    Where ``cell_dimension`` raises (the empty staircase, or a character
-    pairing to zero) it is called to raise the same error; should it accept
-    such a vector, the two disagree and ``ConsistencyError`` is raised.
+    The empty staircase and a zero pairing are left to ``cell_dimension``, which raises.
     """
     if not E.columns:
         return cell_dimension(E, weight_vector)
@@ -464,11 +465,7 @@ def _arm_leg_dimension(E: Staircase, weight_vector: tuple[int, int]) -> int:
         if pairing > 0:
             d += 1
         elif pairing == 0:
-            cell_dimension(E, weight_vector)
-            raise ConsistencyError(
-                f"character ({f}, {g}) of {E.columns} is orthogonal to "
-                f"{weight_vector}, but cell_dimension accepts the vector"
-            )
+            return cell_dimension(E, weight_vector)
     return d
 
 
@@ -491,8 +488,7 @@ def poincare_polynomial(length: int, weight_vector: tuple[int, int]) -> dict[int
     193, 1998); ``arm_leg_characters`` reads them without a tangent basis.
     At the first staircase with a character pairing to zero,
     ``cell_dimension`` raises the ``GenericityError`` that names its
-    couple; should it accept that staircase, the two disagree and a
-    ``ConsistencyError`` is raised.
+    couple.
     """
     _require_length(length)
     if length > POINCARE_BOUND:

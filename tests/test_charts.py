@@ -25,7 +25,7 @@ from hilbcells import (
     verify_flatness,
     weight_initial_ideal,
 )
-from hilbcells.charts import cleft_plan, default_sample_points
+from hilbcells.charts import _chart_basis, cleft_plan, default_sample_points
 from hilbcells.polynomials import _complete, _Divisor, _StepGuard
 
 W11 = Weight(1, -1)
@@ -72,8 +72,10 @@ def check_sample_colengths(lengths) -> tuple[int, int, int]:
                 for f in [fam] + corrupted_families(fam):
                     for seed in (1, 7):
                         points = default_sample_points(f, extra=3, seed=seed)
-                        cert = verify_flatness(f, samples=points)
-                        for point, check in zip(points, cert.samples):
+                        cert = verify_flatness(f, extra_samples=3, seed=seed)
+                        for point, check in zip(points, cert.samples, strict=True):
+                            frozen = tuple(sorted((k, str(v)) for k, v in point.items()))
+                            assert check.point == frozen
                             gens = specialize_family(f, point)
                             try:
                                 expected = len(standard_monomials(buchberger(gens, LEX_YX)))
@@ -241,7 +243,7 @@ class TestCleftPlan:
         for l in range(1, 10):
             for E in enumerate_staircases(l):
                 fam = build_chart_family(E, mode, w)
-                plan = cleft_plan(fam.basis)
+                plan = cleft_plan(_chart_basis(E, mode, w))
                 for point in default_sample_points(fam, extra=2, seed=3):
                     generators, _ = plan.evaluate(point)
                     assert generators == specialize_family(fam, point), (E.columns, point)

@@ -31,7 +31,7 @@ from hilbcells import (
     s_profile,
     tangent_basis,
 )
-from hilbcells.strata import POINCARE_BOUND, _classes, _descend, _least_compatible
+from hilbcells.strata import ORACLE_BOUND, POINCARE_BOUND, _classes, _descend, _least_compatible
 
 W11 = Weight(1, -1)
 
@@ -259,10 +259,11 @@ class TestMinimalStaircase:
             minimal_staircase_oracle(hf({0: 2}))
 
     def test_oracle_bound(self):
-        from hilbcells import BoundExceededError
-
-        with pytest.raises(BoundExceededError):
-            minimal_staircase_oracle(hf({0: 1}), bound=0)
+        n = ORACLE_BOUND
+        with pytest.raises(BoundExceededError, match=f"oracle bound {n} exceeded by mass {n + 1}"):
+            minimal_staircase_oracle(hilbert_function(construct_staircase([n + 1]), W11))
+        H = hilbert_function(construct_staircase([n]), W11)
+        assert minimal_staircase_oracle(H) == minimal_staircase(H)
 
     def test_agreement_sweep(self):
         for w in (W11, Weight(2, -1), Weight(1, -2)):
@@ -488,13 +489,6 @@ class TestArmLegCensus:
         counts = counting(monkeypatch, "hilbcells.tangent.tangent_basis")
         poincare_polynomial(12, (-1, -13))
         assert counts["hilbcells.tangent.tangent_basis"] == 0
-
-    def test_disagreeing_cell_dimension_is_inconsistent(self, monkeypatch):
-        strata = importlib.import_module("hilbcells.strata")
-        monkeypatch.setattr(strata, "cell_dimension", lambda E, v: 0)
-        with pytest.raises(ConsistencyError,
-                           match=r"character \(1, -1\) of \(1, 1\) is orthogonal to \(-1, -1\)"):
-            poincare_polynomial(2, (-1, -1))
 
 
 class TestArmLegCellDimension:
