@@ -41,10 +41,6 @@ MODE_INVARIANT = "invariant"
 MODE_GENERAL = "general"
 
 
-def couple_key(couple: CleftCouple) -> VarKey:
-    return ((couple.c.alpha, couple.c.beta), (couple.m.alpha, couple.m.beta))
-
-
 @dataclass(frozen=True)
 class ChartFamily:
     """Universal ideal generators over the chart variables of a staircase."""
@@ -119,7 +115,7 @@ def cleft_plan(basis: TangentBasis) -> CleftPlan:
     cs = clefts(E)
     alphas = [c.alpha for c in cs]
     by_cleft: dict[int, list[CleftCouple]] = {}
-    for couple in sorted(basis.positive, key=CleftCouple.sort_key):
+    for couple in sorted(basis.positive):
         by_cleft.setdefault(cs.index(couple.c), []).append(couple)
     rows = []
     for i in range(len(cs) - 2, -1, -1):
@@ -140,7 +136,7 @@ def cleft_plan(basis: TangentBasis) -> CleftPlan:
                     f"sector {target + 1}, not past cleft {i + 1}"
                 )
             ta, tb = cs[target]
-            couples.append((((ca, cb), (ma, mb)), target, (ma - ta, mb - tb)))
+            couples.append((couple, target, (ma - ta, mb - tb)))
         rows.append((i, (ca - na, cb - nb), tuple(couples)))
     return CleftPlan(cs, tuple(rows))
 
@@ -156,7 +152,7 @@ def build_chart_family(
     formed in Laurent form and must come out polynomial.  The recursion is
     ``cleft_plan`` evaluated over the chart ring.
     """
-    return _family(_chart_basis(E, mode, weight), mode, weight)
+    return _family(_chart_basis(E, mode, weight))
 
 
 def _chart_basis(E: Staircase, mode: str, weight: Optional[Weight]) -> TangentBasis:
@@ -174,15 +170,14 @@ def _chart_basis(E: Staircase, mode: str, weight: Optional[Weight]) -> TangentBa
     raise DomainError(f"unknown chart mode {mode!r}")
 
 
-def _family(basis: TangentBasis, mode: str, weight: Optional[Weight]) -> ChartFamily:
-    """The chart family of the mode from its tangent basis, as ``_chart_basis`` gives it."""
-    plan = cleft_plan(basis)
-    variables = tuple(sorted(couple_key(cp) for cp in basis.positive))
+def _family(basis: TangentBasis) -> ChartFamily:
+    """The chart family of a tangent basis: invariant in its direction, general without one."""
+    plan, w = cleft_plan(basis), basis.direction
+    variables = tuple(sorted(basis.positive))
     P, q_polys = plan.evaluate({key: ChartCoefficient.variable(key) for key in variables},
                                ChartCoefficient.from_fraction(1))
-    return ChartFamily(
-        basis.staircase, mode, weight, variables, plan.clefts, tuple(P), tuple(q_polys)
-    )
+    mode = MODE_GENERAL if w is None else MODE_INVARIANT
+    return ChartFamily(basis.staircase, mode, w, variables, plan.clefts, tuple(P), tuple(q_polys))
 
 
 def specialize_family(

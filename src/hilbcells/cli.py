@@ -35,6 +35,7 @@ from .staircases import (
     construct_staircase,
     enumerate_staircases,
     hilbert_function,
+    json_int,
 )
 from .tangent import CleftCouple
 
@@ -79,9 +80,21 @@ def _parse_weights(text: str) -> list[tuple[int, int]]:
     return [_parse_vector(chunk) for chunk in text.split(";") if chunk.strip()]
 
 
+# Weight entries stay below 10**4290, so every degree of a staircase within
+# CELLS_BOUND, below 2 * 10**5 * 10**4290, prints under the 4,300-digit limit.
+WEIGHT_BOUND = 10**4290
+
+
+def _require_weight_bound(a: int, b: int) -> None:
+    """Refuse the weight (a, b) past ``WEIGHT_BOUND``, before ``Weight`` checks it."""
+    if abs(a) >= WEIGHT_BOUND or abs(b) >= WEIGHT_BOUND:
+        raise BoundExceededError("weight bound 10**4290 exceeded by an entry of the weight")
+
+
 def _weight(args) -> Weight:
     if args.a is None or args.b is None:
         raise MalformedInput("this subcommand needs --a and --b")
+    _require_weight_bound(args.a, args.b)
     return Weight(args.a, args.b)
 
 
@@ -105,6 +118,7 @@ def _parse_hilbert(args) -> HilbertFunction:
         raise MalformedInput("--hilbert must be a JSON object")
     if "values" in data:
         try:
+            _require_weight_bound(json_int(data["a"], "a"), json_int(data["b"], "b"))
             hf = HilbertFunction.from_json(data)
         except DomainError:
             raise
@@ -169,7 +183,7 @@ def _parse_variable_name(name: str):
         mx, my = (int(v) for v in m_part.split(","))
     except ValueError as exc:
         raise MalformedInput(f"bad chart variable name {name!r}") from exc
-    return ((cx, cy), (mx, my))
+    return CleftCouple(Monomial(cx, cy), Monomial(mx, my))
 
 
 def _parse_couple(text: str) -> CleftCouple:
@@ -300,7 +314,7 @@ def _cmd_specialize(args):
     point = _parse_point(args.point)  # before the basis is built
     basis = charts._chart_basis(*request)
     plan = charts.cleft_plan(basis)
-    values = charts._point_values(map(charts.couple_key, basis.positive), point)
+    values = charts._point_values(basis.positive, point)
     gens, _ = plan.evaluate(values)
     # Products of point values can pass the digit limit; refuse them before rendering.
     return {"generators": [polynomials._check_coefficients(p).to_text() for p in gens]}
@@ -498,8 +512,8 @@ def _suite_verify_all(args):
         for l in lengths:
             invariant = {E: tb for bases in grouped(l, w).values() for E, tb in bases.items()}
             for E in enumerate_staircases(l):
-                certify(charts._family(invariant[E], "invariant", w))
-                certify(charts._family(unfiltered(E), "general", None))
+                certify(charts._family(invariant[E]))
+                certify(charts._family(unfiltered(E)))
         return "flatness certificates valid in both modes"
 
     def poincare_census():

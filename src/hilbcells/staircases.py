@@ -276,12 +276,18 @@ def compatible_staircases(H: HilbertFunction) -> tuple[Staircase, ...]:
 
     Raises ``BoundExceededError`` when the mass of H exceeds ``COMPATIBLE_BOUND``.
     """
-    if H.total() > COMPATIBLE_BOUND:
-        raise BoundExceededError(
-            f"compatible bound {COMPATIBLE_BOUND} exceeded by mass {H.total()}"
-        )
+    _require_mass(H, COMPATIBLE_BOUND, "compatible")
     w, values = H.weight, H.values
     return tuple(E for E in enumerate_staircases(H.total()) if _degree_counts(E, w) == values)
+
+
+def _require_mass(H: HilbertFunction, bound: int, name: str) -> None:
+    """Raise ``BoundExceededError`` when the mass of H exceeds the named bound."""
+    mass = H.total()
+    if mass > bound:
+        # Counts of up to 4,300 digits each can sum past the digit limit.
+        shown = mass if mass < 10**4300 else "past the digit limit"
+        raise BoundExceededError(f"{name} bound {bound} exceeded by mass {shown}")
 
 
 def _require_positive_regime(w: Weight) -> None:
@@ -316,7 +322,6 @@ class SProfile:
     is constant equal to the cardinality.
     """
 
-    weight: Weight
     counts: tuple[int, ...]
 
 
@@ -372,7 +377,7 @@ def _profile(E: Staircase, grid: tuple[Weight, int, list[int]]) -> SProfile:
     """The S-profile of E on a grid reaching its top degree."""
     w, rows, keys = grid
     cells = {(-w.b * i + w.a * j) * rows + j for i, h in enumerate(E.columns) for j in range(h)}
-    return SProfile(w, tuple(accumulate(map(cells.__contains__, keys), initial=0))[1:])
+    return SProfile(tuple(accumulate(map(cells.__contains__, keys), initial=0))[1:])
 
 
 class Comparison(Enum):

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .charts import cleft_plan, couple_key
+from .charts import cleft_plan
 from .errors import (
     BoundExceededError,
     ConsistencyError,
@@ -26,7 +26,6 @@ from .polynomials import (
     LEX_YX,
     BivariatePolynomial,
     GroebnerBasis,
-    VarKey,
     standard_monomials,
     variable_name,
     weight_initial_ideal,
@@ -41,6 +40,7 @@ from .staircases import (
     _compare_profiles,
     _profile,
     _profile_grid,
+    _require_mass,
     compatible_staircases,
     enumerate_staircases,
     hilbert_function,
@@ -65,7 +65,6 @@ class DegenerationStep:
 
     source: Staircase
     couple: CleftCouple
-    point: tuple[tuple[VarKey, str], ...]
     specialized: tuple[BivariatePolynomial, ...]
     limit: tuple[BivariatePolynomial, ...]
     target: Staircase
@@ -76,7 +75,7 @@ class DegenerationStep:
         return {
             "source": self.source.to_json(),
             "couple": self.couple.to_json(),
-            "point": {variable_name(k): v for k, v in self.point},
+            "point": {variable_name(self.couple): "1"},
             "specialized": [p.to_text() for p in self.specialized],
             "limit": [p.to_text() for p in self.limit],
             "target": self.target.to_json(),
@@ -129,8 +128,7 @@ def _degenerate(basis: TangentBasis, couple: CleftCouple, H: HilbertFunction,
     function and at most two S-profiles.
     """
     E, w = basis.staircase, basis.direction
-    key = couple_key(couple)
-    gens, _ = cleft_plan(basis).evaluate({key: 1})
+    gens, _ = cleft_plan(basis).evaluate({couple: 1})
     limit = weight_initial_ideal(gens, (1, 0), "max", step_limit)
 
     def inconsistent(reason: str, *found: str) -> ConsistencyError:
@@ -157,9 +155,7 @@ def _degenerate(basis: TangentBasis, couple: CleftCouple, H: HilbertFunction,
     if _compare_profiles(profiles[F], profiles[E]) != Comparison.LESS:
         raise inconsistent("limit staircase is not below the source", f"target {F.columns}")
 
-    return DegenerationStep(
-        E, couple, ((key, "1"),), tuple(gens), tuple(limit), F, profiles[E], profiles[F],
-    )
+    return DegenerationStep(E, couple, tuple(gens), tuple(limit), F, profiles[E], profiles[F])
 
 
 def descend_to_minimal(
@@ -233,7 +229,9 @@ def minimal_staircase(H: HilbertFunction) -> Staircase:
     rise; the rest of the staircase is the shifted solution for the residual
     Hilbert function.  Each row takes one count off per cell, at its degree,
     and the rows use up every count: the result has Hilbert function H.
+    Raises ``BoundExceededError`` first when the mass exceeds ``MINIMAL_BOUND``.
     """
+    _require_mass(H, MINIMAL_BOUND, "minimal")
     w = H.weight
     if w.a <= 0:
         raise RegimeError(f"minimal staircase needs a > 0, b < 0; got ({w.a}, {w.b})")
@@ -373,6 +371,11 @@ COMPONENT_BOUND = 12
 
 # Largest mass ``minimal_staircase_oracle`` takes; it enumerates that length.
 ORACLE_BOUND = 14
+
+# Largest mass ``minimal_staircase`` takes: each row is one pass over the
+# degrees, so one column, the slowest shape, of mass 3000 takes about 0.9 s
+# on a 2-vCPU VM, and 8000 about 7.5 s.
+MINIMAL_BOUND = 3000
 
 
 def component_report(length: int, w: Weight) -> list[ComponentReport]:

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .errors import BoundExceededError, ConsistencyError, GenericityError
+from .errors import BoundExceededError, GenericityError
 from .staircases import Monomial, Staircase, Weight, clefts
 
 
@@ -21,9 +22,11 @@ def _positive(f: int, g: int) -> bool:
     return f > 0 or (f == 0 and g < 0)
 
 
-@dataclass(frozen=True)
-class CleftCouple:
-    """A cleft c of the staircase paired with a cell m; its character is m - c."""
+class CleftCouple(NamedTuple):
+    """A cleft c paired with a cell m; character m - c, chart variable X[c;m].
+
+    A couple equals, hashes and sorts as its key ((cx, cy), (mx, my)).
+    """
 
     c: Monomial
     m: Monomial
@@ -31,9 +34,6 @@ class CleftCouple:
     @property
     def char(self) -> tuple[int, int]:
         return (self.m.alpha - self.c.alpha, self.m.beta - self.c.beta)
-
-    def sort_key(self):
-        return (self.c.alpha, self.c.beta, self.m.alpha, self.m.beta)
 
     def to_json(self, significant: bool | None = None) -> dict:
         (ca, cb), (ma, mb) = self.c, self.m
@@ -57,8 +57,8 @@ def cleft_couples(E: Staircase, direction: Weight | None = None) -> tuple[CleftC
     With a direction (a, b), which is primitive, a couple's character is a
     multiple t*(a, b), so its cells lie on the lattice line through each
     cleft c: only the t with c.beta + t*b in [0, height) are visited.  Either
-    way the couples run in ``CleftCouple.sort_key`` order: the clefts ascend
-    in alpha, and the cells of one cleft come in (alpha, beta) order.
+    way the couples run in sorted order: the clefts ascend in alpha, and the
+    cells of one cleft come in (alpha, beta) order.
     """
     if direction is None:
         cells = E.cells()
@@ -233,11 +233,12 @@ def significance_graph(E: Staircase, w: Weight) -> SignificanceGraph:
 def _graph(basis: TangentBasis) -> SignificanceGraph:
     """The significance graph of a direction-filtered tangent basis.
 
-    A node is found by its (cleft, cell) key; ``Monomial`` hashes as its
-    coordinate pair, so an arrow's source is looked up without building it.
+    A couple hashes as its (cleft, cell) key, so an arrow's source is looked
+    up without building it.  A non-significant couple has a successor cleft,
+    and its slid cell, if on the grid, lies in E on its character line.
     """
     E, nodes = basis.staircase, basis.couples
-    index = {(n.c, n.m): i for i, n in enumerate(nodes)}
+    index = {n: i for i, n in enumerate(nodes)}
     cs = clefts(E)
     cleft_index = {c: i for i, c in enumerate(cs)}
     arrows: list[tuple[int, int]] = []
@@ -246,17 +247,10 @@ def _graph(basis: TangentBasis) -> SignificanceGraph:
             continue
         c = node.c
         (ca, cb), (ma, mb) = c, node.m
-        i = cleft_index[c] + (1 if _positive(ma - ca, mb - cb) else -1)
-        if not 0 <= i < len(cs):
-            raise ConsistencyError(f"non-significant couple {node} lacks a successor cleft")
-        succ = cs[i]
+        succ = cs[cleft_index[c] + (1 if _positive(ma - ca, mb - cb) else -1)]
         sa, sb = ma + succ.alpha - ca, mb + succ.beta - cb
         if sa >= 0 and sb >= 0:
-            source = index.get((succ, (sa, sb)))
-            if source is None:
-                raise ConsistencyError(
-                    f"arrow source {CleftCouple(succ, Monomial(sa, sb))} is not a graph node")
-            arrows.append((source, j))
+            arrows.append((index[succ, (sa, sb)], j))
         else:
             arrows.append((j, j))
 

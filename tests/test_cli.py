@@ -15,7 +15,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import hilbcells
 from hilbcells import (
@@ -28,6 +28,7 @@ from test_polynomials import read_back
 
 ANCHOR_IDEAL = "x*y^2+y^3; x^2*y+x*y^2; x^3+x^2*y-x*y-y^2; y^4-y^3"
 POINCARE_ABOVE = f"(-1,-{strata.POINCARE_BOUND + 2})"  # paired with --length POINCARE_BOUND + 1
+NINES = "9" * 4300  # the longest integer the interpreter reads
 
 
 def run(capsys, *argv):
@@ -571,6 +572,19 @@ class TestExitCodes:
                         "--a", "1", "--b", "-1")
         assert sum(data["values"].values()) == cli.CELLS_BOUND
 
+    def test_weights_are_printed_up_to_the_weight_bound(self, capsys):
+        a = cli.WEIGHT_BOUND - 1
+        data = run_json(capsys, "hilbert", "--columns", "3", "--a", str(a), "--b", "-1")
+        assert data["a"] == a and len(data["values"]) == 3
+        got = run(capsys, "hilbert", "--columns", "3", "--a", str(a + 1), "--b", "-1")
+        assert got == (1, "", "error: weight bound 10**4290 exceeded by an entry of the weight\n")
+
+    def test_minimal_mass_at_its_bound_is_answered(self, capsys):
+        E = staircases.construct_staircase([60] * (strata.MINIMAL_BOUND // 60))
+        hilbert = staircases.hilbert_function(E, Weight(1, -1)).to_json()
+        data = run_json(capsys, "minimal", "--hilbert", json.dumps(hilbert))
+        assert sum(data["columns"]) == strata.MINIMAL_BOUND
+
     def test_non_primitive_weight_payload_is_one(self, capsys):
         code, out, err = run(capsys, "minimal",
                              "--hilbert", '{"a":2,"b":-2,"values":{"0":1}}')
@@ -586,11 +600,25 @@ class TestExitCodes:
          "--weights", POINCARE_ABOVE),
         ("run-suite", "verify-all", "--max-length", str(cli.VERIFY_ALL_BOUND + 1)),
         ("hom-oracle", "--columns", "1", "--bound", str(cli.HOM_ORACLE_BOUND + 1)),
+        # These four escaped as a ValueError traceback: a degree, or the
+        # S-profile bound's message, passed the digit limit when printed.
+        ("hilbert", "--columns", "3", "--a", NINES, "--b", "-1"),
+        ("compare", "--columns", "2", "--other", "1,1", "--a", NINES, "--b", "-1"),
+        ("components", "--length", "2", "--a", NINES, "--b", "-1"),
+        ("run-suite", "components", "--length", "2", "--a", NINES, "--b", "-1"),
+        ("minimal", "--hilbert", '{"a":%s,"b":-1,"values":{"0":1}}' % NINES),
+        # One column of mass 8,000 took about 7.5 s, a 3,000 x 3,000 square as long.
+        ("minimal", "--a", "1", "--b", "-1", "--hilbert",
+         json.dumps({str(d): 1 for d in range(8000)})),
+        ("minimal", "--a", "1", "--b", "-1", "--hilbert",
+         json.dumps({str(d): min(d + 1, 5999 - d) for d in range(5999)})),
+        # The bound's message printed this 4,301-digit mass: a ValueError traceback.
+        ("compatible", "--a", "1", "--b", "-1", "--hilbert", '{"0":%s,"1":%s}' % (NINES, NINES)),
     ])
     def test_components_size_bound_is_one(self, capsys, argv):
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
-        assert code == 1 and not out and "bound" in err
+        assert code == 1 and not out and "bound" in err and err.count("\n") == 1
         assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("argv", [
@@ -1041,7 +1069,19 @@ BOUNDED = [
     ("chart", "--mode", "general"), ("specialize", "--mode", "general"),
     ("verify-flat", "--mode", "general"), ("degenerate", "--a", "1", "--b", "-1"),
     ("descend", "--a", "1", "--b", "-1"),
-)]
+)] + [(prefix + other, flag, cli.WEIGHT_BOUND)  # every reader of --a and --b, either flag
+      for prefix in (
+    ("hilbert", "--columns", "2,1"), ("compare", "--columns", "2,1", "--other", "1,1,1"),
+    ("tangent", "--columns", "2,1"), ("graph", "--columns", "2,1"),
+    ("chart", "--columns", "2,1", "--mode", "invariant"),
+    ("specialize", "--columns", "2,1", "--mode", "invariant"),
+    ("verify-flat", "--columns", "2,1", "--mode", "invariant"),
+    ("degenerate", "--columns", "2,1"), ("descend", "--columns", "2,1"),
+    ("components", "--length", "3"), ("run-suite", "components", "--length", "3"),
+    ("minimal", "--hilbert", '{"0":1,"1":2}'), ("compatible", "--hilbert", '{"0":1,"1":2}'),
+    ("groebner", "--order", "cell", "--ideal", "x; y"),
+    ("initial", "--order", "cell", "--ideal", "x; y"),
+) for flag, other in (("--a", ("--b", "-1")), ("--b", ("--a", "1")))]
 
 
 # The subcommands that can reach an S-profile at a weight, each with small sizes.
@@ -1065,8 +1105,13 @@ def chart_variables(argv):
 
 
 def digit_strings():
-    """1 to 4,300 digits: a drawn pattern repeated, so long strings are common."""
-    return st.tuples(st.integers(1, 4300), st.text("0123456789", min_size=1, max_size=6)).map(
+    """1 to 4,300 digits: a drawn pattern repeated, so long strings are common.
+
+    One length in four lies at the weight bound or the digit limit.
+    """
+    lengths = st.one_of(st.integers(1, 4300), st.integers(1, 4300), st.integers(1, 4300),
+                        st.sampled_from((4300, 4299, 4291, 4290)))
+    return st.tuples(lengths, st.text("9876543210", min_size=1, max_size=6)).map(
         lambda v: (v[1] * v[0])[:v[0]])
 
 
@@ -1093,7 +1138,41 @@ def point_argvs(draw):
     return ("specialize",) + family + ("--point", json.dumps(point))
 
 
-def point_value_contract(argv) -> int:
+@st.composite
+def weight_argvs(draw):
+    """An argv of a subcommand that reads a weight, on at most 6 cells, with long or odd entries.
+
+    Each entry is 1 to 4,300 digits or 1 to 3, of either sign; b is -1 in
+    half the draws, so that a pair is often a direction.  ``minimal`` and
+    ``compatible`` read the entries as ``--hilbert``'s "a" and "b", JSON
+    numbers or strings, the others as ``--a`` and ``--b``.
+    """
+    staircase = st.integers(1, 6).flatmap(lambda n: st.sampled_from(enumerate_staircases(n)))
+    E, F = draw(staircase), draw(staircase)
+    entry = st.tuples(st.sampled_from(["", "-"]), digit_strings() | st.sampled_from("123"))
+    a, b = draw(entry.map("".join)), draw(entry.map("".join) | st.just("-1"))
+    name = draw(st.sampled_from((
+        "hilbert", "compare", "tangent", "graph", "chart", "specialize", "verify-flat",
+        "degenerate", "descend", "components", "run-suite", "minimal", "compatible")))
+    if name in ("minimal", "compatible"):
+        number = draw(st.booleans())
+        values = {str(d): c for d, c in staircases.hilbert_function(E, Weight(1, -1)).values}
+        hilbert = {"a": int(a) if number else a, "b": int(b) if number else b, "values": values}
+        return (name, "--hilbert", json.dumps(hilbert))
+    argv = (name, "--a", a, "--b", b)
+    if name == "run-suite":
+        return argv[:1] + ("components", "--length", str(len(E))) + argv[1:]
+    if name == "components":
+        return argv + ("--length", str(len(E)))
+    argv += ("--columns", ",".join(map(str, E.columns)))
+    if name == "compare":
+        return argv + ("--other", ",".join(map(str, F.columns)))
+    if name in ("chart", "specialize", "verify-flat"):
+        return argv + ("--mode", "invariant")
+    return argv
+
+
+def cli_contract(argv) -> int:
     """The exit code of ``argv``, which must exit 0, 1 or 2 within 2 s.
 
     On 0 it prints one JSON document and nothing on stderr; otherwise one
@@ -1111,22 +1190,31 @@ def point_value_contract(argv) -> int:
     return code
 
 
-def check_point_values(count) -> tuple[int, int, int]:
-    """Run ``point_value_contract`` on ``count`` argvs drawn by ``point_argvs``.
+def contract_exits(argvs, count) -> tuple[int, int, int]:
+    """Run ``cli_contract`` on ``count`` argvs drawn from the strategy ``argvs``.
 
     The draw is derandomized, so a run repeats under one Hypothesis version.
-    Returns how many argvs exited 0, 1 and 2.  Tier-1 runs the property at
-    30 examples; CI runs this at 600.
+    Returns how many argvs exited 0, 1 and 2.
     """
     exits = [0, 0, 0]
 
     @settings(max_examples=count, deadline=None, derandomize=True, database=None)
-    @given(argv=point_argvs())
+    @given(argv=argvs)
     def contract(argv):
-        exits[point_value_contract(argv)] += 1
+        exits[cli_contract(argv)] += 1
 
     contract()
     return tuple(exits)
+
+
+def check_point_values(count) -> tuple[int, int, int]:
+    """``contract_exits`` over ``point_argvs``; Tier-1 runs it at 30 examples, CI at 600."""
+    return contract_exits(point_argvs(), count)
+
+
+def check_weight_values(count) -> tuple[int, int, int]:
+    """``contract_exits`` over ``weight_argvs``; Tier-1 runs it at 40 examples, CI at 600."""
+    return contract_exits(weight_argvs(), count)
 
 
 class TestArgvFuzz:
@@ -1148,7 +1236,16 @@ class TestArgvFuzz:
     @settings(max_examples=30, deadline=None)
     @given(argv=point_argvs())
     def test_any_point_value_keeps_the_contract(self, argv):
-        point_value_contract(argv)
+        cli_contract(argv)
+
+    @settings(max_examples=40, deadline=None)
+    @given(argv=weight_argvs())
+    @example(argv=("hilbert", "--columns", "3", "--a", NINES, "--b", "-1"))
+    @example(argv=("compare", "--columns", "2", "--other", "1,1", "--a", NINES, "--b", "-1"))
+    @example(argv=("components", "--length", "2", "--a", NINES, "--b", "-1"))
+    @example(argv=("run-suite", "components", "--length", "2", "--a", NINES, "--b", "-1"))
+    def test_any_weight_keeps_the_contract(self, argv):
+        cli_contract(argv)
 
     @settings(max_examples=60, deadline=None)
     @given(case=st.sampled_from(BOUNDED), excess=st.integers(1, 10**9))
@@ -1198,5 +1295,14 @@ class TestArgvFuzz:
         mass = json.dumps({"0": 1, "1": COMPATIBLE_BOUND - 1 + excess})
         start = time.perf_counter()
         code, out, err = captured(main, ("compatible", "--a", "1", "--b", "-1", "--hilbert", mass))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and not out and "bound" in err
+
+    @settings(max_examples=20, deadline=None)
+    @given(excess=st.integers(1, 10**9))
+    def test_minimal_mass_above_its_bound_exits_one_at_once(self, excess):
+        mass = json.dumps({"0": 1, "1": strata.MINIMAL_BOUND - 1 + excess})
+        start = time.perf_counter()
+        code, out, err = captured(main, ("minimal", "--a", "1", "--b", "-1", "--hilbert", mass))
         assert time.perf_counter() - start < 1.0
         assert code == 1 and not out and "bound" in err
