@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .errors import ConsistencyError, DomainError, RegimeError
+from .errors import DomainError, RegimeError
 from .polynomials import (
     LEX_YX,
     BivariatePolynomial,
@@ -107,9 +107,9 @@ def cleft_plan(basis: TangentBasis) -> CleftPlan:
 
     Each couple's moved monomial, its landing, goes to the largest cleft
     dividing it: clefts rise in alpha and fall in beta, so that is the last
-    cleft whose alpha is at most the landing's, if it divides the landing.
-    A landing in E raises ``DomainError``; one that no cleft divides, or
-    that is not past its own cleft, ``ConsistencyError``.
+    cleft whose alpha is at most the landing's.  A significant couple's
+    landing lies outside E with alpha at least that of c_{i+1}, so that
+    cleft divides it and lies past c_i.
     """
     E = basis.staircase
     cs = clefts(E)
@@ -125,16 +125,6 @@ def cleft_plan(basis: TangentBasis) -> CleftPlan:
             ma, mb = couple.m
             la = ma + na - ca  # the landing m * lcm(c_i, c_i+1) / c_i is (la, mb)
             target = bisect_right(alphas, la) - 1
-            if target < 0 or cs[target].beta > mb:
-                landing = Monomial(la, mb)
-                if landing in E:
-                    raise DomainError(f"{landing} lies in the staircase, not in its complement")
-                raise ConsistencyError(f"complement monomial {landing} divisible by no cleft")
-            if target <= i:
-                raise ConsistencyError(
-                    f"couple ({couple.c}, {couple.m}): landing {Monomial(la, mb)} sits in "
-                    f"sector {target + 1}, not past cleft {i + 1}"
-                )
             ta, tb = cs[target]
             couples.append((couple, target, (ma - ta, mb - tb)))
         rows.append((i, (ca - na, cb - nb), tuple(couples)))

@@ -285,9 +285,6 @@ class BivariatePolynomial:
     def __repr__(self) -> str:
         return f"BivariatePolynomial({self.to_text()!r})"
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
     def leading_monomial(self, order: MonomialOrder) -> Monomial:
         if not self.terms:
             raise DomainError("the zero polynomial has no leading monomial")

@@ -29,6 +29,7 @@ from test_polynomials import read_back
 ANCHOR_IDEAL = "x*y^2+y^3; x^2*y+x*y^2; x^3+x^2*y-x*y-y^2; y^4-y^3"
 POINCARE_ABOVE = f"(-1,-{strata.POINCARE_BOUND + 2})"  # paired with --length POINCARE_BOUND + 1
 NINES = "9" * 4300  # the longest integer the interpreter reads
+EMPTY_WEIGHTS = (";", " ", ";;")  # --weights lists of no pair
 
 
 def run(capsys, *argv):
@@ -345,9 +346,8 @@ class TestSubcommands:
                             assert got["colength"] in (-1, want["colength"]), (argv, budget)
                         assert full["valid"] or not cert["valid"], (argv, budget)
 
-    # The census for every vector with first entry -2 is replaced by {0: 1}:
-    # at length 1 it then differs from the other vector's, and at length 2
-    # it counts one staircase of two.
+    # The census for every vector with first entry -2 is replaced by {0: 1},
+    # so at length 1 it differs from the other vector's.
     WRONG_CENSUS = (
         "import sys\n"
         "from hilbcells import cli, strata\n"
@@ -361,8 +361,6 @@ class TestSubcommands:
     @pytest.mark.parametrize("argv, witness", [
         (("run-suite", "poincare", "--max-length", "3", "--weights", "(-1,-3);(-2,-5)"),
          "census differs at length 1"),
-        (("run-suite", "poincare", "--max-length", "2", "--weights", "(-2,-5);(-2,-7)"),
-         "census of length 2 does not count every staircase"),
         (("run-suite", "verify-all", "--max-length", "2"), "census differs at length 1"),
     ])
     def test_suite_checks_hold_under_python_O(self, argv, witness):
@@ -407,8 +405,8 @@ class TestExitCodes:
         assert code == 1
 
     def test_long_descent_does_not_list_partitions(self, capsys):
-        # The step cap p(80), about 15.8 million, is counted, not listed;
-        # listing the partitions of 55 cells took about 3 s.
+        # One column is the least of its class: the descent takes no step
+        # and does no work that grows with the number of cells.
         start = time.perf_counter()
         code, out, err = run(capsys, "descend", "--columns", "80", "--a", "1", "--b", "-1")
         assert code == 0 and json.loads(out)["chain"] == []
@@ -426,6 +424,14 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert code == 2 and not out
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("weights", EMPTY_WEIGHTS)
+    def test_empty_weight_lists_are_two(self, capsys, weights):
+        # Every chunk is blank, so the list holds no pair.
+        code, out, err = run(capsys, "run-suite", "poincare", "--max-length", "2",
+                             "--weights", weights)
+        assert code == 2 and not out
+        assert err == "error: run-suite poincare needs --weights '(w1,w2);(w1,w2)'\n"
 
     @pytest.mark.parametrize("flags, code, message", [
         (("--columns", "2,x", "--mode", "general"), 2, "cannot parse columns"),
@@ -1172,6 +1178,36 @@ def weight_argvs(draw):
     return argv
 
 
+@st.composite
+def vector_argvs(draw):
+    """An argv that reads integer pairs, with long or odd entries.
+
+    ``cells``, ``poincare`` and ``weight-initial`` read one pair from
+    ``--vector``; ``run-suite poincare`` reads 0 to 3 pairs from
+    ``--weights``, among empty and blank chunks.  Each entry is 1 to 4,300
+    digits or 0 to 3, of either sign; a pair whose text would start with a
+    dash is written in parentheses.  Lengths stay at most 6, and at most 4
+    for the suite.
+    """
+    entry = st.tuples(st.sampled_from(["", "-"]), digit_strings() | st.sampled_from("0123"))
+    pair = st.tuples(entry.map("".join), entry.map("".join), st.booleans()).map(
+        lambda v: f"({v[0]},{v[1]})" if v[2] or v[0].startswith("-") else f"{v[0]},{v[1]}")
+    name = draw(st.sampled_from(("cells", "poincare", "weight-initial", "run-suite")))
+    if name == "run-suite":
+        chunks = draw(st.lists(pair, max_size=3)) + draw(st.lists(st.sampled_from(("", " "))))
+        weights = ";".join(draw(st.permutations(chunks)))
+        return ("run-suite", "poincare", "--max-length", str(draw(st.integers(1, 4))),
+                "--weights", weights)
+    argv = (name, "--vector", draw(pair))
+    if name == "cells":
+        E = draw(st.integers(1, 6).flatmap(lambda n: st.sampled_from(enumerate_staircases(n))))
+        return argv + ("--columns", ",".join(map(str, E.columns)))
+    if name == "poincare":
+        return argv + ("--length", str(draw(st.integers(1, 6))))
+    return argv + ("--ideal", draw(st.sampled_from((ANCHOR_IDEAL, "x^2; y", "y+x; x^2"))),
+                   "--extremum", draw(st.sampled_from(("max", "min"))))
+
+
 def cli_contract(argv) -> int:
     """The exit code of ``argv``, which must exit 0, 1 or 2 within 2 s.
 
@@ -1217,6 +1253,11 @@ def check_weight_values(count) -> tuple[int, int, int]:
     return contract_exits(weight_argvs(), count)
 
 
+def check_vector_values(count) -> tuple[int, int, int]:
+    """``contract_exits`` over ``vector_argvs``; Tier-1 runs it at 40 examples, CI at 600."""
+    return contract_exits(vector_argvs(), count)
+
+
 class TestArgvFuzz:
     """The CLI contract on any argv: exit 0, 1 or 2, one JSON document on 0."""
 
@@ -1245,6 +1286,14 @@ class TestArgvFuzz:
     @example(argv=("components", "--length", "2", "--a", NINES, "--b", "-1"))
     @example(argv=("run-suite", "components", "--length", "2", "--a", NINES, "--b", "-1"))
     def test_any_weight_keeps_the_contract(self, argv):
+        cli_contract(argv)
+
+    @settings(max_examples=40, deadline=None)
+    @given(argv=vector_argvs())
+    @example(argv=("run-suite", "poincare", "--max-length", "2", "--weights", EMPTY_WEIGHTS[0]))
+    @example(argv=("run-suite", "poincare", "--max-length", "2", "--weights", EMPTY_WEIGHTS[1]))
+    @example(argv=("run-suite", "poincare", "--max-length", "2", "--weights", EMPTY_WEIGHTS[2]))
+    def test_any_vector_keeps_the_contract(self, argv):
         cli_contract(argv)
 
     @settings(max_examples=60, deadline=None)

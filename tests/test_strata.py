@@ -2,14 +2,12 @@ import importlib
 import random
 import time
 from collections import Counter
-from types import SimpleNamespace
 
 import pytest
 
 from hilbcells import (
     BoundExceededError,
     Comparison,
-    ConsistencyError,
     DomainError,
     GenericityError,
     HilbertFunction,
@@ -31,7 +29,9 @@ from hilbcells import (
     s_profile,
     tangent_basis,
 )
-from hilbcells.strata import ORACLE_BOUND, POINCARE_BOUND, _classes, _descend, _least_compatible
+from hilbcells.strata import (
+    ORACLE_BOUND, POINCARE_BOUND, _classes, _degenerate, _descend, _least_compatible,
+)
 
 W11 = Weight(1, -1)
 
@@ -179,17 +179,42 @@ class TestOneFamilyPerStep:
         tangent_bases = sum(counts[t] for t in self.TANGENT)
         assert (counts[self.FAMILY], tangent_bases, counts[self.BUCHBERGER]) == (0, 1, 1)
 
-    def test_limit_that_is_not_monomial_is_inconsistent(self, monkeypatch):
-        strata = importlib.import_module("hilbcells.strata")
-        original = strata.weight_initial_ideal
 
-        def binomial_limit(*args):
-            limit = original(*args)
-            return [limit[0] + limit[1]] + limit[1:]
+STEP_WEIGHTS = (W11, Weight(2, -1), Weight(1, -2), Weight(3, -2))
 
-        monkeypatch.setattr(strata, "weight_initial_ideal", binomial_limit)
-        with pytest.raises(ConsistencyError, match="not a monomial ideal"):
-            degenerate_once(construct_staircase([1, 1]), W11)
+
+def cell_degrees(E, w):
+    """The Hilbert function of E at w as a count per degree: x has degree -b, y degree a."""
+    return Counter(-w.b * i + w.a * j for i, h in enumerate(E.columns) for j in range(h))
+
+
+def check_step_limits(lengths) -> int:
+    """Every degeneration step's limit is monomial, moves, and keeps the Hilbert function.
+
+    Degenerates every staircase of the given lengths at every positive
+    couple of its invariant basis, at each of ``STEP_WEIGHTS``.  Each limit
+    generator must have one term, the target must differ from the source,
+    and both must have the same ``cell_degrees``.  Returns the number of
+    steps.  CI calls it beyond the Tier-1 lengths.
+    """
+    steps = 0
+    for w in STEP_WEIGHTS:
+        profiles = {}
+        for l in lengths:
+            for E in enumerate_staircases(l):
+                basis, H = tangent_basis(E, w), hilbert_function(E, w)
+                for couple in basis.positive:
+                    step = _degenerate(basis, couple, H, profiles, None)
+                    assert all(len(p.terms) == 1 for p in step.limit), (E.columns, w, couple)
+                    assert step.target != E, (E.columns, w, couple)
+                    assert cell_degrees(step.target, w) == cell_degrees(E, w), (E.columns, w)
+                    steps += 1
+    return steps
+
+
+class TestStepLimits:
+    def test_every_step_to_length_12(self):
+        assert check_step_limits(range(1, 13)) > 0
 
 
 class TestOneReportWork:
@@ -208,13 +233,6 @@ class TestOneReportWork:
         assert counts[TestOneFamilyPerStep.BUCHBERGER] == p - len(reports)
         # p to group and one per target; the minimal staircase needs none
         assert sum(counts[t] for t in HILBERT) == 2 * p - len(reports)
-
-    def test_step_cycle_is_inconsistent(self, monkeypatch):
-        strata = importlib.import_module("hilbcells.strata")
-        monkeypatch.setattr(strata, "_degenerate",
-                            lambda basis, *args: SimpleNamespace(target=basis.staircase))
-        with pytest.raises(ConsistencyError, match=r"descent from \(1, 1\) exceeded 2 steps"):
-            component_report(2, W11)
 
     def test_compatible_bound_applies_before_any_work(self, monkeypatch):
         monkeypatch.setattr(importlib.import_module("hilbcells.strata"), "COMPONENT_BOUND", 41)
