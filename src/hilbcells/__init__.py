@@ -33,7 +33,6 @@ from .staircases import (
     construct_staircase,
     enumerate_staircases,
     hilbert_function,
-    monomial_sequence,
     s_profile,
 )
 from .tangent import (
@@ -55,7 +54,6 @@ from .polynomials import (
     BivariatePolynomial,
     ChartCoefficient,
     GroebnerBasis,
-    GroebnerCertificate,
     MonomialOrder,
     buchberger,
     cell_order,

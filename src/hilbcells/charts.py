@@ -77,18 +77,18 @@ class CleftPlan:
     rows: tuple[tuple[int, tuple[int, int], tuple[tuple[VarKey, int, tuple[int, int]], ...]], ...]
 
     def evaluate(
-        self, values: Mapping[VarKey, object], one=1
+        self, values: Mapping[VarKey, object]
     ) -> tuple[list[BivariatePolynomial], list[tuple[VarKey, BivariatePolynomial]]]:
         """Generators P, and each couple's Q, with the variables set to ``values``.
 
-        Values lie in the ring whose unit is ``one``; an absent variable is
-        zero and its term is skipped.  Every step is ring arithmetic, so
-        evaluating at a rational point equals substituting it into the
-        chart-ring generators.
+        Values are rationals or chart coefficients, and 1 is the unit of
+        either ring; an absent variable is zero and its term is skipped.
+        Every step is ring arithmetic, so evaluating at a rational point
+        equals substituting it into the chart-ring generators.
         """
         cs = self.clefts
         P: list[Optional[BivariatePolynomial]] = [None] * len(cs)
-        P[-1] = BivariatePolynomial.of_monomial(cs[-1], one)
+        P[-1] = BivariatePolynomial.of_monomial(cs[-1])
         q_polys: list[tuple[VarKey, BivariatePolynomial]] = []
         for i, shift, couples in self.rows:
             total = P[i + 1].mul_laurent(*shift)
@@ -164,8 +164,7 @@ def _family(basis: TangentBasis) -> ChartFamily:
     """The chart family of a tangent basis: invariant in its direction, general without one."""
     plan, w = cleft_plan(basis), basis.direction
     variables = tuple(sorted(basis.positive))
-    P, q_polys = plan.evaluate({key: ChartCoefficient.variable(key) for key in variables},
-                               ChartCoefficient.from_fraction(1))
+    P, q_polys = plan.evaluate({key: ChartCoefficient.variable(key) for key in variables})
     mode = MODE_GENERAL if w is None else MODE_INVARIANT
     return ChartFamily(basis.staircase, mode, w, variables, plan.clefts, tuple(P), tuple(q_polys))
 

@@ -104,16 +104,21 @@ def _maybe_weight(args) -> Weight | None:
     return _weight(args)
 
 
+def _read_json(text: str, flag: str, object_pairs_hook=None):
+    """``json.loads(text)``, or ``MalformedInput`` naming the flag."""
+    try:
+        return json.loads(text, object_pairs_hook=object_pairs_hook)
+    except (ValueError, RecursionError) as exc:  # not JSON, too long an integer, or too deep
+        raise MalformedInput(f"{flag} is not valid JSON: {exc}") from exc
+
+
 def _parse_hilbert(args) -> HilbertFunction:
     if not args.hilbert:
         raise MalformedInput("this subcommand needs --hilbert")
-    try:
-        # A boolean, or a number with a fraction or exponent, stays its JSON
-        # text, which int() below refuses instead of truncating.
-        data = json.loads(args.hilbert, object_pairs_hook=lambda pairs: {
-            k: json.dumps(v) if isinstance(v, (bool, float)) else v for k, v in pairs})
-    except ValueError as exc:  # not JSON, or an integer too long to read
-        raise MalformedInput(f"--hilbert is not valid JSON: {exc}") from exc
+    # A boolean, or a number with a fraction or exponent, stays its JSON
+    # text, which int() below refuses instead of truncating.
+    data = _read_json(args.hilbert, "--hilbert", object_pairs_hook=lambda pairs: {
+        k: json.dumps(v) if isinstance(v, (bool, float)) else v for k, v in pairs})
     if not isinstance(data, dict):
         raise MalformedInput("--hilbert must be a JSON object")
     if "values" in data:
@@ -141,10 +146,7 @@ def _parse_hilbert(args) -> HilbertFunction:
 def _parse_point(text: str | None) -> dict:
     if not text:
         return {}
-    try:
-        data = json.loads(text)
-    except ValueError as exc:  # not JSON, or an integer too long to read
-        raise MalformedInput(f"--point is not valid JSON: {exc}") from exc
+    data = _read_json(text, "--point")
     if not isinstance(data, dict):
         raise MalformedInput("--point must be a JSON object")
     point = {}
@@ -371,7 +373,7 @@ def _cmd_poincare(args):
 def _cmd_groebner(args):
     gens = _parse_ideal_arg(args)
     order = _parse_order(args)
-    cert = polynomials.is_groebner(gens, order, step_limit=args.max_steps)
+    ok = polynomials.is_groebner(gens, order, step_limit=args.max_steps)
     gb = polynomials.buchberger(gens, order, step_limit=args.max_steps)
     try:
         E = polynomials.standard_monomials(gb)
@@ -379,7 +381,7 @@ def _cmd_groebner(args):
     except NotZeroDimensionalError:
         staircase_json, col = None, None
     return {
-        "is_groebner": cert.is_groebner,
+        "is_groebner": ok,
         "colength": col,
         "staircase": staircase_json,
         "basis": [g.to_text() for g in gb.generators],

@@ -10,11 +10,12 @@ integral polynomials by monic divisors stay in the integers; ``int`` and
 one a value is.  Arithmetic, division and the Buchberger algorithm run over
 either ring; rendering reads every coefficient as (chart monomial,
 rational) pairs, a rational being the single pair with the empty chart
-monomial.  A ring's name (``DOMAIN_*``) lives only in ``to_json``'s output.
-On top of the arithmetic live monomial orders, each a name with its sort
-key, remainders of multivariate division, the Buchberger algorithm with a
-hard resource guard, standard monomials of zero-dimensional ideals, and
-extremal-weight initial ideals (flat limits of one-parameter orbits).
+monomial, so no output depends on whether a constant is stored as an
+``int``, a ``Fraction`` or a ``ChartCoefficient``.  On top of the arithmetic
+live monomial orders, each a name with its sort key, remainders of
+multivariate division, the Buchberger algorithm with a hard resource guard,
+standard monomials of zero-dimensional ideals, and extremal-weight initial
+ideals (flat limits of one-parameter orbits).
 
 A weight-refined order under which a variable sorts below 1 is local
 (``MonomialOrder.is_global`` is false): it is not a well-order, and
@@ -53,9 +54,6 @@ DEFAULT_STEP_LIMIT = 500_000
 # interpreter's default limit of 4,300 digits; every number an argv gives is
 # below it.  Division remainders and divisor records are checked as wholes.
 _COEFFICIENT_BOUND = 10**4300
-
-DOMAIN_RATIONAL = "rational"
-DOMAIN_CHART = "chart"
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +353,6 @@ class BivariatePolynomial:
 
     # -- serialization -----------------------------------------------------------
 
-    def _sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: GRLEX_XY.key(kv[0]), reverse=True)
-
     def to_text(self) -> str:
         """Canonical text: signed terms ±p/q·[chart·]x^a*y^b joined by spaces."""
         if not self.terms:
@@ -365,22 +360,9 @@ class BivariatePolynomial:
         names: dict[VarKey, str] = {}  # each chart variable's name, rendered once
         return " ".join(
             _render_term(q, mono, m, names)
-            for m, c in self._sorted_terms()
+            for m, c in sorted(self.terms.items(), key=lambda kv: GRLEX_XY.key(kv[0]), reverse=True)
             for mono, q in _coefficient_terms(c)
         )
-
-    def to_json(self) -> dict:
-        """Canonical JSON; "chart" domain and keys exactly when a coefficient is one."""
-        chart = any(isinstance(c, ChartCoefficient) for c in self.terms.values())
-        terms = []
-        for m, c in self._sorted_terms():
-            for mono, q in _coefficient_terms(c):
-                term = {"coeff": str(q)}
-                if chart:
-                    term["chart"] = [[list(k[0]), list(k[1]), e] for k, e in mono]
-                term["x"], term["y"] = m.alpha, m.beta
-                terms.append(term)
-        return {"domain": DOMAIN_CHART if chart else DOMAIN_RATIONAL, "terms": terms}
 
 
 def _render_fraction(q: int | Fraction) -> str:
@@ -733,34 +715,27 @@ class PairStatus(NamedTuple):
     remainder: str
 
 
-@dataclass(frozen=True)
-class GroebnerCertificate:
-    is_groebner: bool
-    pairs: tuple[PairStatus, ...]
-
-
 def is_groebner(
     gens: Sequence[BivariatePolynomial],
     order: MonomialOrder,
     step_limit: Optional[int] = None,
-) -> GroebnerCertificate:
-    """Check all S-polynomial remainders; works symbolically over chart rings.
+) -> bool:
+    """Whether every S-polynomial remainder is zero; works symbolically over chart rings.
 
     Every generator, a lone one included, is checked as a divisor first, so
     a leading coefficient that is not an invertible constant raises
-    ``DomainError`` however many generators there are.
+    ``DomainError`` however many generators there are.  Every pair is
+    reduced, in order, even after a nonzero remainder, so a pair past it
+    still raises its ``StepLimitExceeded`` or ``BoundExceededError``.
     """
     if not gens or any(not g for g in gens):
         raise DomainError("generators must be nonzero")
     records = [_Divisor(g, order) for g in gens]
-    statuses = []
     ok = True
     for i in range(len(records)):
         for j in range(i + 1, len(records)):
-            rem = _s_pair_remainder(records, i, j, order, step_limit)
-            statuses.append(PairStatus(i, j, not rem, rem.to_text()))
-            ok = ok and not rem
-    return GroebnerCertificate(ok, tuple(statuses))
+            ok = not _s_pair_remainder(records, i, j, order, step_limit) and ok
+    return ok
 
 
 def standard_monomials(gb: GroebnerBasis) -> Staircase:

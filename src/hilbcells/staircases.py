@@ -154,10 +154,6 @@ class Staircase:
         object.__setattr__(E, "columns", columns)
         return E
 
-    @classmethod
-    def from_json(cls, data: dict) -> "Staircase":
-        return construct_staircase([json_int(c, "columns") for c in data["columns"]])
-
 
 def construct_staircase(columns: Iterable[int]) -> Staircase:
     """Build a staircase from column heights, trimming trailing zeros."""
@@ -297,22 +293,6 @@ def _require_positive_regime(w: Weight) -> None:
         )
 
 
-def monomial_sequence(w: Weight) -> Iterator[Monomial]:
-    """All grid monomials in increasing (degree, y-exponent) order.
-
-    Requires a > 0 and b < 0 so each degree holds finitely many monomials and
-    the enumeration is a well-ordering of the whole grid.
-    """
-    _require_positive_regime(w)
-    delta = 0
-    while True:
-        for beta in range(delta // w.a + 1):
-            rem = delta - w.a * beta
-            if rem % (-w.b) == 0:
-                yield Monomial(rem // (-w.b), beta)
-        delta += 1
-
-
 @dataclass(frozen=True)
 class SProfile:
     """Cumulative cell counts of a staircase along the global monomial sequence.
@@ -338,7 +318,7 @@ def s_profile(E: Staircase, w: Weight) -> SProfile:
     The profile stops at the end of the degree block holding the largest
     cell, so staircases with equal Hilbert functions share this horizon and
     the grid of positions, the monomials of degree at most the top one in
-    ``monomial_sequence`` order.  Raises ``BoundExceededError`` before laying
+    (degree, y-exponent) order.  Raises ``BoundExceededError`` before laying
     out any position when their rectangle exceeds ``S_PROFILE_BOUND``.
     """
     _require_positive_regime(w)

@@ -32,6 +32,33 @@ NINES = "9" * 4300  # the longest integer the interpreter reads
 EMPTY_WEIGHTS = (";", " ", ";;")  # --weights lists of no pair
 
 
+def nested(depth, inner, as_list=True):
+    """JSON text of ``inner`` inside ``depth`` arrays, or objects keyed "0"."""
+    if as_list:
+        return "[" * depth + inner + "]" * depth
+    return '{"0":' * depth + inner + "}" * depth
+
+
+def deep_json_argvs(depth):
+    """``--hilbert`` and ``--point`` documents nested ``depth`` deep."""
+    hilbert = ("minimal", "--a", "1", "--b", "-1", "--hilbert")
+    return (hilbert + (nested(depth, ""),),
+            hilbert + (nested(depth, "1", as_list=False),),
+            ("minimal", "--hilbert", '{"a":1,"b":-1,"values":{"0":%s}}' % nested(depth, "")),
+            ("specialize", "--columns", "2,1", "--mode", "general",
+             "--point", nested(depth, "1", as_list=False)))
+
+
+DEEP_1000, DEEP_100000 = deep_json_argvs(1000), deep_json_argvs(100_000)
+
+
+def child_env():
+    """The environment of a child Python that imports this ``hilbcells``."""
+    src = str(Path(hilbcells.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -365,11 +392,9 @@ class TestSubcommands:
     ])
     def test_suite_checks_hold_under_python_O(self, argv, witness):
         # python -O strips assert statements; the suites must still fail.
-        src = str(Path(hilbcells.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         done = subprocess.run(
             [sys.executable, "-O", "-c", self.WRONG_CENSUS, *argv],
-            capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=120, env=child_env(),
         )
         assert done.returncode == 0, done.stderr
         assert '"all_ok":false' in done.stdout
@@ -424,6 +449,32 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert code == 2 and not out
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", DEEP_1000 + DEEP_100000,
+                             ids=[f"{kind}-{depth}" for depth in (1000, 100_000) for kind in (
+                                 "hilbert-array", "hilbert-object", "values-entry", "point")])
+    def test_deep_json_is_two(self, capsys, argv):
+        # Past the recursion limit json.loads raises RecursionError, not ValueError.
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out and err.count("\n") == 1
+        assert err.startswith(f"error: {argv[-2]} is not valid JSON: ")
+
+    def test_deep_json_is_two_as_a_program(self):
+        # Linux caps one argument at 128 KiB, so only depth 1,000 fits in an argv.
+        done = subprocess.run(
+            [sys.executable, "-m", "hilbcells.cli", *DEEP_1000[0]],
+            capture_output=True, text=True, timeout=120, env=child_env(),
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error: --hilbert is not valid JSON: ")
+        assert done.stderr.count("\n") == 1
+
+    def test_groebner_step_limit_past_a_nonzero_remainder_is_one(self, capsys):
+        # The first S-pair leaves a remainder; a later one trips the limit.
+        code, out, err = run(capsys, "groebner", "--ideal", "y^2+x; x*y; x^8",
+                             "--order", "lex_xy", "--max-steps", "1")
+        assert (code, out, err) == (1, "", "error: step limit 1 exceeded; "
+                                           "raise step_limit to continue\n")
 
     @pytest.mark.parametrize("weights", EMPTY_WEIGHTS)
     def test_empty_weight_lists_are_two(self, capsys, weights):
@@ -1208,6 +1259,45 @@ def vector_argvs(draw):
                    "--extremum", draw(st.sampled_from(("max", "min"))))
 
 
+@st.composite
+def hilbert_argvs(draw):
+    """A ``minimal`` or ``compatible`` argv whose ``--hilbert`` document is long, odd or deep.
+
+    The document is the Hilbert function at (1,-1) of a staircase on at
+    most 6 cells, in the full {"a", "b", "values"} form or the compact form
+    of degrees to counts.  Up to three entries are then set or added: a
+    degree that is small, of 1 to 4,300 digits, or negative, with a count
+    that is an integer of 1 to 4,300 digits (a JSON number or string), a
+    float, a boolean, null or any of these nested up to past the
+    recursion limit.  "a" and "b" are drawn the same way, and the whole
+    document may be nested too.  ``--a`` and ``--b`` are absent, (1,-1), or
+    entries of 1 to 4,300 digits that may disagree with the document.
+    """
+    E = draw(st.integers(1, 6).flatmap(lambda n: st.sampled_from(enumerate_staircases(n))))
+    entries = {str(d): str(c)
+               for d, c in staircases.hilbert_function(E, Weight(1, -1)).values}
+    integer = st.tuples(st.sampled_from(["", "-"]), digit_strings() | st.sampled_from("0123")).map(
+        "".join)
+    scalar = st.one_of(integer, integer.map(json.dumps), st.sampled_from("0123"),
+                       st.floats().map(json.dumps), st.booleans().map(json.dumps), st.just("null"))
+    depth = st.integers(1, 1100) | st.sampled_from((990, 1000, 100_000))
+    value = st.one_of(scalar, scalar, st.tuples(depth, scalar, st.booleans()).map(
+        lambda v: nested(*v)))
+    degree = st.sampled_from(sorted(entries)) | st.integers(-3, 9).map(str) | integer
+    entries.update(draw(st.lists(st.tuples(degree, value), max_size=3)))
+    document = "{%s}" % ",".join(f"{json.dumps(k)}:{v}" for k, v in entries.items())
+    if draw(st.booleans()):
+        a, b = draw(st.just("1") | value), draw(st.just("-1") | value)
+        document = '{"a":%s,"b":%s,"values":%s}' % (a, b, document)
+    if draw(st.booleans()) and draw(st.booleans()):
+        document = nested(draw(depth), document, draw(st.booleans()))
+    name = draw(st.sampled_from(("minimal", "compatible")))
+    flags = draw(st.sampled_from(((), ("--a", "1", "--b", "-1"), None)))
+    if flags is None:
+        flags = ("--a", draw(integer), "--b", draw(integer | st.just("-1")))
+    return (name,) + flags + ("--hilbert", document)
+
+
 def cli_contract(argv) -> int:
     """The exit code of ``argv``, which must exit 0, 1 or 2 within 2 s.
 
@@ -1253,6 +1343,11 @@ def check_weight_values(count) -> tuple[int, int, int]:
     return contract_exits(weight_argvs(), count)
 
 
+def check_hilbert_values(count) -> tuple[int, int, int]:
+    """``contract_exits`` over ``hilbert_argvs``; Tier-1 runs it at 40 examples, CI at 600."""
+    return contract_exits(hilbert_argvs(), count)
+
+
 def check_vector_values(count) -> tuple[int, int, int]:
     """``contract_exits`` over ``vector_argvs``; Tier-1 runs it at 40 examples, CI at 600."""
     return contract_exits(vector_argvs(), count)
@@ -1294,6 +1389,17 @@ class TestArgvFuzz:
     @example(argv=("run-suite", "poincare", "--max-length", "2", "--weights", EMPTY_WEIGHTS[1]))
     @example(argv=("run-suite", "poincare", "--max-length", "2", "--weights", EMPTY_WEIGHTS[2]))
     def test_any_vector_keeps_the_contract(self, argv):
+        cli_contract(argv)
+
+    @settings(max_examples=40, deadline=None)
+    @given(argv=hilbert_argvs())
+    @example(argv=DEEP_1000[0])
+    @example(argv=DEEP_1000[1])
+    @example(argv=DEEP_1000[2])
+    @example(argv=DEEP_100000[0])
+    @example(argv=DEEP_100000[1])
+    @example(argv=DEEP_100000[2])
+    def test_any_hilbert_document_keeps_the_contract(self, argv):
         cli_contract(argv)
 
     @settings(max_examples=60, deadline=None)

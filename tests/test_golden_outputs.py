@@ -23,16 +23,7 @@ from types import SimpleNamespace
 import pytest
 
 import hilbcells
-from hilbcells import (
-    GRLEX_XY,
-    Weight,
-    buchberger,
-    build_chart_family,
-    construct_staircase,
-    enumerate_staircases,
-    parse_ideal,
-    tangent_basis,
-)
+from hilbcells import Weight, enumerate_staircases, tangent_basis
 from hilbcells.cli import main
 
 ANCHOR_IDEAL = "x*y^2+y^3; x^2*y+x*y^2; x^3+x^2*y-x*y-y^2; y^4-y^3"
@@ -147,8 +138,6 @@ DIGESTS = {
         "e9f2838533ff31df4f1ed562f2977ad2801120d4eeb8de19ea61f983639338a7",
     "groebner-orders":
         "d926464a2dd55798e06f9c4285a3c4cf8acfaa254b3eb320208686391bc1b430",
-    "poly-json":
-        "f563464fa87d7a27a4586dda21f9411e7468acf8b57ed88990f67a2dff66f1f2",
     # Recorded at 9e55793, before component reports shared one tangent basis,
     # chart family, S-profile and degeneration step per staircase.
     "components":
@@ -294,15 +283,6 @@ VERIFY_ALL_8 = "94d526fd03e74d374f627d0c80a0634d323b5c21e19c726e04202f3c21b17726
 def test_verify_all_stdout_to_length_eight(capsys):
     assert main(["run-suite", "verify-all", "--max-length", "8"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY_ALL_8
-
-
-def test_polynomial_json_and_text():
-    # Chart-domain generators pin the "domain" and "chart" fields, the
-    # reduced anchor basis pins the rational form.
-    fam = build_chart_family(construct_staircase([3, 1, 1, 1]), "general")
-    gb = buchberger(parse_ideal(ANCHOR_IDEAL), GRLEX_XY)
-    polys = list(fam.generators) + list(gb.generators)
-    _check("poly-json", _digest([[p.to_json(), p.to_text()] for p in polys]))
 
 
 def _outcome(argv):
