@@ -53,9 +53,9 @@ print("graph dimension:", graph.dimension)
 # Independent check: set up the module-homomorphism equations between
 # consecutive clefts and solve them exactly over the rationals.
 oracle = hom_tangent_oracle(E)
-assert oracle.dimension == basis.dimension
-assert oracle.characters == tuple(sorted(c.char for c in basis.significant))
-print("oracle agrees: dimension", oracle.dimension)
+assert len(oracle) == basis.dimension
+assert oracle == tuple(sorted(c.char for c in basis.significant))
+print("oracle agrees: dimension", len(oracle))
 
 # Counting significant couples that pair positively with a generic torus
 # weight vector gives the dimension of the attracting cell.

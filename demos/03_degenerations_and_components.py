@@ -32,7 +32,7 @@ step = degenerate_once(construct_staircase([1, 1]), w)
 print("specialized:", [p.to_text() for p in step.specialized])
 print("limit ideal:", [p.to_text() for p in step.limit])
 print("target:", step.target.columns)
-print("profiles:", step.source_profile.counts, ">", step.target_profile.counts)
+print("profiles:", step.source_profile, ">", step.target_profile)
 
 # Descent chains reach the same endpoint regardless of which couple is
 # specialized at each step.

@@ -24,7 +24,6 @@ from .staircases import (
     Comparison,
     HilbertFunction,
     Monomial,
-    SProfile,
     Staircase,
     Weight,
     clefts,
@@ -37,7 +36,6 @@ from .staircases import (
 )
 from .tangent import (
     CleftCouple,
-    HomOracleResult,
     SignificanceGraph,
     TangentBasis,
     arm_leg_characters,

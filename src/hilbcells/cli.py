@@ -35,7 +35,6 @@ from .staircases import (
     construct_staircase,
     enumerate_staircases,
     hilbert_function,
-    json_int,
 )
 from .tangent import CleftCouple
 
@@ -48,8 +47,8 @@ class MalformedInput(ValueError):
 # Flag parsing helpers
 # ---------------------------------------------------------------------------
 
-# Most cells a --columns or --other value may hold: at 10**5 unfiltered
-# ``tangent`` takes about 2.3 s, and past 10**7 the layouts run out of memory.
+# Most cells a --columns or --other value may hold: past 10**7 the layouts
+# run out of memory.  A basis without a direction has its own COUPLES_BOUND.
 CELLS_BOUND = 10**5
 
 
@@ -64,6 +63,22 @@ def _parse_columns(text: str) -> Staircase:
         raise BoundExceededError(f"cell bound {CELLS_BOUND} exceeded by a staircase "
                                  f"{len(E.columns)} wide and {E.columns[0]} high")
     return E
+
+
+# Most cleft couples a basis without a direction may consider, clefts times
+# cells: its run time follows their count, not the cells'.  Unfiltered
+# ``tangent`` near the bound (one column of 10**5 cells, or 72,...,1) takes
+# 1.3 to 1.6 s on a shared 2-vCPU VM.  Every staircase of two clefts within
+# CELLS_BOUND stays within it.
+COUPLES_BOUND = 2 * 10**5
+
+
+def _require_couple_bound(E: Staircase) -> None:
+    """Refuse E before an undirected basis pairs each of its clefts with each cell."""
+    couples = (len(set(E.columns)) + 1) * sum(E.columns)
+    if couples > COUPLES_BOUND:
+        raise BoundExceededError(f"couple bound {COUPLES_BOUND} exceeded by {couples} "
+                                 "cleft couples")
 
 
 def _parse_vector(text: str) -> tuple[int, int]:
@@ -122,23 +137,26 @@ def _parse_hilbert(args) -> HilbertFunction:
     if not isinstance(data, dict):
         raise MalformedInput("--hilbert must be a JSON object")
     if "values" in data:
+        needs = ('--hilbert needs integer "a" and "b" and "values" mapping decimal '
+                 "degrees to integer counts")
         try:
-            _require_weight_bound(json_int(data["a"], "a"), json_int(data["b"], "b"))
-            hf = HilbertFunction.from_json(data)
-        except DomainError:
-            raise
-        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
-            raise MalformedInput(
-                '--hilbert needs integer "a" and "b" and "values" mapping decimal '
-                "degrees to integer counts"
-            ) from exc
+            a, b = int(data["a"]), int(data["b"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedInput(needs) from exc
+        _require_weight_bound(a, b)
+        weight = Weight(a, b)
+        try:
+            counts = {int(k): int(v) for k, v in data["values"].items()}
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise MalformedInput(needs) from exc
+        hf = HilbertFunction.from_counts(weight, counts)
         w = _maybe_weight(args)
-        if w is not None and w != hf.weight:
+        if w is not None and w != weight:
             raise MalformedInput("--a/--b disagree with the weight in --hilbert")
         return hf
     try:
         counts = {int(k): int(v) for k, v in data.items()}
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise MalformedInput("--hilbert must map decimal degrees to integer counts") from exc
     return HilbertFunction.from_counts(_weight(args), counts)
 
@@ -222,6 +240,7 @@ def _chart_request(args) -> tuple[Staircase, str, Weight | None]:
     if args.mode == "invariant":
         return E, "invariant", _weight(args)
     if args.mode == "general":
+        _require_couple_bound(E)
         return E, "general", None
     raise MalformedInput(f"unknown mode {args.mode!r}; pick invariant or general")
 
@@ -273,7 +292,10 @@ def _cmd_compare(args):
 
 def _cmd_tangent(args):
     E = _parse_columns(args.columns)
-    return tangent.tangent_basis(E, _maybe_weight(args)).to_json()
+    w = _maybe_weight(args)
+    if w is None:
+        _require_couple_bound(E)
+    return tangent.tangent_basis(E, w).to_json()
 
 
 def _cmd_graph(args):
@@ -292,11 +314,8 @@ def _cmd_hom_oracle(args):
         raise BoundExceededError(
             f"hom-oracle bound {HOM_ORACLE_BOUND} exceeded by --bound {args.bound}"
         )
-    result = tangent.hom_tangent_oracle(E, bound=args.bound)
-    return {
-        "dimension": result.dimension,
-        "characters": [list(c) for c in result.characters],
-    }
+    chars = tangent.hom_tangent_oracle(E, bound=args.bound)
+    return {"dimension": len(chars), "characters": [list(c) for c in chars]}
 
 
 def _cmd_cells(args):
@@ -343,7 +362,10 @@ def _cmd_degenerate(args):
 
 def _cmd_descend(args):
     E = _parse_columns(args.columns)
-    steps = strata.descend_to_minimal(E, _weight(args), policy=args.policy,
+    w = _weight(args)
+    if args.policy not in strata.POLICIES:
+        raise MalformedInput(f"unknown policy {args.policy!r}; pick first, last or random")
+    steps = strata.descend_to_minimal(E, w, policy=args.policy,
                                       seed=args.seed, step_limit=args.max_steps)
     final = steps[-1].target if steps else E
     return {"chain": [s.to_json() for s in steps], "final": final.to_json()}
@@ -460,8 +482,8 @@ def _suite_verify_all(args):
                 basis = unfiltered(E)
                 mine = tuple(sorted(c.char for c in basis.significant))
                 oracle = tangent.hom_tangent_oracle(E, bound=max_length)
-                _require(mine == oracle.characters, f"character mismatch at {E.columns}")
-                _require(oracle.dimension == 2 * l, f"dimension {oracle.dimension} at {E.columns}")
+                _require(mine == oracle, f"character mismatch at {E.columns}")
+                _require(len(oracle) == 2 * l, f"dimension {len(oracle)} at {E.columns}")
         return f"all staircases up to length {max_length}"
 
     def graph_dimension():

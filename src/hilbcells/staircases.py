@@ -87,25 +87,6 @@ class Weight:
     def to_json(self) -> dict:
         return {"a": self.a, "b": self.b}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "Weight":
-        return cls(json_int(data["a"], "a"), json_int(data["b"], "b"))
-
-
-def json_int(value, field: str) -> int:
-    """``value`` of ``field`` in a JSON document, read as an integer.
-
-    Every ``from_json`` reads its integers here.  An int (not a bool) or a
-    string ``int()`` reads is accepted.  Any other value, a float or a bool
-    included, raises ValueError naming the field instead of truncating.
-    """
-    if isinstance(value, str) or isinstance(value, int) and not isinstance(value, bool):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    raise ValueError(f"{field} must be an integer, not {value!r}")
-
 
 @dataclass(frozen=True)
 class Staircase:
@@ -213,12 +194,6 @@ class HilbertFunction:
             "values": {str(d): c for d, c in self.values},
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "HilbertFunction":
-        w = Weight.from_json(data)
-        return cls.from_counts(w, {json_int(k, "values"): json_int(v, "values")
-                                   for k, v in data["values"].items()})
-
 
 def hilbert_function(E: Staircase, w: Weight) -> HilbertFunction:
     """Number of cells of E in each degree of the w-grading, counted from the column heights."""
@@ -293,18 +268,6 @@ def _require_positive_regime(w: Weight) -> None:
         )
 
 
-@dataclass(frozen=True)
-class SProfile:
-    """Cumulative cell counts of a staircase along the global monomial sequence.
-
-    ``counts[k]`` is the number of cells at positions <= k; the last entry sits
-    at the position of the staircase's largest cell, beyond which the profile
-    is constant equal to the cardinality.
-    """
-
-    counts: tuple[int, ...]
-
-
 # Largest grid rectangle up to the top degree D, (D//a + 1) * (D//-b + 1),
 # that ``s_profile`` lays out.  It holds every position; at 10**6 that is
 # about half a million positions, 0.25 s and 40 MB on a 2-vCPU VM.  A large
@@ -312,14 +275,16 @@ class SProfile:
 S_PROFILE_BOUND = 10**6
 
 
-def s_profile(E: Staircase, w: Weight) -> SProfile:
+def s_profile(E: Staircase, w: Weight) -> tuple[int, ...]:
     """The cumulative profile of E along the (degree, y-exponent) sequence.
 
-    The profile stops at the end of the degree block holding the largest
-    cell, so staircases with equal Hilbert functions share this horizon and
-    the grid of positions, the monomials of degree at most the top one in
-    (degree, y-exponent) order.  Raises ``BoundExceededError`` before laying
-    out any position when their rectangle exceeds ``S_PROFILE_BOUND``.
+    Entry k counts the cells of E at positions <= k.  The profile stops at
+    the end of the degree block holding the largest cell, beyond which it
+    stays at |E|, so staircases with equal Hilbert functions share this
+    horizon and the grid of positions, the monomials of degree at most the
+    top one in (degree, y-exponent) order.  Raises ``BoundExceededError``
+    before laying out any position when their rectangle exceeds
+    ``S_PROFILE_BOUND``.
     """
     _require_positive_regime(w)
     if not E.columns:
@@ -353,11 +318,11 @@ def _profile_grid_shape(top: int, w: Weight) -> int:
     return rows
 
 
-def _profile(E: Staircase, grid: tuple[Weight, int, list[int]]) -> SProfile:
+def _profile(E: Staircase, grid: tuple[Weight, int, list[int]]) -> tuple[int, ...]:
     """The S-profile of E on a grid reaching its top degree."""
     w, rows, keys = grid
     cells = {(-w.b * i + w.a * j) * rows + j for i, h in enumerate(E.columns) for j in range(h)}
-    return SProfile(tuple(accumulate(map(cells.__contains__, keys), initial=0))[1:])
+    return tuple(accumulate(map(cells.__contains__, keys), initial=0))[1:]
 
 
 class Comparison(Enum):
@@ -389,11 +354,11 @@ def compare_staircases(E: Staircase, F: Staircase, w: Weight) -> Comparison:
     return _compare_profiles(_profile(E, grid), _profile(F, grid))
 
 
-def _compare_profiles(pe: SProfile, pf: SProfile) -> Comparison:
+def _compare_profiles(pe: tuple[int, ...], pf: tuple[int, ...]) -> Comparison:
     """``compare_staircases`` of two distinct staircases of equal size, by their profiles."""
-    n = max(len(pe.counts), len(pf.counts))
-    ce = pe.counts + pe.counts[-1:] * (n - len(pe.counts))
-    cf = pf.counts + pf.counts[-1:] * (n - len(pf.counts))
+    n = max(len(pe), len(pf))
+    ce = pe + pe[-1:] * (n - len(pe))
+    cf = pf + pf[-1:] * (n - len(pf))
     ge = all(x >= y for x, y in zip(ce, cf))
     le = all(x <= y for x, y in zip(ce, cf))
     if ge:

@@ -34,7 +34,6 @@ from .staircases import (
     COMPATIBLE_BOUND,
     Comparison,
     HilbertFunction,
-    SProfile,
     Staircase,
     Weight,
     _compare_profiles,
@@ -68,8 +67,8 @@ class DegenerationStep:
     specialized: tuple[BivariatePolynomial, ...]
     limit: tuple[BivariatePolynomial, ...]
     target: Staircase
-    source_profile: SProfile
-    target_profile: SProfile
+    source_profile: tuple[int, ...]
+    target_profile: tuple[int, ...]
 
     def to_json(self) -> dict:
         return {
@@ -80,8 +79,8 @@ class DegenerationStep:
             "limit": [p.to_text() for p in self.limit],
             "target": self.target.to_json(),
             "profiles": {
-                "source": list(self.source_profile.counts),
-                "target": list(self.target_profile.counts),
+                "source": list(self.source_profile),
+                "target": list(self.target_profile),
             },
         }
 
@@ -115,7 +114,7 @@ def degenerate_once(
 
 
 def _degenerate(basis: TangentBasis, couple: CleftCouple, H: HilbertFunction,
-                profiles: dict[Staircase, SProfile],
+                profiles: dict[Staircase, tuple[int, ...]],
                 step_limit: Optional[int]) -> DegenerationStep:
     """Degenerate the source of an invariant tangent basis at one of its couples.
 
@@ -154,6 +153,10 @@ def _degenerate(basis: TangentBasis, couple: CleftCouple, H: HilbertFunction,
     return DegenerationStep(E, couple, tuple(gens), tuple(limit), F, profiles[E], profiles[F])
 
 
+# How a descent step picks its couple: first, last or seeded random.
+POLICIES = ("first", "last", "random")
+
+
 def descend_to_minimal(
     E: Staircase,
     w: Weight,
@@ -170,7 +173,7 @@ def descend_to_minimal(
     each target is checked against E's and carries its profile onward.
     """
     _require_descent_regime(w)
-    if policy not in ("first", "last", "random"):
+    if policy not in POLICIES:
         raise DomainError(f"unknown policy {policy!r}")
     return _descend(E, w, policy, seed, step_limit, {}, {}, {})
 
@@ -276,7 +279,7 @@ def minimal_staircase_oracle(H: HilbertFunction) -> Staircase:
 
 
 def _least_compatible(H: HilbertFunction, bases: Mapping[Staircase, TangentBasis],
-                      profiles: Mapping[Staircase, SProfile]) -> Staircase:
+                      profiles: Mapping[Staircase, tuple[int, ...]]) -> Staircase:
     """The oracle's check on a class given as its members' tangent bases and S-profiles."""
     empty_positive = [E for E, tb in bases.items() if not tb.positive]
     if len(empty_positive) != 1:
@@ -315,7 +318,6 @@ class StratumData:
 class ComponentReport:
     """Everything the library knows about one Hilbert-function class."""
 
-    weight: Weight
     hilbert: HilbertFunction
     strata: tuple[StratumData, ...]
     minimal: Staircase
@@ -324,7 +326,7 @@ class ComponentReport:
 
     def to_json(self) -> dict:
         return {
-            "weight": self.weight.to_json(),
+            "weight": self.hilbert.weight.to_json(),
             "H": {str(d): c for d, c in self.hilbert.values},
             "strata": [s.to_json() for s in self.strata],
             "minimal": self.minimal.to_json(),
@@ -392,12 +394,12 @@ def component_report(length: int, w: Weight) -> list[ComponentReport]:
                        else (E,) for E in bases)
         data = tuple(StratumData(E, tb.dimension, len(tb.positive), len(tb.negative))
                      for E, tb in bases.items())
-        reports.append(ComponentReport(w, H, data, minimal, bases[minimal].dimension, chains))
+        reports.append(ComponentReport(H, data, minimal, bases[minimal].dimension, chains))
     return reports
 
 
 def _least_of_class(H: HilbertFunction, bases: Mapping[Staircase, TangentBasis],
-                    profiles: dict[Staircase, SProfile]) -> Staircase:
+                    profiles: dict[Staircase, tuple[int, ...]]) -> Staircase:
     """The least staircase of one Hilbert-function class, once the class is checked.
 
     ``bases`` maps the members to their tangent bases at H's weight.  With

@@ -276,21 +276,14 @@ def _graph(basis: TangentBasis) -> SignificanceGraph:
     return SignificanceGraph(E, basis.direction, nodes, tuple(arrows), dimension)
 
 
-@dataclass(frozen=True)
-class HomOracleResult:
-    """Character multiset and dimension of the module-homomorphism solution space."""
-
-    characters: tuple[tuple[int, int], ...]
-    dimension: int
-
-
-def _nullity_and_free_chars(columns, rows) -> tuple[int, list[tuple[int, int]]]:
+def _free_chars(columns, rows) -> list[tuple[int, int]]:
     """Sparse Gaussian elimination over the rationals.
 
     ``columns`` fixes the pivot-search order; each row is a dict from column
-    position to coefficient.  Returns the nullity and the characters of the
-    free (non-pivot) columns.  Integer entries stay ``int`` while every
-    pivot is 1 or -1, as in the Hom relations, whose entries are 1 and -1.
+    position to coefficient.  Returns the characters of the free (non-pivot)
+    columns, one per dimension of the solution space.  Integer entries stay
+    ``int`` while every pivot is 1 or -1, as in the Hom relations, whose
+    entries are 1 and -1.
     """
     pivots: dict[int, dict[int, int | Fraction]] = {}
     for row in rows:
@@ -309,19 +302,19 @@ def _nullity_and_free_chars(columns, rows) -> tuple[int, list[tuple[int, int]]]:
                     r[k] = nv
                 else:
                     r.pop(k, None)
-    free = [columns[j] for j in range(len(columns)) if j not in pivots]
-    return len(free), [char for char, _var in free]
+    return [char for j, (char, _var) in enumerate(columns) if j not in pivots]
 
 
-def hom_tangent_oracle(E: Staircase, bound: int = 10) -> HomOracleResult:
+def hom_tangent_oracle(E: Staircase, bound: int = 10) -> tuple[tuple[int, int], ...]:
     """Tangent space via module homomorphisms, as exact linear algebra.
 
     Unknowns are the coefficients sending each cleft to each cell; the
     lcm-compatibility relations between consecutive clefts (under the x-lex
     order) are imposed as linear equations, with products reduced modulo the
     complement ideal by projecting escaped monomials to zero.  Returns the
-    solution-space dimension and its character grading.  Relations for
-    non-consecutive cleft pairs follow from the consecutive ones.
+    sorted characters of a basis of the solution space, whose count is its
+    dimension.  Relations for non-consecutive cleft pairs follow from the
+    consecutive ones.
     """
     if len(E) > bound:
         raise BoundExceededError(f"oracle bound {bound} exceeded by |E| = {len(E)}")
@@ -347,5 +340,4 @@ def hom_tangent_oracle(E: Staircase, bound: int = 10) -> HomOracleResult:
                     row[position[k, ba, bb]] = sign
             if row:
                 rows.append(row)
-    nullity, chars = _nullity_and_free_chars(variables, rows)
-    return HomOracleResult(tuple(sorted(chars)), nullity)
+    return tuple(sorted(_free_chars(variables, rows)))

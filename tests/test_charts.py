@@ -283,6 +283,19 @@ class TestFlatness:
         assert not cert.valid
         assert cert.witness is not None
 
+    def test_family_failing_only_at_the_origin_is_rejected(self):
+        # y + X + 1 still leads with y, its S-pair with x reduces to zero and
+        # every sample has colength 1; only the origin fiber y + 1 is wrong.
+        fam = build_chart_family(construct_staircase([1]), "general")
+        one = BivariatePolynomial.of_monomial(Monomial(0, 0))
+        shifted = dataclasses.replace(fam, generators=(fam.generators[0] + one,
+                                                       *fam.generators[1:]))
+        cert = verify_flatness(shifted)
+        assert cert.leading_ok and [p.remainder_zero for p in cert.spairs] == [True]
+        assert cert.samples and all(s.colength == 1 and s.ok for s in cert.samples)
+        assert not cert.origin_ok and not cert.valid
+        assert cert.witness == "origin fiber differs from the monomial ideal"
+
     def test_sample_colengths_equal_the_reduced_basis_up_to_length_7(self):
         assert check_sample_colengths(range(1, 8)) == (3030, 331, 468)
 

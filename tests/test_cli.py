@@ -30,6 +30,7 @@ ANCHOR_IDEAL = "x*y^2+y^3; x^2*y+x*y^2; x^3+x^2*y-x*y-y^2; y^4-y^3"
 POINCARE_ABOVE = f"(-1,-{strata.POINCARE_BOUND + 2})"  # paired with --length POINCARE_BOUND + 1
 NINES = "9" * 4300  # the longest integer the interpreter reads
 EMPTY_WEIGHTS = (";", " ", ";;")  # --weights lists of no pair
+STEPS_200, STEPS_80 = (",".join(map(str, range(n, 0, -1))) for n in (200, 80))
 
 
 def nested(depth, inner, as_list=True):
@@ -176,6 +177,11 @@ class TestSubcommands:
         )
         assert spec["generators"] == ["+1/1·x^1*y^0 +1/1·x^0*y^1", "+1/1·x^2*y^0"]
 
+    def test_specialize_without_a_point_gives_the_origin_fiber(self, capsys):
+        data = run_json(capsys, "specialize", "--columns", "2,1", "--mode", "general",
+                        "--point", "")
+        assert data == {"generators": ["+1/1·x^0*y^2", "+1/1·x^1*y^1", "+1/1·x^2*y^0"]}
+
     def test_verify_flat(self, capsys):
         data = run_json(
             capsys, "verify-flat", "--columns", "3,1,1,1", "--mode", "general",
@@ -207,6 +213,11 @@ class TestSubcommands:
     def test_poincare(self, capsys):
         data = run_json(capsys, "poincare", "--length", "2", "--vector", "(-1,-3)")
         assert data["coefficients"] == {"3": 1, "4": 1}
+
+    def test_groebner_of_infinite_colength_has_no_staircase(self, capsys):
+        data = run_json(capsys, "groebner", "--ideal", "x")
+        assert data == {"basis": ["+1/1·x^1*y^0"], "colength": None, "is_groebner": True,
+                        "leading": [[1, 0]], "staircase": None}
 
     def test_initial(self, capsys):
         data = run_json(
@@ -437,6 +448,17 @@ class TestExitCodes:
         assert code == 0 and json.loads(out)["chain"] == []
         assert time.perf_counter() - start < 1
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--columns", "2,x", "--a", "1", "--b", "-1"), "cannot parse columns '2,x'"),
+        (("--columns", "2,1"), "this subcommand needs --a and --b"),
+        (("--columns", "2,1", "--a", "1", "--b", "-1"),
+         "unknown policy 'best'; pick first, last or random"),
+    ])
+    def test_unknown_descent_policy_is_two(self, capsys, flags, message):
+        # Columns and weight are read first; the policy exited 1 as a DomainError.
+        code, out, err = run(capsys, "descend", *flags, "--policy", "best")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("argv", [
         ("specialize", "--columns", "2,1", "--mode", "general", "--point", "[1,2]"),
         ("specialize", "--columns", "2,1", "--mode", "general", "--point", "5"),
@@ -444,6 +466,7 @@ class TestExitCodes:
         ("minimal", "--hilbert", '{"a":1,"b":-1,"values":5}'),
         ("minimal", "--hilbert", '{"values":{"0":1}}'),
         ("minimal", "--a", "1", "--b", "-1", "--hilbert", '{"0":[1]}'),
+        ("specialize", "--columns", "2,1", "--mode", "general", "--point", '{"X[a,2;0,0]":"1"}'),
     ])
     def test_ill_typed_payload_is_two(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -519,6 +542,9 @@ class TestExitCodes:
         ("--hilbert", '{"a":1.9,"b":-1,"values":{"0":1,"1":2}}'),
         ("--hilbert", '{"a":1,"b":-1e0,"values":{"0":1,"1":2}}'),
         ("--hilbert", '{"a":true,"b":-1,"values":{"0":1,"1":2}}'),
+        ("--hilbert", '{"a":1,"b":-1.5,"values":{"0":1,"1":2}}'),
+        ("--hilbert", '{"a":1,"b":-1,"values":{"0":1,"1":true}}'),
+        ("--hilbert", '{"a":1,"b":-1,"values":{"0":1,"1":"x"}}'),
     ])
     def test_non_integer_hilbert_numbers_are_two(self, capsys, flags):
         # Booleans and numbers written with a fraction or exponent were
@@ -628,6 +654,32 @@ class TestExitCodes:
         data = run_json(capsys, "hilbert", "--columns", f"{cli.CELLS_BOUND - 1},1",
                         "--a", "1", "--b", "-1")
         assert sum(data["values"].values()) == cli.CELLS_BOUND
+
+    @pytest.mark.parametrize("argv", [
+        ("tangent", "--columns", STEPS_200),
+        ("tangent", "--columns", STEPS_80),
+        ("chart", "--columns", STEPS_200, "--mode", "general"),
+        ("specialize", "--columns", STEPS_200, "--mode", "general", "--point", "[1,2]"),
+        ("verify-flat", "--columns", STEPS_200, "--mode", "general", "--samples", "0"),
+    ])
+    def test_couples_past_the_couple_bound_are_one(self, capsys, argv):
+        # Unfiltered tangent on 200,...,1 printed 275 MB after about 33 s, and
+        # specialize took 16 s; 80,...,1, 31 % past the bound, about 2 s.
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        columns = [int(c) for c in argv[2].split(",")]
+        couples = (len(columns) + 1) * sum(columns)
+        assert (code, out, err) == (1, "", f"error: couple bound {cli.COUPLES_BOUND} exceeded "
+                                           f"by {couples} cleft couples\n")
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("columns", [str(cli.CELLS_BOUND), f"{cli.CELLS_BOUND // 2}," * 2])
+    def test_two_clefts_within_the_cell_bound_meet_the_couple_bound(self, capsys, monkeypatch,
+                                                                    columns):
+        # At the bound itself; the basis is stubbed, since printing it takes about 1.5 s.
+        monkeypatch.setattr(tangent, "tangent_basis",
+                            lambda E, w: argparse.Namespace(to_json=lambda: {"cells": len(E)}))
+        assert run_json(capsys, "tangent", "--columns", columns) == {"cells": cli.CELLS_BOUND}
 
     def test_weights_are_printed_up_to_the_weight_bound(self, capsys):
         a = cli.WEIGHT_BOUND - 1

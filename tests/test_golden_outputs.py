@@ -320,11 +320,37 @@ def check_help_digests(command=("hilbcells",)):
     return len(HELP_DIGESTS[NEW_HELP_LAYOUT])
 
 
-def test_module_help_matches_the_recorded_digests(monkeypatch):
+def _import_this_hilbcells_in_children(monkeypatch):
     src = str(Path(hilbcells.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     monkeypatch.setenv("PYTHONPATH", path)
+
+
+def test_module_help_matches_the_recorded_digests(monkeypatch):
+    _import_this_hilbcells_in_children(monkeypatch)
     assert check_help_digests((sys.executable, "-m", "hilbcells.cli")) == 3
+
+
+# SHA-256 of each demo's stdout, recorded at 91bc9a3; equal under
+# PYTHONHASHSEED 0, 1, 12345 and random.
+DEMO_DIGESTS = {
+    "01_staircases_and_tangent_spaces.py":
+        "89cf5cc2bfa0f56bc3a524d4a0c4d74101b3d5ec5dc1b7935e3ade26728d384e",
+    "02_chart_families_and_flatness.py":
+        "9c8cda2bc469727a4e034980d705491a7ac930bf36e8b35cf1da58ecbb365342",
+    "03_degenerations_and_components.py":
+        "ebb65f633775997f4ff22b1b946b85c7b81e01ef9cde2fa0c8d5a2376de9c621",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_DIGESTS))
+def test_demo_stdout(monkeypatch, name):
+    _import_this_hilbcells_in_children(monkeypatch)
+    demo = Path(__file__).resolve().parent.parent / "demos" / name
+    done = subprocess.run([sys.executable, str(demo)], capture_output=True, timeout=120,
+                          check=True)
+    got = hashlib.sha256(done.stdout).hexdigest()
+    assert got == DEMO_DIGESTS[name], f"{name}: stdout changed, digest now {got}"
 
 
 # SHA-256 over repr((argv, exit code, stdout, stderr)) of each of the 1,960
