@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .errors import DomainError, RegimeError
 from .polynomials import (
@@ -41,8 +40,7 @@ MODE_INVARIANT = "invariant"
 MODE_GENERAL = "general"
 
 
-@dataclass(frozen=True)
-class ChartFamily:
+class ChartFamily(NamedTuple):
     """Universal ideal generators over the chart variables of a staircase."""
 
     staircase: Staircase
@@ -64,8 +62,7 @@ class ChartFamily:
         }
 
 
-@dataclass(frozen=True)
-class CleftPlan:
+class CleftPlan(NamedTuple):
     """The cleft recursion of ``build_chart_family``, read from a tangent basis.
 
     Row i, from the second-to-last cleft down, holds the shift from cleft
@@ -223,8 +220,7 @@ def default_sample_points(
     ]
 
 
-@dataclass(frozen=True)
-class SampleCheck:
+class SampleCheck(NamedTuple):
     point: tuple[tuple[VarKey, str], ...]
     colength: int
     ok: bool
@@ -237,8 +233,7 @@ class SampleCheck:
         }
 
 
-@dataclass(frozen=True)
-class FlatnessCertificate:
+class FlatnessCertificate(NamedTuple):
     """Witness record for the constant-colength property of a chart family."""
 
     valid: bool

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import heapq
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
@@ -60,7 +59,6 @@ _COEFFICIENT_BOUND = 10**4300
 # Monomial orders
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class MonomialOrder:
     """Total multiplicative order on grid monomials: m1 < m2 iff key(m1) < key(m2).
 
@@ -68,9 +66,19 @@ class MonomialOrder:
     Only the name, equal for equal arguments, is compared, hashed and shown.
     """
 
-    name: str
-    key: Callable[[Monomial], tuple] = field(compare=False, repr=False)
-    is_global: bool = field(default=True, compare=False, repr=False)
+    __slots__ = ("name", "key", "is_global")
+
+    def __init__(self, name: str, key: Callable[[Monomial], tuple], is_global: bool = True):
+        self.name, self.key, self.is_global = name, key, is_global
+
+    def __eq__(self, other) -> bool:
+        return self.name == other.name if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
+
+    def __repr__(self) -> str:
+        return f"MonomialOrder(name={self.name!r})"
 
 
 # Every key is a lexicographic tuple of integer linear forms in the
@@ -580,8 +588,7 @@ def _s_pair_remainder(
     return _reduce(_s_poly(records[i], records[j]), records, order, _StepGuard(step_limit))
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(NamedTuple):
     generators: tuple[BivariatePolynomial, ...]
     order: MonomialOrder
 

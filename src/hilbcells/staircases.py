@@ -12,7 +12,6 @@ on staircases of equal cardinality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
@@ -58,24 +57,25 @@ X = Monomial(1, 0)
 Y = Monomial(0, 1)
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(NamedTuple("Weight", [("a", int), ("b", int)])):
     """A primitive direction (a, b), normalized so that b < 0.
 
     The associated grading of a monomial x^alpha*y^beta is
     ``-b*alpha + a*beta``.
     """
 
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.a, self.b) == (0, 0):
+    def __new__(cls, a: int, b: int):
+        if (a, b) == (0, 0):
             raise DomainError("weight (0, 0) is not a direction")
-        if math.gcd(abs(self.a), abs(self.b)) != 1:
-            raise DomainError(f"weight ({self.a}, {self.b}) is not primitive")
-        if self.b >= 0:
-            raise DomainError(f"weight ({self.a}, {self.b}) must have b < 0")
+        if math.gcd(abs(a), abs(b)) != 1:
+            raise DomainError(f"weight ({a}, {b}) is not primitive")
+        if b >= 0:
+            raise DomainError(f"weight ({a}, {b}) must have b < 0")
+        if isinstance(a, bool) or isinstance(b, bool):
+            raise DomainError(f"weight entries must be integers, not bool: ({a}, {b})")
+        return tuple.__new__(cls, (a, b))
 
     def degree(self, m: Monomial) -> int:
         return -self.b * m.alpha + self.a * m.beta
@@ -88,22 +88,22 @@ class Weight:
         return {"a": self.a, "b": self.b}
 
 
-@dataclass(frozen=True)
-class Staircase:
+class Staircase(NamedTuple("Staircase", [("columns", tuple[int, ...])])):
     """Finite divisor-closed set of monomials, stored as column heights.
 
     ``columns[i]`` is the number of cells (i, 0), ..., (i, columns[i]-1);
-    heights must be positive and weakly decreasing.
+    heights must be positive and weakly decreasing.  ``len`` is the cell
+    count, so the tuple's ``_make`` and ``_replace`` do not apply.
     """
 
-    columns: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        cols = self.columns
-        if any(not isinstance(c, int) or c <= 0 for c in cols):
-            raise ShapeError(f"column heights must be positive integers: {list(cols)}")
-        if any(cols[i] < cols[i + 1] for i in range(len(cols) - 1)):
-            raise ShapeError(f"column heights must be weakly decreasing: {list(cols)}")
+    def __new__(cls, columns: tuple[int, ...]):
+        if any(not isinstance(c, int) or isinstance(c, bool) or c <= 0 for c in columns):
+            raise ShapeError(f"column heights must be positive integers: {list(columns)}")
+        if any(columns[i] < columns[i + 1] for i in range(len(columns) - 1)):
+            raise ShapeError(f"column heights must be weakly decreasing: {list(columns)}")
+        return tuple.__new__(cls, (columns,))
 
     def __len__(self) -> int:
         return sum(self.columns)
@@ -131,9 +131,7 @@ class Staircase:
     @classmethod
     def _of(cls, columns: tuple[int, ...]) -> "Staircase":
         """A staircase on column heights known to be a partition, taken as they are."""
-        E = object.__new__(cls)
-        object.__setattr__(E, "columns", columns)
-        return E
+        return tuple.__new__(cls, (columns,))
 
 
 def construct_staircase(columns: Iterable[int]) -> Staircase:
@@ -162,19 +160,23 @@ def clefts(E: Staircase) -> tuple[Monomial, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class HilbertFunction:
+class HilbertFunction(NamedTuple("HilbertFunction", [
+        ("weight", Weight),
+        ("values", tuple[tuple[int, int], ...]),  # sorted (degree, count), counts >= 1
+])):
     """Count of staircase cells per degree, for a fixed weight."""
 
-    weight: Weight
-    values: tuple[tuple[int, int], ...]  # sorted (degree, count), counts >= 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        degs = [d for d, _ in self.values]
+    def __new__(cls, weight: Weight, values: tuple[tuple[int, int], ...]):
+        degs = [d for d, _ in values]
         if degs != sorted(degs) or len(set(degs)) != len(degs):
             raise DomainError("Hilbert function support must be sorted and duplicate-free")
-        if any(c <= 0 for _, c in self.values):
+        if any(c <= 0 for _, c in values):
             raise DomainError("Hilbert function counts must be positive")
+        if any(isinstance(d, bool) or isinstance(c, bool) for d, c in values):
+            raise DomainError("Hilbert function degrees and counts must be integers, not bool")
+        return tuple.__new__(cls, (weight, values))
 
     @classmethod
     def from_counts(cls, weight: Weight, counts: dict[int, int]) -> "HilbertFunction":
@@ -197,10 +199,8 @@ class HilbertFunction:
 
 def hilbert_function(E: Staircase, w: Weight) -> HilbertFunction:
     """Number of cells of E in each degree of the w-grading, counted from the column heights."""
-    H = object.__new__(HilbertFunction)  # sorted positive counts: nothing to validate
-    object.__setattr__(H, "weight", w)
-    object.__setattr__(H, "values", _degree_counts(E, w))
-    return H
+    # sorted positive counts: nothing to validate
+    return tuple.__new__(HilbertFunction, (w, _degree_counts(E, w)))
 
 
 def _degree_counts(E: Staircase, w: Weight) -> tuple[tuple[int, int], ...]:

@@ -11,8 +11,7 @@ directly and an exhaustive oracle double-checks.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .charts import cleft_plan
 from .errors import (
@@ -58,8 +57,7 @@ def _positive_couples(basis: TangentBasis) -> list[CleftCouple]:
     return sorted(basis.positive, key=lambda cp: (-cp.c.alpha, cp.m.alpha, cp.m.beta))
 
 
-@dataclass(frozen=True)
-class DegenerationStep:
+class DegenerationStep(NamedTuple):
     """One strict descent in the staircase order, with full evidence."""
 
     source: Staircase
@@ -298,8 +296,7 @@ def _least_compatible(H: HilbertFunction, bases: Mapping[Staircase, TangentBasis
     return least
 
 
-@dataclass(frozen=True)
-class StratumData:
+class StratumData(NamedTuple):
     staircase: Staircase
     dim_ab: int
     dim_pos: int
@@ -314,8 +311,7 @@ class StratumData:
         }
 
 
-@dataclass(frozen=True)
-class ComponentReport:
+class ComponentReport(NamedTuple):
     """Everything the library knows about one Hilbert-function class."""
 
     hilbert: HilbertFunction

@@ -9,7 +9,6 @@ solution space of an exact linear system on module homomorphisms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -77,8 +76,7 @@ def cleft_couples(E: Staircase, direction: Weight | None = None) -> tuple[CleftC
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class TangentBasis:
+class TangentBasis(NamedTuple):
     """Significant couples of a staircase, split by half-direction.
 
     Unfiltered, the significant couples form a basis of the tangent space to
@@ -194,8 +192,7 @@ def arm_leg_characters(E: Staircase) -> tuple[tuple[int, int], ...]:
     return tuple(chars)
 
 
-@dataclass(frozen=True)
-class SignificanceGraph:
+class SignificanceGraph(NamedTuple):
     """Chain graph on the direction-(a, b) couples of a staircase.
 
     Every node ends at most one arrow and originates at most one; components

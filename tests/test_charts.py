@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -49,7 +48,7 @@ def corrupted_families(fam):
     shifted = list(gens)
     shifted[-2] += BivariatePolynomial({Monomial(0, 0): x})
     vanishing = gens[:-1] + [gens[-1].scale(x)]
-    return [dataclasses.replace(fam, generators=tuple(g)) for g in (shifted, vanishing)]
+    return [fam._replace(generators=tuple(g)) for g in (shifted, vanishing)]
 
 
 def check_sample_colengths(lengths) -> tuple[int, int, int]:
@@ -105,7 +104,7 @@ def landing_sector(E, landing):
     """
     c1, c2 = clefts(E)[:2]
     m = Monomial(landing.alpha - c2.alpha + c1.alpha, landing.beta)
-    basis = dataclasses.replace(tangent_basis(E), positive=(CleftCouple(c1, m),))
+    basis = tangent_basis(E)._replace(positive=(CleftCouple(c1, m),))
     (_, _, ((_, target, _),)), = [row for row in cleft_plan(basis).rows if row[0] == 0]
     return target + 1
 
@@ -278,7 +277,7 @@ class TestFlatness:
                 ChartCoefficient.variable(X_YX)
             )
         )
-        corrupted = dataclasses.replace(fam, generators=(bad_generator, fam.generators[1]))
+        corrupted = fam._replace(generators=(bad_generator, fam.generators[1]))
         cert = verify_flatness(corrupted)
         assert not cert.valid
         assert cert.witness is not None
@@ -288,8 +287,7 @@ class TestFlatness:
         # every sample has colength 1; only the origin fiber y + 1 is wrong.
         fam = build_chart_family(construct_staircase([1]), "general")
         one = BivariatePolynomial.of_monomial(Monomial(0, 0))
-        shifted = dataclasses.replace(fam, generators=(fam.generators[0] + one,
-                                                       *fam.generators[1:]))
+        shifted = fam._replace(generators=(fam.generators[0] + one, *fam.generators[1:]))
         cert = verify_flatness(shifted)
         assert cert.leading_ok and [p.remainder_zero for p in cert.spairs] == [True]
         assert cert.samples and all(s.colength == 1 and s.ok for s in cert.samples)

@@ -1,6 +1,5 @@
 import argparse
 import contextlib
-import dataclasses
 import functools
 import io
 import json
@@ -340,7 +339,7 @@ class TestSubcommands:
         def varying(E, direction=None):
             tb = original(E, direction)
             if E.columns == (1, 1) and direction == Weight(1, -1):
-                return dataclasses.replace(tb, negative=tb.negative + tb.couples[:1])
+                return tb._replace(negative=tb.negative + tb.couples[:1])
             return tb
 
         monkeypatch.setattr(strata, "tangent_basis", varying)
@@ -801,6 +800,20 @@ class TestExitCodes:
             for length in ("0", "-2"):
                 code, out, err = run(capsys, "run-suite", *suite, "--max-length", length)
                 assert (code, out, err) == (1, "", "error: max length must be at least 1\n")
+
+
+# The CI step's check: exit 0, or exit 1 naming what ``hilbcells.cli`` loaded.
+IMPORT_CHECK = ("import sys, hilbcells.cli; "
+                "sys.exit(sorted({'dataclasses', 'inspect'} & set(sys.modules)) or None)")
+
+
+class TestStartUp:
+    def test_import_generates_no_records(self):
+        # Records are named tuples, so nothing loads dataclasses or inspect.
+        # pytest imports both itself, hence the child interpreter.
+        done = subprocess.run([sys.executable, "-c", IMPORT_CHECK], capture_output=True,
+                              text=True, timeout=120, env=child_env())
+        assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
 
 
 def outcome(capsys, argv):
@@ -1312,6 +1325,35 @@ def vector_argvs(draw):
 
 
 @st.composite
+def couple_argvs(draw):
+    """A ``degenerate`` argv on at most 6 cells whose ``--couple`` value is long or odd.
+
+    The direction is one of four.  Half the draws take the four entries of
+    a couple of that direction, so that some argvs succeed; the others draw
+    each entry as 1 to 4,300 digits or 0 to 3, of either sign.  The
+    separators are ',' and ';' three times in four, otherwise a wrong one;
+    a value whose text would start with a dash is written in parentheses.
+    """
+    E = draw(st.integers(1, 6).flatmap(lambda n: st.sampled_from(enumerate_staircases(n))))
+    a, b = draw(st.sampled_from(((1, -1), (2, -1), (1, -2), (3, -2))))
+    entry = st.tuples(st.sampled_from(["", "-"]), digit_strings() | st.sampled_from("0123")).map(
+        "".join)
+    couples = tangent.cleft_couples(E, Weight(a, b))
+    if couples and draw(st.booleans()):
+        (cx, cy), (mx, my) = draw(st.sampled_from(couples))
+        entries = map(str, (cx, cy, mx, my))
+    else:
+        entries = (draw(entry) for _ in range(4))
+    comma, semicolon = mostly(st.just(","), ";", " ", ",,", ""), mostly(st.just(";"), ",", ";;", "")
+    cx, cy, mx, my = entries
+    value = cx + draw(comma) + cy + draw(semicolon) + mx + draw(comma) + my
+    if value.startswith("-") or draw(st.booleans()):
+        value = f"({value})"
+    return ("degenerate", "--columns", ",".join(map(str, E.columns)),
+            "--a", str(a), "--b", str(b), "--couple", value)
+
+
+@st.composite
 def hilbert_argvs(draw):
     """A ``minimal`` or ``compatible`` argv whose ``--hilbert`` document is long, odd or deep.
 
@@ -1405,6 +1447,11 @@ def check_vector_values(count) -> tuple[int, int, int]:
     return contract_exits(vector_argvs(), count)
 
 
+def check_couple_values(count) -> tuple[int, int, int]:
+    """``contract_exits`` over ``couple_argvs``; Tier-1 runs it at 40 examples, CI at 600."""
+    return contract_exits(couple_argvs(), count)
+
+
 class TestArgvFuzz:
     """The CLI contract on any argv: exit 0, 1 or 2, one JSON document on 0."""
 
@@ -1441,6 +1488,11 @@ class TestArgvFuzz:
     @example(argv=("run-suite", "poincare", "--max-length", "2", "--weights", EMPTY_WEIGHTS[1]))
     @example(argv=("run-suite", "poincare", "--max-length", "2", "--weights", EMPTY_WEIGHTS[2]))
     def test_any_vector_keeps_the_contract(self, argv):
+        cli_contract(argv)
+
+    @settings(max_examples=40, deadline=None)
+    @given(argv=couple_argvs())
+    def test_any_couple_keeps_the_contract(self, argv):
         cli_contract(argv)
 
     @settings(max_examples=40, deadline=None)

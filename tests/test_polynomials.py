@@ -134,6 +134,12 @@ class TestWeightOrderRecords:
         assert len(set(orders)) == len(orders)
         assert cell_order(W11) == cell_order(Weight(1, -1))
 
+    def test_an_order_equals_hashes_and_shows_as_its_name(self):
+        order, again = weight_order((1, 0), "max"), weight_order((1, 0), "max")
+        assert order == again and order.key is not again.key
+        assert hash(order) == hash(again) == hash(("max(1,0);lex_yx",))
+        assert repr(order) == "MonomialOrder(name='max(1,0);lex_yx')"
+
 
 class TestParsing:
     def test_expr(self):

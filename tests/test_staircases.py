@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from hilbcells import (
@@ -59,6 +57,12 @@ class TestWeight:
         assert Weight(0, -1).a == 0
         assert Weight(-3, -2).product == 6
 
+    def test_bool_entries_are_refused(self):
+        # A bool passes every other check and would print as JSON true.
+        for a in (True, False):
+            with pytest.raises(DomainError, match="not bool"):
+                Weight(a, -1)
+
     def test_degree_examples(self):
         assert W11.degree(Monomial(0, 0)) == 0
         assert W11.degree(Monomial(2, 3)) == 5
@@ -87,6 +91,11 @@ class TestConstruction:
 
     def test_trailing_zeros_trimmed(self):
         assert construct_staircase([2, 1, 0, 0]).columns == (2, 1)
+
+    def test_bool_columns_are_refused(self):
+        for columns in ((True, True), (2, True), (True,)):
+            with pytest.raises(ShapeError, match="column heights must be positive integers"):
+                Staircase(columns)
 
 
 class TestClefts:
@@ -120,6 +129,12 @@ class TestClefts:
 
 
 class TestHilbertFunction:
+    def test_bool_degrees_and_counts_are_refused(self):
+        for values in (((0, True),), ((True, 1),), ((0, 1), (1, True))):
+            with pytest.raises(DomainError, match="not bool"):
+                HilbertFunction(W11, values)
+        assert HilbertFunction.from_counts(W11, {True: True}).values == ((1, 1),)
+
     def test_examples(self):
         assert hilbert_function(construct_staircase([1]), W11).as_dict() == {0: 1}
         assert hilbert_function(construct_staircase([3, 1, 1, 1]), W11).as_dict() == {
@@ -348,5 +363,23 @@ class TestEnumeratedStaircases:
 
     def test_still_frozen(self):
         E = enumerate_staircases(4)[0]
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             E.columns = (1,)
+
+
+class TestRecords:
+    """A record hashes as the tuple of its fields and shows them by name."""
+
+    def test_hashes(self):
+        E = Staircase((2, 1))
+        H = hilbert_function(E, W11)
+        assert hash(E) == hash(((2, 1),))
+        assert hash(W11) == hash((1, -1))
+        assert hash(H) == hash((W11, ((0, 1), (1, 2))))
+
+    def test_reprs(self):
+        E = Staircase((2, 1))
+        assert repr(E) == "Staircase(columns=(2, 1))"
+        assert repr(W11) == "Weight(a=1, b=-1)"
+        assert (repr(hilbert_function(E, W11))
+                == "HilbertFunction(weight=Weight(a=1, b=-1), values=((0, 1), (1, 2)))")
