@@ -36,8 +36,6 @@ from .staircases import (
     Staircase,
     Weight,
     _compare_profiles,
-    _profile,
-    _profile_grid,
     _require_mass,
     compatible_staircases,
     enumerate_staircases,
@@ -402,7 +400,7 @@ def _least_of_class(H: HilbertFunction, bases: Mapping[Staircase, TangentBasis],
     a <= 0 the class must be a single staircase, of zero invariant tangent
     space if a < 0.  With a > 0 its tangent dimension must be constant, and
     the bottom-row recursion must give the member ``_least_compatible``
-    finds on S-profiles laid out on the class's grid and added to ``profiles``.
+    finds on S-profiles added to ``profiles``.
     """
     w = H.weight
     if w.a <= 0:
@@ -417,8 +415,7 @@ def _least_of_class(H: HilbertFunction, bases: Mapping[Staircase, TangentBasis],
     if len(dims) != 1:
         raise ConsistencyError(f"tangent dimension varies over {H.as_dict()}: {dims}")
     minimal = minimal_staircase(H)
-    grid = _profile_grid(H.values[-1][0], w)
-    profiles.update((E, _profile(E, grid)) for E in bases)
+    profiles.update((E, s_profile(E, w)) for E in bases)
     oracle = _least_compatible(H, bases, profiles)
     if minimal != oracle:
         raise ConsistencyError(f"recursion gives {minimal.columns} but enumeration gives "

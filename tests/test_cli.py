@@ -275,7 +275,7 @@ class TestSubcommands:
         calls, steps, layouts = Counter(), Counter(), Counter()
         original = tangent.tangent_basis
         original_degenerate = strata._degenerate
-        original_profile = staircases._profile
+        original_profile = staircases.s_profile
 
         def counted(E, direction=None):
             calls[E, direction] += 1
@@ -285,9 +285,9 @@ class TestSubcommands:
             steps[basis.staircase, couple] += 1
             return original_degenerate(basis, couple, *args)
 
-        def counted_profile(E, grid):
-            layouts[E, grid[0]] += 1
-            return original_profile(E, grid)
+        def counted_profile(E, w):
+            layouts[E, w] += 1
+            return original_profile(E, w)
 
         def no_oracle(*args, **kwargs):
             raise AssertionError("minimal_staircase_oracle called")
@@ -295,7 +295,7 @@ class TestSubcommands:
         for module in (tangent, strata, charts):
             monkeypatch.setattr(module, "tangent_basis", counted)
         for module in (staircases, strata):
-            monkeypatch.setattr(module, "_profile", counted_profile)
+            monkeypatch.setattr(module, "s_profile", counted_profile)
         monkeypatch.setattr(strata, "_degenerate", counted_degenerate)
         monkeypatch.setattr(strata, "minimal_staircase_oracle", no_oracle)
         data = run_json(capsys, "run-suite", "verify-all", "--max-length", "8")
@@ -471,6 +471,16 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert code == 2 and not out
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (("specialize", "--columns", "2,1", "--mode", "general", "--point", '{"Y[0,2;0,0]":"1"}'),
+         2, "bad chart variable name 'Y[0,2;0,0]'"),
+        (("groebner", "--order", "foo", "--ideal", "x"), 2,
+         "unknown order 'foo'; pick lex_xy, lex_yx, grlex_xy or cell"),
+        (("groebner", "--ideal", ";"), 1, "empty ideal description"),
+    ])
+    def test_refusals_name_what_they_refuse(self, capsys, argv, code, message):
+        assert run(capsys, *argv) == (code, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("argv", DEEP_1000 + DEEP_100000,
                              ids=[f"{kind}-{depth}" for depth in (1000, 100_000) for kind in (

@@ -15,6 +15,7 @@ from hilbcells import (
     ChartCoefficient,
     DomainError,
     Monomial,
+    NonPolynomialError,
     NotZeroDimensionalError,
     StepLimitExceeded,
     Weight,
@@ -157,6 +158,13 @@ class TestParsing:
             poly_from_expr("x + + y")
         with pytest.raises(DomainError):
             poly_from_expr("z^2")
+        with pytest.raises(DomainError, match="^empty polynomial expression$"):
+            poly_from_expr("  ")
+
+    def test_laurent_shift_must_stay_polynomial(self):
+        with pytest.raises(NonPolynomialError, match=re.escape(
+                "shifting +1/1·x^0*y^0 by x^-1*y^0 leaves the polynomial ring")):
+            poly_from_expr("1").mul_laurent(-1, 0)
 
     @pytest.mark.parametrize("expr", ["1" * 5000 + "*x", "x^" + "1" * 5000, "1/" + "1" * 5000,
                                       "1/0*x", "0/0"])

@@ -367,6 +367,20 @@ class TestEnumeratedStaircases:
             E.columns = (1,)
 
 
+class TestRefusals:
+    @pytest.mark.parametrize("call, text", [
+        (lambda: s_profile(Staircase(()), W11), "s_profile of the empty staircase is undefined"),
+        (lambda: Monomial(1, 0).div(Monomial(0, 1)), "y does not divide x"),
+        (lambda: HilbertFunction(W11, ((1, 1), (0, 1))),
+         "Hilbert function support must be sorted and duplicate-free"),
+        (lambda: enumerate_staircases(-1), "cardinality must be nonnegative"),
+    ])
+    def test_refused(self, call, text):
+        with pytest.raises(DomainError) as caught:
+            call()
+        assert str(caught.value) == text
+
+
 class TestRecords:
     """A record hashes as the tuple of its fields and shows them by name."""
 

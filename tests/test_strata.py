@@ -1,5 +1,7 @@
 import importlib
+import json
 import random
+import re
 import time
 from collections import Counter
 
@@ -8,6 +10,7 @@ import pytest
 from hilbcells import (
     BoundExceededError,
     Comparison,
+    ConsistencyError,
     DomainError,
     GenericityError,
     HilbertFunction,
@@ -17,6 +20,7 @@ from hilbcells import (
     Weight,
     cell_dimension,
     compare_staircases,
+    compatible_staircases,
     component_report,
     construct_staircase,
     degenerate_once,
@@ -27,10 +31,14 @@ from hilbcells import (
     minimal_staircase_oracle,
     poincare_polynomial,
     s_profile,
+    strata,
     tangent_basis,
 )
+from hilbcells.cli import main
+from hilbcells.polynomials import poly_from_expr
 from hilbcells.strata import (
-    ORACLE_BOUND, POINCARE_BOUND, _classes, _degenerate, _descend, _least_compatible,
+    ORACLE_BOUND, POINCARE_BOUND, _chain, _classes, _degenerate, _descend, _least_compatible,
+    _least_of_class,
 )
 
 W11 = Weight(1, -1)
@@ -134,9 +142,8 @@ def counting(monkeypatch, *targets):
     return counts
 
 
-# Every S-profile is laid out by staircases._profile, on a grid that s_profile
-# builds per staircase and a component report once per class.
-PROFILE = ("hilbcells.strata._profile", "hilbcells.staircases._profile")
+# Every S-profile is laid out by s_profile, which strata calls by its own name.
+PROFILE = ("hilbcells.strata.s_profile", "hilbcells.staircases.s_profile")
 HILBERT = ("hilbcells.strata.hilbert_function", "hilbcells.staircases.hilbert_function")
 
 
@@ -306,6 +313,106 @@ class TestMinimalStaircase:
                         if H.as_dict().get(-w.b * j - w.a, 0) < H.as_dict().get(-w.b * j, 0)
                     )
                     assert Em.width == k + 1
+
+
+class TestCertificates:
+    """Each class and step certificate fires on a corrupted input, with its text."""
+
+    DOMINO = ("source (1, 1), couple (y, x), specialized "
+              "[+1/1·x^1*y^0 +1/1·x^0*y^1; +1/1·x^2*y^0], ")
+    TO_A_POINT = ("degeneration changed the Hilbert function: " + DOMINO
+                  + "limit [+1/1·x^1*y^0; +1/1·x^0*y^1], target (1,)")
+
+    @staticmethod
+    def limit_of(monkeypatch, *generators):
+        monkeypatch.setattr(strata, "weight_initial_ideal",
+                            lambda *args: [poly_from_expr(g) for g in generators])
+
+    def test_a_limit_of_another_hilbert_function_is_refused(self, monkeypatch):
+        self.limit_of(monkeypatch, "x", "y")
+        with pytest.raises(ConsistencyError) as caught:
+            degenerate_once(construct_staircase([1, 1]), W11)
+        assert str(caught.value) == self.TO_A_POINT
+
+    def test_the_cli_reports_the_refused_limit(self, monkeypatch, capsys):
+        self.limit_of(monkeypatch, "x", "y")
+        assert main(["components", "--length", "3", "--a", "1", "--b", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: degeneration changed the Hilbert function: source (1, 1, 1), couple (y, x), "
+            "specialized [+1/1·x^1*y^0 +1/1·x^0*y^1; +1/1·x^3*y^0], "
+            "limit [+1/1·x^1*y^0; +1/1·x^0*y^1], target (1,)\n")
+        assert main(["run-suite", "verify-all", "--max-length", "3"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["all_ok"] is False
+        failed = [item for item in data["items"] if not item["ok"]]
+        assert failed == [{"name": "descent-convergence", "ok": False, "witness": self.TO_A_POINT}]
+
+    def test_a_limit_not_below_the_source_is_refused(self, monkeypatch):
+        self.limit_of(monkeypatch, "y", "x^2")  # the clefts of the source
+        with pytest.raises(ConsistencyError) as caught:
+            degenerate_once(construct_staircase([1, 1]), W11)
+        assert str(caught.value) == (
+            "limit staircase is not below the source: " + self.DOMINO
+            + "limit [+1/1·x^0*y^1; +1/1·x^2*y^0], target (1, 1)")
+
+    def least_compatible_of_the_column_class(self, **corrupt):
+        """The oracle's check on the class of (1, 1, 1, 1) at (1, -1), whose least member is (4,)."""
+        members = [construct_staircase([1, 1, 1, 1]), construct_staircase([4])]
+        H = hilbert_function(members[0], W11)
+        assert compatible_staircases(H) == tuple(members)
+        bases = {E: tangent_basis(E, W11)._replace(**corrupt) for E in members}
+        profiles = {E: s_profile(E, W11) for E in members}
+        return H, bases, profiles
+
+    def test_the_least_compatible_staircase(self):
+        H, bases, profiles = self.least_compatible_of_the_column_class()
+        assert _least_compatible(H, bases, profiles) == construct_staircase([4])
+
+    def test_two_staircases_of_empty_positive_part_are_refused(self):
+        H, bases, profiles = self.least_compatible_of_the_column_class(positive=())
+        with pytest.raises(ConsistencyError, match=re.escape(
+                "2 compatible staircases with empty positive part for "
+                "{0: 1, 1: 1, 2: 1, 3: 1}; expected exactly one")):
+            _least_compatible(H, bases, profiles)
+
+    def test_a_least_staircase_not_below_the_others_is_refused(self):
+        H, bases, profiles = self.least_compatible_of_the_column_class()
+        E, F = profiles
+        swapped = {E: profiles[F], F: profiles[E]}
+        with pytest.raises(ConsistencyError,
+                           match=re.escape("(4,) is not below (1, 1, 1, 1) in the staircase order")):
+            _least_compatible(H, bases, swapped)
+
+    W12 = Weight(-1, -2)
+
+    def test_two_staircases_of_one_class_with_a_below_zero_are_refused(self):
+        members = [construct_staircase([2]), construct_staircase([1, 1])]
+        H = hf({-1: 1, 0: 1}, self.W12)
+        bases = {E: tangent_basis(E, self.W12) for E in members}
+        with pytest.raises(ConsistencyError,
+                           match=re.escape("2 staircases share H = {-1: 1, 0: 1} although a <= 0")):
+            _least_of_class(H, bases, {})
+
+    def test_an_invariant_tangent_space_with_ab_positive_is_refused(self):
+        E = construct_staircase([2])
+        H = hilbert_function(E, self.W12)
+        positive = tangent_basis(construct_staircase([1, 1]), W11).positive
+        assert _least_of_class(H, {E: tangent_basis(E, self.W12)}, {}) == E
+        with pytest.raises(ConsistencyError,
+                           match=re.escape("nonzero invariant tangent space at (2,) with a*b > 0")):
+            _least_of_class(H, {E: tangent_basis(E, self.W12)._replace(positive=positive)}, {})
+
+    def test_a_descent_ending_off_the_least_staircase_is_refused(self):
+        E = construct_staircase([1, 1, 1])
+        with pytest.raises(ConsistencyError,
+                           match=re.escape("descent from (1, 1, 1) ends at (3,), not (2, 1)")):
+            _chain(E, construct_staircase([2, 1]), "first", 0, hilbert_function(E, W11), {}, {}, {})
+
+    def test_the_oracle_needs_the_descent_regime(self):
+        with pytest.raises(RegimeError, match=re.escape("oracle needs a > 0, b < 0; got (-1, -2)")):
+            minimal_staircase_oracle(hf({-1: 1, 0: 1}, self.W12))
 
 
 class TestComponentReport:

@@ -451,6 +451,19 @@ class TestHomOracle:
         with pytest.raises(BoundExceededError):
             hom_tangent_oracle(construct_staircase([6, 5]), bound=10)
 
+    # On three columns of characters (j, 0).  The Hom relations of every
+    # staircase tried cancel each row that meets a pivot completely, so
+    # these rows reach the elimination's other branches.
+    THREE = [((j, 0), f"v{j}") for j in range(3)]
+
+    @pytest.mark.parametrize("rows, free", [
+        ([{0: 1, 1: 1}, {0: 1, 2: 1}], [(2, 0)]),  # fill-in at column 1
+        ([{0: 1, 1: 1}, {0: 1, 1: 3}], [(2, 0)]),  # the non-unit pivot 2
+        ([{0: 1, 1: 1}, {0: 1, 1: 1}], [(1, 0), (2, 0)]),  # a repeated row
+    ])
+    def test_elimination(self, rows, free):
+        assert tangent_module._free_chars(self.THREE, rows) == free
+
     def test_equivalence_small(self):
         for l in range(1, 7):
             for E in enumerate_staircases(l):
