@@ -1,19 +1,35 @@
 """JSON command-line front end.
 
 Every subcommand writes exactly one JSON document to standard output and
-diagnostics to standard error.  Exit codes: 0 success, 1 domain errors
-(regime mismatch, unrealizable Hilbert function, failed internal
-certificate), 2 malformed input.
+diagnostics to standard error.  ``main`` returns the exit code and raises
+nothing: 0 success (or the help text asked for), 1 domain errors (regime
+mismatch, unrealizable Hilbert function, failed internal certificate), 2
+malformed input.  On 1 and 2 it writes one ``error:`` line to standard
+error and nothing to standard output.
+
+One reader, ``_parse_args``, reads every argv from two tables: ``_FLAGS``,
+each flag's option string and keywords, and ``_COMMANDS``, each
+subcommand's help, flags and handler.  The tests build the standard
+library's option parser from the same tables as a reference.  The reader
+differs from it by design:
+
+- a flag always takes the next word as its value, so ``--vector -1,-3``
+  reads; the reference refuses a value starting with ``-`` unless it looks
+  like a negative number;
+- flags are spelled out in full: ``--col`` or ``--h`` is refused, not read
+  as an abbreviation;
+- a bare ``--`` is refused;
+- the first word refused ends the read, so a later ``-h`` prints no help;
+- a repeated flag keeps its last value, as in the reference.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
-import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import charts, polynomials, strata, tangent
 from .errors import BoundExceededError, ConsistencyError, DomainError, NotZeroDimensionalError
@@ -613,10 +629,13 @@ def _suite_poincare(args):
 
 
 # ---------------------------------------------------------------------------
-# Parser assembly and entry point
+# Argv reader and entry point
 # ---------------------------------------------------------------------------
 
-# Every flag by key: its option string and ``add_argument`` keywords.
+# Every flag by key: its option string and keywords, read by ``_parse_args``
+# and ``_flag_help``: ``type`` (``int``, or text if absent), ``default``,
+# ``required``, ``choices`` and ``help``.  They are ``add_argument`` keywords
+# of the standard library's option parser too, which the tests build from here.
 _FLAGS = {
     "columns": ("--columns", dict(required=True, help="staircase column heights, e.g. 4,2")),
     "a": ("--a", dict(type=int)),
@@ -643,169 +662,126 @@ _FLAGS = {
     "weights": ("--weights", dict(help="semicolon-separated pairs, e.g. '(-1,-3);(-2,-5)'")),
 }
 
-# Every subcommand: (name, help, flag keys in help order, handler).  A row
+# Every subcommand by name: (help, flag keys in help order, handler).  A row
 # without a handler holds its own rows in place of flags: ``run-suite``'s
 # suites, chosen by the next word.
-_COMMANDS = (
-    ("staircase", "construct a staircase and list its data", "columns", _cmd_staircase),
-    ("clefts", "minimal generators of the complement ideal", "columns", _cmd_clefts),
-    ("hilbert", "Hilbert function of a staircase", "columns a b", _cmd_hilbert),
-    ("compatible", "all staircases with a given Hilbert function", "a b hilbert",
-     _cmd_compatible),
-    ("compare", "S-profile order between two staircases", "columns a b other", _cmd_compare),
-    ("tangent", "significant cleft couples, optionally by direction", "columns a b",
-     _cmd_tangent),
-    ("graph", "significance graph in one direction", "columns a b", _cmd_graph),
-    ("hom-oracle", "tangent space via exact linear algebra", "columns bound", _cmd_hom_oracle),
-    ("cells", "attracting-cell dimension for a torus weight vector", "columns vector",
-     _cmd_cells),
-    ("chart", "chart family over the positive tangent space", "columns a b mode", _cmd_chart),
-    ("specialize", "evaluate a chart family at a point", "columns a b mode point",
-     _cmd_specialize),
-    ("verify-flat", "flatness certificate of a chart family",
-     "columns a b mode seed max_steps samples", _cmd_verify_flat),
-    ("degenerate", "one flat degeneration to a smaller stratum", "columns a b max_steps couple",
-     _cmd_degenerate),
-    ("descend", "degenerate until the positive tangent space vanishes",
-     "columns a b seed max_steps policy", _cmd_descend),
-    ("minimal", "minimal staircase of a Hilbert function", "a b hilbert", _cmd_minimal),
-    ("components", "full report per Hilbert-function class", "a b length", _cmd_components),
-    ("poincare", "cell-dimension census over one length", "vector length", _cmd_poincare),
-    ("groebner", "Groebner check, reduced basis and colength", "a b order ideal max_steps",
-     _cmd_groebner),
-    ("initial", "staircase of the initial ideal", "a b order ideal max_steps", _cmd_initial),
-    ("weight-initial", "extremal-weight initial ideal (flat limit)",
-     "ideal vector max_steps extremum", _cmd_weight_initial),
-    ("run-suite", "batch property suites with JSON summaries", (
-        ("verify-all", "every acceptance check up to a length", "seed max_length",
-         _suite_verify_all),
-        ("components", "component report of one length", "a b suite_length", _suite_components),
-        ("poincare", "census agreement across weight vectors", "max_length weights",
-         _suite_poincare),
-    ), None),
-)
+_COMMANDS = {
+    "staircase": ("construct a staircase and list its data", "columns", _cmd_staircase),
+    "clefts": ("minimal generators of the complement ideal", "columns", _cmd_clefts),
+    "hilbert": ("Hilbert function of a staircase", "columns a b", _cmd_hilbert),
+    "compatible": ("all staircases with a given Hilbert function", "a b hilbert",
+                   _cmd_compatible),
+    "compare": ("S-profile order between two staircases", "columns a b other", _cmd_compare),
+    "tangent": ("significant cleft couples, optionally by direction", "columns a b",
+                _cmd_tangent),
+    "graph": ("significance graph in one direction", "columns a b", _cmd_graph),
+    "hom-oracle": ("tangent space via exact linear algebra", "columns bound", _cmd_hom_oracle),
+    "cells": ("attracting-cell dimension for a torus weight vector", "columns vector",
+              _cmd_cells),
+    "chart": ("chart family over the positive tangent space", "columns a b mode", _cmd_chart),
+    "specialize": ("evaluate a chart family at a point", "columns a b mode point",
+                   _cmd_specialize),
+    "verify-flat": ("flatness certificate of a chart family",
+                    "columns a b mode seed max_steps samples", _cmd_verify_flat),
+    "degenerate": ("one flat degeneration to a smaller stratum", "columns a b max_steps couple",
+                   _cmd_degenerate),
+    "descend": ("degenerate until the positive tangent space vanishes",
+                "columns a b seed max_steps policy", _cmd_descend),
+    "minimal": ("minimal staircase of a Hilbert function", "a b hilbert", _cmd_minimal),
+    "components": ("full report per Hilbert-function class", "a b length", _cmd_components),
+    "poincare": ("cell-dimension census over one length", "vector length", _cmd_poincare),
+    "groebner": ("Groebner check, reduced basis and colength", "a b order ideal max_steps",
+                 _cmd_groebner),
+    "initial": ("staircase of the initial ideal", "a b order ideal max_steps", _cmd_initial),
+    "weight-initial": ("extremal-weight initial ideal (flat limit)",
+                       "ideal vector max_steps extremum", _cmd_weight_initial),
+    "run-suite": ("batch property suites with JSON summaries", {
+        "verify-all": ("every acceptance check up to a length", "seed max_length",
+                       _suite_verify_all),
+        "components": ("component report of one length", "a b suite_length", _suite_components),
+        "poincare": ("census agreement across weight vectors", "max_length weights",
+                     _suite_poincare),
+    }, None),
+}
+
+_DESCRIPTION = ("Staircase invariants of equivariant punctual Hilbert schemes; "
+                "one JSON document per invocation.")
+_HELP = ("-h", "--help")
 
 
-def _add_flags(parser, keys, handler) -> None:
-    """Give ``parser`` the flags of one ``_COMMANDS`` row, or its suites if it has no handler."""
-    if handler is None:
-        choices = parser.add_subparsers(dest="suite", required=True)
-        for name, text, suite_keys, suite_handler in keys:
-            _add_flags(choices.add_parser(name, help=text), suite_keys, suite_handler)
-        return
-    for option, kwargs in (_FLAGS[key] for key in keys.split()):
-        parser.add_argument(option, **kwargs)
-    parser.set_defaults(handler=handler)
+def _help(usage: str, text: str, rows) -> str:
+    """Help text: the usage line, ``text``, then (name, about) ``rows`` in two columns."""
+    rows = [*rows, ("-h, --help", "show this help")]
+    width = max(len(name) for name, _ in rows) + 2
+    return "\n".join([f"usage: {usage}", "", text, "",
+                      *(f"  {name:<{width}}{about}".rstrip() for name, about in rows)]) + "\n"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """A new full parser tree; ``main`` reads well-formed argv without one."""
-    parser = argparse.ArgumentParser(
-        prog="hilbcells",
-        description="Staircase invariants of equivariant punctual Hilbert schemes; "
-                    "one JSON document per invocation.",
-    )
-    choices = parser.add_subparsers(dest="command", required=True)
-    for name, text, keys, handler in _COMMANDS:
-        _add_flags(choices.add_parser(name, help=text), keys, handler)
-    return parser
+def _flag_help(prog: str, text: str, keys: str) -> str:
+    """Help text of one subcommand or suite: its flags, required ones unbracketed."""
+    usage, rows = [prog], []
+    for option, spec in (_FLAGS[key] for key in keys.split()):
+        value = ("{%s}" % ",".join(spec["choices"]) if "choices" in spec
+                 else option[2:].upper().replace("-", "_"))
+        usage.append(f"{option} {value}" if spec.get("required") else f"[{option} {value}]")
+        rows.append((f"{option} {value}", spec.get("help", "")))
+    return _help(" ".join(usage), text, rows)
 
 
-# Built on the first argv that needs it, then shared: parsing only reads a parser.
-_full_parser = functools.cache(build_parser)
-_ROWS = {name: (keys, handler) for name, _text, keys, handler in _COMMANDS}
+def _parse_args(argv: list[str]) -> SimpleNamespace | str:
+    """The namespace ``argv`` names, or the help text it asks for.
 
-
-@functools.cache
-def _sub_parser(name: str) -> argparse.ArgumentParser:
-    """The sub-parser the full tree holds for ``name``, built alone."""
-    parser = argparse.ArgumentParser(prog=f"hilbcells {name}")
-    _add_flags(parser, *_ROWS[name])
-    return parser
-
-
-# The ``add_argument`` keywords the direct reader follows.  Any other (an
-# ``action``, ``nargs`` or ``dest``) changes how argparse reads the flag, and
-# argparse would convert a string default through the flag's type.
-_READ_KEYWORDS = frozenset({"type", "default", "required", "help", "choices"})
-
-
-def _flag_table(keys: str, handler):
-    """The direct reader's table of one subcommand, from its ``_FLAGS`` keywords.
-
-    By option string: the destination, type function and choices argparse
-    would use; then the namespace argparse starts from (each flag's default
-    and the handler), and the required option strings.  Raises ``TypeError``,
-    at import, for a flag whose keywords it cannot follow.
+    The first word names a subcommand, and after ``run-suite`` the next a
+    suite; every later word is one of its flags, ``--flag value`` or
+    ``--flag=value``.  ``-h`` or ``--help`` in place of any of these gives
+    the help of what precedes it.  The namespace holds ``command`` (and
+    ``suite``), ``handler`` and each flag's value or default.
+    ``MalformedInput`` refuses the first word that does not fit, or at the
+    end a missing required flag.
     """
-    flags, start, required = {}, {"handler": handler}, set()
-    for option, kwargs in (_FLAGS[key] for key in keys.split()):
-        if not kwargs.keys() <= _READ_KEYWORDS or "type" in kwargs and isinstance(
-                kwargs.get("default"), str):
-            raise TypeError(f"the direct reader cannot read {option} with {dict(kwargs)}")
+    words, prog, text, rows, found = iter(argv), "hilbcells", _DESCRIPTION, _COMMANDS, {}
+    for dest, kind in (("command", "subcommand"), ("suite", "suite")):
+        word = next(words, None)
+        if word in _HELP:
+            return _help(f"{prog} {kind.upper()} [--flag VALUE ...]", text,
+                         [(name, row[0]) for name, row in rows.items()])
+        if word not in rows:
+            got = "nothing" if word is None else repr(word)
+            raise MalformedInput(f"{prog} needs a {kind} ({', '.join(rows)}), got {got}")
+        found[dest], prog = word, f"{prog} {word}"
+        text, keys, handler = rows[word]
+        if handler is not None:
+            break
+        rows = keys
+    flags, values = {}, dict(found, handler=handler)
+    for option, spec in (_FLAGS[key] for key in keys.split()):
         dest = option[2:].replace("-", "_")
-        flags[option] = dest, kwargs.get("type", str), kwargs.get("choices")
-        start[dest] = kwargs.get("default")
-        if kwargs.get("required"):
-            required.add(option)
-    return flags, start, required
-
-
-# ``run-suite``, whose next word is a suite, has no table.
-_TABLES = {name: _flag_table(keys, handler) for name, (keys, handler) in _ROWS.items() if handler}
-# Words read as negative numbers, hence as values, since no flag looks like
-# one: argparse's ``_negative_number_matcher`` as of Python 3.10.13 to 3.13.0.
-# Later releases widen it (exponents, underscores); a word only they match
-# is refused here and goes to argparse, so the parse is the same.
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
-
-
-def _read_pairs(table, words: list[str]) -> argparse.Namespace | None:
-    """The namespace of ``words`` if well formed (see ``_parse_args``), else None."""
-    flags, start, required = table
-    if len(words) % 2 or not required.issubset(words[::2]):
-        return None
-    values = dict(start)
-    for flag, text in zip(words[::2], words[1::2]):
-        dest, convert, choices = flags.get(flag, (None, None, None))
-        if dest is None or text[:1] == "-" and not _NEGATIVE_NUMBER.match(text):
-            return None
+        flags[option] = dest, spec
+        values[dest] = spec.get("default")
+    for word in words:
+        if word in _HELP:
+            return _flag_help(prog, text, keys)
+        option, eq, value = word.partition("=")
+        if option not in flags:
+            raise MalformedInput(f"{prog} has no flag {word!r}")
+        if not eq:
+            value = next(words, None)
+            if value is None:
+                raise MalformedInput(f"{option} needs a value")
+        dest, spec = flags[option]
         try:
-            values[dest] = value = convert(text)
-        except Exception:  # argparse reports it
-            return None
-        if choices is not None and value not in choices:
-            return None
-    return argparse.Namespace(**values)
-
-
-def _parse_args(argv: list[str] | None) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, without argparse on well-formed argv.
-
-    When ``argv[0]`` names a subcommand, the rest is well formed if it is
-    exact ``--flag value`` pairs from the subcommand's flag table whose
-    values convert by the flag's type and lie in its choices, with every
-    required flag present and a value starting with ``-`` only where
-    argparse reads it as a negative number.  Such words are read into the
-    namespace argparse would build, and no parser is built.  Any other rest
-    goes to the subcommand's own sub-parser, built alone, and leftovers to
-    the full tree's "unrecognized arguments" error.  Any other argv (empty,
-    help, an unknown word, a leading ``--``) takes the full tree's parse.
-    Help, error text and exit codes are argparse's.
-    """
-    if argv is None:
-        argv = sys.argv[1:]
-    name = argv[0] if argv else None
-    if name not in _ROWS:
-        return _full_parser().parse_args(argv)
-    table = _TABLES.get(name)
-    args = _read_pairs(table, argv[1:]) if table else None
-    if args is None:
-        args, extras = _sub_parser(name).parse_known_args(argv[1:])
-        if extras:
-            _full_parser().error(f"unrecognized arguments: {' '.join(extras)}")
-    args.command = name
-    return args
+            value = spec.get("type", str)(value)
+        except ValueError as exc:
+            raise MalformedInput(f"{option} needs an integer, got {value!r}") from exc
+        if value not in spec.get("choices", (value,)):
+            raise MalformedInput(f"{option} needs one of {', '.join(spec['choices'])}, "
+                                 f"got {value!r}")
+        values[dest] = value
+    missing = [option for option, (dest, spec) in flags.items()
+               if spec.get("required") and values[dest] is None]  # no value read is None
+    if missing:
+        raise MalformedInput(f"{prog} needs {', '.join(missing)}")
+    return SimpleNamespace(**values)
 
 
 # One encoder for every answer; ``json.dumps`` with keywords builds one per call.
@@ -813,9 +789,17 @@ _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=F
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand; may be called any number of times in one process."""
-    args = _parse_args(argv)
+    """Run one argv and return its exit code; may be called any number of times in one process.
+
+    0: one JSON document, or the help text asked for, on stdout.  1: a
+    domain error, 2: malformed input, each as one ``error:`` line on stderr
+    and nothing on stdout.  Calls share no state.
+    """
     try:
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):
+            sys.stdout.write(args)
+            return 0
         payload = args.handler(args)
     except MalformedInput as exc:
         print(f"error: {exc}", file=sys.stderr)

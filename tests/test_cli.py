@@ -426,9 +426,8 @@ class TestExitCodes:
         assert code == 2
 
     def test_missing_flags_is_two(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["staircase"])
-        assert err.value.code == 2
+        code, out, err = run(capsys, "staircase")
+        assert (code, out, err) == (2, "", "error: hilbcells staircase needs --columns\n")
 
     def test_regime_error_is_one(self, capsys):
         code, out, err = run(capsys, "degenerate", "--columns", "1,1", "--a", "-1", "--b", "-2")
@@ -756,10 +755,9 @@ class TestExitCodes:
         ("run-suite", "components", "--length", "3", "--a", "1", "--b", "-1",
          "--max-steps", "5"),
     ])
-    def test_max_steps_where_unread_is_two(self, argv):
-        with pytest.raises(SystemExit) as err:
-            main(list(argv))
-        assert err.value.code == 2
+    def test_max_steps_where_unread_is_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.endswith(" has no flag '--max-steps'\n")
 
     @pytest.mark.parametrize("argv", [
         ("verify-flat", "--columns", "2,1", "--mode", "general"),
@@ -782,10 +780,34 @@ class TestExitCodes:
         ("run-suite", "poincare", "--max-length", "2", "--weights", "(-1,-3)", "--seed", "3"),
         ("run-suite", "poincare", "--max-length", "2", "--weights", "(-1,-3)", "--length", "2"),
     ])
-    def test_suite_flag_the_suite_does_not_read_is_two(self, argv):
-        with pytest.raises(SystemExit) as err:
-            main(list(argv))
-        assert err.value.code == 2
+    def test_suite_flag_the_suite_does_not_read_is_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("error: hilbcells run-suite ")
+        assert " has no flag '--" in err and err.count("\n") == 1
+
+    # The argvs whose exit code the one reader changed, one or two per
+    # decision class (see ``agreement``): argv, what the argparse reference
+    # does with it ("reads" it, 0 prints help, 2 refuses; None: it depends on
+    # the Python version, as 3.13.13 reads "-- tangent --columns 1" as if
+    # without "--"), and ``main``'s exit code now.
+    @pytest.mark.parametrize("argv, before, after", [
+        (("cells", "--columns", "3,1", "--vector", "-1,-3"), 2, 0),  # the --vector help example
+        (("poincare", "--length", "3", "--vector", "-1,-3"), 2, 0),
+        (("poincare", "--length", "5", "--vector", "-1,-3"), 2, 1),  # not generic at length 5
+        (("tangent", "--col", "2,1"), "reads", 2),
+        (("tangent", "--columns", "2,1", "--h"), 0, 2),
+        (("--", "tangent", "--columns", "1"), None, 2),
+        (("tangent", "--zzz", "-h"), 0, 2),
+    ])
+    def test_decided_divergences_from_argparse(self, capsys, argv, before, after):
+        theirs = reference(argv)[0]
+        assert before in (None, "reads" if isinstance(theirs, dict) else theirs), theirs
+        code, out, err = run(capsys, *argv)
+        assert code == after
+        if code:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert out.count("\n") == 1 and not err
 
     # Local orders under which x or y sorts below 1 but is not nilpotent
     # modulo the anchor ideal (it contains y^4 - y^3): the flat limit leaves
@@ -813,52 +835,32 @@ class TestExitCodes:
 
 
 # The CI step's check: exit 0, or exit 1 naming what ``hilbcells.cli`` loaded.
-IMPORT_CHECK = ("import sys, hilbcells.cli; "
-                "sys.exit(sorted({'dataclasses', 'inspect'} & set(sys.modules)) or None)")
+IMPORT_CHECK = ("import sys, hilbcells.cli; sys.exit(sorted("
+                "{'dataclasses', 'inspect', 'argparse'} & set(sys.modules)) or None)")
 
 
 class TestStartUp:
     def test_import_generates_no_records(self):
-        # Records are named tuples, so nothing loads dataclasses or inspect.
-        # pytest imports both itself, hence the child interpreter.
+        # Records are named tuples, so nothing loads dataclasses or inspect,
+        # and the command line reads argv without argparse.  pytest imports
+        # all three itself, hence the child interpreter.
         done = subprocess.run([sys.executable, "-c", IMPORT_CHECK], capture_output=True,
                               text=True, timeout=120, env=child_env())
         assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
 
 
 def outcome(capsys, argv):
-    """Exit code and stdout of one call, counting argparse's own exit."""
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
-    return code, capsys.readouterr().out
+    """Exit code and stdout of one call."""
+    return main(list(argv)), capsys.readouterr().out
 
 
 class TestRepeatedCalls:
     DESCEND = ("descend", "--columns", "2,2,2", "--a", "1", "--b", "-1", "--policy", "random")
 
-    def test_parser_is_built_once(self, capsys, monkeypatch):
-        # A well-formed argv builds no parser, so warm up with a refused one.
-        outcome(capsys, ("staircase",))
-        built = 0
-        init = argparse.ArgumentParser.__init__
-
-        def counting_init(self, *args, **kwargs):
-            nonlocal built
-            built += 1
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-        for argv in [("staircase", "--columns", "2,1"), ("staircase", "--columns", "a,b"),
-                     ("staircase",), ("poincare", "--length", "3", "--vector", "(-1,-4)")]:
-            outcome(capsys, argv)
-        assert built == 0
-
     def test_calls_share_no_state(self, capsys):
         sequence = [
-            ("staircase",),                       # argparse exits 2 itself
-            ("staircase", "--columns", "a,b"),    # "error:" line, exit 2
+            ("staircase",),                       # refused by the reader, exit 2
+            ("staircase", "--columns", "a,b"),    # refused by the handler, exit 2
             self.DESCEND + ("--seed", "3"),
             self.DESCEND,                         # default seed 7
             ("staircase", "--columns", "2,1"),
@@ -868,49 +870,6 @@ class TestRepeatedCalls:
         assert forward == backward
         assert [code for code, _ in forward] == [2, 2, 0, 0, 0]
         assert forward[2] != forward[3]  # the two seeds give different chains
-
-
-class TestLazyParsers:
-    """A well-formed argv builds no parser; a refused one builds its sub-parser once."""
-
-    def test_parsers_built_per_argv(self, capsys, monkeypatch):
-        built = []
-        init = argparse.ArgumentParser.__init__
-
-        def counting_init(self, *args, **kwargs):
-            built.append(kwargs.get("prog"))
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-        monkeypatch.setattr(cli, "_sub_parser", functools.cache(cli._sub_parser.__wrapped__))
-        monkeypatch.setattr(cli, "_full_parser", functools.cache(cli.build_parser))
-        steps = [  # argv, the progs of the parsers its parse builds
-            (("staircase", "--columns", "2,1"), []),
-            (("poincare", "--length", "3", "--vector", "(-1,-4)"), []),
-            (("staircase",), ["hilbcells staircase"]),
-            (("staircase",), []),
-            (("run-suite", "poincare", "--weights", "(-1,-4)", "--max-length", "2"),
-             ["hilbcells run-suite", "hilbcells run-suite verify-all",
-              "hilbcells run-suite components", "hilbcells run-suite poincare"]),
-        ]
-        for argv, expected in steps:
-            built.clear()
-            outcome(capsys, argv)
-            assert built == expected, argv
-        # Leftover words need the full tree's error: the top level, 21
-        # subcommands and 3 suites, built once.
-        for argv, count in [(("staircase", "--columns", "2,1", "extra"), 25), (("nope",), 0)]:
-            built.clear()
-            outcome(capsys, argv)
-            assert len(built) == count, argv
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(action="store_true"), dict(nargs=2), dict(dest="cols"), dict(type=int, default="7"),
-    ])
-    def test_flag_table_refuses_keywords_it_cannot_follow(self, monkeypatch, kwargs):
-        monkeypatch.setitem(cli._FLAGS, "extra", ("--extra", kwargs))
-        with pytest.raises(TypeError, match="cannot read --extra"):
-            cli._flag_table("columns extra", cli._cmd_staircase)
 
 
 class TestDeterminism:
@@ -984,13 +943,14 @@ def captured(call, argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             result = call(list(argv))
-        except SystemExit as exc:
+        except SystemExit as exc:  # the argparse reference exits itself
             result = exc.code
     return result, out.getvalue(), err.getvalue()
 
 
 class TestSubcommandParse:
-    """``main`` parses with the subcommand's own parser, as the full tree would."""
+    """The reader reads each valid argv as the reference does, and edge argvs
+    as the reference does or as one of its recorded decisions says."""
 
     def test_corpus_names_every_subcommand_and_suite(self):
         named = {argv[:2] if argv[0] == "run-suite" else argv[:1] for argv in VALID_ARGVS}
@@ -998,25 +958,20 @@ class TestSubcommandParse:
 
     @pytest.mark.parametrize("argv", VALID_ARGVS + EDGE_ARGVS, ids=" ".join)
     def test_parse_equals_the_full_tree(self, argv):
-        full_tree = cli.build_parser()
-        mine = captured(lambda a: vars(cli._parse_args(a)), argv)
-        full = captured(lambda a: vars(full_tree.parse_args(a)), argv)
-        assert mine == full
+        decision = agreement(argv)
         if argv in VALID_ARGVS:
-            assert isinstance(mine[0], dict) and mine[0]["command"] == argv[0]
+            assert decision == "agree" and read(argv)["command"] == argv[0]
 
     def test_well_formed_argv_skips_argparse(self, monkeypatch):
-        # Every subcommand reads exact flag-value pairs from its own table;
-        # run-suite, whose next word is a suite, still goes through argparse.
+        # The command line imports no argparse: every valid argv, run-suite
+        # included, reads with argparse's parsing switched off.
         def refuse(self, *args, **kwargs):
             raise AssertionError("argparse parsed the argv")
 
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+        assert "argparse" not in vars(cli)
         for argv in VALID_ARGVS:
-            if argv[0] != "run-suite":
-                assert vars(cli._parse_args(list(argv)))["command"] == argv[0]
-        with pytest.raises(AssertionError, match="argparse parsed"):
-            cli._parse_args(list(VALID_ARGVS[-1]))
+            assert vars(cli._parse_args(list(argv)))["command"] == argv[0]
 
 
 def ints(lo, hi):
@@ -1072,9 +1027,32 @@ FLAG_VALUES = {
 FLAG_VALUES["other"] = FLAG_VALUES["columns"]
 
 
+def _add_rows(parser, dest, rows):
+    """Give ``parser`` a sub-parser per ``cli._COMMANDS`` row: its flags, or its own rows."""
+    choices = parser.add_subparsers(dest=dest, required=True)
+    for name, (text, keys, handler) in rows.items():
+        sub = choices.add_parser(name, help=text)
+        if handler is None:
+            _add_rows(sub, "suite", keys)
+            continue
+        for option, kwargs in (cli._FLAGS[key] for key in keys.split()):
+            sub.add_argument(option, **kwargs)
+        sub.set_defaults(handler=handler)
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse tree of ``cli._COMMANDS`` and ``cli._FLAGS``: the reader's reference."""
+    parser = argparse.ArgumentParser(prog="hilbcells")
+    _add_rows(parser, "command", cli._COMMANDS)
+    return parser
+
+
+REFERENCE = reference_parser()
+
+
 def subcommand_parsers():
-    """(argv prefix, parser) of every subcommand and run-suite suite."""
-    (commands,) = (a.choices for a in cli.build_parser()._actions if a.dest == "command")
+    """(argv prefix, parser) of every subcommand and run-suite suite of the reference."""
+    (commands,) = (a.choices for a in REFERENCE._actions if a.dest == "command")
     out = []
     for name, sub in commands.items():
         suites = [a.choices for a in sub._actions if a.dest == "suite"]
@@ -1083,6 +1061,12 @@ def subcommand_parsers():
         else:
             out.append(((name,), sub))
     return out
+
+
+# The option strings of every subcommand and suite, by argv prefix.
+OPTIONS = {prefix: {a.option_strings[0] for a in parser._actions
+                    if a.option_strings and a.dest != "help"}
+           for prefix, parser in subcommand_parsers()}
 
 
 @st.composite
@@ -1100,8 +1084,6 @@ def any_argv(draw, prefix, parser):
     return argv + ([junk] if junk else [])
 
 
-FULL_TREE = cli.build_parser()
-
 # Values that argparse reads in different ways: negative numbers, other
 # leading dashes, spaces, "=", the empty word, and words that some flag's
 # type or choices refuse.
@@ -1110,13 +1092,13 @@ TRICKY_VALUES = ("1", "2,1", "0", "-1", "-3", "-1.5", "-.5", "-1e3", "- 1", "-x^
                  "{}", "x^2; y", "-h", "--columns")
 # Words out of place: help, the end of options, unknown and abbreviated flags.
 STRAY_WORDS = ("-h", "--help", "--", "--zzz", "extra", "-", "--col", "--columns=2,1", "--a=-1",
-               "--max", "--length", "verify-all")
+               "--max", "--length", "verify-all", "--h", "--col=1", "--max=9")
 
 
 def random_argv(rng, prefix, parser):
     """The prefix and its flags in random order, each present or not, valued
-    with a small integer or a ``TRICKY_VALUES`` word; sometimes a stray
-    word is inserted or the last word dropped."""
+    with a small integer or a ``TRICKY_VALUES`` word; sometimes one or two
+    stray words are inserted or the last word dropped."""
     flags = [a.option_strings[0] for a in parser._actions if a.option_strings and a.dest != "help"]
     rng.shuffle(flags)
     argv = []
@@ -1124,62 +1106,138 @@ def random_argv(rng, prefix, parser):
         if rng.random() < 0.8:
             value = str(rng.randint(-3, 12)) if rng.random() < 0.7 else rng.choice(TRICKY_VALUES)
             argv += [flag, value]
-    if rng.random() < 0.15:
-        argv.insert(rng.randint(0, len(argv)), rng.choice(STRAY_WORDS))
+    for _ in range(2):
+        if rng.random() < 0.15:
+            argv.insert(rng.randint(0, len(argv)), rng.choice(STRAY_WORDS))
     if argv and rng.random() < 0.1:
         argv.pop()
     return list(prefix) + argv
 
 
+def read(argv):
+    """What the reader makes of argv: its namespace as a dict, 0 for help, or 2 if refused."""
+    try:
+        args = cli._parse_args(list(argv))
+    except cli.MalformedInput:
+        return 2
+    return 0 if isinstance(args, str) else vars(args)
+
+
+def reference(argv):
+    """What the argparse reference makes of argv: its namespace as a dict, or its exit code,
+    with its stdout and stderr."""
+    return captured(lambda a: vars(REFERENCE.parse_args(a)), argv)
+
+
+def subcommand_prefix(argv) -> tuple:
+    """The words of argv that name its subcommand or suite; () if none does."""
+    return next((p for p in OPTIONS if tuple(argv[:len(p)]) == p), ())
+
+
+def joined(argv):
+    """argv with each option string of its subcommand joined by "=" to the next word.
+
+    That is how the reader pairs a flag with its value, and how argparse
+    takes any next word, one starting with "-" too, as the value.
+    """
+    prefix = subcommand_prefix(argv)
+    words, out = list(argv[len(prefix):]), list(prefix)
+    while words:
+        word = words.pop(0)
+        out.append(f"{word}={words.pop(0)}" if word in OPTIONS.get(prefix, ()) and words else word)
+    return out
+
+
+def agreement(argv) -> str:
+    """Compare the reader with the argparse reference on argv, outcome by outcome.
+
+    An accepted argv is compared by its namespace, help by exit code 0, a
+    refused argv by exit code 2 alone.  Where the two differ, the argv must
+    lie in a decision class recorded in ``cli``'s docstring, and the reader
+    must give that class's decided result:
+
+    - "dash value": a flag's value starts with "-"; the reader reads it as
+      argparse reads the argv with every flag joined to its value by "=";
+    - "abbreviation": a flag argparse reads as an abbreviation (``--col``,
+      ``--h`` for ``--help``); the reader refuses;
+    - "bare --": the reader refuses the word "--";
+    - "help after a refused word": argparse defers an unknown word and
+      prints help for a later ``-h``; the reader refuses at the first.
+
+    Returns "agree" or the class.
+    """
+    mine, theirs = read(argv), reference(argv)[0]
+    if mine == theirs:
+        return "agree"
+    words = joined(argv)
+    decided = reference(words)[0]
+    if isinstance(decided, dict):  # argparse before 3.13 reads "--flag=--" as an empty list
+        decided = {dest: "--" if value == [] else value for dest, value in decided.items()}
+    if mine == decided:
+        assert any(w.partition("=")[2][:1] == "-" for w in words if w not in argv), argv
+        return "dash value"
+    assert mine == 2, argv
+    prefix = subcommand_prefix(argv)
+    options = OPTIONS.get(prefix, set()) | {"--help"}
+    for word in words[len(prefix):]:
+        head = word.partition("=")[0]
+        if head[2:] and head.startswith("--") and head not in options and any(
+                option.startswith(head) for option in options):
+            return "abbreviation"
+    if "--" in words:
+        return "bare --"
+    assert theirs == 0 and {"-h", "--help"} & set(words), argv
+    return "help after a refused word"
+
+
 def check_parse_agreement(count, seed):
-    """``cli._parse_args`` against the full tree's ``parse_args`` on seeded argvs.
+    """The reader against the argparse reference on seeded argvs.
 
     Draws ``count`` argvs with ``random_argv`` over every subcommand and
-    run-suite suite, and a few with no subcommand, and asserts that each
-    gives the same namespace or exit code, stdout and stderr both ways.
-    Standard library only.  Returns the number of argvs and how many of
-    them ``_parse_args`` read without argparse's parse.  CI runs it beyond
-    the Tier-1 count.
+    run-suite suite, and a few with no subcommand, and checks each with
+    ``agreement``.  Every argv the reader refuses must also exit 2 from
+    ``main`` with an empty stdout and one ``error:`` line, and every help
+    argv exit 0 with the help on stdout alone; neither runs a handler,
+    since the reader answers first.  Standard library only.  Returns a
+    ``Counter`` of the ``agreement`` classes.  CI runs it beyond the
+    Tier-1 count.
     """
     rng = random.Random(seed)
     prefixes = subcommand_parsers()
-    prefixes += [((), FULL_TREE), (("run-suite",), FULL_TREE), (("nope",), FULL_TREE)]
-    parse = argparse.ArgumentParser.parse_known_args
-    parsed = 0
-
-    def counted(self, *args, **kwargs):
-        nonlocal parsed
-        parsed += 1
-        return parse(self, *args, **kwargs)
-
-    direct = 0
+    prefixes += [((), REFERENCE), (("run-suite",), REFERENCE), (("nope",), REFERENCE)]
+    classes = Counter()
     for _ in range(count):
         argv = random_argv(rng, *rng.choice(prefixes))
-        before = parsed
-        argparse.ArgumentParser.parse_known_args = counted
-        try:
-            mine = captured(cli._parse_args, argv)
-        finally:
-            argparse.ArgumentParser.parse_known_args = parse
-        direct += parsed == before
-        assert mine == captured(FULL_TREE.parse_args, argv), argv
-    return count, direct
+        classes[agreement(argv)] += 1
+        outcome = read(argv)
+        if outcome == 2:
+            code, out, err = captured(main, argv)
+            assert (code, out) == (2, "") and err.startswith("error: "), argv
+            assert err.count("\n") == 1 and err.endswith("\n"), argv
+        elif outcome == 0:
+            code, out, err = captured(main, argv)
+            assert (code, err) == (0, "") and out.startswith("usage: hilbcells"), argv
+    return classes
 
 
 class TestParseAgreement:
-    """``cli._parse_args`` equals the full tree's ``parse_args`` on generated argvs."""
+    """The reader equals the argparse reference on generated argvs, or differs
+    only in a recorded decision class."""
 
     @pytest.mark.parametrize("prefix, parser", subcommand_parsers(),
                              ids=lambda v: " ".join(v) if isinstance(v, tuple) else "")
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_any_argv_parses_as_the_full_tree(self, prefix, parser, data):
-        argv = data.draw(any_argv(prefix, parser))
-        assert captured(cli._parse_args, argv) == captured(FULL_TREE.parse_args, argv)
+        agreement(data.draw(any_argv(prefix, parser)))
 
     def test_seeded_argvs_agree(self):
-        checked, direct = check_parse_agreement(2000, 17)
-        assert 0.2 * checked < direct < 0.8 * checked  # both paths are taken
+        classes = check_parse_agreement(2000, 17)
+        assert classes["agree"] > 0.9 * 2000
+        # "bare --" is refused by argparse too, before Python 3.13.13, on these argvs.
+        assert {"agree", "dash value", "abbreviation", "help after a refused word"} <= set(
+            classes) <= {"agree", "dash value", "abbreviation", "bare --",
+                         "help after a refused word"}, classes
 
 
 # (argv before the size, size flag, bound); sizes above the bound exit 1.
@@ -1470,13 +1528,7 @@ class TestArgvFuzz:
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_any_argv_keeps_the_contract(self, prefix, parser, data):
-        code, out, _ = captured(main, data.draw(any_argv(prefix, parser)))
-        assert code in (0, 1, 2)
-        if code == 0:
-            assert out.count("\n") == 1 and out.endswith("\n")
-            json.loads(out)
-        else:
-            assert out == ""
+        cli_contract(data.draw(any_argv(prefix, parser)))
 
     @settings(max_examples=30, deadline=None)
     @given(argv=point_argvs())

@@ -8,7 +8,6 @@ exact stdout bytes.  Only a deliberate change of output may re-record one;
 the failure message prints the new value.
 """
 
-import argparse
 import contextlib
 import hashlib
 import importlib.util
@@ -168,10 +167,9 @@ DIGESTS = {
         "2f727ba6f41128db6353c049eab617f15d0c4a170e89680ec636f203192949c8",
 }
 
-# Help and error text of the parser tree, stdout and stderr of argparse's
-# own exits included: every subcommand and suite with help, no flags, an
-# unknown flag, a flag without its value, an ill-typed value and a value
-# outside a flag's choices.
+# Help and error text of the argv reader, on stdout and stderr: every
+# subcommand and suite with help, no flags, an unknown flag, a flag without
+# its value, an ill-typed value and a value outside a flag's choices.
 PREFIXES = [[name] for name in (
     "staircase", "clefts", "hilbert", "compatible", "compare", "tangent", "graph",
     "hom-oracle", "cells", "chart", "specialize", "verify-flat", "degenerate", "descend",
@@ -182,47 +180,15 @@ HELP_AND_ERROR_ARGVS = [["-h"], [], ["bogus"], ["run-suite", "-h"], ["run-suite"
     prefix + rest for prefix in PREFIXES
     for rest in (["-h"], [], ["--zzz", "1"], ["--columns"], ["--a", "x"], ["--extremum", "mid"])]
 
-
-def _argparse_layout() -> tuple[bool, bool]:
-    """The two argparse behaviours the help and error text depends on.
-
-    First, whether wrapped usage keeps a flag next to its value, as from
-    Python 3.13 on.  Second, whether an invalid choice lists the choices
-    quoted, as up to 3.13.0; 3.13.13 lists them bare.  A tiny probe parser
-    reads both, so the digests are keyed by behaviour, not by version.
-    """
-    probe = argparse.ArgumentParser(
-        prog="p", add_help=False, exit_on_error=False,
-        formatter_class=lambda prog: argparse.HelpFormatter(prog, width=26))
-    probe.add_argument("--aaaa", required=True)
-    probe.add_argument("--bb", required=True)
-    probe.add_argument("--c", choices=["d"])
-    try:
-        probe.parse_args(["--aaaa", "1", "--bb", "2", "--c", "e"])
-    except argparse.ArgumentError as exc:
-        quoted = "'d'" in str(exc)
-    return "--bb BB" in probe.format_usage(), quoted
-
-
-# Each layout has its own digest, at 80 columns.  (False, True) and (True,
-# True) were recorded at 1c6ff51, while every flag was still declared by
-# hand, under Python 3.10.13, 3.11.7 and 3.12.1, and under 3.13.0;
-# (True, False) was recorded later, under 3.13.13.
-ARGPARSE_LAYOUT = _argparse_layout()
-NEW_HELP_LAYOUT = ARGPARSE_LAYOUT[0]
-HELP_AND_ERROR_DIGESTS = {
-    (False, True): "3e8910152aa6de20ac2fedb7a0ef777724fc58ceff94c239a3b84748d13226d3",
-    (True, True): "d4751c6c4d06329534ec641b6b2dc70062327d7aea85ea016d61136d0a98f48d",
-    (True, False): "273b68646508a1ccfaaf30ae9024dd8a2015aa7ebdd5dc5490d402139506b9a7",
-}
+# Recorded when the flag tables became the only argv reader; the text is
+# not wrapped to the terminal, so it is the same under every Python and
+# every COLUMNS (replayed under 3.10.13, 3.11.7, 3.12.1, 3.13.0 and 3.13.13).
+HELP_AND_ERROR = "d3ec5ec4d116f552edfa8eb7e3933b99a714772144a24f6029c5d22b8ae76173"
 # SHA-256 of the stdout of each help argv; CI compares the console script's.
-TANGENT_HELP = "227273027669f2b355eb1cc7b87aba65d8b84f94401087a66bc8a752854e3dc3"
-VERIFY_ALL_HELP = "297fc76ca1f5aa8ddffa1c78f73d53d3fc585fe8321c5d0d1d65934202d429fa"
 HELP_DIGESTS = {
-    False: {"-h": "b97b870a8d4a5f26af7416cd091b9d71ad93f650dcc088cf8ae4eff27c886369",
-            "tangent -h": TANGENT_HELP, "run-suite verify-all -h": VERIFY_ALL_HELP},
-    True: {"-h": "9289a6ff26fdd37e94cd76fbba29bc5e9dcf5733010428b64f539e6ee6fae965",
-           "tangent -h": TANGENT_HELP, "run-suite verify-all -h": VERIFY_ALL_HELP},
+    "-h": "a8ceab9b03d731ec89e6e7cfe06c59d03d406baba9e410a146265ee84ef67fc7",
+    "tangent -h": "1d9c533217d16c03e4c9536172f2031e06fcdbcc40a5aef45cd434b404c8123b",
+    "run-suite verify-all -h": "c69faa54001a984b2b64372bca41e4080080cd296abcab3630fbcf80018cec0d",
 }
 
 
@@ -286,38 +252,32 @@ def test_verify_all_stdout_to_length_eight(capsys):
 
 
 def _outcome(argv):
-    """Exit code, stdout and stderr of one ``main`` call, argparse's own exits included."""
+    """Exit code, stdout and stderr of one ``main`` call."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
+        code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
 
 
-def test_help_and_error_text(monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")
-    assert ARGPARSE_LAYOUT in HELP_AND_ERROR_DIGESTS, f"no digest for {ARGPARSE_LAYOUT}"
+def test_help_and_error_text():
     digest = _digest([[argv, *_outcome(argv)] for argv in HELP_AND_ERROR_ARGVS])
-    assert digest == HELP_AND_ERROR_DIGESTS[ARGPARSE_LAYOUT], f"help changed, now {digest}"
+    assert digest == HELP_AND_ERROR, f"help changed, now {digest}"
 
 
 def check_help_digests(command=("hilbcells",)):
     """The help text ``command`` prints against ``HELP_DIGESTS``.
 
     Runs ``command -h``, ``command tangent -h`` and ``command run-suite
-    verify-all -h`` at 80 columns and asserts that each exits 0 with stdout
-    of the recorded SHA-256.  Standard library only.  Returns the number of
-    help texts checked.  CI runs it on the installed console script.
+    verify-all -h`` and asserts that each exits 0 with stdout of the
+    recorded SHA-256.  Standard library only.  Returns the number of help
+    texts checked.  CI runs it on the installed console script.
     """
-    env = dict(os.environ, COLUMNS="80")
-    for words, digest in HELP_DIGESTS[NEW_HELP_LAYOUT].items():
-        done = subprocess.run([*command, *words.split()], capture_output=True, env=env,
-                              timeout=60, check=True)
+    for words, digest in HELP_DIGESTS.items():
+        done = subprocess.run([*command, *words.split()], capture_output=True, timeout=60,
+                              check=True)
         got = hashlib.sha256(done.stdout).hexdigest()
         assert got == digest, f"{words}: help changed, digest now {got}"
-    return len(HELP_DIGESTS[NEW_HELP_LAYOUT])
+    return len(HELP_DIGESTS)
 
 
 def _import_this_hilbcells_in_children(monkeypatch):
@@ -354,13 +314,14 @@ def test_demo_stdout(monkeypatch, name):
 
 
 # SHA-256 over repr((argv, exit code, stdout, stderr)) of each of the 1,960
-# ``cli_inputs`` argvs of perfbench/workloads.py at seeds 1-5, in order, at
-# 80 columns: every cli-mix call of the benchmark, malformed ones included.
-# Recorded at f4fd8d7, equal under Python 3.10.13, 3.11.7 and 3.12.1, layout
-# (False, True), and 3.13.0, (True, True).  (True, False) was not run; no
-# argv of the corpus names an invalid choice, the only text it changes.
-CLI_MIX = "40dd2de7b873d9ff329d39ce45cf4bf2eee61b5fcb4d700e3d6a11c849a6b65c"
-CLI_MIX_DIGESTS = {(False, True): CLI_MIX, (True, True): CLI_MIX, (True, False): CLI_MIX}
+# ``cli_inputs`` argvs of perfbench/workloads.py at seeds 1-5, in order: every
+# cli-mix call of the benchmark, malformed ones included.  Re-recorded when
+# the flag tables became the only argv reader, since the stderr of the
+# refused ("tangent",) changed; it was 40dd2de7... under argparse.
+CLI_MIX = "b8833694abba264fc5edc78ba3e3a815107d637963bf62e981b24c8d68e4bf41"
+# The same over repr((argv, exit code, stdout)): equal before and after that
+# change, as every exit code and stdout of the corpus stayed.
+CLI_MIX_STDOUT = "2ded75e814cc8ac4ed458a7dee5d3fe76597b2fccba218d6205600d67c0b7438"
 
 
 def _perfbench_workloads():
@@ -372,13 +333,14 @@ def _perfbench_workloads():
     return module
 
 
-def test_cli_mix_corpus(monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")
-    assert ARGPARSE_LAYOUT in CLI_MIX_DIGESTS, f"no digest for {ARGPARSE_LAYOUT}"
+def test_cli_mix_corpus():
     cli_inputs = _perfbench_workloads().cli_inputs
     api = SimpleNamespace(hc=hilbcells, cli=hilbcells.cli)
-    h = hashlib.sha256()
+    full, stdout = hashlib.sha256(), hashlib.sha256()
     for seed in range(1, 6):
         for case in cli_inputs(api, seed):
-            h.update(repr((case.argv, *_outcome(case.argv))).encode())
-    assert h.hexdigest() == CLI_MIX_DIGESTS[ARGPARSE_LAYOUT], f"cli-mix now {h.hexdigest()}"
+            code, out, err = _outcome(case.argv)
+            full.update(repr((case.argv, code, out, err)).encode())
+            stdout.update(repr((case.argv, code, out)).encode())
+    assert stdout.hexdigest() == CLI_MIX_STDOUT, f"cli-mix stdout now {stdout.hexdigest()}"
+    assert full.hexdigest() == CLI_MIX, f"cli-mix now {full.hexdigest()}"
