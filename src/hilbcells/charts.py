@@ -178,28 +178,6 @@ def specialize_family(
     return [p.substitute_chart(values) for p in fam.generators]
 
 
-def _unit_specializations(fam: ChartFamily) -> tuple[list, dict[tuple, list]]:
-    """``specialize_family`` at the origin and at each unit point, keyed as a sample freezes it."""
-    const: list[dict] = [{} for _ in fam.generators]
-    single: dict[VarKey, dict[int, dict]] = {v: {} for v in fam.variables}
-    for g, p in enumerate(fam.generators):
-        for m, c in p.terms.items():
-            terms = c.terms.items() if isinstance(c, ChartCoefficient) else (((), c),)
-            for mono, q in terms:  # 1 at the unit point of v if constant or v^e
-                if not mono:
-                    const[g][m] = q
-                elif len(mono) == 1 and mono[0][0] in single:
-                    single[mono[0][0]].setdefault(g, {})[m] = q
-    origin = [BivariatePolynomial._of(terms) for terms in const]
-    units = {}
-    for v, extra in single.items():
-        gens = list(origin)  # a generator free of v is its origin fiber
-        for g, terms in extra.items():
-            gens[g] = origin[g] + BivariatePolynomial._of(terms)
-        units[((v, "1"),)] = gens
-    return origin, units
-
-
 def _point_values(variables, point: Mapping[VarKey, Fraction]) -> dict[VarKey, int | Fraction]:
     """The point's values as exact rationals; it must assign only the variables."""
     unknown = set(point).difference(variables)
@@ -270,11 +248,12 @@ def verify_flatness(
     Each of ``default_sample_points(fam, extra_samples, seed)`` completes
     its specialized generators to a Groebner basis under ``LEX_YX`` by the
     pair loop of ``buchberger`` alone, without interreducing, and reads the
-    colength from the leading monomials (unit points are specialized in
-    one pass, others substituted).  Every Groebner basis of an ideal
-    generates the same leading ideal, so the number equals the colength of
-    the reduced basis.  A zero generator, a tripped step limit or an
-    infinite colength gives colength -1.
+    colength from the leading monomials.  The origin fiber and every sample
+    come from ``specialize_family``, which substitutes into the generators
+    being certified.  Every Groebner basis of an ideal generates the same
+    leading ideal, so the number equals the colength of the reduced basis.
+    A zero generator, a tripped step limit or an infinite colength gives
+    colength -1.
     """
     witness = None
 
@@ -311,9 +290,8 @@ def verify_flatness(
         if rem and witness is None:
             witness = f"S-pair ({i}, {i + 1}) leaves remainder {rem.to_text()}"
 
-    origin, units = _unit_specializations(fam)
     expected = [BivariatePolynomial.of_monomial(c, 1) for c in fam.clefts]
-    origin_ok = origin == expected
+    origin_ok = specialize_family(fam, {}) == expected
     if not origin_ok and witness is None:
         witness = "origin fiber differs from the monomial ideal"
 
@@ -322,8 +300,7 @@ def verify_flatness(
     for point in default_sample_points(fam, extra=extra_samples, seed=seed):
         frozen = tuple(sorted((k, str(exact_rational(v))) for k, v in point.items()))
         try:
-            gens = units.get(frozen) or specialize_family(fam, point)
-            records = [_Divisor(p, LEX_YX) for p in gens]
+            records = [_Divisor(p, LEX_YX) for p in specialize_family(fam, point)]
             basis = _complete(records, LEX_YX, _StepGuard(step_limit))
             col = sum(_standard_columns([d.lm for d in basis]))
         except DomainError:

@@ -97,9 +97,18 @@ def _require_couple_bound(E: Staircase) -> None:
                                  "cleft couples")
 
 
+def _unwrap(text: str) -> str:
+    """``text`` without one pair of parentheses around the whole of it, if it has one."""
+    text = text.strip()
+    inner = text[1:-1]
+    if text[:1] == "(" and text[-1:] == ")" and "(" not in inner and ")" not in inner:
+        return inner
+    return text
+
+
 def _parse_vector(text: str) -> tuple[int, int]:
     try:
-        parts = [int(c) for c in text.replace("(", "").replace(")", "").split(",")]
+        parts = [int(c) for c in _unwrap(text).split(",")]
     except ValueError as exc:
         raise MalformedInput(f"cannot parse integer pair {text!r}") from exc
     if len(parts) != 2:
@@ -224,7 +233,7 @@ def _parse_variable_name(name: str):
 
 def _parse_couple(text: str) -> CleftCouple:
     try:
-        c_part, m_part = text.split(";")
+        c_part, m_part = _unwrap(text).split(";")
     except ValueError as exc:
         raise MalformedInput(f"--couple must look like 'cx,cy;mx,my', got {text!r}") from exc
     c = _parse_vector(c_part)
@@ -728,6 +737,17 @@ def _flag_help(prog: str, text: str, keys: str) -> str:
     return _help(" ".join(usage), text, rows)
 
 
+@functools.cache
+def _command_flags(keys: str) -> tuple[dict, dict]:
+    """The flags of ``keys``, each option's (dest, spec), and each dest's default; built once."""
+    flags, defaults = {}, {}
+    for option, spec in (_FLAGS[key] for key in keys.split()):
+        dest = option[2:].replace("-", "_")
+        flags[option] = dest, spec
+        defaults[dest] = spec.get("default")
+    return flags, defaults
+
+
 def _parse_args(argv: list[str]) -> SimpleNamespace | str:
     """The namespace ``argv`` names, or the help text it asks for.
 
@@ -753,11 +773,8 @@ def _parse_args(argv: list[str]) -> SimpleNamespace | str:
         if handler is not None:
             break
         rows = keys
-    flags, values = {}, dict(found, handler=handler)
-    for option, spec in (_FLAGS[key] for key in keys.split()):
-        dest = option[2:].replace("-", "_")
-        flags[option] = dest, spec
-        values[dest] = spec.get("default")
+    flags, defaults = _command_flags(keys)
+    values = dict(found, handler=handler, **defaults)
     for word in words:
         if word in _HELP:
             return _flag_help(prog, text, keys)

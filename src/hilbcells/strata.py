@@ -183,7 +183,7 @@ def _descend(E: Staircase, w: Weight, policy: str, seed: int, step_limit: Option
     ``steps`` the steps taken, keyed by (source, couple); H is E's Hilbert
     function.  The descents within one class may share all four.
     """
-    rng = random.Random(seed)
+    rng = random.Random(seed) if policy == "random" else None
     chain: list[DegenerationStep] = []
     current = E
     while True:

@@ -809,6 +809,30 @@ class TestExitCodes:
         else:
             assert out.count("\n") == 1 and not err
 
+    # One pair of parentheses is read, and only around the whole value, or
+    # around each half of a couple.  The refused values exited 0 while every
+    # parenthesis anywhere in the value was deleted.
+    PAIR_FLAGS = {"--vector": ("cells", "--columns", "3,1"),
+                  "--weights": ("run-suite", "poincare", "--max-length", "3"),
+                  "--couple": ("degenerate", "--columns", "1,1", "--a", "1", "--b", "-1")}
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--vector", "(-1,-3)"), ("--vector", "-1,-3"), ("--vector", " (-1,-3) "),
+        ("--weights", "(-1,-3); (-2,-5);"), ("--weights", "-1,-3;(-2,-5)"),
+        ("--couple", "0,1;1,0"), ("--couple", "(0,1;1,0)"), ("--couple", "(0,1);(1,0)"),
+    ])
+    def test_parentheses_around_the_whole_value_read(self, capsys, flag, value):
+        run_json(capsys, *self.PAIR_FLAGS[flag], flag, value)
+
+    @pytest.mark.parametrize("flag, value, pair", [
+        ("--vector", ")-1,(-3((", ")-1,(-3(("), ("--vector", "(-1,-3", "(-1,-3"),
+        ("--vector", "((-1,-3))", "((-1,-3))"), ("--weights", "(-1,-3);((-2,-5))", "((-2,-5))"),
+        ("--couple", "((0,1;1,0))", "((0,1"), ("--couple", "(0,1));((1,0)", "(0,1))"),
+    ])
+    def test_stray_parentheses_are_two(self, capsys, flag, value, pair):
+        code, out, err = run(capsys, *self.PAIR_FLAGS[flag], flag, value)
+        assert (code, out, err) == (2, "", f"error: cannot parse integer pair {pair!r}\n")
+
     # Local orders under which x or y sorts below 1 but is not nilpotent
     # modulo the anchor ideal (it contains y^4 - y^3): the flat limit leaves
     # the plane, and the refusal comes before any division under the order.
@@ -871,6 +895,13 @@ class TestRepeatedCalls:
         assert [code for code, _ in forward] == [2, 2, 0, 0, 0]
         assert forward[2] != forward[3]  # the two seeds give different chains
 
+    def test_each_flag_table_is_built_once(self, capsys):
+        cli._command_flags.cache_clear()
+        for _ in range(2):
+            for argv in (self.DESCEND, ("staircase", "--columns", "2,1"), ("staircase",)):
+                outcome(capsys, argv)
+        built = cli._command_flags.cache_info()
+        assert (built.misses, built.hits) == (2, 4)  # one table per subcommand read
 
 class TestDeterminism:
     def test_byte_identical_outputs(self, capsys):

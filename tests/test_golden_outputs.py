@@ -160,7 +160,7 @@ DIGESTS = {
     "degenerate-7-9":
         "d624c9b538eb43043272111873b018ede7b20ec9443b560cd0551db25e2eb562",
     # Recorded at e7d71ff, before reports took each class's Hilbert function
-    # and S-profile grid once and samples specialized unit points in one pass.
+    # and S-profile grid once.
     "components-9-12":
         "9337a64d60761ccffa4d6b99e16a1232ebd56fcb2345702b76bb984c4f160165",
     "verify-flat-general-7-9":

@@ -4,6 +4,7 @@ import random
 import re
 import time
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -97,6 +98,13 @@ class TestDescend:
         for policy in ("first", "last", "random"):
             steps = descend_to_minimal(E, W11, policy=policy, seed=3)
             assert steps and steps[-1].target.columns == (4, 2)
+
+    def test_only_the_random_policy_seeds_a_generator(self, monkeypatch):
+        counts = counting(monkeypatch, "random.Random")
+        E = construct_staircase([3, 1, 1, 1])
+        for policy in ("first", "last", "random"):
+            descend_to_minimal(E, W11, policy=policy, seed=3)
+        assert counts["random.Random"] == 1
 
     def test_strict_decrease_and_h_preservation(self):
         for l in range(1, 9):
@@ -195,33 +203,88 @@ def cell_degrees(E, w):
     return Counter(-w.b * i + w.a * j for i, h in enumerate(E.columns) for j in range(h))
 
 
-def check_step_limits(lengths) -> int:
-    """Every degeneration step's limit is monomial, moves, and keeps the Hilbert function.
+def every_step(lengths):
+    """(w, step) for every step ``_degenerate`` takes from a staircase of the given lengths.
 
-    Degenerates every staircase of the given lengths at every positive
-    couple of its invariant basis, at each of ``STEP_WEIGHTS``.  Each limit
-    generator must have one term, the target must differ from the source,
-    and both must have the same ``cell_degrees``.  Returns the number of
-    steps.  CI calls it beyond the Tier-1 lengths.
+    Each staircase is degenerated at every positive couple of its invariant
+    basis, at each of ``STEP_WEIGHTS``.
     """
-    steps = 0
     for w in STEP_WEIGHTS:
         profiles = {}
         for l in lengths:
             for E in enumerate_staircases(l):
                 basis, H = tangent_basis(E, w), hilbert_function(E, w)
                 for couple in basis.positive:
-                    step = _degenerate(basis, couple, H, profiles, None)
-                    assert all(len(p.terms) == 1 for p in step.limit), (E.columns, w, couple)
-                    assert step.target != E, (E.columns, w, couple)
-                    assert cell_degrees(step.target, w) == cell_degrees(E, w), (E.columns, w)
-                    steps += 1
+                    yield w, _degenerate(basis, couple, H, profiles, None)
+
+
+def check_step_limits(lengths) -> int:
+    """Every degeneration step's limit is monomial, moves, and keeps the Hilbert function.
+
+    Over ``every_step(lengths)``, each limit generator must have one term,
+    the target must differ from the source, and both must have the same
+    ``cell_degrees``.  Returns the number of steps.  CI calls it beyond the
+    Tier-1 lengths.
+    """
+    steps = 0
+    for w, step in every_step(lengths):
+        E, where = step.source, (step.source.columns, w, step.couple)
+        assert all(len(p.terms) == 1 for p in step.limit), where
+        assert step.target != E, where
+        assert cell_degrees(step.target, w) == cell_degrees(E, w), where
+        steps += 1
+    return steps
+
+
+def lex_oracle(generators):
+    """Columns and x-top parts of sympy's reduced lex (x > y) basis of ``generators``.
+
+    The limit of a step is the initial ideal for the x-degree, a monomial
+    ideal, so it is the lex leading ideal.  Column i is as high as the
+    least y-exponent among the leading monomials of x-exponent at most i.
+    The x-top part of a basis element is its terms of largest x-exponent,
+    given as sorted ((x-exponent, y-exponent), coefficient) pairs.
+    """
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    exprs = [sum(sympy.Rational(c.numerator, c.denominator) * x**m.alpha * y**m.beta
+                 for m, c in p.terms.items()) for p in generators]
+    leads, tops = [], []
+    for g in sympy.groebner(exprs, x, y, order="lex").polys:
+        terms = g.terms(order="lex")  # leading term first
+        (a, b), _ = terms[0]
+        leads.append((a, b))
+        tops.append(tuple(sorted((m, Fraction(str(c))) for m, c in terms if m[0] == a)))
+    columns = []
+    while (height := min(b for a, b in leads if a <= len(columns))) > 0:
+        columns.append(height)
+    return tuple(columns), sorted(tops)
+
+
+def check_step_targets(lengths) -> int:
+    """Every degeneration step's target and limit equal ``lex_oracle`` of its specialization.
+
+    Over ``every_step(lengths)``, the target's columns must be the oracle's
+    and the limit generators its x-top parts.  Returns the number of steps.
+    CI calls it beyond the Tier-1 lengths.
+    """
+    steps = 0
+    for w, step in every_step(lengths):
+        columns, tops = lex_oracle(step.specialized)
+        where = (step.source.columns, w, step.couple)
+        assert step.target.columns == columns, where
+        assert sorted(tuple(sorted(((m.alpha, m.beta), c) for m, c in p.terms.items()))
+                      for p in step.limit) == tops, where
+        steps += 1
     return steps
 
 
 class TestStepLimits:
     def test_every_step_to_length_12(self):
         assert check_step_limits(range(1, 13)) > 0
+
+    def test_every_target_to_length_10_equals_the_lex_oracle(self):
+        assert check_step_targets(range(1, 11)) > 0
 
 
 class TestOneReportWork:
@@ -231,12 +294,13 @@ class TestOneReportWork:
     @pytest.mark.parametrize("w", [W11, Weight(2, -1), Weight(1, -2)], ids=str)
     def test_report_work(self, monkeypatch, n, w):
         counts = counting(monkeypatch, TestOneFamilyPerStep.FAMILY, *TestOneFamilyPerStep.TANGENT,
-                          TestOneFamilyPerStep.BUCHBERGER, *PROFILE, *HILBERT)
+                          TestOneFamilyPerStep.BUCHBERGER, *PROFILE, *HILBERT, "random.Random")
         reports = component_report(n, w)
         p = len(enumerate_staircases(n))
         tangent_bases = sum(counts[t] for t in TestOneFamilyPerStep.TANGENT)
         profiles = sum(counts[t] for t in PROFILE)
         assert (tangent_bases, counts[TestOneFamilyPerStep.FAMILY], profiles) == (p, 0, p)
+        assert counts["random.Random"] == 0  # every descent takes policy "first"
         assert counts[TestOneFamilyPerStep.BUCHBERGER] == p - len(reports)
         # p to group and one per target; the minimal staircase needs none
         assert sum(counts[t] for t in HILBERT) == 2 * p - len(reports)
