@@ -25,12 +25,10 @@ from .polynomials import (
     ChartCoefficient,
     PairStatus,
     VarKey,
-    _complete,
     _Divisor,
     _s_pair_remainder,
-    _standard_columns,
-    _StepGuard,
     exact_rational,
+    initial_staircase,
     variable_name,
 )
 from .staircases import Monomial, Staircase, Weight, clefts
@@ -245,15 +243,12 @@ def verify_flatness(
     are exactly the clefts (consecutive pairs suffice: the lcm of two distant
     clefts is divisible by every cleft in between).
 
-    Each of ``default_sample_points(fam, extra_samples, seed)`` completes
-    its specialized generators to a Groebner basis under ``LEX_YX`` by the
-    pair loop of ``buchberger`` alone, without interreducing, and reads the
-    colength from the leading monomials.  The origin fiber and every sample
-    come from ``specialize_family``, which substitutes into the generators
-    being certified.  Every Groebner basis of an ideal generates the same
-    leading ideal, so the number equals the colength of the reduced basis.
-    A zero generator, a tripped step limit or an infinite colength gives
-    colength -1.
+    The colength of each of ``default_sample_points(fam, extra_samples,
+    seed)`` is the size of the ``LEX_YX`` ``initial_staircase`` of its
+    specialized generators.  The origin fiber and every sample come from
+    ``specialize_family``, which substitutes into the generators being
+    certified.  A zero generator, a tripped step limit or an infinite
+    colength gives colength -1.
     """
     witness = None
 
@@ -300,9 +295,7 @@ def verify_flatness(
     for point in default_sample_points(fam, extra=extra_samples, seed=seed):
         frozen = tuple(sorted((k, str(exact_rational(v))) for k, v in point.items()))
         try:
-            records = [_Divisor(p, LEX_YX) for p in specialize_family(fam, point)]
-            basis = _complete(records, LEX_YX, _StepGuard(step_limit))
-            col = sum(_standard_columns([d.lm for d in basis]))
+            col = len(initial_staircase(specialize_family(fam, point), LEX_YX, step_limit))
         except DomainError:
             col = -1
         ok = col == target

@@ -70,7 +70,7 @@ CELLS_BOUND = 10**5
 
 def _parse_columns(text: str) -> Staircase:
     try:
-        cols = [int(c) for c in text.split(",") if c.strip() != ""]
+        cols = [int(c) for c in text.split(",")] if text.strip() else []
     except ValueError as exc:
         raise MalformedInput(f"cannot parse columns {text!r}") from exc
     E = construct_staircase(cols)

@@ -611,9 +611,8 @@ def buchberger(
     and neither of its pairs with the two is still pending.  The basis is
     interreduced, monic and sorted by leading monomial; when no S-pair adds
     an element, the first interreduction already gives it and is not
-    repeated.  Idempotent on already reduced bases.  The pair loop between
-    the two interreductions (``_complete``) is shared with the sample check
-    of ``charts.verify_flatness``, which needs only the leading ideal.
+    repeated.  Idempotent on already reduced bases.  ``initial_staircase``
+    runs the pair loop between the two interreductions (``_complete``) alone.
 
     A local order (see ``MonomialOrder.is_global``) is accepted only when
     every variable below 1 is nilpotent modulo the ideal; otherwise the
@@ -638,6 +637,14 @@ def _buchberger(
     interreduced = len(basis)
     _complete(basis, order, guard)
     return _interreduce(basis, order, guard) if len(basis) > interreduced else basis
+
+
+def _leading_basis(gens: Sequence[BivariatePolynomial], order: MonomialOrder,
+                   guard: _StepGuard) -> list[_Divisor]:
+    """A Groebner basis of gens, not interreduced: enough for a leading ideal or membership."""
+    if not order.is_global:
+        _require_local_variables_nilpotent(gens, order, _StepGuard(guard.limit))
+    return _complete([_Divisor(p, order) for p in gens], order, guard)
 
 
 def _complete(basis: list[_Divisor], order: MonomialOrder, guard: _StepGuard) -> list[_Divisor]:
@@ -696,9 +703,9 @@ def _require_local_variables_nilpotent(
     colength gives no such bound and raises ``NotZeroDimensionalError``.
     """
     below = [(name, v) for name, v in (("x", X), ("y", Y)) if order.key(v) < order.key(ONE)]
-    basis = _buchberger(gens, GRLEX_XY, guard)
+    basis = _leading_basis(gens, GRLEX_XY, guard)
     try:
-        n = colength(GroebnerBasis(tuple(d.poly for d in basis), GRLEX_XY))
+        n = sum(_standard_columns([d.lm for d in basis]))
     except NotZeroDimensionalError:
         raise NotZeroDimensionalError(
             f"{below[0][0]} sorts below 1 in the order but the ideal has infinite "
@@ -792,8 +799,11 @@ def initial_staircase(
     order: MonomialOrder,
     step_limit: Optional[int] = None,
 ) -> Staircase:
-    """Staircase of the initial ideal of the span of gens under the order."""
-    return standard_monomials(buchberger(gens, order, step_limit))
+    """Staircase of the initial ideal of the span of gens; local orders as in ``buchberger``."""
+    if not gens or not all(gens):
+        raise DomainError("generators must be nonzero")
+    basis = _leading_basis(gens, order, _StepGuard(step_limit))
+    return Staircase._of(_standard_columns([d.lm for d in basis]))  # the columns decrease
 
 
 def weight_initial_ideal(

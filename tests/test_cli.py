@@ -425,6 +425,32 @@ class TestExitCodes:
         code, out, err = run(capsys, "staircase", "--columns", "a,b")
         assert code == 2
 
+    # Every comma-separated entry is an integer, as in --vector.  These exited
+    # 0, each read as another staircase once its empty entries were dropped.
+    @pytest.mark.parametrize("flags, value", [
+        (("staircase", "--columns"), "3,,1"),
+        (("staircase", "--columns"), ",3"),
+        (("staircase", "--columns"), "3,1,"),
+        (("compare", "--a", "1", "--b", "-1", "--columns", "2,1", "--other"), "1,,1,1"),
+        (("compare", "--a", "1", "--b", "-1", "--columns", "2,1", "--other"), ",1"),
+    ])
+    def test_empty_column_entries_are_two(self, capsys, flags, value):
+        code, out, err = run(capsys, *flags, value)
+        assert (code, out, err) == (2, "", f"error: cannot parse columns {value!r}\n")
+
+    @pytest.mark.parametrize("value, columns",
+                             [(" 3 , 1 ", [3, 1]), ("3,0", [3]), ("3,1", [3, 1])])
+    def test_blanks_around_column_entries_read(self, capsys, value, columns):
+        assert run_json(capsys, "staircase", "--columns", value)["columns"] == columns
+        data = run_json(capsys, "compare", "--a", "1", "--b", "-1", "--columns", value,
+                        "--other", value)
+        assert data == {"comparison": "equal"}
+
+    @pytest.mark.parametrize("value", ["", " "])
+    def test_a_blank_value_is_the_empty_staircase(self, capsys, value):
+        code, out, err = run(capsys, "staircase", "--columns", value)
+        assert (code, out) == (1, "") and "empty staircase" in err
+
     def test_missing_flags_is_two(self, capsys):
         code, out, err = run(capsys, "staircase")
         assert (code, out, err) == (2, "", "error: hilbcells staircase needs --columns\n")
@@ -681,7 +707,8 @@ class TestExitCodes:
                                            f"by {couples} cleft couples\n")
         assert time.perf_counter() - start < 1
 
-    @pytest.mark.parametrize("columns", [str(cli.CELLS_BOUND), f"{cli.CELLS_BOUND // 2}," * 2])
+    @pytest.mark.parametrize("columns", [str(cli.CELLS_BOUND),
+                                         ",".join([str(cli.CELLS_BOUND // 2)] * 2)])
     def test_two_clefts_within_the_cell_bound_meet_the_couple_bound(self, capsys, monkeypatch,
                                                                     columns):
         # At the bound itself; the basis is stubbed, since printing it takes about 1.5 s.

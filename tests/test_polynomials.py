@@ -433,7 +433,12 @@ def sympy_oracle_ideals():
 
 
 class TestSympyOracle:
-    """Reduced bases equal those of sympy.groebner, an implementation outside this library."""
+    """Reduced bases equal those of sympy.groebner, an implementation outside this library.
+
+    So does each ``initial_staircase``, laid out here from the leading
+    monomials of sympy's basis: column i is as high as the least y-exponent
+    among those of x-exponent at most i.
+    """
 
     ORDERS = ((LEX_XY, "lex", "xy"), (LEX_YX, "lex", "yx"), (GRLEX_XY, "grlex", "xy"))
     # Weight first, then y-lex: x-degree then y is lex on (x, y); y-degree
@@ -474,6 +479,12 @@ class TestSympyOracle:
                     exprs, *(symbol[v] for v in variables), order=name, domain="QQ"
                 )
                 assert mine == sorted(from_expr(e) for e in theirs.exprs), (gens, order)
+                leads = [g.monoms(order=name)[0] for g in theirs.polys]
+                leads = [lead[::-1] if variables == "yx" else lead for lead in leads]
+                columns = []
+                while (height := min(b for a, b in leads if a <= len(columns))) > 0:
+                    columns.append(height)
+                assert initial_staircase(gens, order).columns == tuple(columns), (gens, order)
 
 
 def with_coefficients(gens, kind):

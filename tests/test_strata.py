@@ -36,7 +36,6 @@ from hilbcells import (
     tangent_basis,
 )
 from hilbcells.cli import main
-from hilbcells.polynomials import poly_from_expr
 from hilbcells.strata import (
     ORACLE_BOUND, POINCARE_BOUND, _chain, _classes, _degenerate, _descend, _least_compatible,
     _least_of_class,
@@ -159,16 +158,16 @@ class TestOneFamilyPerStep:
     # Steps evaluate the cleft recursion over Q and build no chart family.
     FAMILY = "hilbcells.charts.ChartFamily"
     TANGENT = ("hilbcells.charts.tangent_basis", "hilbcells.strata.tangent_basis")
-    BUCHBERGER = "hilbcells.polynomials.buchberger"
+    INITIAL = "hilbcells.strata.initial_staircase"
     DESCENTS = [([2], 0), ([1, 1, 1, 1], 1), ([2, 2, 2], 2), ([2, 2, 1, 1, 1], 2)]
 
     @pytest.mark.parametrize("columns, k", DESCENTS)
     def test_descent_work_per_step(self, monkeypatch, columns, k):
-        counts = counting(monkeypatch, self.FAMILY, *self.TANGENT, self.BUCHBERGER)
+        counts = counting(monkeypatch, self.FAMILY, *self.TANGENT, self.INITIAL)
         steps = descend_to_minimal(construct_staircase(columns), W11)
         assert len(steps) == k
         tangent_bases = sum(counts[t] for t in self.TANGENT)
-        assert (counts[self.FAMILY], tangent_bases, counts[self.BUCHBERGER]) == (0, k + 1, k)
+        assert (counts[self.FAMILY], tangent_bases, counts[self.INITIAL]) == (0, k + 1, k)
 
     @pytest.mark.parametrize("columns, k", DESCENTS)
     def test_descent_hilbert_functions_per_step(self, monkeypatch, columns, k):
@@ -189,10 +188,10 @@ class TestOneFamilyPerStep:
         assert sum(counts.values()) == (k + 1 if k else 0)
 
     def test_single_step_work(self, monkeypatch):
-        counts = counting(monkeypatch, self.FAMILY, *self.TANGENT, self.BUCHBERGER)
+        counts = counting(monkeypatch, self.FAMILY, *self.TANGENT, self.INITIAL)
         degenerate_once(construct_staircase([1, 1]), W11)
         tangent_bases = sum(counts[t] for t in self.TANGENT)
-        assert (counts[self.FAMILY], tangent_bases, counts[self.BUCHBERGER]) == (0, 1, 1)
+        assert (counts[self.FAMILY], tangent_bases, counts[self.INITIAL]) == (0, 1, 1)
 
 
 STEP_WEIGHTS = (W11, Weight(2, -1), Weight(1, -2), Weight(3, -2))
@@ -294,14 +293,14 @@ class TestOneReportWork:
     @pytest.mark.parametrize("w", [W11, Weight(2, -1), Weight(1, -2)], ids=str)
     def test_report_work(self, monkeypatch, n, w):
         counts = counting(monkeypatch, TestOneFamilyPerStep.FAMILY, *TestOneFamilyPerStep.TANGENT,
-                          TestOneFamilyPerStep.BUCHBERGER, *PROFILE, *HILBERT, "random.Random")
+                          TestOneFamilyPerStep.INITIAL, *PROFILE, *HILBERT, "random.Random")
         reports = component_report(n, w)
         p = len(enumerate_staircases(n))
         tangent_bases = sum(counts[t] for t in TestOneFamilyPerStep.TANGENT)
         profiles = sum(counts[t] for t in PROFILE)
         assert (tangent_bases, counts[TestOneFamilyPerStep.FAMILY], profiles) == (p, 0, p)
         assert counts["random.Random"] == 0  # every descent takes policy "first"
-        assert counts[TestOneFamilyPerStep.BUCHBERGER] == p - len(reports)
+        assert counts[TestOneFamilyPerStep.INITIAL] == p - len(reports)
         # p to group and one per target; the minimal staircase needs none
         assert sum(counts[t] for t in HILBERT) == 2 * p - len(reports)
 
@@ -385,28 +384,29 @@ class TestCertificates:
     DOMINO = ("source (1, 1), couple (y, x), specialized "
               "[+1/1·x^1*y^0 +1/1·x^0*y^1; +1/1·x^2*y^0], ")
     TO_A_POINT = ("degeneration changed the Hilbert function: " + DOMINO
-                  + "limit [+1/1·x^1*y^0; +1/1·x^0*y^1], target (1,)")
+                  + "limit [+1/1·x^0*y^1; +1/1·x^1*y^0], target (1,)")
 
     @staticmethod
-    def limit_of(monkeypatch, *generators):
-        monkeypatch.setattr(strata, "weight_initial_ideal",
-                            lambda *args: [poly_from_expr(g) for g in generators])
+    def limit_of(monkeypatch, *columns):
+        """Make every step read the staircase of these columns; the limit is its clefts."""
+        monkeypatch.setattr(strata, "initial_staircase",
+                            lambda *args: construct_staircase(list(columns)))
 
     def test_a_limit_of_another_hilbert_function_is_refused(self, monkeypatch):
-        self.limit_of(monkeypatch, "x", "y")
+        self.limit_of(monkeypatch, 1)
         with pytest.raises(ConsistencyError) as caught:
             degenerate_once(construct_staircase([1, 1]), W11)
         assert str(caught.value) == self.TO_A_POINT
 
     def test_the_cli_reports_the_refused_limit(self, monkeypatch, capsys):
-        self.limit_of(monkeypatch, "x", "y")
+        self.limit_of(monkeypatch, 1)
         assert main(["components", "--length", "3", "--a", "1", "--b", "-1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
             "error: degeneration changed the Hilbert function: source (1, 1, 1), couple (y, x), "
             "specialized [+1/1·x^1*y^0 +1/1·x^0*y^1; +1/1·x^3*y^0], "
-            "limit [+1/1·x^1*y^0; +1/1·x^0*y^1], target (1,)\n")
+            "limit [+1/1·x^0*y^1; +1/1·x^1*y^0], target (1,)\n")
         assert main(["run-suite", "verify-all", "--max-length", "3"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["all_ok"] is False
@@ -414,7 +414,7 @@ class TestCertificates:
         assert failed == [{"name": "descent-convergence", "ok": False, "witness": self.TO_A_POINT}]
 
     def test_a_limit_not_below_the_source_is_refused(self, monkeypatch):
-        self.limit_of(monkeypatch, "y", "x^2")  # the clefts of the source
+        self.limit_of(monkeypatch, 1, 1)  # the source
         with pytest.raises(ConsistencyError) as caught:
             degenerate_once(construct_staircase([1, 1]), W11)
         assert str(caught.value) == (
