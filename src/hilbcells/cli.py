@@ -81,16 +81,18 @@ def _parse_columns(text: str) -> Staircase:
     return E
 
 
-# Most cleft couples a basis without a direction may consider, clefts times
-# cells: its run time follows their count, not the cells'.  Unfiltered
-# ``tangent`` near the bound (one column of 10**5 cells, or 72,...,1) takes
-# 1.3 to 1.6 s on a shared 2-vCPU VM.  Every staircase of two clefts within
+# Most cleft couples a basis without a direction or the Hom oracle may
+# consider, clefts times cells: their run time follows that count, not the
+# cells'.  Near the bound, as child processes on a shared 2-vCPU VM,
+# unfiltered ``tangent`` takes 1.3 to 1.6 s on one column of 10**5 cells or
+# on 72,...,1, and ``hom-oracle`` 0.4 s (92 MB peak) on the column and 0.7
+# to 0.9 s (178 MB peak) on 72,...,1.  Every staircase of two clefts within
 # CELLS_BOUND stays within it.
 COUPLES_BOUND = 2 * 10**5
 
 
 def _require_couple_bound(E: Staircase) -> None:
-    """Refuse E before an undirected basis pairs each of its clefts with each cell."""
+    """Refuse E before an undirected basis or the Hom oracle pairs each cleft with each cell."""
     couples = (len(set(E.columns)) + 1) * sum(E.columns)
     if couples > COUPLES_BOUND:
         raise BoundExceededError(f"couple bound {COUPLES_BOUND} exceeded by {couples} "
@@ -328,18 +330,10 @@ def _cmd_graph(args):
     return tangent.significance_graph(E, _weight(args)).to_json()
 
 
-# Largest ``hom-oracle --bound``: ``run-suite verify-all`` checks the oracle
-# against the tangent basis only up to its own bound, also 12.
-HOM_ORACLE_BOUND = 12
-
-
 def _cmd_hom_oracle(args):
     E = _parse_columns(args.columns)
-    if args.bound > HOM_ORACLE_BOUND:
-        raise BoundExceededError(
-            f"hom-oracle bound {HOM_ORACLE_BOUND} exceeded by --bound {args.bound}"
-        )
-    chars = tangent.hom_tangent_oracle(E, bound=args.bound)
+    _require_couple_bound(E)
+    chars = tangent.hom_tangent_oracle(E)
     return {"dimension": len(chars), "characters": [list(c) for c in chars]}
 
 
@@ -446,7 +440,9 @@ def _cmd_weight_initial(args):
     gens = _parse_ideal_arg(args)
     vector = _parse_vector(args.vector)
     limit = polynomials.weight_initial_ideal(gens, vector, args.extremum, step_limit=args.max_steps)
-    E = polynomials.initial_staircase(limit, LEX_YX, step_limit=args.max_steps)
+    # The weight order breaks ties by LEX_YX, so the initial parts of its
+    # basis are a LEX_YX basis of the limit: in_<(in_w I) = in_{<_w} I.
+    E = polynomials.standard_monomials(polynomials.GroebnerBasis(tuple(limit), LEX_YX))
     return {
         "generators": [p.to_text() for p in limit],
         "staircase": E.to_json(),
@@ -506,7 +502,7 @@ def _suite_verify_all(args):
             for E in enumerate_staircases(l):
                 basis = unfiltered(E)
                 mine = tuple(sorted(c.char for c in basis.significant))
-                oracle = tangent.hom_tangent_oracle(E, bound=max_length)
+                oracle = tangent.hom_tangent_oracle(E)
                 _require(mine == oracle, f"character mismatch at {E.columns}")
                 _require(len(oracle) == 2 * l, f"dimension {len(oracle)} at {E.columns}")
         return f"all staircases up to length {max_length}"
@@ -659,7 +655,6 @@ _FLAGS = {
     "max_steps": ("--max-steps", dict(type=int,
                                       help="resource guard for polynomial reductions")),
     "other": ("--other", dict(required=True, help="second staircase columns")),
-    "bound": ("--bound", dict(type=int, default=10)),
     "point": ("--point", dict(help='JSON point, e.g. \'{"X[0,1;1,0]":"1"}\'')),
     "samples": ("--samples", dict(type=int, default=3, help="extra pseudo-random sample points")),
     "couple": ("--couple", dict(help="couple to specialize, e.g. '0,1;1,0'")),
@@ -684,7 +679,7 @@ _COMMANDS = {
     "tangent": ("significant cleft couples, optionally by direction", "columns a b",
                 _cmd_tangent),
     "graph": ("significance graph in one direction", "columns a b", _cmd_graph),
-    "hom-oracle": ("tangent space via exact linear algebra", "columns bound", _cmd_hom_oracle),
+    "hom-oracle": ("tangent space via exact linear algebra", "columns", _cmd_hom_oracle),
     "cells": ("attracting-cell dimension for a torus weight vector", "columns vector",
               _cmd_cells),
     "chart": ("chart family over the positive tangent space", "columns a b mode", _cmd_chart),

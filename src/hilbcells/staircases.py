@@ -237,8 +237,9 @@ def enumerate_staircases(cardinality: int) -> tuple[Staircase, ...]:
     return tuple(map(Staircase._of, _partitions(cardinality)))
 
 
-# Largest mass ``compatible_staircases`` filters: the 37338 staircases of
-# mass 40 take about 2 s, and their count grows tenfold every 14 cells.
+# Largest mass ``compatible_staircases`` filters: ``compatible`` on the 37338
+# staircases of mass 40 takes 0.5 to 0.9 s as a child process on a shared
+# 2-vCPU VM, and their count grows tenfold every 14 cells.
 COMPATIBLE_BOUND = 40
 
 

@@ -23,7 +23,6 @@ from .errors import (
 )
 from .polynomials import LEX_XY, BivariatePolynomial, initial_staircase, variable_name
 from .staircases import (
-    COMPATIBLE_BOUND,
     Comparison,
     HilbertFunction,
     Staircase,
@@ -255,9 +254,9 @@ def minimal_staircase_oracle(H: HilbertFunction) -> Staircase:
 
     Hard-errors if the compatible set does not contain exactly one staircase
     with empty positive part, or if that one is not below every other.
+    A weight with a <= 0 raises ``RegimeError`` first; a mass past
+    ``COMPATIBLE_BOUND``, the bound of the enumeration, ``BoundExceededError``.
     """
-    if H.total() > ORACLE_BOUND:
-        raise BoundExceededError(f"oracle bound {ORACLE_BOUND} exceeded by mass {H.total()}")
     w = H.weight
     if w.a <= 0:
         raise RegimeError(f"oracle needs a > 0, b < 0; got ({w.a}, {w.b})")
@@ -345,9 +344,6 @@ def _classes(length: int, w: Weight) -> dict[HilbertFunction, dict[Staircase, Ta
 # 24 take 0.3 to 0.4 s at (1, -1), (2, -1) and (1, -2) on a 2-vCPU VM.
 COMPONENT_BOUND = 24
 
-# Largest mass ``minimal_staircase_oracle`` takes; it enumerates that length.
-ORACLE_BOUND = 14
-
 # Largest mass ``minimal_staircase`` takes: each row is one pass over the
 # degrees, so one column, the slowest shape, of mass 3000 takes about 0.9 s
 # on a 2-vCPU VM, and 8000 about 7.5 s.
@@ -372,8 +368,6 @@ def component_report(length: int, w: Weight) -> list[ComponentReport]:
     _require_length(length)
     if length > COMPONENT_BOUND:
         raise BoundExceededError(f"component bound {COMPONENT_BOUND} exceeded by length {length}")
-    if w.a > 0 and length > COMPATIBLE_BOUND:
-        raise BoundExceededError(f"compatible bound {COMPATIBLE_BOUND} exceeded by mass {length}")
     groups = _classes(length, w)
     reports = []
     for H in sorted(groups, key=lambda h: h.values):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import BoundExceededError, GenericityError
+from .errors import GenericityError
 from .staircases import Monomial, Staircase, Weight, clefts
 
 
@@ -302,7 +302,7 @@ def _free_chars(columns, rows) -> list[tuple[int, int]]:
     return [char for j, (char, _var) in enumerate(columns) if j not in pivots]
 
 
-def hom_tangent_oracle(E: Staircase, bound: int = 10) -> tuple[tuple[int, int], ...]:
+def hom_tangent_oracle(E: Staircase) -> tuple[tuple[int, int], ...]:
     """Tangent space via module homomorphisms, as exact linear algebra.
 
     Unknowns are the coefficients sending each cleft to each cell; the
@@ -312,9 +312,11 @@ def hom_tangent_oracle(E: Staircase, bound: int = 10) -> tuple[tuple[int, int], 
     sorted characters of a basis of the solution space, whose count is its
     dimension.  Relations for non-consecutive cleft pairs follow from the
     consecutive ones.
+
+    There is one unknown per cleft couple, so like ``tangent_basis`` the
+    oracle has no size limit of its own; ``hom-oracle`` refuses a staircase
+    past the command line's couple bound.
     """
-    if len(E) > bound:
-        raise BoundExceededError(f"oracle bound {bound} exceeded by |E| = {len(E)}")
     cs = clefts(E)
     cols, width = E.columns, E.width
     cells = [(a, b) for a in range(width) for b in range(cols[a])]

@@ -18,7 +18,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import hilbcells
 from hilbcells import (
-    Weight, charts, cli, enumerate_staircases, staircases, strata, tangent,
+    LEX_YX, StepLimitExceeded, Weight, charts, cli, enumerate_staircases, initial_staircase,
+    parse_ideal, staircases, strata, tangent, weight_initial_ideal, weight_order,
 )
 from hilbcells.cli import main
 from hilbcells.staircases import COMPATIBLE_BOUND
@@ -158,6 +159,13 @@ class TestSubcommands:
         data = run_json(capsys, "hom-oracle", "--columns", "1,1")
         assert data["dimension"] == 4
         assert data["characters"] == [[-2, 0], [-1, 0], [0, -1], [1, -1]]
+
+    def test_hom_oracle_answers_past_ten_cells(self, capsys):
+        # 15 cells, 60 cleft couples: a length bound of 10 used to refuse it.
+        E = staircases.construct_staircase([5, 4, 3, 2, 1])
+        data = run_json(capsys, "hom-oracle", "--columns", "5,4,3,2,1")
+        assert data == {"dimension": 30,
+                        "characters": [list(c) for c in sorted(tangent.arm_leg_characters(E))]}
 
     def test_cells(self, capsys):
         data = run_json(capsys, "cells", "--columns", "1,1", "--vector", "(-1,-3)")
@@ -689,12 +697,19 @@ class TestExitCodes:
                         "--a", "1", "--b", "-1")
         assert sum(data["values"].values()) == cli.CELLS_BOUND
 
+    @pytest.mark.parametrize("bound", ["6", "13"])
+    def test_hom_oracle_bound_flag_is_two(self, capsys, bound):
+        # --bound N exited 0 up to 12, and 1 above; the oracle has the couple bound alone.
+        code, out, err = run(capsys, "hom-oracle", "--columns", "2,1", "--bound", bound)
+        assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("argv", [
         ("tangent", "--columns", STEPS_200),
         ("tangent", "--columns", STEPS_80),
         ("chart", "--columns", STEPS_200, "--mode", "general"),
         ("specialize", "--columns", STEPS_200, "--mode", "general", "--point", "[1,2]"),
         ("verify-flat", "--columns", STEPS_200, "--mode", "general", "--samples", "0"),
+        ("hom-oracle", "--columns", STEPS_80),
     ])
     def test_couples_past_the_couple_bound_are_one(self, capsys, argv):
         # Unfiltered tangent on 200,...,1 printed 275 MB after about 33 s, and
@@ -743,7 +758,7 @@ class TestExitCodes:
         ("run-suite", "poincare", "--max-length", str(strata.POINCARE_BOUND + 1),
          "--weights", POINCARE_ABOVE),
         ("run-suite", "verify-all", "--max-length", str(cli.VERIFY_ALL_BOUND + 1)),
-        ("hom-oracle", "--columns", "1", "--bound", str(cli.HOM_ORACLE_BOUND + 1)),
+        ("hom-oracle", "--columns", STEPS_200),
         # These four escaped as a ValueError traceback: a degree, or the
         # S-profile bound's message, passed the digit limit when printed.
         ("hilbert", "--columns", "3", "--a", NINES, "--b", "-1"),
@@ -944,6 +959,57 @@ class TestDeterminism:
             assert read_back(text).to_text() == text
 
 
+def seeded_ideal(rng) -> str:
+    """One or two polynomials of up to four terms of degree at most 3 in each
+    variable, with x^N and y^N for some N <= 5: the ideal is zero-dimensional,
+    and each variable nilpotent under a local order."""
+    def poly():
+        terms = rng.sample([(a, b) for a in range(4) for b in range(4)], rng.randint(1, 4))
+        return "".join("%+d*x^%d*y^%d" % (rng.choice((-2, -1, 1, 2, 3)), a, b)
+                       for a, b in terms)
+    n = rng.randint(1, 5)
+    return "; ".join([poly() for _ in range(rng.randint(1, 2))] + [f"x^{n}", f"y^{n}"])
+
+
+def check_weight_initial_staircases(count, seed):
+    """``weight-initial``'s staircase against ``initial_staircase`` of its limit.
+
+    The command reads the staircase off the initial parts of the basis under
+    the weight order, whose ties ``LEX_YX`` breaks; the reference completes
+    the limit under ``LEX_YX`` once more.  Runs ``count`` seeded ideals of
+    ``seeded_ideal`` at vectors with entries from -3 to 3, under ``"max"``
+    and ``"min"``, with ``--max-steps`` 1000: division under a local order
+    does not end on some of them.  Where the limit runs out of steps, the
+    command must exit 1 with the library's message.  Returns the
+    number of ideals answered and how many of them under a local order.
+    CI runs it beyond the Tier-1 count.
+    """
+    rng = random.Random(seed)
+    answered = local = 0
+    for _ in range(count):
+        text, vector = seeded_ideal(rng), (rng.randint(-3, 3), rng.randint(-3, 3))
+        extremum = rng.choice(("max", "min"))
+        argv = ("weight-initial", "--ideal", text, "--vector", "(%d,%d)" % vector,
+                "--extremum", extremum, "--max-steps", "1000")
+        code, out, err = captured(main, argv)
+        try:
+            limit = weight_initial_ideal(parse_ideal(text), vector, extremum, step_limit=1000)
+        except StepLimitExceeded as exc:
+            assert (code, out, err) == (1, "", f"error: {exc}\n"), argv
+            continue
+        assert (code, err) == (0, ""), argv
+        assert json.loads(out)["staircase"] == initial_staircase(limit, LEX_YX).to_json(), argv
+        answered += 1
+        local += not weight_order(vector, extremum).is_global
+    return answered, local
+
+
+class TestWeightInitialStaircase:
+    def test_equals_the_completed_limit_on_seeded_ideals(self):
+        answered, local = check_weight_initial_staircases(60, 1)
+        assert answered >= 50 and local >= 25
+
+
 # One argv per subcommand and per run-suite suite, with valid flags.
 VALID_ARGVS = [
     ("staircase", "--columns", "2,1"),
@@ -953,7 +1019,7 @@ VALID_ARGVS = [
     ("compare", "--columns", "2,1", "--other", "1,1,1", "--a", "1", "--b", "-1"),
     ("tangent", "--columns", "2,1", "--a", "1", "--b", "-1"),
     ("graph", "--columns", "2,1", "--a", "2", "--b", "-1"),
-    ("hom-oracle", "--columns", "2,1", "--bound", "6"),
+    ("hom-oracle", "--columns", "2,1"),
     ("cells", "--columns", "2,1", "--vector", "(-1,-4)"),
     ("chart", "--columns", "2,1", "--mode", "invariant", "--a", "1", "--b", "-1"),
     ("specialize", "--columns", "2,1", "--mode", "general", "--point", "{}"),
@@ -992,6 +1058,7 @@ EDGE_ARGVS = [
     ("cells", "--columns", "1", "--vector", "-1"),
     ("tangent", "--columns", "1", "--a", "2", "--columns", "2,1"),
     ("hom-oracle", "--columns", "1", "--bound", "-3"),
+    ("hom-oracle", "--columns", "2,1", "--bound", "6"),  # the flag is gone: refused by both
 ]
 
 
@@ -1061,7 +1128,6 @@ FLAG_VALUES = {
                              '{"a":1,"b":-1,"values":{"0":1,"1":2}}')),
             st.dictionaries(ints(-3, 6), st.integers(-1, 4), max_size=4).map(json.dumps)),
         "{x", "[]", '{"0":[1]}', '{"a":1,"b":-1,"values":{"0":"x"}}'),
-    "bound": ints(-1, 12),
     "vector": mostly(pair(-2, 2), "1", "x,y", "1,2,3", "-1,-3"),
     "mode": st.sampled_from(("invariant", "general", "sideways")),
     "point": st.sampled_from(("{}", '{"X[0,1;1,0]":"1"}', '{"X[0,2;1,0]":"1/2"}', "[1,2]",
@@ -1248,12 +1314,23 @@ def agreement(argv) -> str:
     return "help after a refused word"
 
 
+# One fixed argv of each decision class that ``check_parse_agreement`` must
+# meet.  The seeded draws read the flag tables, so a class met only by
+# chance comes and goes with any flag added or removed.
+DECIDED_ARGVS = {
+    "dash value": ("groebner", "--ideal", "-x^2+y;y^2"),
+    "abbreviation": ("tangent", "--col", "2,1"),
+    "help after a refused word": ("tangent", "--columns", "1", "extra", "-h"),
+}
+
+
 def check_parse_agreement(count, seed):
     """The reader against the argparse reference on seeded argvs.
 
-    Draws ``count`` argvs with ``random_argv`` over every subcommand and
-    run-suite suite, and a few with no subcommand, and checks each with
-    ``agreement``.  Every argv the reader refuses must also exit 2 from
+    Checks each of the ``DECIDED_ARGVS`` with ``agreement``, which must
+    give its class, then the same argvs and ``count`` argvs drawn with
+    ``random_argv`` over every subcommand and run-suite suite, and a few
+    with no subcommand.  Every argv the reader refuses must also exit 2 from
     ``main`` with an empty stdout and one ``error:`` line, and every help
     argv exit 0 with the help on stdout alone; neither runs a handler,
     since the reader answers first.  Standard library only.  Returns a
@@ -1264,8 +1341,10 @@ def check_parse_agreement(count, seed):
     prefixes = subcommand_parsers()
     prefixes += [((), REFERENCE), (("run-suite",), REFERENCE), (("nope",), REFERENCE)]
     classes = Counter()
-    for _ in range(count):
-        argv = random_argv(rng, *rng.choice(prefixes))
+    for decided, argv in DECIDED_ARGVS.items():
+        assert agreement(argv) == decided, argv
+    for argv in [*DECIDED_ARGVS.values(),
+                 *(random_argv(rng, *rng.choice(prefixes)) for _ in range(count))]:
         classes[agreement(argv)] += 1
         outcome = read(argv)
         if outcome == 2:
@@ -1306,7 +1385,6 @@ BOUNDED = [
     (("run-suite", "poincare", "--weights", "(-1,-3)"), "--max-length",
      strata.POINCARE_BOUND),
     (("run-suite", "verify-all"), "--max-length", cli.VERIFY_ALL_BOUND),
-    (("hom-oracle", "--columns", "2,1"), "--bound", cli.HOM_ORACLE_BOUND),
     (("verify-flat", "--columns", "2,1", "--mode", "general"), "--samples",
      cli.SAMPLES_BOUND),
     (("compare", "--columns", "2,1", "--a", "1", "--b", "-1"), "--other", cli.CELLS_BOUND),

@@ -36,8 +36,9 @@ from hilbcells import (
     tangent_basis,
 )
 from hilbcells.cli import main
+from hilbcells.staircases import COMPATIBLE_BOUND
 from hilbcells.strata import (
-    ORACLE_BOUND, POINCARE_BOUND, _chain, _classes, _degenerate, _descend, _least_compatible,
+    POINCARE_BOUND, _chain, _classes, _degenerate, _descend, _least_compatible,
     _least_of_class,
 )
 
@@ -304,11 +305,6 @@ class TestOneReportWork:
         # p to group and one per target; the minimal staircase needs none
         assert sum(counts[t] for t in HILBERT) == 2 * p - len(reports)
 
-    def test_compatible_bound_applies_before_any_work(self, monkeypatch):
-        monkeypatch.setattr(importlib.import_module("hilbcells.strata"), "COMPONENT_BOUND", 41)
-        with pytest.raises(BoundExceededError, match="compatible bound 40 exceeded by mass 41"):
-            component_report(41, W11)
-
 
 class TestMinimalStaircase:
     def test_examples(self):
@@ -347,11 +343,16 @@ class TestMinimalStaircase:
             minimal_staircase_oracle(hf({0: 2}))
 
     def test_oracle_bound(self):
-        n = ORACLE_BOUND
-        with pytest.raises(BoundExceededError, match=f"oracle bound {n} exceeded by mass {n + 1}"):
-            minimal_staircase_oracle(hilbert_function(construct_staircase([n + 1]), W11))
-        H = hilbert_function(construct_staircase([n]), W11)
+        # The oracle takes the bound of the enumeration it runs; its own stopped it past mass 14.
+        H = hilbert_function(construct_staircase([5, 4, 3, 2, 1]), W11)
         assert minimal_staircase_oracle(H) == minimal_staircase(H)
+        n = COMPATIBLE_BOUND
+        column = construct_staircase([n + 1])
+        with pytest.raises(BoundExceededError,
+                           match=f"compatible bound {n} exceeded by mass {n + 1}"):
+            minimal_staircase_oracle(hilbert_function(column, W11))
+        with pytest.raises(RegimeError, match="oracle needs a > 0"):  # before any bound
+            minimal_staircase_oracle(hilbert_function(column, Weight(-1, -2)))
 
     def test_agreement_sweep(self):
         for w in (W11, Weight(2, -1), Weight(1, -2)):
