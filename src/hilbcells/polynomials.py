@@ -18,15 +18,15 @@ standard monomials of zero-dimensional ideals, and extremal-weight initial
 ideals (flat limits of one-parameter orbits).
 
 A weight-refined order under which a variable sorts below 1 is local
-(``MonomialOrder.is_global`` is false): it is not a well-order, and
-Buchberger and division need not terminate under it.  ``buchberger``
-therefore accepts a local order only when every such variable v has v^n in
-the ideal, n the colength read from a ``GRLEX_XY`` basis, and otherwise
-raises ``DomainError`` naming v at once: the flat limit leaves the plane.
-The graded ideals supported at the origin that this library degenerates
-pass that check.  Past it no truncation is made, so termination is still
-not proven; the step guard turns a runaway computation into a hard error
-rather than a silent truncation, but it counts steps, not time.
+(``MonomialOrder.is_global`` is false) and not a well-order.  ``buchberger``
+accepts one only when every such variable v has v^n in the ideal, n the
+colength read from a ``GRLEX_XY`` basis, and otherwise raises ``DomainError``
+naming v at once: the flat limit leaves the plane.  It then completes modulo
+those powers, the highest corner of standard bases (Greuel-Pfister, A Singular
+Introduction to Commutative Algebra, 1.6-1.7): a division kills each term a
+power divides, and the order well-orders the other terms, of v-exponent below
+n, so every division ends under every order.  The step guard turns a long
+computation into a hard error, never a silent truncation; it counts steps.
 """
 
 from __future__ import annotations
@@ -544,30 +544,26 @@ def _reduce(
 
 
 def _interreduce(
-    divisors: list[_Divisor], order: MonomialOrder, guard: _StepGuard
+    basis: list[_Divisor], order: MonomialOrder, guard: _StepGuard
 ) -> list[_Divisor]:
-    """Interreduce to a fixpoint: every element irreducible modulo the others.
+    """The reduced basis of a Groebner basis, in one pass.
 
-    Sound on arbitrary generating sets: each element is replaced by its full
-    remainder, never dropped unless that remainder is zero.  A pass moving no
-    leading monomial is the last (a Groebner basis takes one); the result is
-    monic and sorted by leading monomial.
+    Keeps each record whose leading monomial no other leading monomial
+    divides, the first of equal ones, and reduces each kept record modulo
+    every record with another leading monomial; records that a power of a
+    variable below 1 leads come first, so that pass ends under a local order
+    too.  The result is monic and sorted by leading monomial.
     """
-    changed = True
-    while changed:
-        changed = False
-        out: list[_Divisor] = []
-        for i, d in enumerate(divisors):
-            others = out + divisors[i + 1:]
-            r = _reduce(d.poly, others, order, guard) if others else d.poly
-            if r is d.poly:
-                out.append(d)
-            elif r:
-                out.append(_Divisor(r, order))
-                changed = changed or out[-1].lm != d.lm
-        divisors = out
-    divisors.sort(key=lambda d: order.key(d.lm))
-    return [d.made_monic(order) for d in divisors]
+    kept: dict[Monomial, _Divisor] = {}
+    for d in basis:
+        a, b = d.lm
+        if not any(e.lm != d.lm and e.lm[0] <= a and e.lm[1] <= b for e in basis):
+            kept.setdefault(d.lm, d)
+    out = []
+    for lm, d in sorted(kept.items(), key=lambda item: order.key(item[0])):
+        r = _reduce(d.poly, [e for e in basis if e.lm != lm], order, guard)
+        out.append((d if r is d.poly else _Divisor(r, order)).made_monic(order))
+    return out
 
 
 def _s_poly(df: _Divisor, dg: _Divisor) -> BivariatePolynomial:
@@ -584,7 +580,7 @@ def _s_pair_remainder(
     records: Sequence[_Divisor], i: int, j: int, order: MonomialOrder,
     step_limit: Optional[int],
 ) -> BivariatePolynomial:
-    """Remainder of the S-polynomial of records i and j modulo all records."""
+    """Remainder of the S-polynomial of records i and j modulo all records, under its own guard."""
     return _reduce(_s_poly(records[i], records[j]), records, order, _StepGuard(step_limit))
 
 
@@ -608,11 +604,10 @@ def buchberger(
     A pair is skipped when its leading monomials are coprime, or by the
     chain criterion (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms,
     section 2.10): some third element's leading monomial divides their lcm
-    and neither of its pairs with the two is still pending.  The basis is
-    interreduced, monic and sorted by leading monomial; when no S-pair adds
-    an element, the first interreduction already gives it and is not
-    repeated.  Idempotent on already reduced bases.  ``initial_staircase``
-    runs the pair loop between the two interreductions (``_complete``) alone.
+    and neither of its pairs with the two is still pending.  That pair loop
+    (``_complete``), which ``initial_staircase`` runs alone, completes the
+    generators; one interreduction pass then makes the basis reduced, monic
+    and sorted by leading monomial.  Idempotent on already reduced bases.
 
     A local order (see ``MonomialOrder.is_global``) is accepted only when
     every variable below 1 is nilpotent modulo the ideal; otherwise the
@@ -620,31 +615,24 @@ def buchberger(
     That check runs first, under its own step guard with the same limit, so
     it does not use up the budget of the computation under the order; an
     ideal of infinite colength fails it with ``NotZeroDimensionalError``.
+    The powers it proves complete the basis (see the module docstring).
     """
     if not gens or any(not g for g in gens):
         raise DomainError("generators must be nonzero")
-    basis = _buchberger(gens, order, _StepGuard(step_limit))
+    guard = _StepGuard(step_limit)
+    basis = _interreduce(_leading_basis(gens, order, guard), order, guard)
     return GroebnerBasis(tuple(d.poly for d in basis), order)
-
-
-def _buchberger(
-    gens: Sequence[BivariatePolynomial], order: MonomialOrder, guard: _StepGuard
-) -> list[_Divisor]:
-    """The reduced basis as monic divisor records sorted by leading monomial."""
-    if not order.is_global:
-        _require_local_variables_nilpotent(gens, order, _StepGuard(guard.limit))
-    basis = _interreduce([_Divisor(p, order) for p in gens if p], order, guard)
-    interreduced = len(basis)
-    _complete(basis, order, guard)
-    return _interreduce(basis, order, guard) if len(basis) > interreduced else basis
 
 
 def _leading_basis(gens: Sequence[BivariatePolynomial], order: MonomialOrder,
                    guard: _StepGuard) -> list[_Divisor]:
-    """A Groebner basis of gens, not interreduced: enough for a leading ideal or membership."""
-    if not order.is_global:
-        _require_local_variables_nilpotent(gens, order, _StepGuard(guard.limit))
-    return _complete([_Divisor(p, order) for p in gens], order, guard)
+    """A Groebner basis of gens, not interreduced: enough for a leading ideal or membership.
+
+    Under a local order the powers that the nilpotence check proves come first.
+    """
+    powers = [] if order.is_global else _require_local_variables_nilpotent(
+        gens, order, _StepGuard(guard.limit))
+    return _complete([_Divisor(p, order) for p in [*powers, *gens]], order, guard)
 
 
 def _complete(basis: list[_Divisor], order: MonomialOrder, guard: _StepGuard) -> list[_Divisor]:
@@ -694,13 +682,13 @@ def _chain_criterion(
 
 def _require_local_variables_nilpotent(
     gens: Sequence[BivariatePolynomial], order: MonomialOrder, guard: _StepGuard
-) -> None:
-    """Refuse a local order under which a variable below 1 is not nilpotent.
+) -> list[BivariatePolynomial]:
+    """The powers v^n in the ideal, one for each variable v below 1 under the order.
 
-    With colength n, read from a GRLEX_XY basis, a variable v below 1 must
-    have v^n in the ideal; otherwise division under the order does not
-    terminate, and the flat limit leaves the plane.  An ideal of infinite
-    colength gives no such bound and raises ``NotZeroDimensionalError``.
+    n is the colength, read from a GRLEX_XY basis, and a variable nilpotent
+    modulo the ideal has v^n in it.  A variable below 1 without it raises
+    ``DomainError``, since the flat limit leaves the plane; an ideal of
+    infinite colength gives no n and raises ``NotZeroDimensionalError``.
     """
     below = [(name, v) for name, v in (("x", X), ("y", Y)) if order.key(v) < order.key(ONE)]
     basis = _leading_basis(gens, GRLEX_XY, guard)
@@ -711,13 +699,16 @@ def _require_local_variables_nilpotent(
             f"{below[0][0]} sorts below 1 in the order but the ideal has infinite "
             "colength: a local order needs a zero-dimensional ideal"
         ) from None
+    powers = []
     for name, v in below:
-        power = Monomial(n * v.alpha, n * v.beta)
-        if _reduce(BivariatePolynomial.of_monomial(power), basis, GRLEX_XY, guard):
+        power = BivariatePolynomial.of_monomial(Monomial(n * v.alpha, n * v.beta))
+        if _reduce(power, basis, GRLEX_XY, guard):
             raise DomainError(
                 f"{name} sorts below 1 in the order but {name}^{n} is not in the ideal "
                 f"of colength {n}: the flat limit leaves the plane"
             )
+        powers.append(power)
+    return powers
 
 
 class PairStatus(NamedTuple):
@@ -740,15 +731,17 @@ def is_groebner(
     a leading coefficient that is not an invertible constant raises
     ``DomainError`` however many generators there are.  Every pair is
     reduced, in order, even after a nonzero remainder, so a pair past it
-    still raises its ``StepLimitExceeded`` or ``BoundExceededError``.
+    still raises its ``StepLimitExceeded`` or ``BoundExceededError``; one
+    step guard bounds all the pairs together.
     """
     if not gens or any(not g for g in gens):
         raise DomainError("generators must be nonzero")
     records = [_Divisor(g, order) for g in gens]
+    guard = _StepGuard(step_limit)
     ok = True
     for i in range(len(records)):
         for j in range(i + 1, len(records)):
-            ok = not _s_pair_remainder(records, i, j, order, step_limit) and ok
+            ok = not _reduce(_s_poly(records[i], records[j]), records, order, guard) and ok
     return ok
 
 

@@ -480,6 +480,26 @@ class TestExitCodes:
         assert code == 0 and json.loads(out)["chain"] == []
         assert time.perf_counter() - start < 1
 
+    # Each holds x^4 and y^4, or x^5 and y^5, and passes the nilpotence check.
+    # Under these local orders they ran to the step limit or past 90 s; the
+    # powers of the variables below 1 now end every division, and the
+    # staircases are those of fglm_staircase.
+    @pytest.mark.parametrize("ideal, vector, columns", [
+        ("x - 3*y^3; -x^2*y^3 - x*y + 3*y^3; x^5; y^5", "(-1,3)", [3]),
+        ("-2*x^3 - x^2 - y^3 + 3*y; 2*x^3 + x^2*y^2 - 3*x^2 - 2*x*y^2; x^4; y^4", "(1,-1)",
+         [1, 1]),
+        ("-2*x^3 - x^2 - y^3 + 3*y; 2*x^3 + x^2*y^2 - 3*x^2 - 2*x*y^2; x^4; y^4", "(-1,-2)",
+         [1, 1]),
+    ], ids=["(-1,3)", "(1,-1)", "(-1,-2)"])
+    def test_local_order_answers_within_a_second(self, ideal, vector, columns):
+        done = subprocess.run(
+            [sys.executable, "-m", "hilbcells.cli", "weight-initial", "--ideal", ideal,
+             "--vector", vector],
+            capture_output=True, text=True, timeout=1, env=child_env(),
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert json.loads(done.stdout)["staircase"] == {"columns": columns}
+
     @pytest.mark.parametrize("flags, message", [
         (("--columns", "2,x", "--a", "1", "--b", "-1"), "cannot parse columns '2,x'"),
         (("--columns", "2,1"), "this subcommand needs --a and --b"),
@@ -978,9 +998,8 @@ def check_weight_initial_staircases(count, seed):
     the weight order, whose ties ``LEX_YX`` breaks; the reference completes
     the limit under ``LEX_YX`` once more.  Runs ``count`` seeded ideals of
     ``seeded_ideal`` at vectors with entries from -3 to 3, under ``"max"``
-    and ``"min"``, with ``--max-steps`` 1000: division under a local order
-    does not end on some of them.  Where the limit runs out of steps, the
-    command must exit 1 with the library's message.  Returns the
+    and ``"min"``, with ``--max-steps`` 1000; were the limit to run out of
+    steps, the command must exit 1 with the library's message.  Returns the
     number of ideals answered and how many of them under a local order.
     CI runs it beyond the Tier-1 count.
     """
@@ -1007,7 +1026,72 @@ def check_weight_initial_staircases(count, seed):
 class TestWeightInitialStaircase:
     def test_equals_the_completed_limit_on_seeded_ideals(self):
         answered, local = check_weight_initial_staircases(60, 1)
-        assert answered >= 50 and local >= 25
+        assert answered == 60 and local >= 25
+
+
+def fglm_staircase(text, vector, extremum):
+    """Standard monomials of an ideal holding x^5 and y^5 under a weight order, by FGLM.
+
+    sympy's grevlex normal forms span the quotient.  Walking the 5 x 5 box
+    upwards in the order, a monomial is standard exactly when its normal
+    form is independent of those of the monomials below it; the monomials
+    past the box lie in the ideal and have normal form zero.  The order's
+    key is written here: extremal weight, then the y- and x-exponents.
+    """
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    basis = sympy.groebner([sympy.sympify(chunk.replace("^", "**"))
+                            for chunk in text.split(";")], x, y, order="grevlex")
+    p, q = vector if extremum == "max" else (-vector[0], -vector[1])
+    box = sorted(((a, b) for a in range(5) for b in range(5)),
+                 key=lambda m: (p * m[0] + q * m[1], m[1], m[0]))
+    rows, standard = [], set()  # rows: (pivot, normal form) in echelon form
+    for a, b in box:
+        row = {m: v for m, v in sympy.Poly(basis.reduce(x**a * y**b)[1], x, y).terms() if v}
+        for pivot, other in rows:
+            c = row.get(pivot, 0)
+            for m, v in other.items():
+                row[m] = row.get(m, 0) - c * v
+            row = {m: v for m, v in row.items() if v}
+        if row:
+            pivot = next(iter(row))
+            rows.append((pivot, {m: v / row[pivot] for m, v in row.items()}))
+            standard.add((a, b))
+    return standard
+
+
+def check_local_orders(count, seed):
+    """``initial_staircase`` and ``weight-initial`` under local orders against ``fglm_staircase``.
+
+    Runs ``count`` seeded ideals of ``seeded_ideal``, each at a vector with
+    entries from -3 to 3 and an extremum, drawn until x or y sorts below 1,
+    under the default step limit.  Returns the number of cases by extremum.
+    CI runs it beyond the Tier-1 count.
+    """
+    rng = random.Random(seed)
+    cases = Counter()
+    for _ in range(count):
+        text = seeded_ideal(rng)
+        vector, extremum = (0, 0), "max"
+        while min(vector) >= 0 if extremum == "max" else max(vector) <= 0:
+            vector = (rng.randint(-3, 3), rng.randint(-3, 3))
+            extremum = rng.choice(("max", "min"))
+        expected = fglm_staircase(text, vector, extremum)
+        E = initial_staircase(parse_ideal(text), weight_order(vector, extremum))
+        assert {(a, b) for a, h in enumerate(E.columns) for b in range(h)} == expected, \
+            (text, vector, extremum)
+        argv = ("weight-initial", "--ideal", text, "--vector", "(%d,%d)" % vector,
+                "--extremum", extremum)
+        code, out, err = captured(main, argv)
+        assert (code, err) == (0, "") and json.loads(out)["staircase"] == E.to_json(), argv
+        cases[extremum] += 1
+    return dict(cases)
+
+
+class TestLocalOrders:
+    def test_initial_staircases_equal_the_fglm_oracle(self):
+        cases = check_local_orders(40, 1)
+        assert sum(cases.values()) == 40 and len(cases) == 2
 
 
 # One argv per subcommand and per run-suite suite, with valid flags.

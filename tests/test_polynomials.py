@@ -271,14 +271,21 @@ class TestDivision:
 
     def test_is_groebner_reduces_every_pair(self):
         # Under lex_xy the first S-pair, of y^2+x and x*y, leaves a nonzero
-        # remainder within one step; the next, of y^2+x and x^8, takes eight.
-        # The check goes on past the first remainder, so a small limit trips.
+        # remainder within one step; the next, of y^2+x and x^8, takes eight
+        # more.  The check goes on past the first remainder, and one step
+        # limit bounds all the pairs together, so a limit of 8 trips.
         gens = parse_ideal("y^2+x; x*y; x^8")
         assert is_groebner(gens[:2], LEX_XY, step_limit=1) is False
-        assert is_groebner(gens, LEX_XY, step_limit=8) is False
-        for limit in (1, 7):
+        assert is_groebner(gens, LEX_XY, step_limit=9) is False
+        for limit in (1, 8):
             with pytest.raises(StepLimitExceeded, match=f"step limit {limit} exceeded"):
                 is_groebner(gens, LEX_XY, step_limit=limit)
+        # Six pairs of 2, 5, 4, 5, 4 and 5 steps: 5 covers any one, not all.
+        gens = parse_ideal("x^3+y; x^2*y+x; x*y^2+y^2; y^3+x^2")
+        assert is_groebner(gens, LEX_YX, step_limit=25) is False
+        for limit in (5, 24):
+            with pytest.raises(StepLimitExceeded, match=f"step limit {limit} exceeded"):
+                is_groebner(gens, LEX_YX, step_limit=limit)
 
     def test_step_guard(self):
         with pytest.raises(StepLimitExceeded):
@@ -560,8 +567,8 @@ class TestBuchbergerWork:
     @pytest.mark.parametrize("columns", [[3, 2, 1], [4, 3, 3, 1], [5, 4, 2, 2, 1]])
     def test_specialized_family(self, monkeypatch, columns):
         # The chain criterion skips every pair of distant clefts, since the
-        # clefts between them divide their lcm; no S-pair adds an element, so
-        # the first interreduction is the only one.
+        # clefts between them divide their lcm, and no S-pair adds an
+        # element; the completed basis is interreduced once, in one pass.
         E = construct_staircase(columns)
         fam = build_chart_family(E, "general")
         gens = specialize_family(fam, default_sample_points(fam, extra=1, seed=5)[-1])
