@@ -413,16 +413,14 @@ def _cmd_poincare(args):
 
 def _cmd_groebner(args):
     gens = _parse_ideal_arg(args)
-    order = _parse_order(args)
-    ok = polynomials.is_groebner(gens, order, step_limit=args.max_steps)
-    gb = polynomials.buchberger(gens, order, step_limit=args.max_steps)
+    gb = polynomials.buchberger(gens, _parse_order(args), step_limit=args.max_steps)
     try:
         E = polynomials.standard_monomials(gb)
         staircase_json, col = E.to_json(), len(E)
     except NotZeroDimensionalError:
         staircase_json, col = None, None
     return {
-        "is_groebner": ok,
+        "is_groebner": polynomials._leads_generate(gens, gb),
         "colength": col,
         "staircase": staircase_json,
         "basis": [g.to_text() for g in gb.generators],

@@ -62,14 +62,18 @@ _COEFFICIENT_BOUND = 10**4300
 class MonomialOrder:
     """Total multiplicative order on grid monomials: m1 < m2 iff key(m1) < key(m2).
 
-    ``is_global``: the unit monomial is minimal, so division terminates.
     Only the name, equal for equal arguments, is compared, hashed and shown.
     """
 
-    __slots__ = ("name", "key", "is_global")
+    __slots__ = ("name", "key")
 
-    def __init__(self, name: str, key: Callable[[Monomial], tuple], is_global: bool = True):
-        self.name, self.key, self.is_global = name, key, is_global
+    def __init__(self, name: str, key: Callable[[Monomial], tuple]):
+        self.name, self.key = name, key
+
+    @property
+    def is_global(self) -> bool:
+        """x and y sort above 1, so 1 is minimal and division terminates."""
+        return self.key(ONE) < min(self.key(X), self.key(Y))
 
     def __eq__(self, other) -> bool:
         return self.name == other.name if other.__class__ is self.__class__ else NotImplemented
@@ -104,7 +108,7 @@ def weight_order(vector: tuple[int, int], extremum: str) -> MonomialOrder:
     p, q = (v1, v2) if extremum == "max" else (-v1, -v2)
     key = (itemgetter(0, 1) if q == 0 < p else itemgetter(1, 0) if p == 0 < q
            else lambda m: (p * m[0] + q * m[1], m[1], m[0]))
-    return MonomialOrder(f"{extremum}({v1},{v2});{LEX_YX.name}", key, p >= 0 and q >= 0)
+    return MonomialOrder(f"{extremum}({v1},{v2});{LEX_YX.name}", key)
 
 
 # ---------------------------------------------------------------------------
@@ -725,24 +729,21 @@ def is_groebner(
     order: MonomialOrder,
     step_limit: Optional[int] = None,
 ) -> bool:
-    """Whether every S-polynomial remainder is zero; works symbolically over chart rings.
+    """Whether the leading monomials of gens generate the leading ideal (Cox-Little-O'Shea 2.5).
 
-    Every generator, a lone one included, is checked as a divisor first, so
-    a leading coefficient that is not an invertible constant raises
-    ``DomainError`` however many generators there are.  Every pair is
-    reduced, in order, even after a nonzero remainder, so a pair past it
-    still raises its ``StepLimitExceeded`` or ``BoundExceededError``; one
-    step guard bounds all the pairs together.
+    Read off ``buchberger(gens, order, step_limit)``, with its checks, its
+    step limit and, under a local order, its nilpotence check.
     """
-    if not gens or any(not g for g in gens):
-        raise DomainError("generators must be nonzero")
-    records = [_Divisor(g, order) for g in gens]
-    guard = _StepGuard(step_limit)
-    ok = True
-    for i in range(len(records)):
-        for j in range(i + 1, len(records)):
-            ok = not _reduce(_s_poly(records[i], records[j]), records, order, guard) and ok
-    return ok
+    return _leads_generate(gens, buchberger(gens, order, step_limit))
+
+
+def _leads_generate(gens: Sequence[BivariatePolynomial], gb: GroebnerBasis) -> bool:
+    """Whether each leading monomial of gb, the reduced basis of gens, leads a generator.
+
+    Those are the minimal generators of the leading ideal, and a minimal
+    generator that a generator's leading monomial divides is that monomial.
+    """
+    return set(gb.leading_monomials) <= {g.leading_monomial(gb.order) for g in gens}
 
 
 def standard_monomials(gb: GroebnerBasis) -> Staircase:

@@ -19,7 +19,8 @@ from hypothesis import example, given, settings, strategies as st
 import hilbcells
 from hilbcells import (
     LEX_YX, StepLimitExceeded, Weight, charts, cli, enumerate_staircases, initial_staircase,
-    parse_ideal, staircases, strata, tangent, weight_initial_ideal, weight_order,
+    is_groebner, parse_ideal, polynomials, staircases, strata, tangent, weight_initial_ideal,
+    weight_order,
 )
 from hilbcells.cli import main
 from hilbcells.staircases import COMPATIBLE_BOUND
@@ -96,6 +97,22 @@ class TestExamples:
         assert data["is_groebner"] is True
         assert data["colength"] == 7
         assert data["staircase"] == {"columns": [4, 2, 1]}
+
+    def test_groebner_completes_once(self, capsys, monkeypatch):
+        # "is_groebner" is read off the basis the command prints, so under a
+        # global order one completion, under one step guard, answers both.
+        guards = []
+
+        class RecordingGuard(polynomials._StepGuard):
+            def __init__(self, limit):
+                super().__init__(limit)
+                guards.append(self)
+
+        monkeypatch.setattr(polynomials, "_StepGuard", RecordingGuard)
+        for ideal, answer in ((ANCHOR_IDEAL, True), ("y^2+x; x*y; x^8", False)):
+            guards.clear()
+            data = run_json(capsys, "groebner", "--order", "grlex_xy", "--ideal", ideal)
+            assert (data["is_groebner"], len(guards)) == (answer, 1), ideal
 
 
 class TestSubcommands:
@@ -1061,12 +1078,15 @@ def fglm_staircase(text, vector, extremum):
 
 
 def check_local_orders(count, seed):
-    """``initial_staircase`` and ``weight-initial`` under local orders against ``fglm_staircase``.
+    """``initial_staircase``, ``weight-initial`` and ``is_groebner`` under local orders, by FGLM.
 
     Runs ``count`` seeded ideals of ``seeded_ideal``, each at a vector with
     entries from -3 to 3 and an extremum, drawn until x or y sorts below 1,
-    under the default step limit.  Returns the number of cases by extremum.
-    CI runs it beyond the Tier-1 count.
+    under the default step limit.  The generators form a standard basis
+    exactly when the box monomials outside the ideal their leading
+    monomials generate, under the key of ``fglm_staircase``, are the
+    standard ones.  Returns the number of cases by extremum and by that
+    answer.  CI runs it beyond the Tier-1 count.
     """
     rng = random.Random(seed)
     cases = Counter()
@@ -1077,21 +1097,30 @@ def check_local_orders(count, seed):
             vector = (rng.randint(-3, 3), rng.randint(-3, 3))
             extremum = rng.choice(("max", "min"))
         expected = fglm_staircase(text, vector, extremum)
-        E = initial_staircase(parse_ideal(text), weight_order(vector, extremum))
+        gens, order = parse_ideal(text), weight_order(vector, extremum)
+        E = initial_staircase(gens, order)
         assert {(a, b) for a, h in enumerate(E.columns) for b in range(h)} == expected, \
             (text, vector, extremum)
         argv = ("weight-initial", "--ideal", text, "--vector", "(%d,%d)" % vector,
                 "--extremum", extremum)
         code, out, err = captured(main, argv)
         assert (code, err) == (0, "") and json.loads(out)["staircase"] == E.to_json(), argv
+        p, q = vector if extremum == "max" else (-vector[0], -vector[1])
+        leads = [max(g.terms, key=lambda m: (p * m.alpha + q * m.beta, m.beta, m.alpha))
+                 for g in gens]
+        basis = expected == {(a, b) for a in range(5) for b in range(5)
+                             if not any(u <= a and v <= b for u, v in leads)}
+        assert is_groebner(gens, order) is basis, (text, vector, extremum)
         cases[extremum] += 1
+        cases["basis" if basis else "not a basis"] += 1
     return dict(cases)
 
 
 class TestLocalOrders:
     def test_initial_staircases_equal_the_fglm_oracle(self):
         cases = check_local_orders(40, 1)
-        assert sum(cases.values()) == 40 and len(cases) == 2
+        assert len(cases) == 4
+        assert cases["max"] + cases["min"] == 40 == cases["basis"] + cases["not a basis"]
 
 
 # One argv per subcommand and per run-suite suite, with valid flags.
