@@ -10,8 +10,9 @@ error and nothing to standard output.
 One reader, ``_parse_args``, reads every argv from two tables: ``_FLAGS``,
 each flag's option string and keywords, and ``_COMMANDS``, each
 subcommand's help, flags and handler.  The tests build the standard
-library's option parser from the same tables as a reference.  The reader
-differs from it by design:
+library's option parser from the same tables as a reference.  Like it, the
+reader refuses a value outside a flag's ``choices`` and a missing
+``required`` flag before any handler reads a value; it differs by design:
 
 - a flag always takes the next word as its value, so ``--vector -1,-3``
   reads; the reference refuses a value starting with ``-`` unless it looks
@@ -119,7 +120,10 @@ def _parse_vector(text: str) -> tuple[int, int]:
 
 
 def _parse_weights(text: str) -> list[tuple[int, int]]:
-    return [_parse_vector(chunk) for chunk in text.split(";") if chunk.strip()]
+    vectors = [_parse_vector(chunk) for chunk in text.split(";") if chunk.strip()]
+    if not vectors:
+        raise MalformedInput(f"--weights needs at least one integer pair, got {text!r}")
+    return vectors
 
 
 # Weight entries stay below 10**4290, so every degree of a staircase within
@@ -155,8 +159,6 @@ def _read_json(text: str, flag: str, object_pairs_hook=None):
 
 
 def _parse_hilbert(args) -> HilbertFunction:
-    if not args.hilbert:
-        raise MalformedInput("this subcommand needs --hilbert")
     # A boolean, or a number with a fraction or exponent, stays its JSON
     # text, which int() below refuses instead of truncating.
     data = _read_json(args.hilbert, "--hilbert", object_pairs_hook=lambda pairs: {
@@ -197,6 +199,8 @@ def _parse_point(text: str | None) -> dict:
     point = {}
     for name, value in data.items():
         key = _parse_variable_name(name)
+        if key in point:
+            raise MalformedInput(f"--point names {polynomials.variable_name(key)} twice")
         try:
             point[key] = _parse_rational(str(value))
         except (ValueError, ZeroDivisionError) as exc:
@@ -219,18 +223,15 @@ def _parse_rational(text: str) -> Fraction:
     return q
 
 
-def _parse_variable_name(name: str):
+def _parse_variable_name(name: str) -> CleftCouple:
+    """The couple of a chart variable ``X[...]``, its inside read as a ``--couple`` value."""
     body = name.strip()
-    if not (body.startswith("X[") and body.endswith("]")):
-        raise MalformedInput(f"bad chart variable name {name!r}")
-    inner = body[2:-1]
     try:
-        c_part, m_part = inner.split(";")
-        cx, cy = (int(v) for v in c_part.split(","))
-        mx, my = (int(v) for v in m_part.split(","))
-    except ValueError as exc:
-        raise MalformedInput(f"bad chart variable name {name!r}") from exc
-    return CleftCouple(Monomial(cx, cy), Monomial(mx, my))
+        if body.startswith("X[") and body.endswith("]"):
+            return _parse_couple(body[2:-1])
+    except MalformedInput:
+        pass
+    raise MalformedInput(f"bad chart variable name {name!r}")
 
 
 def _parse_couple(text: str) -> CleftCouple:
@@ -247,33 +248,16 @@ _ORDERS = {"lex_xy": LEX_XY, "lex_yx": LEX_YX, "grlex_xy": GRLEX_XY}
 
 
 def _parse_order(args):
-    name = args.order
-    if name in _ORDERS:
-        return _ORDERS[name]
-    if name == "cell":
-        return cell_order(_weight(args))
-    raise MalformedInput(f"unknown order {name!r}; pick lex_xy, lex_yx, grlex_xy or cell")
-
-
-def _parse_ideal_arg(args):
-    if not args.ideal:
-        raise MalformedInput("this subcommand needs --ideal")
-    return parse_ideal(args.ideal)
+    return cell_order(_weight(args)) if args.order == "cell" else _ORDERS[args.order]
 
 
 def _chart_request(args) -> tuple[Staircase, str, Weight | None]:
-    """Staircase, mode and weight of a chart family, checked in that order."""
+    """Staircase, mode and weight of a chart family, the columns read before the weight."""
     E = _parse_columns(args.columns)
-    if args.mode == "invariant":
-        return E, "invariant", _weight(args)
-    if args.mode == "general":
-        _require_couple_bound(E)
-        return E, "general", None
-    raise MalformedInput(f"unknown mode {args.mode!r}; pick invariant or general")
-
-
-def _chart_family(args) -> charts.ChartFamily:
-    return charts.build_chart_family(*_chart_request(args))
+    if args.mode == charts.MODE_INVARIANT:
+        return E, args.mode, _weight(args)
+    _require_couple_bound(E)
+    return E, args.mode, None
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +328,7 @@ def _cmd_cells(args):
 
 
 def _cmd_chart(args):
-    return _chart_family(args).to_json()
+    return charts.build_chart_family(*_chart_request(args)).to_json()
 
 
 def _cmd_specialize(args):
@@ -366,10 +350,9 @@ SAMPLES_BOUND = 100  # largest verify-flat --samples: its points are laid out be
 def _cmd_verify_flat(args):
     if not 0 <= args.samples <= SAMPLES_BOUND:
         raise BoundExceededError(f"--samples {args.samples} outside 0 to bound {SAMPLES_BOUND}")
-    fam = _chart_family(args)
-    cert = charts.verify_flatness(fam, extra_samples=args.samples, seed=args.seed,
-                                  step_limit=args.max_steps)
-    return cert.to_json()
+    fam = charts.build_chart_family(*_chart_request(args))
+    return charts.verify_flatness(fam, extra_samples=args.samples, seed=args.seed,
+                                  step_limit=args.max_steps).to_json()
 
 
 def _cmd_degenerate(args):
@@ -381,10 +364,7 @@ def _cmd_degenerate(args):
 
 def _cmd_descend(args):
     E = _parse_columns(args.columns)
-    w = _weight(args)
-    if args.policy not in strata.POLICIES:
-        raise MalformedInput(f"unknown policy {args.policy!r}; pick first, last or random")
-    steps = strata.descend_to_minimal(E, w, policy=args.policy,
+    steps = strata.descend_to_minimal(E, _weight(args), policy=args.policy,
                                       seed=args.seed, step_limit=args.max_steps)
     final = steps[-1].target if steps else E
     return {"chain": [s.to_json() for s in steps], "final": final.to_json()}
@@ -412,7 +392,7 @@ def _cmd_poincare(args):
 
 
 def _cmd_groebner(args):
-    gens = _parse_ideal_arg(args)
+    gens = parse_ideal(args.ideal)
     gb = polynomials.buchberger(gens, _parse_order(args), step_limit=args.max_steps)
     try:
         E = polynomials.standard_monomials(gb)
@@ -429,15 +409,13 @@ def _cmd_groebner(args):
 
 
 def _cmd_initial(args):
-    gens = _parse_ideal_arg(args)
-    order = _parse_order(args)
-    return polynomials.initial_staircase(gens, order, step_limit=args.max_steps).to_json()
+    return polynomials.initial_staircase(parse_ideal(args.ideal), _parse_order(args),
+                                         step_limit=args.max_steps).to_json()
 
 
 def _cmd_weight_initial(args):
-    gens = _parse_ideal_arg(args)
-    vector = _parse_vector(args.vector)
-    limit = polynomials.weight_initial_ideal(gens, vector, args.extremum, step_limit=args.max_steps)
+    limit = polynomials.weight_initial_ideal(parse_ideal(args.ideal), _parse_vector(args.vector),
+                                             args.extremum, step_limit=args.max_steps)
     # The weight order breaks ties by LEX_YX, so the initial parts of its
     # basis are a LEX_YX basis of the limit: in_<(in_w I) = in_{<_w} I.
     E = polynomials.standard_monomials(polynomials.GroebnerBasis(tuple(limit), LEX_YX))
@@ -519,18 +497,22 @@ def _suite_verify_all(args):
     grouped = functools.cache(strata._classes)  # each (l, w) grouped once for all items
 
     @functools.cache
-    def checked(l, w):  # each class checked once, as ``components`` checks it
+    def checked(l, w):  # each class's least member found once, as ``components`` finds it
         profiles = {}
         return {H: strata._least_of_class(H, bases, profiles)
                 for H, bases in grouped(l, w).items()}, profiles
 
+    def statements(l, w):  # the class statements alone, apart from the least members
+        for H, bases in grouped(l, w).items():
+            strata._class_statement(H, bases)
+
     descent_weights = (Weight(1, -1), Weight(2, -1), Weight(3, -2), Weight(1, -3))
 
-    def every_class(weights, detail):
+    def every_class(read, weights, detail):
         def check():
             for w in weights:
                 for l in lengths:
-                    checked(l, w)
+                    read(l, w)
             return detail
         return check
 
@@ -568,13 +550,13 @@ def _suite_verify_all(args):
         _suite_item("tangent-oracle-equivalence", oracle_equivalence),
         _suite_item("graph-dimension", graph_dimension),
         _suite_item("dimension-constancy", every_class(
-            descent_weights, "dimension constant on every Hilbert-function class")),
+            statements, descent_weights, "dimension constant on every Hilbert-function class")),
         _suite_item("minimal-staircase-agreement", every_class(
-            descent_weights, "recursion agrees with the enumeration oracle")),
+            checked, descent_weights, "recursion agrees with the enumeration oracle")),
         _suite_item("descent-convergence", descent),
         _suite_item("flatness-certificates", flatness),
         _suite_item("ab-positive-collapse", every_class(
-            (Weight(-1, -2), Weight(-2, -3)),
+            statements, (Weight(-1, -2), Weight(-2, -3)),
             "every class is a single point with zero invariant tangent space")),
         _suite_item("poincare-census", poincare_census),
     ]
@@ -609,9 +591,7 @@ def _suite_components(args):
 
 
 def _suite_poincare(args):
-    vectors = _parse_weights(args.weights or "")
-    if not vectors:
-        raise MalformedInput("run-suite poincare needs --weights '(w1,w2);(w1,w2)'")
+    vectors = _parse_weights(args.weights)
     _require_max_length(args.max_length)
     if args.max_length > strata.POINCARE_BOUND:
         raise BoundExceededError(
@@ -643,25 +623,30 @@ _FLAGS = {
     "columns": ("--columns", dict(required=True, help="staircase column heights, e.g. 4,2")),
     "a": ("--a", dict(type=int)),
     "b": ("--b", dict(type=int)),
-    "hilbert": ("--hilbert", dict(help='degree counts as JSON, e.g. \'{"0":1,"1":2}\'')),
-    "order": ("--order", dict(default="lex_yx",
-                              help="lex_xy | lex_yx | grlex_xy | cell (cell needs --a/--b)")),
-    "ideal": ("--ideal", dict(help="semicolon-separated generators, e.g. 'x*y^2+y^3; x^2'")),
-    "mode": ("--mode", dict(required=True, help="invariant | general")),
+    "hilbert": ("--hilbert", dict(required=True,
+                                  help='degree counts as JSON, e.g. \'{"0":1,"1":2}\'')),
+    "order": ("--order", dict(default="lex_yx", choices=(*_ORDERS, "cell"),
+                              help="monomial order (cell needs --a/--b)")),
+    "ideal": ("--ideal", dict(required=True,
+                              help="semicolon-separated generators, e.g. 'x*y^2+y^3; x^2'")),
+    "mode": ("--mode", dict(required=True, choices=(charts.MODE_INVARIANT, charts.MODE_GENERAL),
+                            help="tangent space the family spans (invariant needs --a/--b)")),
     "vector": ("--vector", dict(required=True, help="integer pair, e.g. '-1,-3'")),
     "seed": ("--seed", dict(type=int, default=7)),
     "max_steps": ("--max-steps", dict(type=int,
                                       help="resource guard for polynomial reductions")),
     "other": ("--other", dict(required=True, help="second staircase columns")),
-    "point": ("--point", dict(help='JSON point, e.g. \'{"X[0,1;1,0]":"1"}\'')),
+    "point": ("--point", dict(help='JSON point, e.g. \'{"X[0,1;1,0]":"1"}\'; a name may '
+                                   "also read X[(0,1);(1,0)] or X[(0,1;1,0)]")),
     "samples": ("--samples", dict(type=int, default=3, help="extra pseudo-random sample points")),
     "couple": ("--couple", dict(help="couple to specialize, e.g. '0,1;1,0'")),
-    "policy": ("--policy", dict(default="first", help="first | last | random")),
+    "policy": ("--policy", dict(default="first", choices=strata.POLICIES,
+                                help="which couple each descent step takes")),
     "extremum": ("--extremum", dict(default="max", choices=("max", "min"))),
     "length": ("--length", dict(type=int, required=True)),
-    "suite_length": ("--length", dict(type=int, default=6)),
     "max_length": ("--max-length", dict(type=int, default=6)),
-    "weights": ("--weights", dict(help="semicolon-separated pairs, e.g. '(-1,-3);(-2,-5)'")),
+    "weights": ("--weights", dict(required=True,
+                                  help="semicolon-separated pairs, e.g. '(-1,-3);(-2,-5)'")),
 }
 
 # Every subcommand by name: (help, flag keys in help order, handler).  A row
@@ -700,7 +685,7 @@ _COMMANDS = {
     "run-suite": ("batch property suites with JSON summaries", {
         "verify-all": ("every acceptance check up to a length", "seed max_length",
                        _suite_verify_all),
-        "components": ("component report of one length", "a b suite_length", _suite_components),
+        "components": ("component report of one length", "a b length", _suite_components),
         "poincare": ("census agreement across weight vectors", "max_length weights",
                      _suite_poincare),
     }, None),

@@ -353,11 +353,11 @@ MINIMAL_BOUND = 3000
 def component_report(length: int, w: Weight) -> list[ComponentReport]:
     """Group the staircases of one length by Hilbert function and certify each class.
 
-    Every class gets per-stratum tangent data and the checks of
-    ``_least_of_class``: in the descent regime (a > 0) a dimension-constancy
-    check, the minimal staircase computed both by recursion and by the
-    enumeration oracle, and a descent chain from every stratum; otherwise a
-    collapse to a single stratum.
+    Every class gets per-stratum tangent data, the check of
+    ``_class_statement`` (in the descent regime, a > 0, dimension constancy;
+    otherwise a collapse to a single stratum) and, for a > 0, the checks of
+    ``_least_of_class``, the minimal staircase computed both by recursion and
+    by the enumeration oracle, and a descent chain from every stratum.
 
     Each staircase gets one tangent basis, which gives its stratum data,
     feeds the oracle and indexes its degeneration step, one S-profile and at
@@ -372,6 +372,7 @@ def component_report(length: int, w: Weight) -> list[ComponentReport]:
     reports = []
     for H in sorted(groups, key=lambda h: h.values):
         bases, profiles, steps = groups[H], {}, {}
+        _class_statement(H, bases)
         minimal = _least_of_class(H, bases, profiles)
         chains = tuple(_chain(E, minimal, "first", 0, H, bases, profiles, steps) if w.a > 0
                        else (E,) for E in bases)
@@ -381,15 +382,11 @@ def component_report(length: int, w: Weight) -> list[ComponentReport]:
     return reports
 
 
-def _least_of_class(H: HilbertFunction, bases: Mapping[Staircase, TangentBasis],
-                    profiles: dict[Staircase, tuple[int, ...]]) -> Staircase:
-    """The least staircase of one Hilbert-function class, once the class is checked.
+def _class_statement(H: HilbertFunction, bases: Mapping[Staircase, TangentBasis]) -> None:
+    """Check one Hilbert-function class, whose members ``bases`` maps to their tangent bases.
 
-    ``bases`` maps the members to their tangent bases at H's weight.  With
-    a <= 0 the class must be a single staircase, of zero invariant tangent
-    space if a < 0.  With a > 0 its tangent dimension must be constant, and
-    the bottom-row recursion must give the member ``_least_compatible``
-    finds on S-profiles added to ``profiles``.
+    With a <= 0 the class is one staircase, of zero invariant tangent space
+    if a < 0; with a > 0 the tangent dimension is constant over the class.
     """
     w = H.weight
     if w.a <= 0:
@@ -399,10 +396,23 @@ def _least_of_class(H: HilbertFunction, bases: Mapping[Staircase, TangentBasis],
                                    "although a <= 0")
         if w.a < 0 and tb.dimension != 0:
             raise ConsistencyError(f"nonzero invariant tangent space at {E.columns} with a*b > 0")
-        return E
+        return
     dims = {tb.dimension for tb in bases.values()}
     if len(dims) != 1:
         raise ConsistencyError(f"tangent dimension varies over {H.as_dict()}: {dims}")
+
+
+def _least_of_class(H: HilbertFunction, bases: Mapping[Staircase, TangentBasis],
+                    profiles: dict[Staircase, tuple[int, ...]]) -> Staircase:
+    """The least staircase of one Hilbert-function class whose statement holds.
+
+    With a <= 0 it is the only member.  With a > 0 the bottom-row recursion
+    must give the member ``_least_compatible`` finds on S-profiles added to
+    ``profiles``.
+    """
+    w = H.weight
+    if w.a <= 0:
+        return next(iter(bases))
     minimal = minimal_staircase(H)
     profiles.update((E, s_profile(E, w)) for E in bases)
     oracle = _least_compatible(H, bases, profiles)

@@ -61,6 +61,15 @@ def child_env():
         filter(None, (src, os.environ.get("PYTHONPATH")))))
 
 
+def failing_handlers(rows):
+    """``rows`` of ``cli._COMMANDS`` with every handler replaced by one that fails the test."""
+    def fail(args):
+        raise AssertionError(f"the {args.command} handler ran")
+
+    return {name: (text, keys, fail) if handler else (text, failing_handlers(keys), None)
+            for name, (text, keys, handler) in rows.items()}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -520,13 +529,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("flags, message", [
         (("--columns", "2,x", "--a", "1", "--b", "-1"), "cannot parse columns '2,x'"),
         (("--columns", "2,1"), "this subcommand needs --a and --b"),
-        (("--columns", "2,1", "--a", "1", "--b", "-1"),
-         "unknown policy 'best'; pick first, last or random"),
     ])
     def test_unknown_descent_policy_is_two(self, capsys, flags, message):
-        # Columns and weight are read first; the policy exited 1 as a DomainError.
-        code, out, err = run(capsys, "descend", *flags, "--policy", "best")
-        assert (code, out, err) == (2, "", f"error: {message}\n")
+        # The reader refuses the policy before the handler reads the columns
+        # and the weight, which give their own refusal under a known policy.
+        assert run(capsys, "descend", *flags, "--policy", "best") == (
+            2, "", "error: --policy needs one of first, last, random, got 'best'\n")
+        assert run(capsys, "descend", *flags, "--policy", "last") == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("argv", [
         ("specialize", "--columns", "2,1", "--mode", "general", "--point", "[1,2]"),
@@ -546,8 +555,11 @@ class TestExitCodes:
         (("specialize", "--columns", "2,1", "--mode", "general", "--point", '{"Y[0,2;0,0]":"1"}'),
          2, "bad chart variable name 'Y[0,2;0,0]'"),
         (("groebner", "--order", "foo", "--ideal", "x"), 2,
-         "unknown order 'foo'; pick lex_xy, lex_yx, grlex_xy or cell"),
+         "--order needs one of lex_xy, lex_yx, grlex_xy, cell, got 'foo'"),
         (("groebner", "--ideal", ";"), 1, "empty ideal description"),
+        # The empty value exited 2 as a missing --ideal.
+        (("groebner", "--ideal", ""), 1, "empty ideal description"),
+        (("groebner", "--ideal", " "), 1, "empty ideal description"),
     ])
     def test_refusals_name_what_they_refuse(self, capsys, argv, code, message):
         assert run(capsys, *argv) == (code, "", f"error: {message}\n")
@@ -584,14 +596,15 @@ class TestExitCodes:
         code, out, err = run(capsys, "run-suite", "poincare", "--max-length", "2",
                              "--weights", weights)
         assert code == 2 and not out
-        assert err == "error: run-suite poincare needs --weights '(w1,w2);(w1,w2)'\n"
+        assert err == f"error: --weights needs at least one integer pair, got {weights!r}\n"
 
     @pytest.mark.parametrize("flags, code, message", [
         (("--columns", "2,x", "--mode", "general"), 2, "cannot parse columns"),
         (("--columns", "2,1", "--mode", "invariant"), 2, "needs --a and --b"),
         (("--columns", "2,1", "--mode", "invariant", "--a", "0", "--b", "0"), 1,
          "is not a direction"),
-        (("--columns", "2,1", "--mode", "sideways"), 2, "unknown mode"),
+        (("--columns", "2,1", "--mode", "sideways"), 2,
+         "--mode needs one of invariant, general, got 'sideways'"),
         # Exit 1 (the RegimeError of a <= 0) before the point was checked first.
         (("--columns", "2,1", "--mode", "invariant", "--a", "-1", "--b", "-1"), 2,
          "--point must be a JSON object"),
@@ -606,6 +619,65 @@ class TestExitCodes:
         monkeypatch.setattr(hilbcells.charts, "build_chart_family", build)
         got, out, err = run(capsys, "specialize", *flags, "--point", "[1,2]")
         assert (got, out) == (code, "") and message in err, err
+
+    # A value outside a flag's set, and a missing required flag, each refused
+    # by the reader from the flag table.  The handlers refused them by hand,
+    # after the values they read first: the first five exited 1 on such a
+    # value, and run-suite components read --length 6.
+    @pytest.mark.parametrize("argv, message", [
+        (("descend", "--columns", "1,2", "--a", "1", "--b", "-1", "--policy", "best"),
+         "--policy needs one of first, last, random, got 'best'"),
+        (("descend", "--columns", "2,1", "--a", "2", "--b", "-2", "--policy", "best"),
+         "--policy needs one of first, last, random, got 'best'"),
+        (("chart", "--columns", "1,2", "--mode", "sideways"),
+         "--mode needs one of invariant, general, got 'sideways'"),
+        (("verify-flat", "--columns", "2,1", "--mode", "sideways", "--samples", "200"),
+         "--mode needs one of invariant, general, got 'sideways'"),
+        (("groebner", "--ideal", "x+", "--order", "foo"),
+         "--order needs one of lex_xy, lex_yx, grlex_xy, cell, got 'foo'"),
+        (("descend", "--columns", "2,1", "--a", "1", "--b", "-1", "--policy", "best"),
+         "--policy needs one of first, last, random, got 'best'"),
+        (("initial", "--ideal", "x; y", "--order", "revlex"),
+         "--order needs one of lex_xy, lex_yx, grlex_xy, cell, got 'revlex'"),
+        (("compatible", "--a", "1", "--b", "-1"), "hilbcells compatible needs --hilbert"),
+        (("minimal", "--a", "1", "--b", "-1"), "hilbcells minimal needs --hilbert"),
+        (("groebner", "--order", "lex_xy"), "hilbcells groebner needs --ideal"),
+        (("initial",), "hilbcells initial needs --ideal"),
+        (("weight-initial", "--vector", "1,0"), "hilbcells weight-initial needs --ideal"),
+        (("run-suite", "poincare", "--max-length", "2"),
+         "hilbcells run-suite poincare needs --weights"),
+        (("run-suite", "components", "--a", "1", "--b", "-1"),
+         "hilbcells run-suite components needs --length"),
+    ])
+    def test_the_flag_table_refuses_before_any_handler(self, capsys, monkeypatch, argv, message):
+        with pytest.raises(cli.MalformedInput, match=re.escape(message)):
+            cli._parse_args(list(argv))
+        monkeypatch.setattr(cli, "_COMMANDS", failing_handlers(cli._COMMANDS))
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    def test_the_flag_table_has_one_row_per_option_string(self):
+        options = [option for option, _ in cli._FLAGS.values()]
+        assert len(options) == len(set(options))
+
+    # Every spelling of a couple that --couple reads names the same chart
+    # variable; the parenthesized ones exited 2 as bad variable names.
+    SPELLINGS = ("X[0,2;1,0]", "X[(0,2);(1,0)]", "X[(0,2;1,0)]", " X[ ( 0 , 2 ) ; ( 1 , 0 ) ] ",
+                 "X[+0,2;1,0]")
+
+    def test_chart_variables_read_in_every_couple_spelling(self, capsys):
+        family = ("specialize", "--columns", "2,1", "--mode", "general")
+        outputs = {run(capsys, *family, "--point", json.dumps({name: "3/2"}))
+                   for name in self.SPELLINGS}
+        assert len(outputs) == 1
+        (code, out, err), = outputs
+        assert (code, err) == (0, "") and out != run(capsys, *family)[1]
+
+    @pytest.mark.parametrize("other", SPELLINGS[1:])
+    def test_a_point_naming_one_variable_twice_is_two(self, capsys, other):
+        # Two spellings of X[0,2;1,0]: the later value was kept.
+        point = '{"X[0,2;1,0]":"1",%s:"2"}' % json.dumps(other)
+        assert run(capsys, "specialize", "--columns", "2,1", "--mode", "general",
+                   "--point", point) == (2, "", "error: --point names X[0,2;1,0] twice\n")
 
     def test_specialize_regime_error_with_a_good_point_is_one(self, capsys):
         code, out, err = run(capsys, "specialize", "--columns", "2,1", "--mode", "invariant",
@@ -1554,12 +1626,21 @@ def digit_strings():
         lambda v: (v[1] * v[0])[:v[0]])
 
 
+def spellings(name):
+    """The spellings of a chart variable that the couple grammar reads: as
+    printed, parenthesized by pair or whole, and with blanks around the entries."""
+    cx, cy, mx, my = re.fullmatch(r"X\[(-?\d+),(-?\d+);(-?\d+),(-?\d+)\]", name).groups()
+    return (name, f"X[({cx},{cy});({mx},{my})]", f"X[({cx},{cy};{mx},{my})]",
+            f"X[ {cx} , {cy} ; {mx} , {my} ]")
+
+
 @st.composite
 def point_argvs(draw):
     """A ``specialize`` argv on at most 6 cells, its point valued with long or odd numbers.
 
     Values are integers and fractions of 1 to 4,300 digits, and decimals
-    with exponents up to ``cli.POINT_EXPONENT_BOUND`` either way.
+    with exponents up to ``cli.POINT_EXPONENT_BOUND`` either way.  Each
+    variable is named in one of its ``spellings``.
     """
     E = draw(st.integers(1, 6).flatmap(lambda n: st.sampled_from(enumerate_staircases(n))))
     family = ("--columns", ",".join(map(str, E.columns))) + draw(st.sampled_from(
@@ -1574,6 +1655,7 @@ def point_argvs(draw):
     )
     names = chart_variables(family)
     point = draw(st.dictionaries(st.sampled_from(names), value)) if names else {}
+    point = {draw(st.sampled_from(spellings(name))): v for name, v in point.items()}
     return ("specialize",) + family + ("--point", json.dumps(point))
 
 

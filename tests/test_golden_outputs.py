@@ -184,7 +184,11 @@ HELP_AND_ERROR_ARGVS = [["-h"], [], ["bogus"], ["run-suite", "-h"], ["run-suite"
 # not wrapped to the terminal, so it is the same under every Python and
 # every COLUMNS (replayed under 3.10.13, 3.11.7, 3.12.1, 3.13.0 and 3.13.13).
 # Re-recorded when ``hom-oracle`` lost ``--bound``: only its help changed.
-HELP_AND_ERROR = "6f89a7690bd7a1ef47d84655e7115616d56e686dfdd38f0fd6931b2b5dd6aab5"
+# Re-recorded when each flag's rule moved into its row: the helps of
+# --mode, --order and --policy list their choices and mark --hilbert,
+# --ideal, --weights and run-suite components --length required, and a
+# missing one is refused by the reader's "hilbcells ... needs" line.
+HELP_AND_ERROR = "8c46d798dd70d510252cb8fde78535976a3f1af18aeba032cc4e684a5f9b163d"
 # SHA-256 of the stdout of each help argv; CI compares the console script's.
 HELP_DIGESTS = {
     "-h": "a8ceab9b03d731ec89e6e7cfe06c59d03d406baba9e410a146265ee84ef67fc7",

@@ -38,8 +38,8 @@ from hilbcells import (
 from hilbcells.cli import main
 from hilbcells.staircases import COMPATIBLE_BOUND
 from hilbcells.strata import (
-    POINCARE_BOUND, _chain, _classes, _degenerate, _descend, _least_compatible,
-    _least_of_class,
+    POINCARE_BOUND, _chain, _class_statement, _classes, _degenerate, _descend,
+    _least_compatible,
 )
 
 W11 = Weight(1, -1)
@@ -458,16 +458,38 @@ class TestCertificates:
         bases = {E: tangent_basis(E, self.W12) for E in members}
         with pytest.raises(ConsistencyError,
                            match=re.escape("2 staircases share H = {-1: 1, 0: 1} although a <= 0")):
-            _least_of_class(H, bases, {})
+            _class_statement(H, bases)
 
     def test_an_invariant_tangent_space_with_ab_positive_is_refused(self):
         E = construct_staircase([2])
         H = hilbert_function(E, self.W12)
         positive = tangent_basis(construct_staircase([1, 1]), W11).positive
-        assert _least_of_class(H, {E: tangent_basis(E, self.W12)}, {}) == E
+        _class_statement(H, {E: tangent_basis(E, self.W12)})
         with pytest.raises(ConsistencyError,
                            match=re.escape("nonzero invariant tangent space at (2,) with a*b > 0")):
-            _least_of_class(H, {E: tangent_basis(E, self.W12)._replace(positive=positive)}, {})
+            _class_statement(H, {E: tangent_basis(E, self.W12)._replace(positive=positive)})
+
+    @pytest.mark.parametrize("check, failing", [
+        ("_class_statement", {"dimension-constancy"}),
+        ("_least_compatible", {"minimal-staircase-agreement", "descent-convergence"}),
+        ("_least_of_class", {"minimal-staircase-agreement", "descent-convergence"}),
+    ])
+    def test_verify_all_fails_only_the_items_that_run_a_check(self, monkeypatch, capsys,
+                                                              check, failing):
+        # A check that fails on every class of two or more members fails the
+        # items that run it, each with its own witness, and no other item.
+        original = getattr(strata, check)
+
+        def injected(H, bases, *rest):
+            if len(bases) > 1:
+                raise ConsistencyError(f"injected at {H.as_dict()}")
+            return original(H, bases, *rest)
+
+        monkeypatch.setattr(strata, check, injected)
+        assert main(["run-suite", "verify-all", "--max-length", "4"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        failed = {item["name"]: item["witness"] for item in data["items"] if not item["ok"]}
+        assert failed == dict.fromkeys(failing, "injected at {0: 1, 1: 1}")
 
     def test_a_descent_ending_off_the_least_staircase_is_refused(self):
         E = construct_staircase([1, 1, 1])
